@@ -9,6 +9,7 @@ literally.
 
 import itertools
 import math
+from dataclasses import replace
 
 from .errors import FrameMismatchError, RuleError, TotalConflictError
 from .frame import Element, parse_expression_text
@@ -61,12 +62,6 @@ def _union_element(els):
     return Element(els[0].frame, atoms, expr).canonical()
 
 
-def _add_landing(acc, frame, element, mass):
-    # Pool every empty landing under the one canonical empty element so
-    # the combined bba shows a single conflict row.
-    _add(acc, frame.empty() if element.is_empty else element, mass)
-
-
 def _conflict_operands(els, ignorance):
     """Non-empty operands of a conflicting product that may receive mass.
 
@@ -79,46 +74,177 @@ def _conflict_operands(els, ignorance):
     return narrowed or nonempty
 
 
-def _result(frame, acc, partials, rule, sources, warnings=(), k12=None):
-    # k12 is the total conjunctive mass that landed empty.  Rules that
-    # retain conflict on the empty element can leave it implicit; rules
-    # that move it elsewhere must pass what they measured.
-    empty = frame.empty()
-    if k12 is None:
-        k12 = acc.get(empty, 0.0)
-    combined = MassFunction(frame, acc)
-    return FusionResult(
-        combined,
-        ConflictReport(k12, tuple(partials)),
-        rule=rule,
-        warnings=tuple(warnings),
-        sources=tuple(sources),
-    )
+def _ignorance(frame):
+    ignorance = frame.ignorance()
+    if ignorance.is_empty:
+        raise RuleError("total ignorance is empty under this model")
+    return ignorance
+
+
+# -- the shared expansion and routing core ----------------------------------
+
+class Ledger:
+    """Landed mass and the conflict audit trail of one combination.
+
+    A rule expands the sources' product, routes each conflicting
+    product (inline, or from the returned list once the whole product is
+    known), optionally transfers or normalises the pooled conflict, and
+    finishes into a FusionResult.  ``k12`` is the mass of every routed
+    product, ``lost`` what was booked to no destination, ``open_world``
+    what was left on the empty set for want of any admissible element.
+    """
+
+    __slots__ = ("frame", "sources", "acc", "partials", "k12", "lost", "open_world")
+
+    def __init__(self, sources):
+        self.sources = tuple(sources)
+        self.frame = _common_frame(self.sources)
+        self.acc = {}
+        self.partials = []
+        self.k12 = 0.0
+        self.lost = 0.0
+        self.open_world = 0.0
+
+    def expand(self, route=None, land=_intersection_element, claim=None):
+        """Book every product's landing; route or return the conflicting ones.
+
+        A product conflicts when its landing is empty or ``claim(els,
+        landing)`` holds.  With a ``route`` each is routed as it comes,
+        so mass lands in enumeration order; without one the products
+        are returned as (operands, mass) pairs.
+        """
+        conflicts = []
+        for els, p in _expand(self.sources):
+            landing = land(els)
+            if not landing.is_empty and (claim is None or not claim(els, landing)):
+                _add(self.acc, landing, p)
+                continue
+            self.k12 += p
+            if route is None:
+                conflicts.append((els, p))
+            else:
+                route(els, p, landing)
+        return conflicts
+
+    def book(self, els, p, shares, basis="", note=""):
+        """Land a product's shares; a None destination is lost mass."""
+        for dest, share in shares:
+            if dest is None:
+                self.lost += share
+            else:
+                _add(self.acc, dest, share)
+        self.partials.append(Partial(els, p, tuple(shares), basis=basis, note=note))
+
+    def strand(self, els, p, note, basis=""):
+        """Leave a product on the empty set as open-world mass."""
+        self.open_world += p
+        self.book(els, p, ((self.frame.empty(), p),), basis, note)
+
+    def escalate(self, els, p, dest, note, basis="",
+                 suffix="; fell back to ignorance", degenerate="model fully degenerate"):
+        """Send a product to ``dest``, else to total ignorance, else to the
+        empty set: only a fully degenerate model leaks to the open world."""
+        if dest.is_empty:
+            dest, note = self.frame.ignorance(), note + suffix
+        if dest.is_empty:
+            self.strand(els, p, degenerate, basis)
+        else:
+            self.book(els, p, ((dest, p),), basis, note)
+
+    def finish(self, rule, warnings=(), open_world="open-world mass on the empty set"):
+        """The result, with the open-world mass flagged under ``open_world``."""
+        warnings = tuple(warnings)
+        if self.open_world > 0.0:
+            warnings += (f"{open_world}: {self.open_world:.6f}",)
+        return FusionResult(
+            MassFunction(self.frame, self.acc),
+            ConflictReport(self.k12, tuple(self.partials)),
+            rule=rule,
+            warnings=warnings,
+            sources=self.sources,
+        )
+
+
+def _unconflicted(combined, rule, sources, warnings=()):
+    """The result of a rule that produces no conflicting products."""
+    return FusionResult(combined, ConflictReport(0.0, ()), rule=rule,
+                        warnings=tuple(warnings), sources=tuple(sources))
+
+
+def _retained(ledger, rule, note, land=_intersection_element):
+    """Expand with every empty landing left on the empty set."""
+    empty = ledger.frame.empty()
+    ledger.expand(lambda els, p, _: ledger.book(els, p, ((empty, p),), note=note), land)
+    return ledger.finish(rule)
+
+
+# -- transfers shared by the direct rules and the incremental store --------
+
+def _normalise(ledger):
+    """Dempster's normalisation of the landed mass."""
+    total = math.fsum(ledger.acc.values())
+    if total <= _CONFLICT_EPS:
+        raise TotalConflictError(f"total conflict: k12={ledger.k12:g}; the rule is undefined")
+    scale = 1.0 / total
+    ledger.acc = {el: v * scale for el, v in ledger.acc.items()}
+
+
+def _declared_weights(frame, weights):
+    """Validate wo's element weights; the weighted destinations."""
+    witems = []
+    for el, w in weights.items():
+        el = frame.parse(el) if isinstance(el, str) else el
+        if el.frame != frame:
+            raise FrameMismatchError("weight element from another frame")
+        w = float(w)
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"weight for {el.display} must be in [0, 1], got {w}")
+        witems.append((frame.empty() if el.is_empty else el, w))
+    wsum = math.fsum(w for _, w in witems)
+    if abs(wsum - 1.0) > 1e-9:
+        raise ValueError(f"weights must sum to 1, got {wsum}")
+    return [(el, w) for el, w in witems if w > 0.0]
+
+
+def _weight_transfer(ledger, witems):
+    """Give each weighted destination its weight's share of k12."""
+    if ledger.k12 > 0.0:
+        for el, w in witems:
+            _add(ledger.acc, el, w * ledger.k12)
+
+
+def _inagaki_scaling(ledger, p):
+    """Scale every landing by (1 + p*k12) and top ignorance up.
+
+    Non-negative for every p inside the validated range; at the upper
+    bound the cancellation can leave -1ulp, which must not reach the
+    bba constructor.
+    """
+    ignorance = _ignorance(ledger.frame)
+    acc, k12 = ledger.acc, ledger.k12
+    m_ign = acc.get(ignorance, 0.0)
+    bound_den = 1.0 - k12 - m_ign
+    p = float(p)
+    if p < 0.0 or (bound_den > _CONFLICT_EPS and p > 1.0 / bound_den + _CONFLICT_EPS):
+        limit = "unbounded" if bound_den <= _CONFLICT_EPS else f"{1.0 / bound_den:.12g}"
+        raise ValueError(f"p must lie in [0, {limit}], got {p}")
+    scale = 1.0 + p * k12
+    out = {el: v * scale for el, v in acc.items() if el != ignorance}
+    out[ignorance] = max(0.0, scale * m_ign + (scale - p) * k12)
+    ledger.acc = out
 
 
 # -- conjunctive family -------------------------------------------------
 
 def conjunctive(*sources):
     """Intersect focal elements pairwise; conflict stays on the empty set."""
-    frame = _common_frame(sources)
-    acc = {}
-    partials = []
-    empty = frame.empty()
-    for els, p in _expand(sources):
-        landing = _intersection_element(els)
-        _add_landing(acc, frame, landing, p)
-        if landing.is_empty:
-            partials.append(Partial(els, p, ((empty, p),), note="retained"))
-    return _result(frame, acc, partials, "conjunctive", sources)
+    return _retained(Ledger(sources), "conjunctive", "retained")
 
 
 def dsm_classic(*sources):
     """Conjunctive combination on the free model: intersections are kept
     as elements in their own right, so nothing needs transferring."""
-    result = conjunctive(*sources)
-    return FusionResult(
-        result.combined, result.conflict, rule="dsmc", sources=result.sources
-    )
+    return replace(conjunctive(*sources), rule="dsmc")
 
 
 def smets_tbm(*sources):
@@ -127,10 +253,7 @@ def smets_tbm(*sources):
     warnings = ()
     if result.conflict.k12 > 0.0:
         warnings = (f"open-world mass on the empty set: {result.conflict.k12:.6f}",)
-    return FusionResult(
-        result.combined, result.conflict, rule="smets",
-        warnings=warnings, sources=result.sources,
-    )
+    return replace(result, rule="smets", warnings=warnings)
 
 
 def dempster(*sources):
@@ -140,45 +263,20 @@ def dempster(*sources):
     1 - k12 for normal sources but stays meaningful for subnormal ones.
     Total conflict has no defined result and raises.
     """
-    frame = _common_frame(sources)
-    acc = {}
-    partials = []
-    k12 = 0.0
-    for els, p in _expand(sources):
-        landing = _intersection_element(els)
-        if landing.is_empty:
-            k12 += p
-            partials.append(
-                Partial(els, p, ((None, 0.0),), basis="normalization", note="divided out")
-            )
-        else:
-            _add(acc, landing, p)
-    total = math.fsum(acc.values())
-    if total <= _CONFLICT_EPS:
-        raise TotalConflictError(f"total conflict: k12={k12:g}; the rule is undefined")
-    scale = 1.0 / total
-    acc = {el: v * scale for el, v in acc.items()}
-    return _result(frame, acc, partials, "dempster", sources, k12=k12)
+    ledger = Ledger(sources)
+    ledger.expand(lambda els, p, _: ledger.book(
+        els, p, ((None, 0.0),), "normalization", "divided out"))
+    _normalise(ledger)
+    return ledger.finish("dempster")
 
 
 def yager(*sources):
     """Conjunctive rule with all conflicting mass moved to total ignorance."""
-    frame = _common_frame(sources)
-    ignorance = frame.ignorance()
-    if ignorance.is_empty:
-        raise RuleError("total ignorance is empty under this model")
-    acc = {}
-    partials = []
-    k12 = 0.0
-    for els, p in _expand(sources):
-        landing = _intersection_element(els)
-        if landing.is_empty:
-            k12 += p
-            _add(acc, ignorance, p)
-            partials.append(Partial(els, p, ((ignorance, p),), note="to ignorance"))
-        else:
-            _add(acc, landing, p)
-    return _result(frame, acc, partials, "yager", sources, k12=k12)
+    ledger = Ledger(sources)
+    ignorance = _ignorance(ledger.frame)
+    ledger.expand(lambda els, p, _: ledger.book(
+        els, p, ((ignorance, p),), note="to ignorance"))
+    return ledger.finish("yager")
 
 
 def dubois_prade(*sources):
@@ -190,30 +288,22 @@ def dubois_prade(*sources):
     has nowhere admissible to go and is lost; the result is then
     subnormal and the loss is flagged.
     """
-    frame = _common_frame(sources)
-    ignorance = frame.ignorance()
-    acc = {}
-    partials = []
-    lost = 0.0
-    k12 = 0.0
-    for els, p in _expand(sources):
-        landing = _intersection_element(els)
-        if not landing.is_empty:
-            _add(acc, landing, p)
-            continue
-        k12 += p
+    ledger = Ledger(sources)
+    ignorance = ledger.frame.ignorance()
+
+    def route(els, p, _):
         recipients = _conflict_operands(els, ignorance)
-        union = _union_element(recipients) if recipients else frame.empty()
+        union = _union_element(recipients) if recipients else ledger.frame.empty()
         if union.is_empty:
-            lost += p
-            partials.append(Partial(els, p, ((None, p),), note="union also empty; lost"))
+            ledger.book(els, p, ((None, p),), note="union also empty; lost")
         else:
-            _add(acc, union, p)
-            partials.append(Partial(els, p, ((union, p),), note="to union"))
-    warnings = []
-    if lost > 0.0:
-        warnings.append(f"mass lost on fully empty products: {lost:.6f}")
-    return _result(frame, acc, partials, "dubois-prade", sources, warnings, k12=k12)
+            ledger.book(els, p, ((union, p),), note="to union")
+
+    ledger.expand(route)
+    warnings = ()
+    if ledger.lost > 0.0:
+        warnings = (f"mass lost on fully empty products: {ledger.lost:.6f}",)
+    return ledger.finish("dubois-prade", warnings)
 
 
 def dsm_hybrid(*sources):
@@ -226,38 +316,18 @@ def dsm_hybrid(*sources):
     what is left, and only a fully degenerate model leaks to the empty
     set (open world, flagged).
     """
-    frame = _common_frame(sources)
-    ignorance = frame.ignorance()
-    empty = frame.empty()
-    acc = {}
-    partials = []
-    open_world = 0.0
-    k12 = 0.0
-    for els, p in _expand(sources):
-        landing = _intersection_element(els)
-        if not landing.is_empty:
-            _add(acc, landing, p)
-            continue
-        k12 += p
+    ledger = Ledger(sources)
+
+    def route(els, p, landing):
         if all(el.is_empty for el in els):
-            dest = _union_element([el.disjunctive() for el in els])
-            note = "operands empty; to joint disjunctive form"
+            ledger.escalate(els, p, _union_element([el.disjunctive() for el in els]),
+                            "operands empty; to joint disjunctive form")
         else:
-            dest = landing.disjunctive()
-            note = "to disjunctive form of the conflict"
-        if dest.is_empty:
-            dest, note = ignorance, note + "; fell back to ignorance"
-        if dest.is_empty:
-            _add(acc, empty, p)
-            open_world += p
-            partials.append(Partial(els, p, ((empty, p),), note="model fully degenerate"))
-        else:
-            _add(acc, dest, p)
-            partials.append(Partial(els, p, ((dest, p),), note=note))
-    warnings = []
-    if open_world > 0.0:
-        warnings.append(f"open-world mass on the empty set: {open_world:.6f}")
-    return _result(frame, acc, partials, "dsmh", sources, warnings, k12=k12)
+            ledger.escalate(els, p, landing.disjunctive(),
+                            "to disjunctive form of the conflict")
+
+    ledger.expand(route)
+    return ledger.finish("dsmh")
 
 
 def weighted_operator(*sources, weights):
@@ -267,40 +337,16 @@ def weighted_operator(*sources, weights):
     summing to one.  Putting the whole weight on the empty element
     recovers the open-world rule; on total ignorance, Yager's rule.
     """
-    frame = _common_frame(sources)
-    witems = []
-    for el, w in weights.items():
-        el = frame.parse(el) if isinstance(el, str) else el
-        if el.frame != frame:
-            raise FrameMismatchError("weight element from another frame")
-        w = float(w)
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"weight for {el.display} must be in [0, 1], got {w}")
-        witems.append((el, w))
-    wsum = math.fsum(w for _, w in witems)
-    if abs(wsum - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {wsum}")
-    acc = {}
-    partials = []
-    k12 = 0.0
-    empties = []
-    for els, p in _expand(sources):
-        landing = _intersection_element(els)
-        if landing.is_empty:
-            k12 += p
-            empties.append((els, p))
-        else:
-            _add(acc, landing, p)
-    if k12 > 0.0:
-        for el, w in witems:
-            if w == 0.0:
-                continue
-            _add_landing(acc, frame, el, w * k12)
-        for els, p in empties:
-            shares = tuple((frame.empty() if el.is_empty else el, w * p)
-                           for el, w in witems if w > 0.0)
-            partials.append(Partial(els, p, shares, basis="declared weights"))
-    return _result(frame, acc, partials, "wo", sources, k12=k12)
+    ledger = Ledger(sources)
+    witems = _declared_weights(ledger.frame, weights)
+    conflicts = ledger.expand()
+    _weight_transfer(ledger, witems)
+    # The mass moved pooled above; these partials only audit each product.
+    ledger.partials.extend(
+        Partial(els, p, tuple((el, w * p) for el, w in witems), basis="declared weights")
+        for els, p in conflicts
+    )
+    return ledger.finish("wo")
 
 
 def inagaki(*sources, p):
@@ -311,52 +357,24 @@ def inagaki(*sources, p):
     rule; when nothing lands on ignorance, p = 1/(1 - k12) is
     Dempster's.
     """
-    frame = _common_frame(sources)
-    ignorance = frame.ignorance()
-    if ignorance.is_empty:
-        raise RuleError("total ignorance is empty under this model")
-    acc = {}
-    partials = []
-    k12 = 0.0
-    for els, pm in _expand(sources):
-        landing = _intersection_element(els)
-        if landing.is_empty:
-            k12 += pm
-            partials.append(Partial(els, pm, (), basis="inagaki scaling"))
-        else:
-            _add(acc, landing, pm)
-    m_ign = acc.get(ignorance, 0.0)
-    bound_den = 1.0 - k12 - m_ign
-    p = float(p)
-    if p < 0.0 or (bound_den > _CONFLICT_EPS and p > 1.0 / bound_den + _CONFLICT_EPS):
-        limit = "unbounded" if bound_den <= _CONFLICT_EPS else f"{1.0 / bound_den:.12g}"
-        raise ValueError(f"p must lie in [0, {limit}], got {p}")
-    scale = 1.0 + p * k12
-    out = {}
-    for el, v in acc.items():
-        if el == ignorance:
-            continue
-        out[el] = v * scale
-    # Non-negative for every p inside the validated range; at the upper
-    # bound the cancellation can leave -1ulp, which must not reach the
-    # bba constructor.
-    out[ignorance] = max(0.0, scale * m_ign + (scale - p) * k12)
-    return _result(frame, out, partials, "inagaki", sources, k12=k12)
+    ledger = Ledger(sources)
+    ledger.expand(lambda els, pm, _: ledger.book(els, pm, (), "inagaki scaling"))
+    _inagaki_scaling(ledger, p)
+    return ledger.finish("inagaki")
 
 
 # -- disjunctive family ----------------------------------------------------
 
+def _symmetric_difference(els):
+    atoms = els[0].atoms
+    for el in els[1:]:
+        atoms = atoms ^ el.atoms
+    return Element(els[0].frame, atoms, ("xor", tuple(el.expr for el in els)))
+
+
 def disjunctive(*sources):
     """Combine by unions: right when at least one source is reliable."""
-    frame = _common_frame(sources)
-    acc = {}
-    partials = []
-    for els, p in _expand(sources):
-        landing = _union_element(els)
-        _add_landing(acc, frame, landing, p)
-        if landing.is_empty:
-            partials.append(Partial(els, p, ((frame.empty(), p),), note="all operands empty"))
-    return _result(frame, acc, partials, "disjunctive", sources)
+    return _retained(Ledger(sources), "disjunctive", "all operands empty", _union_element)
 
 
 def exclusive_disjunctive(*sources):
@@ -365,20 +383,7 @@ def exclusive_disjunctive(*sources):
     Products of semantically equal operands land on the empty set and
     are flagged as degenerate rather than silently dropped.
     """
-    frame = _common_frame(sources)
-    acc = {}
-    partials = []
-    for els, p in _expand(sources):
-        atoms = els[0].atoms
-        for el in els[1:]:
-            atoms = atoms ^ el.atoms
-        landing = Element(frame, atoms, ("xor", tuple(el.expr for el in els)))
-        _add_landing(acc, frame, landing, p)
-        if landing.is_empty:
-            partials.append(
-                Partial(els, p, ((frame.empty(), p),), note="xor-degenerate")
-            )
-    return _result(frame, acc, partials, "xor", sources)
+    return _retained(Ledger(sources), "xor", "xor-degenerate", _symmetric_difference)
 
 
 # -- mixed connective combinations ----------------------------------------
@@ -436,22 +441,15 @@ def mixed(sources, expr):
     """
     if isinstance(expr, str):
         expr = parse_source_expr(expr)
-    sources = tuple(sources)
-    frame = _common_frame(sources)
+    ledger = Ledger(sources)
     leaves = []
     _source_expr_leaves(expr, leaves)
-    if sorted(leaves) != list(range(1, len(sources) + 1)):
+    if sorted(leaves) != list(range(1, len(ledger.sources) + 1)):
         raise ValueError(
-            f"expression must use each of sources 1..{len(sources)} exactly once, got {sorted(leaves)}"
+            f"expression must use each of sources 1..{len(ledger.sources)} exactly once, got {sorted(leaves)}"
         )
-    acc = {}
-    partials = []
-    for els, p in _expand(sources):
-        landing = _eval_source_expr(expr, els).canonical()
-        _add_landing(acc, frame, landing, p)
-        if landing.is_empty:
-            partials.append(Partial(els, p, ((frame.empty(), p),), note="empty landing"))
-    return _result(frame, acc, partials, "mixed", sources)
+    return _retained(ledger, "mixed", "empty landing",
+                     lambda els: _eval_source_expr(expr, els).canonical())
 
 
 def conditional(m, hypothesis, rule="conjunctive", **params):
@@ -465,13 +463,7 @@ def conditional(m, hypothesis, rule="conjunctive", **params):
     spec = resolve(rule)
     certain = MassFunction.certain(hypothesis)
     result = spec.combine([m, certain], dict(params))
-    if isinstance(result, MassFunction):
-        result = FusionResult(result, ConflictReport(0.0), rule=rule)
-    return FusionResult(
-        result.combined, result.conflict, rule=f"conditional[{rule}]",
-        warnings=result.warnings, sources=(m, certain),
-        signed_masses=result.signed_masses,
-    )
+    return replace(result, rule=f"conditional[{rule}]", sources=(m, certain))
 
 
 # -- mixing family -----------------------------------------------------------

@@ -12,7 +12,6 @@ from .errors import FusionError, RuleError
 from .mass import MassFunction
 from .problem import coerce_params, parse_problem, scenario_config
 from .registry import resolve, validate_call
-from .result import ConflictReport, FusionResult
 
 
 @dataclass
@@ -50,8 +49,6 @@ def execute_problem(problem, rule, overrides=None):
     out = spec.combine(sources, params)
     if spec.mode == "opinion":
         return Outcome("opinion", frame=frame, opinion=out)
-    if isinstance(out, MassFunction):
-        out = FusionResult(out, ConflictReport(0.0, ()), rule=rule)
     return Outcome("mass", frame=frame, combined=out.combined, result=out,
                    warnings=out.warnings)
 

@@ -32,6 +32,8 @@ class MassFunction:
             if el.frame != frame:
                 raise FrameMismatchError("focal element from another frame")
             value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite mass {value} on {el.display}")
             if value < 0.0:
                 raise ValueError(f"negative mass {value} on {el.display}")
             if value == 0.0:

@@ -8,37 +8,115 @@ the source totals.
 
 import itertools
 import math
+from dataclasses import replace
 
 from .classic import (
-    _add,
-    _add_landing,
-    _common_frame,
+    Ledger,
     _conflict_operands,
-    _expand,
     _intersection_element,
-    _result,
     _union_element,
 )
 from .frame import Element, _disjunctive_labels
-from .mass import MassFunction, MassMatrix
-from .result import ConflictReport, FusionResult, Partial
+from .mass import MassMatrix
 
 _EPS = 1e-12
 
 
-def _conjunctive_core(frame, sources):
-    """Conjunctive landings split into surviving mass and empty products."""
-    acc = {}
-    conflicts = []
-    k12 = 0.0
-    for els, p in _expand(sources):
-        landing = _intersection_element(els)
-        if landing.is_empty:
-            k12 += p
-            conflicts.append((els, p))
+def _proportional(entries, p):
+    """Split p over (element, weight) entries by weight; None if weightless."""
+    total = math.fsum(w for _, w in entries)
+    if total <= _EPS:
+        return None
+    return tuple((el, p * w / total) for el, w in entries)
+
+
+def _weighted(els, weigh):
+    """Distinct non-empty operands with positive weight, in operand order."""
+    entries = []
+    seen = set()
+    for el in els:
+        if el.is_empty or el in seen:
+            continue
+        seen.add(el)
+        w = weigh(el)
+        if w > 0.0:
+            entries.append((el, w))
+    return entries
+
+
+def _pcr5_split(els, sources, p):
+    """PCR5: a product goes back to its operands by the masses that collided.
+
+    Operand i weighs what source i gives it; equal operands pool their
+    weight.  None when every operand is empty or weightless.
+    """
+    weights = {}
+    for el, m in zip(els, sources):
+        w = 0.0 if el.is_empty else m.mass(el)
+        if w > 0.0:
+            weights[el] = weights.get(el, 0.0) + w
+    return _proportional(list(weights.items()), p)
+
+
+# -- pooled transfers: the whole k12 goes out as one partial ---------------
+
+def _pooled(ledger, rule, transfer):
+    conflicts = ledger.expand()
+    warnings = transfer(ledger, conflicts) if ledger.k12 > 0.0 else ()
+    return ledger.finish(rule, warnings)
+
+
+def _by_columns(ledger, entries, basis, failure):
+    shares = _proportional([(el, c) for el, c in entries if c > 0.0], ledger.k12)
+    if shares is None:
+        ledger.book((), ledger.k12, ((None, ledger.k12),), basis)
+        return (failure,)
+    ledger.book((), ledger.k12, shares, basis, "pooled conflict")
+    return ()
+
+
+def _column_averages(ledger, conflicts=()):
+    """WAO: each focal column takes k12 times its average mass; the empty
+    column's share has no admissible recipient and is lost."""
+    matrix = MassMatrix(ledger.sources)
+    s = len(ledger.sources)
+    lost_w = 0.0
+    shares = []
+    for el in matrix.columns():
+        w = matrix.column_sum(el) / s
+        if w <= 0.0:
+            continue
+        if el.is_empty:
+            lost_w += w
         else:
-            _add(acc, landing, p)
-    return acc, conflicts, k12
+            shares.append((el, w * ledger.k12))
+    if lost_w > 0.0:
+        shares.append((None, lost_w * ledger.k12))
+    ledger.book((), ledger.k12, shares, "column averages", "pooled conflict")
+    if ledger.lost > _EPS:
+        return (f"column weight on empty elements lost: {ledger.lost:.6f}",)
+    return ()
+
+
+def _column_sums(ledger, conflicts=()):
+    """PCR1: k12 split by the column sums of the non-empty focal elements."""
+    matrix = MassMatrix(ledger.sources)
+    entries = [(el, matrix.column_sum(el)) for el in matrix.columns() if not el.is_empty]
+    return _by_columns(ledger, entries, "column sums",
+                       "no non-empty focal columns; conflict lost")
+
+
+def _involved_columns(ledger, conflicts):
+    """PCR2: like PCR1, over the columns of operands some conflict involves."""
+    ignorance = ledger.frame.ignorance()
+    involved = set()
+    for els, _ in conflicts:
+        involved.update(_conflict_operands(els, ignorance))
+    matrix = MassMatrix(ledger.sources)
+    entries = [(el, matrix.column_sum(el))
+               for el in sorted(involved, key=lambda e: e.display)]
+    return _by_columns(ledger, entries, "involved columns",
+                       "conflict involves only empty operands; lost")
 
 
 def wao(*sources):
@@ -48,41 +126,7 @@ def wao(*sources):
     masses the sources give it.  Whatever weight the averages give the
     empty column cannot be placed and is reported as lost.
     """
-    frame = _common_frame(sources)
-    acc, conflicts, k12 = _conjunctive_core(frame, sources)
-    partials = []
-    if k12 > 0.0:
-        matrix = MassMatrix(sources)
-        s = len(sources)
-        lost_w = 0.0
-        shares = []
-        for el in matrix.columns():
-            w = matrix.column_sum(el) / s
-            if w <= 0.0:
-                continue
-            if el.is_empty:
-                lost_w += w
-            else:
-                _add(acc, el, w * k12)
-                shares.append((el, w * k12))
-        if lost_w > 0.0:
-            shares.append((None, lost_w * k12))
-        partials.append(
-            Partial(
-                (), k12, tuple(shares), basis="column averages",
-                note="pooled conflict",
-            )
-        )
-    result = _result(frame, acc, partials, "wao", sources)
-    warnings = list(result.warnings)
-    lost = result.conflict.lost
-    if lost > _EPS:
-        warnings.append(f"column weight on empty elements lost: {lost:.6f}")
-    return FusionResult(
-        result.combined,
-        ConflictReport(k12, result.conflict.partials),
-        rule="wao", warnings=tuple(warnings), sources=result.sources,
-    )
+    return _pooled(Ledger(sources), "wao", _column_averages)
 
 
 def pcr1(*sources):
@@ -94,72 +138,33 @@ def pcr1(*sources):
     short, keeping the total at exactly the sources' mass that named a
     non-empty element.
     """
-    frame = _common_frame(sources)
-    acc, conflicts, k12 = _conjunctive_core(frame, sources)
-    partials = []
-    warnings = []
-    if k12 > 0.0:
-        matrix = MassMatrix(sources)
-        entries = [
-            (el, matrix.column_sum(el))
-            for el in matrix.columns()
-            if not el.is_empty and matrix.column_sum(el) > 0.0
-        ]
-        d12 = math.fsum(c for _, c in entries)
-        if d12 <= _EPS:
-            warnings.append("no non-empty focal columns; conflict lost")
-            partials.append(Partial((), k12, ((None, k12),), basis="column sums"))
-        else:
-            shares = []
-            for el, c in entries:
-                share = k12 * c / d12
-                _add(acc, el, share)
-                shares.append((el, share))
-            partials.append(
-                Partial((), k12, tuple(shares), basis="column sums",
-                        note="pooled conflict")
-            )
-    result = _result(frame, acc, partials, "pcr1", sources)
-    return FusionResult(
-        result.combined, ConflictReport(k12, result.conflict.partials),
-        rule="pcr1", warnings=tuple(warnings), sources=result.sources,
-    )
+    return _pooled(Ledger(sources), "pcr1", _column_sums)
 
 
 def pcr2(*sources):
     """Like PCR1 but only elements involved in some conflict receive mass."""
-    frame = _common_frame(sources)
-    acc, conflicts, k12 = _conjunctive_core(frame, sources)
-    ignorance = frame.ignorance()
-    partials = []
-    warnings = []
-    if k12 > 0.0:
-        involved = set()
-        for els, _ in conflicts:
-            involved.update(_conflict_operands(els, ignorance))
-        matrix = MassMatrix(sources)
-        entries = [(el, matrix.column_sum(el)) for el in sorted(
-            involved, key=lambda e: e.display)]
-        entries = [(el, c) for el, c in entries if c > 0.0]
-        e12 = math.fsum(c for _, c in entries)
-        if e12 <= _EPS:
-            warnings.append("conflict involves only empty operands; lost")
-            partials.append(Partial((), k12, ((None, k12),), basis="involved columns"))
+    return _pooled(Ledger(sources), "pcr2", _involved_columns)
+
+
+# -- per-product splits: each conflicting product goes out on its own ------
+
+def _split_each(ledger, rule, why, split):
+    """Split each conflicting product by ``split(els, p, m12)``; a product
+    it cannot place goes to the operands' joint disjunctive form, then
+    to total ignorance, and only in a fully degenerate model stays on
+    the empty set.  ``m12`` is the conjunctive result before any
+    redistribution.
+    """
+    conflicts = ledger.expand()
+    m12 = dict(ledger.acc)
+    for els, p in conflicts:
+        shares, basis = split(els, p, m12)
+        if shares:
+            ledger.book(els, p, shares, basis)
         else:
-            shares = []
-            for el, c in entries:
-                share = k12 * c / e12
-                _add(acc, el, share)
-                shares.append((el, share))
-            partials.append(
-                Partial((), k12, tuple(shares), basis="involved columns",
-                        note="pooled conflict")
-            )
-    result = _result(frame, acc, partials, "pcr2", sources)
-    return FusionResult(
-        result.combined, ConflictReport(k12, result.conflict.partials),
-        rule="pcr2", warnings=tuple(warnings), sources=result.sources,
-    )
+            ledger.escalate(els, p, _union_element([el.disjunctive() for el in els]),
+                            f"{why}; to joint disjunctive form")
+    return ledger.finish(rule)
 
 
 def pcr3(*sources):
@@ -172,55 +177,15 @@ def pcr3(*sources):
     ignorance, and only in a fully degenerate model stays on the empty
     set.
     """
-    frame = _common_frame(sources)
-    acc, conflicts, k12 = _conjunctive_core(frame, sources)
-    matrix = MassMatrix(sources)
-    ignorance = frame.ignorance()
-    partials = []
-    warnings = []
-    open_world = 0.0
-    for els, p in _expand_conflicts(conflicts):
-        entries = []
-        seen = set()
-        for el in _conflict_operands(els, ignorance):
-            if el in seen:
-                continue
-            seen.add(el)
-            c = matrix.column_sum(el)
-            if c > 0.0:
-                entries.append((el, c))
-        total = math.fsum(c for _, c in entries)
-        if total > _EPS:
-            shares = tuple((el, p * c / total) for el, c in entries)
-            for el, share in shares:
-                _add(acc, el, share)
-            partials.append(Partial(els, p, shares, basis="column sums"))
-            continue
-        dest = _union_element([el.disjunctive() for el in els])
-        note = "all columns empty; to joint disjunctive form"
-        if dest.is_empty:
-            dest, note = ignorance, note + "; fell back to ignorance"
-        if dest.is_empty:
-            _add(acc, frame.empty(), p)
-            open_world += p
-            partials.append(Partial(els, p, ((frame.empty(), p),),
-                                    note="model fully degenerate"))
-        else:
-            _add(acc, dest, p)
-            partials.append(Partial(els, p, ((dest, p),), note=note))
-    if open_world > 0.0:
-        warnings.append(f"open-world mass on the empty set: {open_world:.6f}")
-    result = _result(frame, acc, partials, "pcr3", sources)
-    return FusionResult(
-        result.combined, ConflictReport(k12, result.conflict.partials),
-        rule="pcr3", warnings=tuple(warnings), sources=result.sources,
-    )
+    ledger = Ledger(sources)
+    matrix = MassMatrix(ledger.sources)
+    ignorance = ledger.frame.ignorance()
 
+    def split(els, p, m12):
+        entries = _weighted(_conflict_operands(els, ignorance), matrix.column_sum)
+        return _proportional(entries, p), "column sums"
 
-def _expand_conflicts(conflicts):
-    # Conflicts already enumerated by the conjunctive core; kept as a
-    # hook so the per-product rules iterate one shared shape.
-    return conflicts
+    return _split_each(ledger, "pcr3", "all columns empty", split)
 
 
 def pcr4(*sources):
@@ -231,65 +196,19 @@ def pcr4(*sources):
     Products whose operands both got zero conjunctive mass fall back to
     the column-sum split.
     """
-    frame = _common_frame(sources)
+    ledger = Ledger(sources)
     if len(sources) > 2:
         return _pairwise_fold(pcr4, "pcr4", sources)
-    acc, conflicts, k12 = _conjunctive_core(frame, sources)
-    m12 = dict(acc)
-    matrix = MassMatrix(sources)
-    ignorance = frame.ignorance()
-    partials = []
-    warnings = []
-    open_world = 0.0
-    for els, p in conflicts:
-        entries = []
-        seen = set()
-        for el in els:
-            if el.is_empty or el in seen:
-                continue
-            seen.add(el)
-            c = m12.get(el, 0.0)
-            if c > 0.0:
-                entries.append((el, c))
-        total = math.fsum(c for _, c in entries)
-        basis = "conjunctive masses"
-        if total <= _EPS:
-            entries = []
-            seen = set()
-            for el in els:
-                if el.is_empty or el in seen:
-                    continue
-                seen.add(el)
-                c = matrix.column_sum(el)
-                if c > 0.0:
-                    entries.append((el, c))
-            total = math.fsum(c for _, c in entries)
-            basis = "column sums (conjunctive masses all zero)"
-        if total > _EPS:
-            shares = tuple((el, p * c / total) for el, c in entries)
-            for el, share in shares:
-                _add(acc, el, share)
-            partials.append(Partial(els, p, shares, basis=basis))
-            continue
-        dest = _union_element([el.disjunctive() for el in els])
-        note = "all weights zero; to joint disjunctive form"
-        if dest.is_empty:
-            dest, note = ignorance, note + "; fell back to ignorance"
-        if dest.is_empty:
-            _add(acc, frame.empty(), p)
-            open_world += p
-            partials.append(Partial(els, p, ((frame.empty(), p),),
-                                    note="model fully degenerate"))
-        else:
-            _add(acc, dest, p)
-            partials.append(Partial(els, p, ((dest, p),), note=note))
-    if open_world > 0.0:
-        warnings.append(f"open-world mass on the empty set: {open_world:.6f}")
-    result = _result(frame, acc, partials, "pcr4", sources)
-    return FusionResult(
-        result.combined, ConflictReport(k12, result.conflict.partials),
-        rule="pcr4", warnings=tuple(warnings), sources=result.sources,
-    )
+    matrix = MassMatrix(ledger.sources)
+
+    def split(els, p, m12):
+        shares = _proportional(_weighted(els, lambda el: m12.get(el, 0.0)), p)
+        if shares:
+            return shares, "conjunctive masses"
+        return (_proportional(_weighted(els, matrix.column_sum), p),
+                "column sums (conjunctive masses all zero)")
+
+    return _split_each(ledger, "pcr4", "all weights zero", split)
 
 
 def pcr5(*sources):
@@ -300,51 +219,11 @@ def pcr5(*sources):
     are folded pairwise left to right, which keeps the per-pair
     exactness but is order-dependent; the result carries a warning.
     """
-    frame = _common_frame(sources)
+    ledger = Ledger(sources)
     if len(sources) > 2:
         return _pairwise_fold(pcr5, "pcr5", sources)
-    m1, m2 = sources
-    acc, conflicts, k12 = _conjunctive_core(frame, sources)
-    ignorance = frame.ignorance()
-    partials = []
-    warnings = []
-    open_world = 0.0
-    for (x1, x2), p in conflicts:
-        w1 = m1.mass(x1)
-        w2 = m2.mass(x2)
-        entries = []
-        if not x1.is_empty and w1 > 0.0:
-            entries.append((x1, w1))
-        if not x2.is_empty and w2 > 0.0:
-            entries.append((x2, w2))
-        if len(entries) == 2 and entries[0][0] == entries[1][0]:
-            entries = [(entries[0][0], entries[0][1] + entries[1][1])]
-        total = math.fsum(c for _, c in entries)
-        if total > _EPS:
-            shares = tuple((el, p * c / total) for el, c in entries)
-            for el, share in shares:
-                _add(acc, el, share)
-            partials.append(Partial((x1, x2), p, shares, basis="own masses"))
-            continue
-        dest = _union_element([x1.disjunctive(), x2.disjunctive()])
-        note = "all weights zero; to joint disjunctive form"
-        if dest.is_empty:
-            dest, note = ignorance, note + "; fell back to ignorance"
-        if dest.is_empty:
-            _add(acc, frame.empty(), p)
-            open_world += p
-            partials.append(Partial((x1, x2), p, ((frame.empty(), p),),
-                                    note="model fully degenerate"))
-        else:
-            _add(acc, dest, p)
-            partials.append(Partial((x1, x2), p, ((dest, p),), note=note))
-    if open_world > 0.0:
-        warnings.append(f"open-world mass on the empty set: {open_world:.6f}")
-    result = _result(frame, acc, partials, "pcr5", sources)
-    return FusionResult(
-        result.combined, ConflictReport(k12, result.conflict.partials),
-        rule="pcr5", warnings=tuple(warnings), sources=result.sources,
-    )
+    return _split_each(ledger, "pcr5", "all weights zero", lambda els, p, m12: (
+        _pcr5_split(els, ledger.sources, p), "own masses"))
 
 
 def _pairwise_fold(rule_fn, rule_name, sources):
@@ -352,12 +231,11 @@ def _pairwise_fold(rule_fn, rule_name, sources):
     acc_result = rule_fn(sources[0], sources[1])
     for m in sources[2:]:
         acc_result = rule_fn(acc_result.combined, m)
-    return FusionResult(
-        acc_result.combined, acc_result.conflict, rule=rule_name,
+    return replace(
+        acc_result, rule=rule_name, sources=tuple(sources),
         warnings=acc_result.warnings + (
             f"{rule_name} applied pairwise left to right; result depends on source order",
         ),
-        sources=tuple(sources),
     )
 
 
@@ -440,50 +318,21 @@ def minc(*sources, version="a"):
     """
     if version not in ("a", "b"):
         raise ValueError(f"version must be 'a' or 'b', got {version!r}")
-    frame = _common_frame(sources)
+    ledger = Ledger(sources)
     if len(sources) > 2:
         return _pairwise_fold(
             lambda a, b: minc(a, b, version=version), f"minc-{version}", sources
         )
-    acc, conflicts, k12 = _conjunctive_core(frame, sources)
-    m12 = dict(acc)
     recipients_fn = _minc_recipients_a if version == "a" else _minc_recipients_b
-    ignorance = frame.ignorance()
-    partials = []
-    warnings = []
-    open_world = 0.0
-    for els, p in conflicts:
-        recipients = recipients_fn(frame, els)
-        if recipients:
-            weights = [(el, m12.get(el, 0.0)) for el in recipients]
-            total = math.fsum(w for _, w in weights)
-            if total > _EPS:
-                shares = tuple((el, p * w / total) for el, w in weights if w > 0.0)
-                basis = "conjunctive masses of recipients"
-            else:
-                share = p / len(recipients)
-                shares = tuple((el, share) for el in recipients)
-                basis = "equal split (no recipient mass)"
-            for el, share in shares:
-                _add(acc, el, share)
-            partials.append(Partial(els, p, shares, basis=basis))
-            continue
-        dest = _union_element([el.disjunctive() for el in els])
-        note = "no admissible recipients; to joint disjunctive form"
-        if dest.is_empty:
-            dest, note = ignorance, note + "; fell back to ignorance"
-        if dest.is_empty:
-            _add(acc, frame.empty(), p)
-            open_world += p
-            partials.append(Partial(els, p, ((frame.empty(), p),),
-                                    note="model fully degenerate"))
-        else:
-            _add(acc, dest, p)
-            partials.append(Partial(els, p, ((dest, p),), note=note))
-    if open_world > 0.0:
-        warnings.append(f"open-world mass on the empty set: {open_world:.6f}")
-    result = _result(frame, acc, partials, f"minc-{version}", sources)
-    return FusionResult(
-        result.combined, ConflictReport(k12, result.conflict.partials),
-        rule=f"minc-{version}", warnings=tuple(warnings), sources=result.sources,
-    )
+
+    def split(els, p, m12):
+        recipients = recipients_fn(ledger.frame, els)
+        if not recipients:
+            return None, ""
+        shares = _proportional(_weighted(recipients, lambda el: m12.get(el, 0.0)), p)
+        if shares:
+            return shares, "conjunctive masses of recipients"
+        share = p / len(recipients)
+        return tuple((el, share) for el in recipients), "equal split (no recipient mass)"
+
+    return _split_each(ledger, f"minc-{version}", "no admissible recipients", split)

@@ -266,7 +266,10 @@ def parse_problem(text):
             if v < 0.0:
                 _fail(lineno, f"negative mass {v} on {lhs}")
             masses[el] = masses.get(el, 0.0) + v
-        problem.sources.append((name, MassFunction(frame, masses)))
+        try:
+            problem.sources.append((name, MassFunction(frame, masses)))
+        except ValueError as exc:
+            _fail(lineno, str(exc))
 
     for expr in problem.events:
         try:

@@ -10,16 +10,19 @@ pair, falling back to keeping non-empty intersections and to the union
 for model-empty ones.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import FrameMismatchError, RuleError
 from .classic import (
-    _add,
+    Ledger,
     _common_frame,
-    _expand,
-    _intersection_element,
+    _declared_weights,
+    _ignorance,
+    _inagaki_scaling,
+    _normalise,
+    _unconflicted,
     _union_element,
+    _weight_transfer,
     conjunctive,
     disjunctive,
     exclusive_disjunctive,
@@ -27,8 +30,9 @@ from .classic import (
     murphy_average,
     weighted_mixing,
 )
-from .mass import MassFunction, MassMatrix
-from .result import ConflictReport, FusionResult, Partial
+from .mass import MassFunction
+from .pcr import _column_averages, _column_sums, _pcr5_split
+from .result import FusionResult
 
 _EPS = 1e-12
 
@@ -128,30 +132,12 @@ class ScenarioConfig:
         )
 
 
+_UNION = Attitude("union")
+
+
 def _check_frame_element(frame, el, what):
     if el.frame != frame:
         raise FrameMismatchError(f"{what} element {el.display} is from another frame")
-
-
-def _split_shares(els, sources, p):
-    """PCR5-style proportionalization of one product term."""
-    weights = []
-    for el, m in zip(els, sources):
-        if el.is_empty:
-            continue
-        w = m.mass(el)
-        if w <= 0.0:
-            continue
-        for i, (seen, acc) in enumerate(weights):
-            if seen == el:
-                weights[i] = (seen, acc + w)
-                break
-        else:
-            weights.append((el, w))
-    total = math.fsum(w for _, w in weights)
-    if total <= _EPS:
-        return None
-    return tuple((el, p * w / total) for el, w in weights)
 
 
 def uft_combine(sources, config=None):
@@ -168,29 +154,21 @@ def uft_combine(sources, config=None):
 
     # Reliability stage: pick the expansion.
     if config.reliability == "at-least-one":
-        inner = disjunctive(*sources)
-        return FusionResult(inner.combined, inner.conflict, rule="uft",
-                            warnings=inner.warnings, sources=sources)
+        return replace(disjunctive(*sources), rule="uft")
     if config.reliability == "exactly-one":
-        inner = exclusive_disjunctive(*sources)
-        return FusionResult(inner.combined, inner.conflict, rule="uft",
-                            warnings=inner.warnings, sources=sources)
+        return replace(exclusive_disjunctive(*sources), rule="uft")
     if config.reliability == "mixed":
         if config.mixed_expr is None:
             raise ValueError("mixed reliability needs a source combination expression")
-        inner = mixed(sources, config.mixed_expr)
-        return FusionResult(inner.combined, inner.conflict, rule="uft",
-                            warnings=inner.warnings, sources=sources)
+        return replace(mixed(sources, config.mixed_expr), rule="uft")
     if config.reliability == "statistical":
         if config.discounts is not None:
             combined = weighted_mixing(sources, config.discounts)
         else:
             combined = murphy_average(*sources)
-        return FusionResult(combined, ConflictReport(0.0, ()), rule="uft",
-                            sources=sources)
+        return _unconflicted(combined, "uft", sources)
 
     effective = sources
-    warnings = []
     if config.reliability == "discounts":
         if config.discounts is None:
             raise ValueError("discount reliability needs the factors")
@@ -200,11 +178,9 @@ def uft_combine(sources, config=None):
             )
         if all(f == 0.0 for f in config.discounts):
             # Nothing trustworthy remains; only full ignorance is honest.
-            vba = MassFunction.vacuous(frame)
-            return FusionResult(
-                vba, ConflictReport(0.0, ()), rule="uft",
+            return _unconflicted(
+                MassFunction.vacuous(frame), "uft", sources,
                 warnings=("all sources fully unreliable; vacuous result",),
-                sources=sources,
             )
         effective = tuple(m.discount(f) for m, f in zip(sources, config.discounts))
 
@@ -215,116 +191,66 @@ def uft_combine(sources, config=None):
     if config.default_attitude is not None:
         _validate_attitude(frame, config.default_attitude)
 
+    # Conflict stage: route every product an attitude claims.
+    ledger = Ledger(effective)
     ignorance = frame.ignorance()
-    empty = frame.empty()
-    acc = {}
-    partials = []
-    k12 = 0.0
-    open_world = 0.0
 
-    for els, p in _expand(effective):
-        landing = _intersection_element(els)
+    def attitude(els, landing):
         att = config.pair_attitudes.get(frozenset(els))
-        contested = landing.is_empty or all(
-            landing.atoms != el.atoms for el in els
-        )
-        if att is None and contested and config.default_attitude is not None:
+        if att is None and config.default_attitude is not None and (
+            landing.is_empty or all(landing.atoms != el.atoms for el in els)
+        ):
             att = config.default_attitude
         if att is None and landing.is_empty:
             # Model-empty pair without declared knowledge: the union is
             # the least committal destination that loses nothing.
-            att = Attitude("union")
-        if att is None:
-            _add(acc, landing, p)
-            continue
+            att = _UNION
+        return att
 
-        k12 += p
+    def route(els, p, landing):
+        att = attitude(els, landing)
         basis = f"case {case}" if case else f"attitude {att.kind}"
         if att.kind == "keep":
-            dest = empty if landing.is_empty else landing
-            if dest.is_empty:
-                open_world += p
             note = "kept on intersection"
             if case == "1.3":
                 note += " (provisional: model unknown)"
-            _add(acc, dest, p)
-            partials.append(Partial(els, p, ((dest, p),), basis=basis, note=note))
-        elif att.kind == "split":
-            shares = _split_shares(els, effective, p)
-            if shares is None:
-                dest = _union_element([el.disjunctive() for el in els])
-                if dest.is_empty:
-                    dest = ignorance
-                if dest.is_empty:
-                    dest = empty
-                    open_world += p
-                shares = ((dest, p),)
-                note = "operands weightless; escalated"
+            if landing.is_empty:
+                ledger.strand(els, p, note, basis)
             else:
-                note = "split to operands"
-            for dest, share in shares:
-                _add(acc, dest, share)
-            partials.append(Partial(els, p, shares, basis=basis, note=note))
+                ledger.book(els, p, ((landing, p),), basis, note)
+        elif att.kind == "split":
+            shares = _pcr5_split(els, effective, p)
+            if shares:
+                ledger.book(els, p, shares, basis, "split to operands")
+            else:
+                note = "operands weightless; escalated"
+                ledger.escalate(els, p, _union_element([el.disjunctive() for el in els]),
+                                note, basis, suffix="", degenerate=note)
         elif att.kind == "union":
-            dest = _union_element(els)
-            note = "to union of operands"
-            if dest.is_empty:
-                dest, note = ignorance, note + "; union empty, to ignorance"
-            if dest.is_empty:
-                dest = empty
-                open_world += p
-                note = "model fully degenerate"
-            _add(acc, dest, p)
-            partials.append(Partial(els, p, ((dest, p),), basis=basis, note=note))
+            ledger.escalate(els, p, _union_element(els), "to union of operands", basis,
+                            suffix="; union empty, to ignorance")
         elif att.kind == "ignorance":
-            dest, note = ignorance, "to total ignorance"
-            if dest.is_empty:
-                dest = empty
-                open_world += p
-                note = "ignorance empty under this model"
-            _add(acc, dest, p)
-            partials.append(Partial(els, p, ((dest, p),), basis=basis, note=note))
+            ledger.escalate(els, p, ignorance, "to total ignorance", basis,
+                            degenerate="ignorance empty under this model")
         elif att.kind == "empty":
-            _add(acc, empty, p)
-            open_world += p
-            partials.append(Partial(els, p, ((empty, p),), basis=basis,
-                                    note="declared impossible"))
+            ledger.strand(els, p, "declared impossible", basis)
         elif att.kind == "right":
-            dest = att.right
-            _add(acc, dest, p)
-            partials.append(Partial(els, p, ((dest, p),), basis=basis,
-                                    note=f"{dest.display} declared right"))
-        else:  # both-wrong
-            recipients = att.recipients
-            if not recipients:
-                if config.world == "open":
-                    _add(acc, empty, p)
-                    open_world += p
-                    partials.append(Partial(els, p, ((empty, p),), basis=basis,
-                                            note="no recipients; open world"))
-                    continue
-                raise RuleError(
-                    "both-wrong needs recipient elements in a closed world"
-                )
-            share = p / len(recipients)
-            shares = tuple((r, share) for r in recipients)
-            for dest, s in shares:
-                _add(acc, dest, s)
-            partials.append(Partial(els, p, shares, basis=basis,
-                                    note="operands declared wrong"))
-
-    if open_world > 0.0:
-        if config.world == "closed":
-            warnings.append(
-                f"mass on the empty set in a closed world: {open_world:.6f}"
-            )
+            ledger.book(els, p, ((att.right, p),), basis,
+                        f"{att.right.display} declared right")
+        elif att.recipients:  # both-wrong
+            share = p / len(att.recipients)
+            ledger.book(els, p, tuple((r, share) for r in att.recipients), basis,
+                        "operands declared wrong")
+        elif config.world == "open":
+            ledger.strand(els, p, "no recipients; open world", basis)
         else:
-            warnings.append(f"open-world mass on the empty set: {open_world:.6f}")
-    combined = MassFunction(frame, acc)
-    return FusionResult(
-        combined, ConflictReport(k12, tuple(partials)), rule="uft",
-        warnings=tuple(warnings), sources=sources,
-    )
+            raise RuleError("both-wrong needs recipient elements in a closed world")
+
+    ledger.expand(route, claim=lambda els, landing: attitude(els, landing) is not None)
+    result = ledger.finish("uft", open_world=(
+        "mass on the empty set in a closed world" if config.world == "closed"
+        else "open-world mass on the empty set"))
+    return replace(result, sources=sources)
 
 
 def _validate_attitude(frame, att):
@@ -370,8 +296,6 @@ def dynamic_update(state, new_empty, transfer_rule="dsmh", **params):
         m = state.combined if isinstance(state, FusionResult) else state
         new_sources = [m.on_frame(tightened), MassFunction.vacuous(tightened)]
     result = spec.combine(new_sources, dict(params))
-    if isinstance(result, MassFunction):
-        result = FusionResult(result, ConflictReport(0.0, ()), rule=transfer_rule)
     warnings = list(result.warnings)
     leftover = result.combined.mass(tightened.empty())
     if leftover > _EPS and not any("empty set" in w for w in warnings):
@@ -381,11 +305,8 @@ def dynamic_update(state, new_empty, transfer_rule="dsmh", **params):
     total = result.combined.total
     if total < 1.0 - 1e-9:
         warnings.append(f"incomplete: sum={total:.6f}")
-    return FusionResult(
-        result.combined, result.conflict, rule=result.rule or transfer_rule,
-        warnings=tuple(warnings), sources=tuple(new_sources),
-        signed_masses=result.signed_masses,
-    )
+    return replace(result, rule=result.rule or transfer_rule,
+                   warnings=tuple(warnings), sources=tuple(new_sources))
 
 
 # -- quasi-associative combining ---------------------------------------------
@@ -445,108 +366,30 @@ class QuasiAssociativeState:
 
 def _transfer_from_store(state, rule, params):
     """Apply a rule's conflict transfer to the stored conjunctive."""
-    from . import classic
-
-    frame = state.frame
     product = state.product
-    empty = frame.empty()
-    k12 = product.mass(empty)
+    ledger = Ledger(state.sources)
+    ledger.k12 = product.mass(state.frame.empty())
     if rule in ("conjunctive", "dsmc", "smets"):
-        return FusionResult(product, ConflictReport(k12, ()), rule=rule)
+        ledger.acc = dict(product.items())
+        return ledger.finish(rule)
+    ledger.acc = {el: v for el, v in product.items() if not el.is_empty}
+    warnings = ()
     if rule == "dempster":
-        surviving = {el: v for el, v in product.items() if not el.is_empty}
-        total = math.fsum(surviving.values())
-        if total <= _EPS:
-            from .errors import TotalConflictError
-
-            raise TotalConflictError(
-                f"total conflict (k12={k12:.12g}); Dempster's rule is undefined"
-            )
-        combined = MassFunction(frame, {el: v / total for el, v in surviving.items()})
-        return FusionResult(combined, ConflictReport(k12, ()), rule=rule)
-    if rule == "yager":
-        ignorance = frame.ignorance()
-        if ignorance.is_empty:
-            raise RuleError("total ignorance is empty under this model")
-        acc = {el: v for el, v in product.items() if not el.is_empty}
-        if k12 > 0.0:
-            _add(acc, ignorance, k12)
-        return FusionResult(MassFunction(frame, acc), ConflictReport(k12, ()), rule=rule)
-    if rule == "wo":
-        weights = params.get("weights")
-        if weights is None:
+        _normalise(ledger)
+    elif rule == "yager":  # wo with the whole weight on total ignorance
+        _weight_transfer(ledger, ((_ignorance(state.frame), 1.0),))
+    elif rule == "wo":
+        if params.get("weights") is None:
             raise ValueError("wo needs element weights")
-        surviving = MassFunction(
-            frame, {el: v for el, v in product.items() if not el.is_empty}
-        )
-        # Reuse the rule itself: combining with the vacuous bba leaves
-        # the product unchanged and applies the weight split to k12.
-        acc = {el: v for el, v in surviving.items()}
-        witems = []
-        for el, w in weights.items():
-            el = frame.parse(el) if isinstance(el, str) else el
-            witems.append((el, float(w)))
-        wsum = math.fsum(w for _, w in witems)
-        if abs(wsum - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {wsum}")
-        for el, w in witems:
-            if w > 0.0 and k12 > 0.0:
-                _add(acc, frame.empty() if el.is_empty else el, w * k12)
-        return FusionResult(MassFunction(frame, acc), ConflictReport(k12, ()), rule=rule)
-    if rule == "inagaki":
-        p = params.get("p")
-        if p is None:
+        _weight_transfer(ledger, _declared_weights(state.frame, params["weights"]))
+    elif rule == "inagaki":
+        if params.get("p") is None:
             raise ValueError("inagaki needs the parameter p")
-        ignorance = frame.ignorance()
-        if ignorance.is_empty:
-            raise RuleError("total ignorance is empty under this model")
-        m_ign = product.mass(ignorance)
-        bound_den = 1.0 - k12 - m_ign
-        p = float(p)
-        if p < 0.0 or (bound_den > _EPS and p > 1.0 / bound_den + _EPS):
-            limit = "unbounded" if bound_den <= _EPS else f"{1.0 / bound_den:.12g}"
-            raise ValueError(f"p must lie in [0, {limit}], got {p}")
-        scale = 1.0 + p * k12
-        acc = {}
-        for el, v in product.items():
-            if el.is_empty or el == ignorance:
-                continue
-            acc[el] = v * scale
-        acc[ignorance] = scale * m_ign + (scale - p) * k12
-        return FusionResult(MassFunction(frame, acc), ConflictReport(k12, ()), rule=rule)
-    # pcr1 and wao redistribute by column statistics over the sources.
-    matrix = MassMatrix(state.sources)
-    acc = {el: v for el, v in product.items() if not el.is_empty}
-    if rule == "pcr1":
-        entries = [
-            (el, c) for el, c in matrix.columns().items()
-            if not el.is_empty and c > 0.0
-        ]
-        d12 = math.fsum(c for _, c in entries)
-        if k12 > 0.0 and d12 > _EPS:
-            for el, c in entries:
-                _add(acc, el, k12 * c / d12)
-        return FusionResult(MassFunction(frame, acc), ConflictReport(k12, ()), rule=rule)
-    if rule == "wao":
-        s = len(state.sources)
-        warnings = []
-        lost = 0.0
-        if k12 > 0.0:
-            for el, c in matrix.columns().items():
-                w = c / s
-                if w <= 0.0:
-                    continue
-                if el.is_empty:
-                    lost += w * k12
-                else:
-                    _add(acc, el, w * k12)
-        if lost > _EPS:
-            warnings.append(f"column weight on empty elements lost: {lost:.6f}")
-        return FusionResult(
-            MassFunction(frame, acc), ConflictReport(k12, ()), rule=rule,
-            warnings=tuple(warnings),
-        )
-    raise RuleError(f"rule {rule!r} has no store-based transfer")
+        _inagaki_scaling(ledger, params["p"])
+    elif ledger.k12 > 0.0:
+        transfer = _column_sums if rule == "pcr1" else _column_averages
+        warnings = transfer(ledger)
+    return ledger.finish(rule, warnings)
 
 
 def quasi_associative_combine(state, new, rule="dempster", **params):
@@ -570,10 +413,4 @@ def quasi_associative_combine(state, new, rule="dempster", **params):
     else:
         spec = resolve(rule)
         result = spec.combine(list(state.sources), dict(params))
-        if isinstance(result, MassFunction):
-            result = FusionResult(result, ConflictReport(0.0, ()), rule=rule)
-    return state, FusionResult(
-        result.combined, result.conflict, rule=result.rule or rule,
-        warnings=result.warnings, sources=state.sources,
-        signed_masses=result.signed_masses,
-    )
+    return state, replace(result, rule=result.rule or rule, sources=state.sources)

@@ -206,6 +206,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert err.startswith("parse error: line 3:")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_mass_is_a_parse_error(tmp_path, capsys, value):
+    src = tmp_path / "nan.txt"
+    src.write_text(f"frame: A B\nmodel: shafer\nsource m1: A={value}, B=1\nsource m2: B=1\n")
+    code, out, err = run_cli(capsys, "--rule", "dempster", "--input", str(src))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("parse error: line 3:")
+    assert "non-finite mass" in err
+
+
 def test_missing_rule_parameter_is_a_rule_error(tmp_path, capsys):
     src = tmp_path / "op.txt"
     src.write_text(BAYESIAN_PAIR)

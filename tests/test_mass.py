@@ -32,6 +32,12 @@ def test_negative_mass_rejected(shafer3):
         MassFunction(shafer3, {"A": -0.1, "B": 1.1})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_mass_rejected(shafer3, value):
+    with pytest.raises(ValueError, match="non-finite"):
+        MassFunction(shafer3, {"A": value, "B": 1.0})
+
+
 def test_foreign_elements_rejected(shafer3):
     other = Frame.shafer(("A", "B"))
     with pytest.raises(FrameMismatchError):

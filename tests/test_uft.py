@@ -414,3 +414,41 @@ def test_incremental_rejects_non_conjunctive_rules(stream):
         quasi_associative_combine(m1, m2, rule="disjunctive")
     with pytest.raises(RuleError):
         quasi_associative_combine(m1, m2, rule="murphy")
+
+
+def test_incremental_wo_rejects_weights_out_of_range(stream):
+    m1, m2, _ = stream
+    weights = {"A": 1.5, "B": -0.5}
+    with pytest.raises(ValueError):
+        weighted_operator(m1, m2, weights=weights)
+    with pytest.raises(ValueError):
+        quasi_associative_combine(m1, m2, rule="wo", weights=weights)
+
+
+def test_incremental_inagaki_at_the_dempster_bound_clamps_ignorance():
+    f = Frame.shafer(("A", "B", "C"))
+    a = 0.1965240939708931
+    b = 0.8271735947062624
+    m1 = MassFunction(f, {"A": a, "B": 1.0 - a})
+    m2 = MassFunction(f, {"B": b, "C": 1.0 - b})
+    k12 = conjunctive(m1, m2).conflict.k12
+    p = 1.0 / (1.0 - k12)
+    direct = inagaki(m1, m2, p=p)
+    _, res = quasi_associative_combine(m1, m2, rule="inagaki", p=p)
+    assert direct.combined.mass(f.ignorance()) == 0.0
+    assert res.combined.mass(f.ignorance()) == 0.0
+    assert oracles.delta(oracles.plain(res.combined), oracles.plain(direct.combined)) < 1e-12
+
+
+def test_incremental_wao_reports_the_lost_column_weight():
+    f = Frame.shafer(("A", "B", "C"))
+    m1 = MassFunction(f, {"A": 0.2, "B": 0.4, "C": 0.2, "A&~A": 0.2})
+    m2 = MassFunction(f, {"A": 0.1, "B": 0.3, "C": 0.4, "A|B": 0.2})
+    m3 = MassFunction(f, {"A": 0.5, "B|C": 0.5})
+    direct = wao(m1, m2, m3)
+    state, _ = quasi_associative_combine(m1, m2, rule="wao")
+    _, res = quasi_associative_combine(state, m3, rule="wao")
+    assert direct.conflict.lost > 0.0
+    assert res.conflict.lost == pytest.approx(direct.conflict.lost, abs=1e-12)
+    assert res.combined.total + res.conflict.lost == pytest.approx(1.0, abs=1e-12)
+    assert res.warnings == direct.warnings
