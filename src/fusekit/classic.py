@@ -29,16 +29,19 @@ def _common_frame(sources, minimum=2):
     return frame
 
 
-def _expand(sources):
-    """Yield (operand tuple, product mass) over all focal combinations."""
+def _expand(sources, weight=math.prod):
+    """Yield (operand tuple, pair weight) over all focal combinations.
+
+    The weight of a combination is ``weight`` of its masses, by default
+    their product; combinations that weigh exactly zero are skipped.
+    """
     focal_lists = [list(m.items()) for m in sources]
     for combo in itertools.product(*focal_lists):
-        mass = 1.0
-        for _, v in combo:
-            mass *= v
+        els, masses = zip(*combo)
+        mass = weight(masses)
         if mass == 0.0:
             continue
-        yield tuple(el for el, _ in combo), mass
+        yield els, mass
 
 
 def _add(acc, element, mass):
@@ -105,16 +108,18 @@ class Ledger:
         self.lost = 0.0
         self.open_world = 0.0
 
-    def expand(self, route=None, land=_intersection_element, claim=None):
+    def expand(self, route=None, land=_intersection_element, claim=None,
+               weight=math.prod):
         """Book every product's landing; route or return the conflicting ones.
 
         A product conflicts when its landing is empty or ``claim(els,
         landing)`` holds.  With a ``route`` each is routed as it comes,
         so mass lands in enumeration order; without one the products
-        are returned as (operands, mass) pairs.
+        are returned as (operands, mass) pairs.  ``weight`` replaces the
+        product of the masses, as in the T-norm rules.
         """
         conflicts = []
-        for els, p in _expand(self.sources):
+        for els, p in _expand(self.sources, weight):
             landing = land(els)
             if not landing.is_empty and (claim is None or not claim(els, landing)):
                 _add(self.acc, landing, p)
@@ -180,13 +185,18 @@ def _retained(ledger, rule, note, land=_intersection_element):
 
 # -- transfers shared by the direct rules and the incremental store --------
 
-def _normalise(ledger):
-    """Dempster's normalisation of the landed mass."""
+def _normalise(ledger, message=None):
+    """Dempster's normalisation of the landed mass; the total before it.
+
+    A total at zero raises with ``message``, by default Dempster's.
+    """
     total = math.fsum(ledger.acc.values())
     if total <= _CONFLICT_EPS:
-        raise TotalConflictError(f"total conflict: k12={ledger.k12:g}; the rule is undefined")
+        raise TotalConflictError(
+            message or f"total conflict: k12={ledger.k12:g}; the rule is undefined")
     scale = 1.0 / total
     ledger.acc = {el: v * scale for el, v in ledger.acc.items()}
+    return total
 
 
 def _declared_weights(frame, weights):

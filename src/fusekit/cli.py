@@ -75,6 +75,11 @@ def _cmd_run(argv):
             return 2
         key, _, value = chunk.partition("=")
         overrides[key.strip()] = value.strip()
+    try:
+        overrides = coerce_params(overrides)
+    except ValueError as exc:
+        print(f"usage error: bad --param value: {exc}", file=sys.stderr)
+        return 2
 
     try:
         resolve(ns.rule)
@@ -92,7 +97,7 @@ def _cmd_run(argv):
         return 4
 
     try:
-        outcome = execute_problem(problem, ns.rule, overrides=coerce_params(overrides))
+        outcome = execute_problem(problem, ns.rule, overrides=overrides)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4

@@ -39,14 +39,12 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[()&|~^]|\S")
 
 
 def tokenize(text):
-    pos = 0
     out = []
     for match in _TOKEN_RE.finditer(text):
         tok = match.group()
         if tok.isspace():
             continue
         out.append(tok)
-        pos = match.end()
     return out
 
 
@@ -220,9 +218,6 @@ class Frame:
             and self.names == other.names
             and self.empty_atoms == other.empty_atoms
         )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return self._hash
@@ -415,9 +410,6 @@ class Element:
             and self.atoms == other.atoms
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.frame, self.atoms))
 
@@ -462,10 +454,6 @@ class Element:
         return Element(
             self.frame, self.frame.surviving_atoms - self.atoms, ("not", self.expr)
         )
-
-    def issubset(self, other):
-        self._check_peer(other)
-        return self.atoms <= other.atoms
 
     def canonical(self):
         """Same atoms, absorption-reduced expression.

@@ -80,9 +80,6 @@ class MassFunction:
             and self._map == other._map
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.frame, frozenset(self._map.items())))
 

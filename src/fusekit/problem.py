@@ -167,7 +167,7 @@ def parse_problem(text):
                     _fail(lineno, f"bad label {nm!r}")
             if len(set(labels)) != len(labels):
                 _fail(lineno, "duplicate labels in frame")
-            frame_labels = tuple(labels)
+            frame_labels, frame_lineno = tuple(labels), lineno
         elif head == "frame-intervals":
             if frame_labels is not None or interval:
                 _fail(lineno, "frame already declared")
@@ -240,15 +240,16 @@ def parse_problem(text):
         raise ParseError("problem declares no frame")
     if not raw_sources:
         raise ParseError("problem declares no sources")
-    base = Frame(frame_labels)
+    if len(frame_labels) < 2:
+        _fail(frame_lineno, "a frame needs at least two hypotheses")
     if model_kind is None:
         model_kind = "free"
     if model_kind == "shafer":
         frame = Frame.shafer(frame_labels)
-    elif model_kind == "constrain":
-        frame = base.constrain(*(base.parse(e) for e in model_constraints))
     else:
-        frame = base
+        frame = Frame(frame_labels)
+        if model_kind == "constrain":
+            frame = frame.constrain(*(frame.parse(e) for e in model_constraints))
 
     problem = ProblemFile(
         frame=frame, model_kind=model_kind, model_constraints=model_constraints,

@@ -1,7 +1,7 @@
 """Combination outcomes: the fused bba plus its conflict audit trail."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .mass import MassFunction
 
@@ -23,14 +23,6 @@ class Partial:
     @property
     def lost(self):
         return math.fsum(v for dest, v in self.shares if dest is None)
-
-    def describe(self):
-        ops = " , ".join(el.display for el in self.operands)
-        dests = ", ".join(
-            f"{'lost' if dest is None else dest.display}={v:.6f}" for dest, v in self.shares
-        )
-        tail = f" [{self.note}]" if self.note else ""
-        return f"({ops}) mass {self.mass:.6f} -> {dests}{tail}"
 
 
 @dataclass(frozen=True)
@@ -65,13 +57,3 @@ class FusionResult:
     # Populated by rules that can produce signed pseudo-masses (the
     # cautious rule): {element: signed mass}.  None everywhere else.
     signed_masses: dict = None
-
-    def with_warnings(self, *extra):
-        return FusionResult(
-            self.combined,
-            self.conflict,
-            self.rule,
-            self.warnings + tuple(extra),
-            self.sources,
-            self.signed_masses,
-        )

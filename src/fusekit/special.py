@@ -6,16 +6,19 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateConsensusError,
-    FrameTooLargeError,
-    RuleError,
-    TotalConflictError,
+from .errors import DegenerateConsensusError, FrameTooLargeError, RuleError
+from .classic import (
+    Ledger,
+    _add,
+    _common_frame,
+    _expand,
+    _intersection_element,
+    _normalise,
+    _union_element,
 )
-from .classic import _add, _common_frame, _intersection_element, _union_element
-from .frame import degree_intersection
+from .frame import degree_intersection, degree_union
 from .mass import MassFunction, Opinion
-from .result import ConflictReport, FusionResult, Partial
+from .result import ConflictReport, FusionResult
 
 _EPS = 1e-12
 
@@ -24,14 +27,34 @@ _EPS = 1e-12
 _CAUTIOUS_GUARD = 12
 
 
-def _require_nonempty_focals(sources, what):
-    for m in sources:
-        for el, _ in m.items():
-            if el.is_empty:
-                raise RuleError(f"{what} needs non-empty focal elements")
-
-
 # -- Zhang's center combination ------------------------------------------
+
+_ZHANG_DEGREES = {
+    "product": lambda x, y: len(x.atoms & y.atoms) / (len(x.atoms) * len(y.atoms)),
+    "union": degree_intersection,
+}
+
+
+def _degree_weighted(m1, m2, rule, what, degree, land, message, disjoint=None):
+    """Land degree(x, y) * p for each focal pair, then renormalize.
+
+    Every disjoint pair counts into k12; ``disjoint(ledger, els, p)``,
+    when given, books it.
+    """
+    ledger = Ledger((m1, m2))
+    if any(el.is_empty for m in ledger.sources for el in m):
+        raise RuleError(f"{what} needs non-empty focal elements")
+    for els, p in _expand(ledger.sources):
+        r = degree(*els)
+        if r > 0.0:
+            _add(ledger.acc, land(els), r * p)
+        if not (els[0].atoms & els[1].atoms):
+            ledger.k12 += p
+            if disjoint is not None:
+                disjoint(ledger, els, p)
+    _normalise(ledger, message)
+    return ledger.finish(rule)
+
 
 def zhang_center(m1, m2, degree="product"):
     """Conjunctive combination weighted by intersection sharpness.
@@ -41,31 +64,11 @@ def zhang_center(m1, m2, degree="product"):
     intersections weigh nothing, so the weighted masses are renormalized
     to unit total.
     """
-    if degree not in ("product", "union"):
+    if degree not in _ZHANG_DEGREES:
         raise ValueError(f"degree must be 'product' or 'union', got {degree!r}")
-    frame = _common_frame((m1, m2))
-    _require_nonempty_focals((m1, m2), "zhang_center")
-    acc = {}
-    k12 = 0.0
-    for x, px in m1.items():
-        for y, py in m2.items():
-            p = px * py
-            inter = len(x.atoms & y.atoms)
-            if inter == 0:
-                k12 += p
-                continue
-            if degree == "product":
-                r = inter / (len(x.atoms) * len(y.atoms))
-            else:
-                r = inter / len(x.atoms | y.atoms)
-            _add(acc, _intersection_element([x, y]), r * p)
-    total = math.fsum(acc.values())
-    if total <= _EPS:
-        raise TotalConflictError("all focal pairs are disjoint; nothing to renormalize")
-    scale = 1.0 / total
-    combined = MassFunction(frame, {el: v * scale for el, v in acc.items()})
-    return FusionResult(
-        combined, ConflictReport(k12, ()), rule=f"zhang-{degree}", sources=(m1, m2)
+    return _degree_weighted(
+        m1, m2, f"zhang-{degree}", "zhang_center", _ZHANG_DEGREES[degree],
+        _intersection_element, "all focal pairs are disjoint; nothing to renormalize",
     )
 
 
@@ -219,37 +222,18 @@ TCONORMS = {
 }
 
 
-def _norm_fusion(m1, m2, fn, landing_fn, rule, zero_msg):
-    frame = _common_frame((m1, m2))
-    acc = {}
-    k12 = 0.0
-    partials = []
-    for x, px in m1.items():
-        for y, py in m2.items():
-            w = fn(px, py)
-            if w <= 0.0:
-                continue
-            landing = landing_fn([x, y])
-            if landing.is_empty:
-                k12 += w
-                partials.append(
-                    Partial((x, y), w, ((None, w),), basis="normalization",
-                            note="empty landing divided out")
-                )
-            else:
-                _add(acc, landing, w)
-    total = math.fsum(acc.values())
-    if total <= _EPS:
-        raise TotalConflictError(zero_msg)
-    scale = 1.0 / total
-    combined = MassFunction(frame, {el: v * scale for el, v in acc.items()})
-    warnings = ()
-    if abs(total + k12 - 1.0) > 1e-9:
-        warnings = (f"pre-normalization total was {total + k12:.6f}",)
-    return FusionResult(
-        combined, ConflictReport(k12, tuple(partials)), rule=rule,
-        warnings=warnings, sources=(m1, m2),
+def _norm_fusion(m1, m2, fn, land, rule, zero_msg):
+    ledger = Ledger((m1, m2))
+    ledger.expand(
+        lambda els, w, _: ledger.book(els, w, ((None, w),), "normalization",
+                                      "empty landing divided out"),
+        land, weight=lambda ws: fn(*ws),
     )
+    total = _normalise(ledger, zero_msg)
+    warnings = ()
+    if abs(total + ledger.k12 - 1.0) > 1e-9:
+        warnings = (f"pre-normalization total was {total + ledger.k12:.6f}",)
+    return ledger.finish(rule, warnings)
 
 
 def tnorm_fusion(m1, m2, kind="algebraic"):
@@ -335,7 +319,24 @@ def cautious_commonality_min(m1, m2):
 
 # -- degree-improved rule variants ---------------------------------------
 
-_IMPROVED_BASES = ("disjunctive", "dsmc", "dsmh", "smets", "yager", "dp")
+def _annul(ledger, els, p):
+    ledger.book(els, p, ((None, p),), "intersection degree", "annulled by zero degree")
+
+
+def _to_union(ledger, els, p):
+    ledger.book(els, p, ((_union_element(els), p),), "union degree",
+                "pre-normalization share")
+
+
+_IMPROVED = {
+    "disjunctive": (degree_union, _union_element, None),
+    "dsmc": (degree_intersection, _intersection_element, _annul),
+    "dsmh": (degree_intersection, _intersection_element, _to_union),
+    "smets": (degree_intersection, _intersection_element, _annul),
+    "yager": (degree_intersection, _intersection_element, _annul),
+    "dp": (degree_intersection, _intersection_element, _to_union),
+}
+_IMPROVED_BASES = tuple(_IMPROVED)
 
 
 def improved_rules(m1, m2, base="dsmc"):
@@ -349,49 +350,8 @@ def improved_rules(m1, m2, base="dsmc"):
     weight of a disjoint pair is exactly one, so those two coincide as
     well.
     """
-    if base not in _IMPROVED_BASES:
+    if base not in _IMPROVED:
         raise ValueError(f"base must be one of {_IMPROVED_BASES}, got {base!r}")
-    frame = _common_frame((m1, m2))
-    _require_nonempty_focals((m1, m2), "improved rules")
-    acc = {}
-    partials = []
-    k12 = 0.0
-    for x, px in m1.items():
-        for y, py in m2.items():
-            p = px * py
-            d_int = degree_intersection(x, y)
-            d_uni = 1.0 - d_int
-            inter_empty = not (x.atoms & y.atoms)
-            if inter_empty:
-                k12 += p
-            if base == "disjunctive":
-                if d_uni > 0.0:
-                    _add(acc, _union_element([x, y]), d_uni * p)
-                continue
-            if d_int > 0.0:
-                _add(acc, _intersection_element([x, y]), d_int * p)
-            if base in ("dsmc", "smets", "yager"):
-                if inter_empty:
-                    partials.append(
-                        Partial((x, y), p, ((None, p),),
-                                basis="intersection degree",
-                                note="annulled by zero degree")
-                    )
-                continue
-            # dp and dsmh transfer disjoint pairs to the union.
-            if inter_empty:
-                union = _union_element([x, y])
-                _add(acc, union, d_uni * p)
-                partials.append(
-                    Partial((x, y), p, ((union, d_uni * p),),
-                            basis="union degree", note="pre-normalization share")
-                )
-    total = math.fsum(acc.values())
-    if total <= _EPS:
-        raise TotalConflictError("zero total after degree weighting")
-    scale = 1.0 / total
-    combined = MassFunction(frame, {el: v * scale for el, v in acc.items()})
-    return FusionResult(
-        combined, ConflictReport(k12, tuple(partials)), rule=f"improved-{base}",
-        sources=(m1, m2),
-    )
+    degree, land, disjoint = _IMPROVED[base]
+    return _degree_weighted(m1, m2, f"improved-{base}", "improved rules", degree, land,
+                            "zero total after degree weighting", disjoint)

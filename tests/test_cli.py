@@ -225,6 +225,26 @@ def test_missing_rule_parameter_is_a_rule_error(tmp_path, capsys):
     assert "needs parameter 'focus'" in err
 
 
+def test_bad_param_value_is_a_usage_error(dp_file, capsys):
+    code, out, err = run_cli(
+        capsys, "--rule", "inagaki", "--input", dp_file, "--param", "p=x"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert "'x'" in err
+
+
+@pytest.mark.parametrize("command", [("--rule", "dempster"), ("enumerate",)])
+def test_one_label_frame_is_a_parse_error(tmp_path, capsys, command):
+    src = tmp_path / "one.txt"
+    src.write_text("frame: A\nsource m1: A=1\nsource m2: A=1\n")
+    code, out, err = run_cli(capsys, *command, "--input", str(src))
+    assert code == 4
+    assert out == ""
+    assert err == "parse error: line 1: a frame needs at least two hypotheses\n"
+
+
 def test_enumerate(tmp_path, capsys):
     src = tmp_path / "enum.txt"
     src.write_text("frame: A B\nmodel: shafer\nsource m1: A=1.0\n")

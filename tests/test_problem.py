@@ -112,6 +112,26 @@ def test_missing_frame_and_sources():
         parse_problem("frame-intervals:\n")
 
 
+def test_one_label_frame_fails_at_the_frame_line():
+    with pytest.raises(ParseError) as err:
+        parse_problem("# one hypothesis\nframe: A\nsource s1: A=1\n")
+    assert str(err.value) == "line 2: a frame needs at least two hypotheses"
+
+
+def test_shafer_model_builds_no_free_frame(monkeypatch):
+    calls = []
+    init = Frame.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Frame, "__init__", counting_init)
+    problem = parse_problem("frame: A B C\nmodel: shafer\nsource s1: A=1\n")
+    assert problem.frame.is_shafer
+    assert len(calls) == 1
+
+
 def test_cross_reference_errors():
     with pytest.raises(ParseError, match="event constraint"):
         parse_problem("frame: A B\nsource s1: A=1\nevent: constrain Q=0\n")

@@ -28,3 +28,19 @@ def test_mass_mode_selectors_return_a_fusion_result(selector):
     result = spec.combine(sources, params)
     assert isinstance(result, FusionResult)
     assert isinstance(result.combined, MassFunction)
+
+
+@pytest.mark.parametrize(
+    "selector",
+    [s for s in selectors()
+     if resolve(s).mode == "mass" and not resolve(s).needs
+     and resolve(s).min_sources <= 2 <= (resolve(s).max_sources or 2)],
+)
+def test_products_that_underflow_to_zero_leave_no_ledger_entry(selector):
+    # 5e-320 squared is exactly 0.0 in binary64: that product carries no
+    # mass and must not appear in the ledger.
+    f = Frame.shafer(("A", "B", "C"))
+    m1 = MassFunction(f, {"A": 5e-320, "A|B": 1.0})
+    m2 = MassFunction(f, {"C": 5e-320, "B|C": 1.0})
+    result = resolve(selector).combine([m1, m2], {})
+    assert [p for p in result.conflict.partials if p.mass == 0.0] == []
