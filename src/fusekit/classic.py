@@ -12,7 +12,7 @@ import math
 from dataclasses import replace
 
 from .errors import FrameMismatchError, RuleError, TotalConflictError
-from .frame import Element, parse_expression_text
+from .frame import Element, fold, parse_expression_text
 from .mass import MassFunction
 from .result import ConflictReport, FusionResult, Partial
 
@@ -48,21 +48,34 @@ def _add(acc, element, mass):
     acc[element] = acc.get(element, 0.0) + mass
 
 
+def _joined(op, els):
+    """The operands joined by one connective into a single flat node."""
+    return Element(els[0].frame, fold(op, (el.atoms for el in els)),
+                   (op, tuple(el.expr for el in els)))
+
+
 def _intersection_element(els):
     """The operands' intersection with an absorption-reduced expression."""
-    atoms = els[0].atoms
-    for el in els[1:]:
-        atoms = atoms & el.atoms
-    expr = ("and", tuple(el.expr for el in els))
-    return Element(els[0].frame, atoms, expr).canonical()
+    return _joined("and", els).canonical()
 
 
 def _union_element(els):
-    atoms = els[0].atoms
-    for el in els[1:]:
-        atoms = atoms | el.atoms
-    expr = ("or", tuple(el.expr for el in els))
-    return Element(els[0].frame, atoms, expr).canonical()
+    return _joined("or", els).canonical()
+
+
+def _subset_unions(els):
+    """Distinct non-empty unions of each non-empty subset of the operands.
+
+    Subsets come in ``itertools.combinations`` order, smallest first; a
+    single operand stands for itself.
+    """
+    seen = set()
+    for r in range(1, len(els) + 1):
+        for combo in itertools.combinations(els, r):
+            el = combo[0] if r == 1 else _union_element(combo)
+            if not el.is_empty and el.atoms not in seen:
+                seen.add(el.atoms)
+                yield el
 
 
 def _conflict_operands(els, ignorance):
@@ -375,13 +388,6 @@ def inagaki(*sources, p):
 
 # -- disjunctive family ----------------------------------------------------
 
-def _symmetric_difference(els):
-    atoms = els[0].atoms
-    for el in els[1:]:
-        atoms = atoms ^ el.atoms
-    return Element(els[0].frame, atoms, ("xor", tuple(el.expr for el in els)))
-
-
 def disjunctive(*sources):
     """Combine by unions: right when at least one source is reliable."""
     return _retained(Ledger(sources), "disjunctive", "all operands empty", _union_element)
@@ -393,7 +399,8 @@ def exclusive_disjunctive(*sources):
     Products of semantically equal operands land on the empty set and
     are flagged as degenerate rather than silently dropped.
     """
-    return _retained(Ledger(sources), "xor", "xor-degenerate", _symmetric_difference)
+    return _retained(Ledger(sources), "xor", "xor-degenerate",
+                     lambda els: _joined("xor", els))
 
 
 # -- mixed connective combinations ----------------------------------------
@@ -432,16 +439,7 @@ def _source_expr_leaves(expr, acc):
 def _eval_source_expr(expr, els):
     if expr[0] == "src":
         return els[expr[1] - 1]
-    kids = [_eval_source_expr(child, els) for child in expr[1]]
-    acc = kids[0]
-    for k in kids[1:]:
-        if expr[0] == "and":
-            acc = acc & k
-        elif expr[0] == "or":
-            acc = acc | k
-        else:
-            acc = acc ^ k
-    return acc
+    return fold(expr[0], [_eval_source_expr(child, els) for child in expr[1]])
 
 
 def mixed(sources, expr):

@@ -201,7 +201,7 @@ def build_table(outcome, rule):
         header.append("frame: intervals")
     else:
         frame = outcome.frame
-        header.append(f"frame: {' '.join(frame.names)} ({frame.model.kind})")
+        header.append(f"frame: {' '.join(frame.names)} ({frame.kind})")
         result = outcome.result
         if result is not None:
             footer.append(("k12", result.conflict.k12))
@@ -267,7 +267,7 @@ def _cmd_enumerate(argv):
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     print(
-        f"elements over {' '.join(frame.names)} ({frame.model.kind}): {len(elements)}"
+        f"elements over {' '.join(frame.names)} ({frame.kind}): {len(elements)}"
     )
     for el in elements:
         print(f"{el.cardinality:>2}  {el.display}")

@@ -4,13 +4,15 @@ A frame names n hypotheses which may overlap.  Every element of the
 generated algebra (closed under union, intersection and complement) is
 identified with a set of Venn atoms: an atom is encoded as a bitmask
 over hypothesis indices naming exactly the hypotheses that contain it.
-A model declares some atoms empty; free models keep all 2^n - 1
+A frame stores the atoms its model keeps; free models keep all 2^n - 1
 candidate atoms, exclusivity models keep only the n single-hypothesis
 atoms.  Atoms are only ever removed, never restored, so constraining a
 frame yields a new frame.
 """
 
+import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,17 +37,22 @@ EMPTY_DISPLAY = "∅"
 # almost certainly wanted something else.
 ENUMERATION_GUARD = 4
 
+# A free frame holds all 2^n - 1 atoms; past this it costs seconds and
+# gigabytes before any rule runs.
+FREE_FRAME_GUARD = 18
+
+CONNECTIVES = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
+
+
+def fold(op, operands):
+    """Join operands (atom-sets or Elements) left to right by one connective."""
+    try:
+        join = CONNECTIVES[op]
+    except KeyError:
+        raise ValueError(f"bad expression node {op!r}") from None
+    return functools.reduce(join, operands)
+
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[()&|~^]|\S")
-
-
-def tokenize(text):
-    out = []
-    for match in _TOKEN_RE.finditer(text):
-        tok = match.group()
-        if tok.isspace():
-            continue
-        out.append(tok)
-    return out
 
 
 class _ExprParser:
@@ -60,7 +67,7 @@ class _ExprParser:
 
     def __init__(self, text):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = _TOKEN_RE.findall(text)
         self.pos = 0
 
     def peek(self):
@@ -154,13 +161,13 @@ class Frame:
     """A frame of discernment with emptiness constraints.
 
     Immutable.  Two frames are equal when they name the same hypotheses
-    in the same order and declare the same atoms empty.
+    in the same order and keep the same atoms.
     """
 
-    __slots__ = ("names", "empty_atoms", "_index", "_surviving", "_label_atoms",
+    __slots__ = ("names", "kind", "_index", "_surviving", "_label_atoms",
                  "_empty_el", "_ignorance_el", "_hash")
 
-    def __init__(self, names, empty_atoms=frozenset()):
+    def __init__(self, names, surviving_atoms=None):
         names = tuple(names)
         if len(names) < 2:
             raise ValueError("a frame needs at least two hypotheses")
@@ -170,20 +177,32 @@ class Frame:
             if not name or not name.isalnum():
                 raise ValueError(f"hypothesis labels must be alphanumeric, got {name!r}")
         n = len(names)
-        universe = range(1, 1 << n)
-        empty_atoms = frozenset(empty_atoms)
-        if not empty_atoms <= set(universe):
-            raise ValueError("empty atoms outside the frame's atom universe")
+        if surviving_atoms is None:
+            if n > FREE_FRAME_GUARD:
+                raise FrameTooLargeError(
+                    f"free frames are limited to {FREE_FRAME_GUARD} hypotheses, "
+                    f"frame has {n}"
+                )
+            surviving = frozenset(range(1, 1 << n))
+        else:
+            surviving = frozenset(surviving_atoms)
+            if surviving and not 0 < min(surviving) <= max(surviving) < 1 << n:
+                raise ValueError("surviving atoms outside the frame's atom universe")
+        if len(surviving) == (1 << n) - 1:
+            self.kind = "free"
+        elif len(surviving) == n and all(a & (a - 1) == 0 for a in surviving):
+            self.kind = "shafer"
+        else:
+            self.kind = "hybrid"
         self.names = names
-        self.empty_atoms = empty_atoms
         self._index = {name: i for i, name in enumerate(names)}
-        self._surviving = frozenset(a for a in universe if a not in empty_atoms)
+        self._surviving = surviving
         self._label_atoms = tuple(
-            frozenset(a for a in self._surviving if a & (1 << i)) for i in range(n)
+            frozenset(a for a in surviving if a & (1 << i)) for i in range(n)
         )
         self._empty_el = None
         self._ignorance_el = None
-        self._hash = hash((names, empty_atoms))
+        self._hash = hash((names, surviving))
 
     # -- construction -------------------------------------------------
 
@@ -194,36 +213,36 @@ class Frame:
 
     @classmethod
     def shafer(cls, names):
-        """Pairwise-exclusive hypotheses: every overlap atom is empty."""
+        """Pairwise-exclusive hypotheses: only the n single-hypothesis atoms."""
         names = tuple(names)
-        n = len(names)
-        empty = frozenset(a for a in range(1, 1 << n) if a.bit_count() >= 2)
-        return cls(names, empty)
+        return cls(names, (1 << i for i in range(len(names))))
 
     def constrain(self, *elements):
-        """New frame with the given elements' atoms added to the empty set."""
-        extra = set()
+        """New frame with the given elements' atoms removed from the surviving set."""
+        gone = set()
         for el in elements:
             el = self.parse(el) if isinstance(el, str) else el
             if el.frame != self:
                 raise FrameMismatchError("constraint element from another frame")
-            extra |= el.atoms
-        return Frame(self.names, self.empty_atoms | extra)
+            gone |= el.atoms
+        return Frame(self.names, self._surviving - gone)
 
     # -- identity -----------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        # The names fix the atoms of a free or a Shafer model.
+        return self is other or (
             isinstance(other, Frame)
             and self.names == other.names
-            and self.empty_atoms == other.empty_atoms
+            and self.kind == other.kind
+            and (self.kind != "hybrid" or self._surviving == other._surviving)
         )
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"Frame({list(self.names)!r}, kind={self.model.kind!r})"
+        return f"Frame({list(self.names)!r}, kind={self.kind!r})"
 
     # -- basic views ----------------------------------------------------
 
@@ -236,21 +255,17 @@ class Frame:
         return self._surviving
 
     @property
+    def empty_atoms(self):
+        """The candidate atoms the model declares empty (built on each call)."""
+        return frozenset(range(1, 1 << self.n)) - self._surviving
+
+    @property
     def model(self):
-        n = self.n
-        if not self.empty_atoms:
-            kind = "free"
-        elif self.empty_atoms == frozenset(
-            a for a in range(1, 1 << n) if a.bit_count() >= 2
-        ):
-            kind = "shafer"
-        else:
-            kind = "hybrid"
-        return ModelConstraints(kind, self.empty_atoms)
+        return ModelConstraints(self.kind, self.empty_atoms)
 
     @property
     def is_shafer(self):
-        return self.model.kind == "shafer"
+        return self.kind == "shafer"
 
     # -- evaluation -----------------------------------------------------
 
@@ -268,20 +283,7 @@ class Frame:
             return frozenset()
         if op == "not":
             return self._surviving - self.eval_atoms(expr[1])
-        kids = [self.eval_atoms(child) for child in expr[1]]
-        acc = kids[0]
-        if op == "and":
-            for k in kids[1:]:
-                acc = acc & k
-        elif op == "or":
-            for k in kids[1:]:
-                acc = acc | k
-        elif op == "xor":
-            for k in kids[1:]:
-                acc = acc ^ k
-        else:
-            raise ValueError(f"bad expression node {op!r}")
-        return acc
+        return fold(op, [self.eval_atoms(child) for child in expr[1]])
 
     # -- element constructors --------------------------------------------
 
@@ -364,12 +366,9 @@ class Frame:
         for size in range(2, n + 1):
             for combo in itertools.combinations(range(n), size):
                 exprs = tuple(("label", self.names[i]) for i in combo)
-                union = frozenset().union(*(self._label_atoms[i] for i in combo))
-                candidates.append((("or", exprs), union))
-                inter = self._label_atoms[combo[0]]
-                for i in combo[1:]:
-                    inter = inter & self._label_atoms[i]
-                candidates.append((("and", exprs), inter))
+                for op in ("or", "and"):
+                    cand = fold(op, (self._label_atoms[i] for i in combo))
+                    candidates.append(((op, exprs), cand))
         for expr, cand in candidates:
             if cand == atoms:
                 return expr
@@ -538,17 +537,13 @@ def _disjunctive_labels(frame, expr):
 
 # -- degrees -----------------------------------------------------------
 
-def _as_pair(x, y):
-    x._check_peer(y)
-
-
 def degree_intersection(x, y):
     """|x & y| / |x | y|, the share of the joint region two elements agree on.
 
     Ratios are taken exactly over atom counts and converted to float
     once.  Undefined when both elements are empty.
     """
-    _as_pair(x, y)
+    x._check_peer(y)
     union = x.atoms | y.atoms
     if not union:
         raise UndefinedDegreeError("degree of two empty elements is undefined")
@@ -566,7 +561,7 @@ def degree_inclusion(x, y):
     The empty element is fully included in anything non-empty with
     degree 0, and in itself with degree 1.
     """
-    _as_pair(x, y)
+    x._check_peer(y)
     if not x.atoms <= y.atoms:
         raise NotASubsetError(f"{x.display} is not included in {y.display}")
     if not y.atoms:

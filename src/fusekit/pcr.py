@@ -6,7 +6,6 @@ invariant: combined total plus reported losses equals the product of
 the source totals.
 """
 
-import itertools
 import math
 from dataclasses import replace
 
@@ -14,6 +13,7 @@ from .classic import (
     Ledger,
     _conflict_operands,
     _intersection_element,
+    _subset_unions,
     _union_element,
 )
 from .frame import Element, _disjunctive_labels
@@ -267,17 +267,7 @@ def _intersection_parts(els):
 
 def _minc_recipients_a(frame, els):
     """Unions of every non-empty subset of the conflict's parts."""
-    parts = _intersection_parts(els)
-    out = []
-    seen = set()
-    for r in range(1, len(parts) + 1):
-        for combo in itertools.combinations(parts, r):
-            el = combo[0] if len(combo) == 1 else _union_element(list(combo))
-            if el.is_empty or el.atoms in seen:
-                continue
-            seen.add(el.atoms)
-            out.append(el)
-    return out
+    return list(_subset_unions(_intersection_parts(els)))
 
 
 def _minc_recipients_b(frame, els):
@@ -293,17 +283,7 @@ def _minc_recipients_b(frame, els):
         for name in _disjunctive_labels(frame, part.expr):
             if name not in labels:
                 labels.append(name)
-    out = []
-    seen = set()
-    for r in range(1, len(labels) + 1):
-        for combo in itertools.combinations(labels, r):
-            members = [frame.label(name) for name in combo]
-            el = members[0] if len(members) == 1 else _union_element(members)
-            if el.is_empty or el.atoms in seen:
-                continue
-            seen.add(el.atoms)
-            out.append(el)
-    return out
+    return list(_subset_unions([frame.label(name) for name in labels]))
 
 
 def minc(*sources, version="a"):

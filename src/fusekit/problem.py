@@ -9,7 +9,7 @@ exclude models, events, and scenarios.
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import FrameTooLargeError, ParseError
 from .frame import Frame, parse_expression_text, render_expression
 from .mass import MassFunction
 from .special import IntervalElement, IntervalMassFunction
@@ -18,6 +18,9 @@ _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 _INTERVAL_RE = re.compile(
     r"\[\s*([+-]?\d+(?:\.\d+)?)\s*,\s*([+-]?\d+(?:\.\d+)?)\s*\]\Z"
 )
+# Commas inside [lo,hi] brackets do not separate assignments; the comma
+# of an interval is the one that meets ']' before any ',' or '['.
+_SEPARATOR_RE = re.compile(r",(?![^\[,]*\])")
 
 
 @dataclass
@@ -114,17 +117,28 @@ def _fail(lineno, message):
     raise ParseError(f"line {lineno}: {message}")
 
 
-def _split_assignments(body, lineno):
+def _split_assignments(body, lineno, lhs_form="<expr>"):
+    """The (lhs, rhs) pairs of a comma-separated assignment list."""
     out = []
-    for chunk in body.split(","):
+    for chunk in _SEPARATOR_RE.split(body):
         chunk = chunk.strip()
         if not chunk:
             _fail(lineno, "empty assignment")
         if "=" not in chunk:
-            _fail(lineno, f"expected <expr>=<value>, got {chunk!r}")
+            _fail(lineno, f"expected {lhs_form}=<value>, got {chunk!r}")
         lhs, rhs = chunk.rsplit("=", 1)
         out.append((lhs.strip(), rhs.strip()))
     return out
+
+
+def _constraint_clause(body, lineno):
+    """The expressions of a 'constrain <expr>=0, ...' clause."""
+    exprs = []
+    for lhs, rhs in _split_assignments(body[len("constrain"):].strip(), lineno):
+        if rhs != "0":
+            _fail(lineno, f"constraints must read <expr>=0, got ={rhs}")
+        exprs.append(lhs)
+    return exprs
 
 
 def _parse_float(text, lineno, what):
@@ -183,13 +197,7 @@ def parse_problem(text):
                 model_kind = body
             elif body.startswith("constrain"):
                 model_kind = "constrain"
-                rest = body[len("constrain"):].strip()
-                constraints = []
-                for lhs, rhs in _split_assignments(rest, lineno):
-                    if rhs != "0":
-                        _fail(lineno, f"constraints must read <expr>=0, got ={rhs}")
-                    constraints.append(lhs)
-                model_constraints = tuple(constraints)
+                model_constraints = tuple(_constraint_clause(body, lineno))
             else:
                 _fail(lineno, f"model must be free, shafer, or constrain ..., got {body!r}")
         elif head.startswith("source"):
@@ -202,14 +210,10 @@ def parse_problem(text):
                 _fail(lineno, "interval problems have no events")
             if not body.startswith("constrain"):
                 _fail(lineno, f"event must read 'constrain <expr>=0', got {body!r}")
-            rest = body[len("constrain"):].strip()
-            pairs = _split_assignments(rest, lineno)
-            if len(pairs) != 1:
+            exprs = _constraint_clause(body, lineno)
+            if len(exprs) != 1:
                 _fail(lineno, "one constraint per event line")
-            lhs, rhs = pairs[0]
-            if rhs != "0":
-                _fail(lineno, f"constraints must read <expr>=0, got ={rhs}")
-            events.append(lhs)
+            events += exprs
         elif head == "scenario":
             if interval:
                 _fail(lineno, "interval problems have no scenario")
@@ -217,11 +221,14 @@ def parse_problem(text):
                 _fail(lineno, "scenario already declared")
             scenario = _parse_scenario(body, lineno)
         elif head == "param":
-            pairs = _split_assignments(body, lineno)
-            for key, value in pairs:
-                if not key:
-                    _fail(lineno, "param needs a key")
-                params[key] = value
+            pairs = dict(_split_assignments(body, lineno))
+            if "" in pairs:
+                _fail(lineno, "param needs a key")
+            try:
+                coerce_params(pairs)
+            except ValueError as exc:
+                _fail(lineno, f"bad param value: {exc}")
+            params.update(pairs)
         elif head == "discount":
             for name, value in _split_assignments(body, lineno):
                 discounts[name] = _parse_float(value, lineno, "discount factor")
@@ -247,7 +254,10 @@ def parse_problem(text):
     if model_kind == "shafer":
         frame = Frame.shafer(frame_labels)
     else:
-        frame = Frame(frame_labels)
+        try:
+            frame = Frame(frame_labels)
+        except FrameTooLargeError as exc:
+            _fail(frame_lineno, str(exc))
         if model_kind == "constrain":
             frame = frame.constrain(*(frame.parse(e) for e in model_constraints))
 
@@ -318,37 +328,9 @@ def _parse_scenario(body, lineno):
     return out
 
 
-def _split_interval_assignments(body, lineno):
-    # Commas inside [lo,hi] brackets do not separate assignments.
-    parts = []
-    depth = 0
-    cur = []
-    for ch in body:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    out = []
-    for chunk in parts:
-        chunk = chunk.strip()
-        if not chunk:
-            _fail(lineno, "empty assignment")
-        if "=" not in chunk:
-            _fail(lineno, f"expected [lo,hi]=<value>, got {chunk!r}")
-        lhs, rhs = chunk.rsplit("=", 1)
-        out.append((lhs.strip(), rhs.strip()))
-    return out
-
-
 def _parse_interval_source(body, lineno):
     masses = {}
-    for lhs, rhs in _split_interval_assignments(body, lineno):
+    for lhs, rhs in _split_assignments(body, lineno, "[lo,hi]"):
         match = _INTERVAL_RE.match(lhs)
         if not match:
             _fail(lineno, f"expected [lo,hi] interval, got {lhs!r}")

@@ -2,7 +2,6 @@
 consensus operator on opinions, T-norm and T-conorm fusion, the
 cautious commonality-min rule, and degree-improved rule variants."""
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -14,6 +13,7 @@ from .classic import (
     _expand,
     _intersection_element,
     _normalise,
+    _subset_unions,
     _union_element,
 )
 from .frame import degree_intersection, degree_union
@@ -260,13 +260,7 @@ def tconorm_fusion(m1, m2, kind="algebraic"):
 
 def _power_set_elements(frame):
     """Every union of hypotheses, smallest first, empty set included."""
-    labels = [frame.label(nm) for nm in frame.names]
-    out = [frame.empty()]
-    for r in range(1, len(labels) + 1):
-        for combo in itertools.combinations(labels, r):
-            el = combo[0] if len(combo) == 1 else _union_element(list(combo))
-            out.append(el)
-    return out
+    return [frame.empty(), *_subset_unions(frame.labels())]
 
 
 def cautious_commonality_min(m1, m2):

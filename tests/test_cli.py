@@ -235,6 +235,38 @@ def test_bad_param_value_is_a_usage_error(dp_file, capsys):
     assert "'x'" in err
 
 
+def test_malformed_param_line_is_a_parse_error(tmp_path, capsys):
+    src = tmp_path / "param.txt"
+    src.write_text(PCR_BINARY + "param: p=x\n")
+    code, out, err = run_cli(capsys, "--rule", "dempster", "--input", str(src))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("parse error: line 5: bad param value:")
+
+
+def test_free_frame_past_the_size_guard_is_a_parse_error(tmp_path, capsys):
+    src = tmp_path / "wide.txt"
+    labels = " ".join(f"H{i}" for i in range(24))
+    src.write_text(f"frame: {labels}\nsource m1: H0=1\nsource m2: H1=1\n")
+    code, out, err = run_cli(capsys, "--rule", "dempster", "--input", str(src))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("parse error: line 1: free frames are limited to 18")
+
+
+def test_wide_shafer_frame_runs(tmp_path, capsys):
+    src = tmp_path / "wide.txt"
+    labels = " ".join(f"H{i}" for i in range(20))
+    src.write_text(
+        f"frame: {labels}\nmodel: shafer\n"
+        "source m1: H0=0.5, H1|H2=0.3, H19=0.2\nsource m2: H0=0.6, H19=0.4\n"
+    )
+    code, out, err = run_cli(capsys, "--rule", "dempster", "--input", str(src))
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[1] == f"frame: {labels} (shafer)"
+
+
 @pytest.mark.parametrize("command", [("--rule", "dempster"), ("enumerate",)])
 def test_one_label_frame_is_a_parse_error(tmp_path, capsys, command):
     src = tmp_path / "one.txt"

@@ -223,3 +223,43 @@ def test_element_repr_and_str():
     assert str(el) == "A|B"
     assert "A|B" in repr(el)
     assert isinstance(el, Element)
+
+
+def test_constraining_every_overlap_gives_the_shafer_frame():
+    f = Frame.free(("A", "B", "C")).constrain("A&B", "A&C", "B&C")
+    shafer = Frame.shafer(("A", "B", "C"))
+    assert f == shafer
+    assert hash(f) == hash(shafer)
+    assert f.model.kind == "shafer"
+
+
+@pytest.mark.parametrize("frame", [
+    Frame.free(("A", "B", "C")),
+    Frame.shafer(("A", "B", "C")),
+    Frame.free(("A", "B", "C")).constrain("A&C"),
+], ids=["free", "shafer", "hybrid"])
+def test_empty_and_surviving_atoms_split_the_universe(frame):
+    assert not frame.empty_atoms & frame.surviving_atoms
+    assert frame.empty_atoms | frame.surviving_atoms == frozenset(range(1, 1 << frame.n))
+
+
+def test_shafer_frame_over_64_hypotheses_keeps_64_atoms():
+    f = Frame.shafer([f"H{i}" for i in range(64)])
+    assert len(f.surviving_atoms) == 64
+    assert f.is_shafer
+    assert f.parse("H0|H63").cardinality == 2
+
+
+def test_free_frame_past_the_size_guard_raises_before_building():
+    names = [f"H{i}" for i in range(24)]
+    with pytest.raises(FrameTooLargeError, match="18 hypotheses"):
+        Frame(names)
+    with pytest.raises(FrameTooLargeError):
+        Frame.free(names)
+
+
+def test_surviving_atoms_must_lie_in_the_atom_universe():
+    with pytest.raises(ValueError, match="outside"):
+        Frame(("A", "B"), {1, 4})
+    with pytest.raises(ValueError, match="outside"):
+        Frame(("A", "B"), {0, 1})

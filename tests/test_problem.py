@@ -252,3 +252,18 @@ def test_coerce_params():
     assert coerce_params({"p": 1.5, "weights": {"A": 1.0}}) == {
         "p": 1.5, "weights": {"A": 1.0},
     }
+
+
+def test_malformed_param_value_fails_at_its_line():
+    with pytest.raises(ParseError) as err:
+        parse_problem("frame: A B\nsource s1: A=1\nparam: mode=fast\nparam: p=x\n")
+    assert str(err.value).startswith("line 4: bad param value:")
+    assert "'x'" in str(err.value)
+
+
+@pytest.mark.parametrize("model", ["", "model: constrain H0&H1=0\n"])
+def test_free_frame_past_the_size_guard_fails_at_the_frame_line(model):
+    labels = " ".join(f"H{i}" for i in range(24))
+    with pytest.raises(ParseError) as err:
+        parse_problem(f"# wide\nframe: {labels}\n{model}source s1: H0=1\n")
+    assert str(err.value) == "line 2: free frames are limited to 18 hypotheses, frame has 24"
