@@ -16,7 +16,8 @@ from .frame import Element, fold, parse_expression_text
 from .mass import MassFunction
 from .result import ConflictReport, FusionResult, Partial
 
-_CONFLICT_EPS = 1e-12
+# The zero tolerance of every rule module: totals at or below it count as nothing.
+_EPS = 1e-12
 
 
 def _common_frame(sources, minimum=2):
@@ -153,6 +154,10 @@ class Ledger:
                 _add(self.acc, dest, share)
         self.partials.append(Partial(els, p, tuple(shares), basis=basis, note=note))
 
+    def divide(self, els, p, landing=None):
+        """Book a product whose mass a later normalisation divides out."""
+        self.book(els, p, ((None, 0.0),), "normalization", "divided out")
+
     def strand(self, els, p, note, basis=""):
         """Leave a product on the empty set as open-world mass."""
         self.open_world += p
@@ -204,7 +209,7 @@ def _normalise(ledger, message=None):
     A total at zero raises with ``message``, by default Dempster's.
     """
     total = math.fsum(ledger.acc.values())
-    if total <= _CONFLICT_EPS:
+    if total <= _EPS:
         raise TotalConflictError(
             message or f"total conflict: k12={ledger.k12:g}; the rule is undefined")
     scale = 1.0 / total
@@ -248,8 +253,8 @@ def _inagaki_scaling(ledger, p):
     m_ign = acc.get(ignorance, 0.0)
     bound_den = 1.0 - k12 - m_ign
     p = float(p)
-    if p < 0.0 or (bound_den > _CONFLICT_EPS and p > 1.0 / bound_den + _CONFLICT_EPS):
-        limit = "unbounded" if bound_den <= _CONFLICT_EPS else f"{1.0 / bound_den:.12g}"
+    if p < 0.0 or (bound_den > _EPS and p > 1.0 / bound_den + _EPS):
+        limit = "unbounded" if bound_den <= _EPS else f"{1.0 / bound_den:.12g}"
         raise ValueError(f"p must lie in [0, {limit}], got {p}")
     scale = 1.0 + p * k12
     out = {el: v * scale for el, v in acc.items() if el != ignorance}
@@ -272,11 +277,9 @@ def dsm_classic(*sources):
 
 def smets_tbm(*sources):
     """Open-world conjunctive rule: conflicting mass stays on the empty set."""
-    result = conjunctive(*sources)
-    warnings = ()
-    if result.conflict.k12 > 0.0:
-        warnings = (f"open-world mass on the empty set: {result.conflict.k12:.6f}",)
-    return replace(result, rule="smets", warnings=warnings)
+    ledger = Ledger(sources)
+    ledger.expand(lambda els, p, _: ledger.strand(els, p, "retained"))
+    return ledger.finish("smets")
 
 
 def dempster(*sources):
@@ -287,8 +290,7 @@ def dempster(*sources):
     Total conflict has no defined result and raises.
     """
     ledger = Ledger(sources)
-    ledger.expand(lambda els, p, _: ledger.book(
-        els, p, ((None, 0.0),), "normalization", "divided out"))
+    ledger.expand(ledger.divide)
     _normalise(ledger)
     return ledger.finish("dempster")
 
@@ -477,14 +479,9 @@ def conditional(m, hypothesis, rule="conjunctive", **params):
 # -- mixing family -----------------------------------------------------------
 
 def murphy_average(*sources):
-    """The plain average of the sources' masses."""
-    frame = _common_frame(sources)
-    s = len(sources)
-    acc = {}
-    for m in sources:
-        for el, v in m.items():
-            _add(acc, el, v / s)
-    return MassFunction(frame, acc)
+    """The plain average of the sources' masses: mixing with equal weights."""
+    _common_frame(sources)
+    return weighted_mixing(sources, [1.0] * len(sources))
 
 
 def weighted_mixing(sources, weights):

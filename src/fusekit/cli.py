@@ -41,13 +41,19 @@ def _parse_args(parser, argv):
         return None, code
 
 
-def _read_input(path):
+def _load_problem(path):
+    """The parsed problem file, or None and the exit code once reported."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read(), None
+            text = fh.read()
     except OSError as exc:
         print(f"usage error: cannot read {path}: {exc}", file=sys.stderr)
         return None, 2
+    try:
+        return parse_problem(text), None
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return None, 4
 
 
 # -- run ----------------------------------------------------------------
@@ -87,14 +93,9 @@ def _cmd_run(argv):
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 
-    text, code = _read_input(ns.input)
-    if text is None:
+    problem, code = _load_problem(ns.input)
+    if problem is None:
         return code
-    try:
-        problem = parse_problem(text)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 4
 
     try:
         outcome = execute_problem(problem, ns.rule, overrides=overrides)
@@ -210,13 +211,11 @@ def build_table(outcome, rule):
         if empty_mass > 0.0:
             warnings.append(f"open-world mass on the empty set: {empty_mass:.6f}")
 
-    if total < 1.0 - _SUM_TOL:
-        warnings.append(f"incomplete: sum={total:.6f}")
-    elif total > 1.0 + _SUM_TOL:
-        warnings.append(f"paraconsistent: sum={total:.6f}")
     status = "normal" if abs(total - 1.0) <= _SUM_TOL else (
         "incomplete" if total < 1.0 else "paraconsistent"
     )
+    if status != "normal":
+        warnings.append(f"{status}: sum={total:.6f}")
     # Rules may have flagged the same condition already.
     warnings = list(dict.fromkeys(warnings))
     return ResultTable(header, rows, footer, status, warnings)
@@ -249,14 +248,9 @@ def _cmd_enumerate(argv):
     ns, code = _parse_args(parser, argv)
     if ns is None:
         return code
-    text, code = _read_input(ns.input)
-    if text is None:
+    problem, code = _load_problem(ns.input)
+    if problem is None:
         return code
-    try:
-        problem = parse_problem(text)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 4
     if problem.interval:
         print("usage error: interval problems have no element algebra", file=sys.stderr)
         return 2

@@ -2,10 +2,9 @@
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import FrameMismatchError
-from .frame import Element, Frame
+from .frame import Element, degree_inclusion, degree_intersection
 
 # How far a total may drift from 1 before the bba stops counting as normal.
 STATUS_TOL = 1e-9
@@ -126,9 +125,8 @@ class MassFunction:
         self._check(a)
         if a.is_empty:
             return 0.0
-        card = a.cardinality
         return math.fsum(
-            float(Fraction(el.cardinality, card)) * v
+            degree_inclusion(el, a) * v
             for el, v in self._map.items()
             if el.atoms and el.atoms <= a.atoms
         )
@@ -136,15 +134,11 @@ class MassFunction:
     def pl_d(self, a):
         """Overlap-weighted plausibility: each focal counts for |X&a|/|X|a| of its mass."""
         self._check(a)
-        out = 0.0
-        terms = []
-        for el, v in self._map.items():
-            inter = el.atoms & a.atoms
-            if not inter:
-                continue
-            union = el.atoms | a.atoms
-            terms.append(float(Fraction(len(inter), len(union))) * v)
-        return math.fsum(terms) if terms else out
+        return math.fsum(
+            degree_intersection(el, a) * v
+            for el, v in self._map.items()
+            if el.atoms & a.atoms
+        )
 
     def q(self, a):
         """Commonality: total mass of focal elements containing a."""
@@ -223,9 +217,7 @@ class MassFunction:
             else:
                 u += v
         if atomicity is None:
-            atomicity = float(
-                Fraction(focus.cardinality, self.frame.ignorance().cardinality)
-            )
+            atomicity = degree_inclusion(focus, self.frame.ignorance())
         return Opinion(b, d, u, atomicity)
 
 

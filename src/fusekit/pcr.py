@@ -10,16 +10,15 @@ import math
 from dataclasses import replace
 
 from .classic import (
+    _EPS,
     Ledger,
     _conflict_operands,
     _intersection_element,
     _subset_unions,
     _union_element,
 )
-from .frame import Element, _disjunctive_labels
+from .frame import _disjunctive_labels
 from .mass import MassMatrix
-
-_EPS = 1e-12
 
 
 def _proportional(entries, p):
@@ -196,9 +195,9 @@ def pcr4(*sources):
     Products whose operands both got zero conjunctive mass fall back to
     the column-sum split.
     """
-    ledger = Ledger(sources)
     if len(sources) > 2:
         return _pairwise_fold(pcr4, "pcr4", sources)
+    ledger = Ledger(sources)
     matrix = MassMatrix(ledger.sources)
 
     def split(els, p, m12):
@@ -219,9 +218,9 @@ def pcr5(*sources):
     are folded pairwise left to right, which keeps the per-pair
     exactness but is order-dependent; the result carries a warning.
     """
-    ledger = Ledger(sources)
     if len(sources) > 2:
         return _pairwise_fold(pcr5, "pcr5", sources)
+    ledger = Ledger(sources)
     return _split_each(ledger, "pcr5", "all weights zero", lambda els, p, m12: (
         _pcr5_split(els, ledger.sources, p), "own masses"))
 
@@ -246,23 +245,13 @@ def _intersection_parts(els):
 
     The intersection of the operand expressions is canonicalized first,
     so (A u B) n B collapses to B and contributes the single part B.
+    Canonicalization merges equal operands and leaves no empty operand
+    inside an intersection node.
     """
     inter = _intersection_element(list(els))
-    expr = inter.expr
-    frame = inter.frame
-    if expr[0] == "and":
-        children = expr[1]
-    else:
-        children = (expr,)
-    parts = []
-    seen = set()
-    for child in children:
-        el = Element(frame, frame.eval_atoms(child), child)
-        if el.is_empty or el.atoms in seen:
-            continue
-        seen.add(el.atoms)
-        parts.append(el)
-    return parts
+    if inter.expr[0] != "and":
+        return [] if inter.is_empty else [inter]
+    return [inter.frame.element(child) for child in inter.expr[1]]
 
 
 def _minc_recipients_a(frame, els):
@@ -298,11 +287,11 @@ def minc(*sources, version="a"):
     """
     if version not in ("a", "b"):
         raise ValueError(f"version must be 'a' or 'b', got {version!r}")
-    ledger = Ledger(sources)
     if len(sources) > 2:
         return _pairwise_fold(
             lambda a, b: minc(a, b, version=version), f"minc-{version}", sources
         )
+    ledger = Ledger(sources)
     recipients_fn = _minc_recipients_a if version == "a" else _minc_recipients_b
 
     def split(els, p, m12):

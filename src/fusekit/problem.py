@@ -45,7 +45,7 @@ class ProblemFile:
         """The frame after all dynamic constraint events."""
         frame = self.frame
         for expr in self.events:
-            frame = frame.constrain(frame.parse(expr))
+            frame = frame.constrain(expr)
         return frame
 
     def final_sources(self):
@@ -259,7 +259,7 @@ def parse_problem(text):
         except FrameTooLargeError as exc:
             _fail(frame_lineno, str(exc))
         if model_kind == "constrain":
-            frame = frame.constrain(*(frame.parse(e) for e in model_constraints))
+            frame = frame.constrain(*model_constraints)
 
     problem = ProblemFile(
         frame=frame, model_kind=model_kind, model_constraints=model_constraints,

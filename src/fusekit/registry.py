@@ -40,8 +40,6 @@ def _conditional(sources, params):
 
 
 def _consensus(sources, params):
-    from .special import consensus
-
     frame = sources[0].frame
     focus = params["focus"]
     focus = frame.parse(focus) if isinstance(focus, str) else focus
@@ -51,7 +49,7 @@ def _consensus(sources, params):
     opinions = [m.to_opinion(focus) for m in sources]
     out = opinions[0]
     for w in opinions[1:]:
-        out = consensus(out, w, dogmatic_bayesian=dogmatic_bayesian)
+        out = special.consensus(out, w, dogmatic_bayesian=dogmatic_bayesian)
     return out
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateConsensusError, FrameTooLargeError, RuleError
 from .classic import (
+    _EPS,
     Ledger,
     _add,
     _common_frame,
@@ -19,8 +20,6 @@ from .classic import (
 from .frame import degree_intersection, degree_union
 from .mass import MassFunction, Opinion
 from .result import ConflictReport, FusionResult
-
-_EPS = 1e-12
 
 # Full power-set enumeration is exponential; 12 hypotheses is already
 # 4096 subsets and well past any sane frame here.
@@ -69,6 +68,7 @@ def zhang_center(m1, m2, degree="product"):
     return _degree_weighted(
         m1, m2, f"zhang-{degree}", "zhang_center", _ZHANG_DEGREES[degree],
         _intersection_element, "all focal pairs are disjoint; nothing to renormalize",
+        Ledger.divide,
     )
 
 
@@ -224,11 +224,7 @@ TCONORMS = {
 
 def _norm_fusion(m1, m2, fn, land, rule, zero_msg):
     ledger = Ledger((m1, m2))
-    ledger.expand(
-        lambda els, w, _: ledger.book(els, w, ((None, w),), "normalization",
-                                      "empty landing divided out"),
-        land, weight=lambda ws: fn(*ws),
-    )
+    ledger.expand(ledger.divide, land, weight=lambda ws: fn(*ws))
     total = _normalise(ledger, zero_msg)
     warnings = ()
     if abs(total + ledger.k12 - 1.0) > 1e-9:
@@ -279,17 +275,15 @@ def cautious_commonality_min(m1, m2):
             f"power-set inversion over {frame.n} hypotheses is too large"
         )
     subsets = _power_set_elements(frame)
-    qmin = {el: min(m1.q(el), m2.q(el)) for el in subsets}
-    by_atoms = {el.atoms: qmin[el] for el in subsets}
+    qmin = {el.atoms: min(m1.q(el), m2.q(el)) for el in subsets}
     signed = {}
     for el in subsets:
         card = el.cardinality
-        total = 0.0
         terms = []
         for other in subsets:
             if other.atoms >= el.atoms:
                 sign = -1.0 if (other.cardinality - card) % 2 else 1.0
-                terms.append(sign * by_atoms[other.atoms])
+                terms.append(sign * qmin[other.atoms])
         total = math.fsum(terms)
         if abs(total) > _EPS:
             signed[el] = total
@@ -313,10 +307,6 @@ def cautious_commonality_min(m1, m2):
 
 # -- degree-improved rule variants ---------------------------------------
 
-def _annul(ledger, els, p):
-    ledger.book(els, p, ((None, p),), "intersection degree", "annulled by zero degree")
-
-
 def _to_union(ledger, els, p):
     ledger.book(els, p, ((_union_element(els), p),), "union degree",
                 "pre-normalization share")
@@ -324,10 +314,10 @@ def _to_union(ledger, els, p):
 
 _IMPROVED = {
     "disjunctive": (degree_union, _union_element, None),
-    "dsmc": (degree_intersection, _intersection_element, _annul),
+    "dsmc": (degree_intersection, _intersection_element, Ledger.divide),
     "dsmh": (degree_intersection, _intersection_element, _to_union),
-    "smets": (degree_intersection, _intersection_element, _annul),
-    "yager": (degree_intersection, _intersection_element, _annul),
+    "smets": (degree_intersection, _intersection_element, Ledger.divide),
+    "yager": (degree_intersection, _intersection_element, Ledger.divide),
     "dp": (degree_intersection, _intersection_element, _to_union),
 }
 _IMPROVED_BASES = tuple(_IMPROVED)

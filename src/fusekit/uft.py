@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import FrameMismatchError, RuleError
 from .classic import (
+    _EPS,
     Ledger,
     _common_frame,
     _declared_weights,
@@ -27,14 +28,11 @@ from .classic import (
     disjunctive,
     exclusive_disjunctive,
     mixed,
-    murphy_average,
     weighted_mixing,
 )
 from .mass import MassFunction
 from .pcr import _column_averages, _column_sums, _pcr5_split
 from .result import FusionResult
-
-_EPS = 1e-12
 
 _ATTITUDE_KINDS = (
     "keep", "split", "union", "ignorance", "empty", "right", "both-wrong",
@@ -106,8 +104,7 @@ class ScenarioConfig:
             object.__setattr__(self, "discounts", tuple(float(f) for f in self.discounts))
 
     @classmethod
-    def for_case(cls, case, frame=None, right=None, recipients=(), world=None,
-                 discounts=None):
+    def for_case(cls, case, right=None, recipients=(), world=None, discounts=None):
         """Build the config a bare scenario case identifier stands for."""
         case = str(case)
         if case == "1":
@@ -162,11 +159,8 @@ def uft_combine(sources, config=None):
             raise ValueError("mixed reliability needs a source combination expression")
         return replace(mixed(sources, config.mixed_expr), rule="uft")
     if config.reliability == "statistical":
-        if config.discounts is not None:
-            combined = weighted_mixing(sources, config.discounts)
-        else:
-            combined = murphy_average(*sources)
-        return _unconflicted(combined, "uft", sources)
+        weights = [1.0] * len(sources) if config.discounts is None else config.discounts
+        return _unconflicted(weighted_mixing(sources, weights), "uft", sources)
 
     effective = sources
     if config.reliability == "discounts":
@@ -284,8 +278,7 @@ def dynamic_update(state, new_empty, transfer_rule="dsmh", **params):
         frame = state.frame
     else:
         raise TypeError(f"expected FusionResult or MassFunction, got {type(state).__name__}")
-    constraints = [frame.parse(e) if isinstance(e, str) else e for e in new_empty]
-    tightened = frame.constrain(*constraints)
+    tightened = frame.constrain(*new_empty)
     if tightened == frame:
         return state
 
@@ -371,6 +364,8 @@ def _transfer_from_store(state, rule, params):
     ledger.k12 = product.mass(state.frame.empty())
     if rule in ("conjunctive", "dsmc", "smets"):
         ledger.acc = dict(product.items())
+        if rule == "smets":
+            ledger.open_world = ledger.k12
         return ledger.finish(rule)
     ledger.acc = {el: v for el, v in product.items() if not el.is_empty}
     warnings = ()

@@ -149,6 +149,24 @@ def test_dsm_hybrid_empty_operands_use_joint_disjunctive():
     assert out.combined.mass(tight.parse("A|B")) == pytest.approx(1.0)
 
 
+def test_dsm_hybrid_falls_back_to_ignorance_when_the_disjunctive_form_is_empty():
+    f = Frame(("A", "B", "C")).constrain("A")
+    m1 = MassFunction(f, {"A": 0.5, "B": 0.5})
+    m2 = MassFunction(f, {"B": 0.3, "C": 0.7})
+    out = dsm_hybrid(m1, m2)
+    notes = [p.note for p in out.conflict.partials]
+    assert len(notes) == 2
+    assert all(note.endswith("; fell back to ignorance") for note in notes)
+    assert out.combined.mass(f.parse("A|B|C")) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_dsm_hybrid_on_a_fully_degenerate_model_leaves_mass_on_the_empty_set():
+    f = Frame(("A", "B")).constrain("A", "B")
+    out = dsm_hybrid(MassFunction(f, {"A": 1.0}), MassFunction(f, {"B": 1.0}))
+    assert [p.note for p in out.conflict.partials] == ["model fully degenerate"]
+    assert out.warnings == ("open-world mass on the empty set: 1.000000",)
+
+
 def test_disjunctive_matches_oracle(pair):
     m1, m2 = pair
     out = disjunctive(m1, m2)

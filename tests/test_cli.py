@@ -316,3 +316,18 @@ def test_module_entry_point(dp_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("rule: yager")
+
+
+def test_normalising_rule_reports_no_lost_mass(dp_file, capsys):
+    code, out, _ = run_cli(capsys, "--rule", "tnorm-min", "--input", dp_file)
+    assert code == 0
+    assert re.search(r"^sum\s+1\.000000$", out, re.M)
+    assert re.search(r"^lost\s+0\.000000$", out, re.M)
+
+
+def test_conjunctive_run_flags_the_open_world_mass(tmp_path, capsys):
+    src = tmp_path / "pcr.txt"
+    src.write_text(PCR_BINARY)
+    code, out, _ = run_cli(capsys, "--rule", "conjunctive", "--input", str(src))
+    assert code == 0
+    assert "WARN open-world mass on the empty set: 0.180000" in out.splitlines()

@@ -209,3 +209,15 @@ def test_partial_shares_sum_to_product_mass(hard_pair):
     out = minc(*hard_pair, version="b")
     for p in out.conflict.partials:
         assert sum(v for _, v in p.shares) == pytest.approx(p.mass, abs=1e-12)
+
+
+@pytest.mark.parametrize("rule, warning", [
+    (pcr1, "no non-empty focal columns; conflict lost"),
+    (pcr2, "conflict involves only empty operands; lost"),
+])
+def test_pooled_conflict_with_only_empty_columns_is_lost(rule, warning):
+    f = Frame.shafer(("A", "B"))
+    m = MassFunction(f, {"A&~A": 1.0})
+    out = rule(m, m)
+    assert out.conflict.lost == pytest.approx(1.0, abs=1e-12)
+    assert out.warnings == (warning,)

@@ -38,7 +38,8 @@ from fusekit import (
     yager,
     zhang_center,
 )
-from fusekit.special import TCONORMS, TNORMS
+from fusekit.registry import resolve
+from fusekit.special import _IMPROVED_BASES, TCONORMS, TNORMS
 
 import oracles
 
@@ -187,6 +188,24 @@ def test_normalizing_rules_return_unit_total(pair):
         except (TotalConflictError, RuleError):
             continue
         assert abs(out.combined.total - 1.0) < 1e-9
+
+
+# Every selector that renormalises: what it divides out is not lost.
+_NORMALISING = (
+    "dempster", "zhang-product", "zhang-union",
+    *(f"tnorm-{k}" for k in TNORMS), *(f"tconorm-{k}" for k in TCONORMS),
+    *(f"improved-{b}" for b in _IMPROVED_BASES),
+)
+
+
+@given(bba_pair())
+def test_normalizing_rules_report_no_lost_mass(pair):
+    for selector in _NORMALISING:
+        try:
+            out = resolve(selector).combine(list(pair), {})
+        except (TotalConflictError, RuleError):
+            continue
+        assert abs(out.combined.total + out.conflict.lost - 1.0) < 1e-9, selector
 
 
 @given(bba_pair(frame_ids=SHAFER_IDS))

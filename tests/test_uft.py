@@ -452,3 +452,22 @@ def test_incremental_wao_reports_the_lost_column_weight():
     assert res.conflict.lost == pytest.approx(direct.conflict.lost, abs=1e-12)
     assert res.combined.total + res.conflict.lost == pytest.approx(1.0, abs=1e-12)
     assert res.warnings == direct.warnings
+
+
+def test_incremental_smets_warns_like_the_direct_rule(stream):
+    m1, m2, m3 = stream
+    state = m1
+    for m in (m2, m3):
+        state, res = quasi_associative_combine(state, m, rule="smets")
+        direct = smets_tbm(*state.sources)
+        assert direct.warnings
+        assert res.warnings == direct.warnings
+
+
+def test_dynamic_update_flags_the_incomplete_total():
+    f = Frame.shafer(("A", "B", "C"))
+    m1 = MassFunction(f, {"A": 0.2, "B": 0.4, "C": 0.3, "A|B": 0.1})
+    m2 = MassFunction(f, {"A": 0.1, "B": 0.3, "C": 0.4, "A|B": 0.2})
+    out = dynamic_update(dubois_prade(m1, m2), ["C"], transfer_rule="dubois-prade")
+    assert out.combined.total == pytest.approx(0.88, abs=1e-12)
+    assert "incomplete: sum=0.880000" in out.warnings
