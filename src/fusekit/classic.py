@@ -14,7 +14,7 @@ from dataclasses import replace
 from .errors import FrameMismatchError, RuleError, TotalConflictError
 from .frame import Element, fold, parse_expression_text
 from .mass import MassFunction
-from .result import ConflictReport, FusionResult, Partial
+from .result import NORMALISED, ConflictReport, FusionResult, Partial
 
 # The zero tolerance of every rule module: totals at or below it count as nothing.
 _EPS = 1e-12
@@ -28,21 +28,6 @@ def _common_frame(sources, minimum=2):
         if m.frame != frame:
             raise FrameMismatchError("sources over different frames")
     return frame
-
-
-def _expand(sources, weight=math.prod):
-    """Yield (operand tuple, pair weight) over all focal combinations.
-
-    The weight of a combination is ``weight`` of its masses, by default
-    their product; combinations that weigh exactly zero are skipped.
-    """
-    focal_lists = [list(m.items()) for m in sources]
-    for combo in itertools.product(*focal_lists):
-        els, masses = zip(*combo)
-        mass = weight(masses)
-        if mass == 0.0:
-            continue
-        yield els, mass
 
 
 def _add(acc, element, mass):
@@ -107,7 +92,7 @@ class Ledger:
     product (inline, or from the returned list once the whole product is
     known), optionally transfers or normalises the pooled conflict, and
     finishes into a FusionResult.  ``k12`` is the mass of every routed
-    product, ``lost`` what was booked to no destination, ``open_world``
+    product, ``lost`` what its partials booked to None, ``open_world``
     what was left on the empty set for want of any admissible element.
     """
 
@@ -123,17 +108,22 @@ class Ledger:
         self.open_world = 0.0
 
     def expand(self, route=None, land=_intersection_element, claim=None,
-               weight=math.prod):
+               weight=lambda els, masses: math.prod(masses)):
         """Book every product's landing; route or return the conflicting ones.
 
-        A product conflicts when its landing is empty or ``claim(els,
-        landing)`` holds.  With a ``route`` each is routed as it comes,
-        so mass lands in enumeration order; without one the products
-        are returned as (operands, mass) pairs.  ``weight`` replaces the
-        product of the masses, as in the T-norm rules.
+        The one loop over focal products.  A product weighs
+        ``weight(els, masses)``, by default the product of its masses,
+        and is skipped at exactly zero.  It conflicts when its landing is
+        empty or ``claim(els, landing)`` holds.  With a ``route`` each is
+        routed as it comes, so mass lands in enumeration order; without
+        one they are returned as (operands, weight) pairs.
         """
         conflicts = []
-        for els, p in _expand(self.sources, weight):
+        for combo in itertools.product(*(m.items() for m in self.sources)):
+            els, masses = zip(*combo)
+            p = weight(els, masses)
+            if p == 0.0:
+                continue
             landing = land(els)
             if not landing.is_empty and (claim is None or not claim(els, landing)):
                 _add(self.acc, landing, p)
@@ -146,17 +136,17 @@ class Ledger:
         return conflicts
 
     def book(self, els, p, shares, basis="", note=""):
-        """Land a product's shares; a None destination is lost mass."""
+        """Land a product's shares; None is lost and NORMALISED divided out."""
         for dest, share in shares:
             if dest is None:
                 self.lost += share
-            else:
+            elif dest is not NORMALISED:
                 _add(self.acc, dest, share)
         self.partials.append(Partial(els, p, tuple(shares), basis=basis, note=note))
 
     def divide(self, els, p, landing=None):
         """Book a product whose mass a later normalisation divides out."""
-        self.book(els, p, ((None, 0.0),), "normalization", "divided out")
+        self.book(els, p, ((NORMALISED, p),), "normalization", "divided out")
 
     def strand(self, els, p, note, basis=""):
         """Leave a product on the empty set as open-world mass."""
@@ -232,6 +222,13 @@ def _declared_weights(frame, weights):
     if abs(wsum - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {wsum}")
     return [(el, w) for el, w in witems if w > 0.0]
+
+
+def _audit_pooled(ledger, conflicts, fractions, basis):
+    """Book each product's part of a transfer already made in one pool:
+    its mass split over the destinations by ``fractions`` (summing to 1)."""
+    ledger.partials.extend(Partial(els, p, tuple((el, w * p) for el, w in fractions), basis=basis)
+                           for els, p in conflicts)
 
 
 def _weight_transfer(ledger, witems):
@@ -366,11 +363,7 @@ def weighted_operator(*sources, weights):
     witems = _declared_weights(ledger.frame, weights)
     conflicts = ledger.expand()
     _weight_transfer(ledger, witems)
-    # The mass moved pooled above; these partials only audit each product.
-    ledger.partials.extend(
-        Partial(els, p, tuple((el, w * p) for el, w in witems), basis="declared weights")
-        for els, p in conflicts
-    )
+    _audit_pooled(ledger, conflicts, witems, "declared weights")
     return ledger.finish("wo")
 
 
@@ -380,11 +373,16 @@ def inagaki(*sources, p):
     Every non-ignorance landing is scaled by (1 + p*k12); ignorance
     additionally receives (1 + p*k12 - p) * k12.  p = 0 is Yager's
     rule; when nothing lands on ignorance, p = 1/(1 - k12) is
-    Dempster's.
+    Dempster's.  Conflict is booked by what the scaling added to each element.
     """
     ledger = Ledger(sources)
-    ledger.expand(lambda els, pm, _: ledger.book(els, pm, (), "inagaki scaling"))
+    conflicts = ledger.expand()
+    before = dict(ledger.acc)
     _inagaki_scaling(ledger, p)
+    gains = [(el, v - before.get(el, 0.0)) for el, v in ledger.acc.items()
+             if v > before.get(el, 0.0)]
+    total = math.fsum(g for _, g in gains)
+    _audit_pooled(ledger, conflicts, [(el, g / total) for el, g in gains], "inagaki scaling")
     return ledger.finish("inagaki")
 
 

@@ -18,6 +18,7 @@ from .errors import FusionError, ParseError
 from .golden import execute_problem, verify_golden
 from .problem import coerce_params, parse_problem
 from .registry import resolve
+from .result import NORMALISED
 
 # One part in the sixth printed decimal: the boundary between a total
 # that renders as 1.000000 and one that visibly is not.
@@ -165,7 +166,7 @@ class ResultTable:
                     "basis": p.basis,
                     "note": p.note,
                     "shares": [
-                        {"to": None if dest is None else dest.display, "mass": v}
+                        {"to": dest if dest in (None, NORMALISED) else dest.display, "mass": v}
                         for dest, v in p.shares
                     ],
                 }

@@ -15,7 +15,6 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     FrameMismatchError,
@@ -540,14 +539,14 @@ def _disjunctive_labels(frame, expr):
 def degree_intersection(x, y):
     """|x & y| / |x | y|, the share of the joint region two elements agree on.
 
-    Ratios are taken exactly over atom counts and converted to float
-    once.  Undefined when both elements are empty.
+    The ratio of the atom counts is one correctly rounded integer
+    division.  Undefined when both elements are empty.
     """
     x._check_peer(y)
     union = x.atoms | y.atoms
     if not union:
         raise UndefinedDegreeError("degree of two empty elements is undefined")
-    return float(Fraction(len(x.atoms & y.atoms), len(union)))
+    return len(x.atoms & y.atoms) / len(union)
 
 
 def degree_union(x, y):
@@ -568,4 +567,4 @@ def degree_inclusion(x, y):
         return 1.0
     if not x.atoms:
         return 0.0
-    return float(Fraction(len(x.atoms), len(y.atoms)))
+    return len(x.atoms) / len(y.atoms)

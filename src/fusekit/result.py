@@ -5,13 +5,16 @@ from dataclasses import dataclass
 
 from .mass import MassFunction
 
+# A share divided out by normalisation: it lands nowhere and is not lost.
+NORMALISED = "divided out"
+
 
 @dataclass(frozen=True)
 class Partial:
     """One conflicting product and where its mass went.
 
-    ``shares`` pairs destinations with amounts; a ``None`` destination
-    marks mass that was genuinely lost (no admissible recipient).
+    ``shares`` pairs destinations with amounts: an element, ``None``
+    (lost: no admissible recipient) or ``NORMALISED`` (divided out).
     """
 
     operands: tuple
@@ -19,10 +22,6 @@ class Partial:
     shares: tuple
     basis: str = ""
     note: str = ""
-
-    @property
-    def lost(self):
-        return math.fsum(v for dest, v in self.shares if dest is None)
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,7 @@ class ConflictReport:
 
     @property
     def lost(self):
-        return math.fsum(p.lost for p in self.partials)
+        return math.fsum(v for p in self.partials for dest, v in p.shares if dest is None)
 
     def redistributed(self):
         """Everything the partials handed out, destination by destination."""

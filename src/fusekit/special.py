@@ -9,9 +9,7 @@ from .errors import DegenerateConsensusError, FrameTooLargeError, RuleError
 from .classic import (
     _EPS,
     Ledger,
-    _add,
     _common_frame,
-    _expand,
     _intersection_element,
     _normalise,
     _subset_unions,
@@ -19,7 +17,7 @@ from .classic import (
 )
 from .frame import degree_intersection, degree_union
 from .mass import MassFunction, Opinion
-from .result import ConflictReport, FusionResult
+from .result import ConflictReport, FusionResult, Partial
 
 # Full power-set enumeration is exponential; 12 hypotheses is already
 # 4096 subsets and well past any sane frame here.
@@ -35,22 +33,24 @@ _ZHANG_DEGREES = {
 
 
 def _degree_weighted(m1, m2, rule, what, degree, land, message, disjoint=None):
-    """Land degree(x, y) * p for each focal pair, then renormalize.
+    """Weigh each focal pair by a degree on the Ledger core, then renormalize.
 
-    Every disjoint pair counts into k12; ``disjoint(ledger, els, p)``,
-    when given, books it.
+    A pair with mass product p weighs degree(x, y) * p when x and y
+    overlap (the degree is its weight, as a T-norm is) and p when they
+    are disjoint.  Pairs land on ``land``; given a ``disjoint(ledger, els,
+    p)`` route, a disjoint pair lands on the empty set and goes to it.
     """
     ledger = Ledger((m1, m2))
     if any(el.is_empty for m in ledger.sources for el in m):
         raise RuleError(f"{what} needs non-empty focal elements")
-    for els, p in _expand(ledger.sources):
-        r = degree(*els)
-        if r > 0.0:
-            _add(ledger.acc, land(els), r * p)
-        if not (els[0].atoms & els[1].atoms):
-            ledger.k12 += p
-            if disjoint is not None:
-                disjoint(ledger, els, p)
+
+    def meets(els):
+        return not els[0].atoms.isdisjoint(els[1].atoms)
+
+    # The route never reads a disjoint pair's landing, so none is built.
+    ledger.expand(lambda els, p, _: disjoint(ledger, els, p),
+                  lambda els: land(els) if disjoint is None or meets(els) else ledger.frame.empty(),
+                  weight=lambda els, ms: (degree(*els) if meets(els) else 1.0) * math.prod(ms))
     _normalise(ledger, message)
     return ledger.finish(rule)
 
@@ -59,9 +59,9 @@ def zhang_center(m1, m2, degree="product"):
     """Conjunctive combination weighted by intersection sharpness.
 
     The weight of each focal pair is r = |X&Y| / (|X|*|Y|) for the
-    product degree or r = |X&Y| / |X|Y| for the union degree; empty
-    intersections weigh nothing, so the weighted masses are renormalized
-    to unit total.
+    product degree or r = |X&Y| / |X|Y| for the union degree.  A
+    disjoint pair weighs its whole product, which the renormalization
+    to unit total divides out.
     """
     if degree not in _ZHANG_DEGREES:
         raise ValueError(f"degree must be 'product' or 'union', got {degree!r}")
@@ -224,7 +224,7 @@ TCONORMS = {
 
 def _norm_fusion(m1, m2, fn, land, rule, zero_msg):
     ledger = Ledger((m1, m2))
-    ledger.expand(ledger.divide, land, weight=lambda ws: fn(*ws))
+    ledger.expand(ledger.divide, land, weight=lambda els, ws: fn(*ws))
     total = _normalise(ledger, zero_msg)
     warnings = ()
     if abs(total + ledger.k12 - 1.0) > 1e-9:
@@ -299,8 +299,9 @@ def cautious_commonality_min(m1, m2):
             "and signed_masses carries the full inversion",
         )
     k12 = combined.mass(frame.empty())
+    pooled = (Partial((), k12, ((frame.empty(), k12),), "commonality minimum", "pooled conflict"),)
     return FusionResult(
-        combined, ConflictReport(k12, ()), rule="cautious",
+        combined, ConflictReport(k12, pooled if k12 > 0.0 else ()), rule="cautious",
         warnings=warnings, sources=(m1, m2), signed_masses=signed_out,
     )
 
@@ -328,11 +329,10 @@ def improved_rules(m1, m2, base="dsmc"):
 
     Conjunctive terms carry |X&Y| / |X|Y|, union-transfer terms carry
     the complementary weight, and the result is renormalized to unit
-    total.  Empty intersections weigh zero, so for the purely
-    conjunctive bases (dsmc, smets, yager) conflict vanishes
-    structurally and these three coincide; for dp and dsmh the transfer
-    weight of a disjoint pair is exactly one, so those two coincide as
-    well.
+    total.  A disjoint pair weighs its whole product: the purely
+    conjunctive bases (dsmc, smets, yager) divide it out and coincide;
+    dp and dsmh move it to the union and coincide as well.  The
+    disjunctive base lands every pair on its union, so its k12 is 0.
     """
     if base not in _IMPROVED:
         raise ValueError(f"base must be one of {_IMPROVED_BASES}, got {base!r}")

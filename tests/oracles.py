@@ -248,3 +248,46 @@ def mobius_from_commonality(qmap):
         if abs(total) > 1e-12:
             out[a] = total
     return out
+
+
+# -- the conflict ledger's contract -------------------------------------------
+
+def _renormalises(rule):
+    return rule == "dempster" or rule.startswith(("zhang-", "tnorm-", "tconorm-", "improved-"))
+
+
+def _close(a, b, tol=1e-9):
+    return abs(a - b) <= tol * max(1.0, abs(b))
+
+
+def audit(result, sources):
+    """What a fusion result's ledger fails to account for, as messages.
+
+    (a) each partial's shares sum to its mass; (b) the partials' masses
+    sum to k12; (c) a renormalising rule's total is one with nothing
+    lost, the cautious rule's signed total is the product of the source
+    totals, and any other rule's total plus its lost mass is that
+    product.  A None destination is lost mass.
+    """
+    problems = []
+    conflict = result.conflict
+    for p in conflict.partials:
+        shared = math.fsum(v for _, v in p.shares)
+        if not _close(shared, p.mass):
+            problems.append(f"(a) shares sum to {shared!r}, the partial's mass is {p.mass!r}")
+    booked = math.fsum(p.mass for p in conflict.partials)
+    if not _close(booked, conflict.k12):
+        problems.append(f"(b) partials sum to {booked!r}, k12 is {conflict.k12!r}")
+    lost = math.fsum(v for p in conflict.partials for dest, v in p.shares if dest is None)
+    product = math.prod(m.total for m in sources)
+    total = result.combined.total
+    if _renormalises(result.rule):
+        if not (_close(total, 1.0) and _close(lost, 0.0)):
+            problems.append(f"(c) renormalised total {total!r} with {lost!r} lost")
+    elif result.signed_masses is not None:
+        signed = math.fsum(result.signed_masses.values())
+        if not _close(signed, product):
+            problems.append(f"(c) signed total {signed!r}, the sources' product is {product!r}")
+    elif not _close(total + lost, product):
+        problems.append(f"(c) total {total!r} + lost {lost!r}, the sources' product is {product!r}")
+    return problems

@@ -132,6 +132,23 @@ def test_export_signed_masses(tmp_path, capsys):
     assert "WARN" in out
 
 
+def test_export_writes_divided_out_shares(tmp_path, capsys):
+    src = tmp_path / "bayes.txt"
+    src.write_text(BAYESIAN_PAIR)
+    dest = tmp_path / "bayes.json"
+    code, _, _ = run_cli(
+        capsys, "--rule", "dempster", "--input", str(src), "--export", str(dest)
+    )
+    assert code == 0
+    doc = json.loads(dest.read_text())
+    assert doc["footer"]["lost"] == 0.0
+    # (A, B) and (B, A): .15 and .35, each divided out in full.
+    assert [(e["mass"], e["basis"]) for e in doc["ledger"]] == [
+        (pytest.approx(0.15), "normalization"), (pytest.approx(0.35), "normalization")]
+    for entry in doc["ledger"]:
+        assert entry["shares"] == [{"to": "divided out", "mass": entry["mass"]}]
+
+
 def test_param_overrides_file_params(tmp_path, capsys):
     src = tmp_path / "inagaki.txt"
     src.write_text(PCR_BINARY + "param: p=0.0\n")

@@ -23,6 +23,7 @@ from fusekit import (
     tnorm_fusion,
     zhang_center,
 )
+from fusekit.result import NORMALISED
 from fusekit.special import TCONORMS, TNORMS
 
 import oracles
@@ -343,3 +344,23 @@ def test_improved_validation(shafer2):
     bad = MassFunction(shafer2, {"A&~A": 1.0})
     with pytest.raises(RuleError):
         improved_rules(bad, m1)
+
+
+def test_degree_weighted_rules_book_only_disjoint_pairs():
+    # Only (C, A) is disjoint; the degree is the weight of the other
+    # three pairs, so none of their mass reaches the ledger.
+    f = Frame.shafer(("A", "B", "C"))
+    m1 = MassFunction(f, {"A|B": 0.6, "C": 0.4})
+    m2 = MassFunction(f, {"A": 0.7, "B|C": 0.3})
+    for out in (zhang_center(m1, m2), improved_rules(m1, m2, base="dsmc")):
+        assert out.conflict.k12 == pytest.approx(0.28)
+        [partial] = out.conflict.partials
+        assert partial.operands == (f.label("C"), f.label("A"))
+        assert partial.shares == ((NORMALISED, partial.mass),)
+        assert out.conflict.lost == 0.0
+    [partial] = improved_rules(m1, m2, base="dp").conflict.partials
+    assert partial.shares == ((f.parse("A|C"), partial.mass),)
+    out = improved_rules(m1, m2, base="disjunctive")
+    assert out.conflict.k12 == 0.0
+    assert out.conflict.partials == ()
+    assert out.combined.total == pytest.approx(1.0)

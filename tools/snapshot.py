@@ -1,0 +1,173 @@
+"""Record and compare the outputs of the mass-mode rules.
+
+    python3 tools/snapshot.py write OUT.jsonl
+    python3 tools/snapshot.py diff A.jsonl B.jsonl
+
+``write`` runs every mass-mode selector that takes no parameter, and
+``inagaki`` with p = 0.5, over the label problems of the golden cases
+and a fixed seeded sweep of free, Shafer and hybrid problems with two or
+three sources, a quarter of them with mass on the empty set.  Each run is
+one JSON line: the CLI table's ``render()`` and ``to_json_dict()``, or
+the error the run raised.
+
+``diff`` prints, per selector, how many records differ in ``render()``
+and in the JSON, and the first difference of each kind.
+
+fusekit is imported from the path, so ``PYTHONPATH=<checkout>/src``
+snapshots that checkout.  The sweep's models and focal elements come
+from ``bench/gen.py``.  Standard library only.
+"""
+
+import json
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import gen  # noqa: E402
+
+SWEEP = 96
+_KINDS = ("free", "shafer", "hybrid")
+
+
+def _runs():
+    """(selector, parameter overrides) of every recorded rule."""
+    from fusekit.registry import resolve, selectors
+
+    runs = [(name, {}) for name in selectors()
+            if resolve(name).mode == "mass" and not resolve(name).needs]
+    return runs + [("inagaki", {"p": 0.5})]
+
+
+def _sweep():
+    """The seeded problems as (name, text)."""
+    rng = random.Random("fusekit-snapshot")
+    out = []
+    for i in range(SWEEP):
+        kind, n, s = _KINDS[i % 3], 3 + (i // 3) % 2, 2 + (i // 6) % 2
+        model = gen.make_model(rng, kind, n)
+        pool = gen.focal_pool(model)
+        lines = model.lines()
+        for j in range(s):
+            focal = gen.make_source(rng, pool, rng.randint(2, min(4, len(pool)))).focal
+            entries = [(text, v) for text, _, v in focal]
+            if i % 4 == j == 0:
+                share = rng.uniform(0.05, 0.3)
+                entries = [(text, v * (1.0 - share)) for text, v in entries]
+                entries.append((f"{model.names[0]}&~{model.names[0]}", share))
+            lines.append(f"source m{j + 1}: " + ", ".join(f"{t}={v!r}" for t, v in entries))
+        out.append((f"sweep-{i:03d}-{kind}-n{n}-s{s}", "\n".join(lines) + "\n"))
+    return out
+
+
+def _problems():
+    from fusekit.golden import GOLDEN_CASES
+
+    seen = set()
+    out = []
+    for case in GOLDEN_CASES:
+        if "frame-intervals:" not in case.text and case.text not in seen:
+            seen.add(case.text)
+            out.append((f"golden-{case.name}", case.text))
+    return out + _sweep()
+
+
+def write(path):
+    from fusekit.cli import build_table
+    from fusekit.errors import FusionError
+    from fusekit.golden import execute_problem
+    from fusekit.problem import parse_problem
+
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for name, text in _problems():
+            problem = parse_problem(text)
+            for selector, params in _runs():
+                record = {"problem": name, "selector": selector}
+                try:
+                    outcome = execute_problem(problem, selector, overrides=params)
+                    table = build_table(outcome, selector)
+                    record["render"] = table.render()
+                    record["json"] = table.to_json_dict(outcome)
+                except (FusionError, ValueError) as exc:
+                    record["error"] = f"{type(exc).__name__}: {exc}"
+                fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+                count += 1
+    print(f"{count} records to {path}")
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    return {(r["problem"], r["selector"]): r for r in records}
+
+
+def _first_json_difference(a, b, where="$"):
+    if type(a) is not type(b) or not isinstance(a, (dict, list)):
+        return None if a == b else f"{where}: {a!r} -> {b!r}"
+    if isinstance(a, dict):
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                return f"{where}.{key}: {a.get(key, '<absent>')!r} -> {b.get(key, '<absent>')!r}"
+            found = _first_json_difference(a[key], b[key], f"{where}.{key}")
+            if found:
+                return found
+        return None
+    for i, (x, y) in enumerate(zip(a, b)):
+        found = _first_json_difference(x, y, f"{where}[{i}]")
+        if found:
+            return found
+    return None if len(a) == len(b) else f"{where}: length {len(a)} -> {len(b)}"
+
+
+def _first_render_difference(a, b):
+    la, lb = a.split("\n"), b.split("\n")
+    for i, (x, y) in enumerate(zip(la, lb)):
+        if x != y:
+            return f"line {i + 1}: {x!r} -> {y!r}"
+    return f"{len(la)} lines -> {len(lb)} lines"
+
+
+def diff(path_a, path_b):
+    a, b = _load(path_a), _load(path_b)
+    stats = {}
+    for key in sorted(set(a) | set(b)):
+        selector = key[1]
+        entry = stats.setdefault(selector, {"records": 0, "render": [], "json": []})
+        entry["records"] += 1
+        ra, rb = a.get(key, {}), b.get(key, {})
+        if ra.get("render") != rb.get("render") or ra.get("error") != rb.get("error"):
+            if "render" in ra and "render" in rb:
+                what = _first_render_difference(ra["render"], rb["render"])
+            else:
+                what = f"{ra.get('error', '<no error>')} -> {rb.get('error', '<no error>')}"
+            entry["render"].append(f"{key[0]}: {what}")
+        if ra.get("json") != rb.get("json"):
+            entry["json"].append(f"{key[0]}: {_first_json_difference(ra.get('json'), rb.get('json'))}")
+    total = sum(e["records"] for e in stats.values())
+    changed = sum(1 for e in stats.values() if e["render"] or e["json"])
+    print(f"{total} records, {len(stats)} selectors, {changed} with differences")
+    for selector, entry in stats.items():
+        if not (entry["render"] or entry["json"]):
+            continue
+        print(f"{selector}: render {len(entry['render'])}, json {len(entry['json'])} "
+              f"of {entry['records']}")
+        for kind in ("render", "json"):
+            if entry[kind]:
+                print(f"  first {kind}: {entry[kind][0]}")
+    return 0
+
+
+def main(argv):
+    if len(argv) == 2 and argv[0] == "write":
+        write(argv[1])
+        return 0
+    if len(argv) == 3 and argv[0] == "diff":
+        return diff(argv[1], argv[2])
+    print("\n\n".join(__doc__.strip().split("\n\n")[:2]), file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
