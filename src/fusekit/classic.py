@@ -88,15 +88,13 @@ def _ignorance(frame):
 class Ledger:
     """Landed mass and the conflict audit trail of one combination.
 
-    A rule expands the sources' product, routes each conflicting
-    product (inline, or from the returned list once the whole product is
-    known), optionally transfers or normalises the pooled conflict, and
-    finishes into a FusionResult.  ``k12`` is the mass of every routed
-    product, ``lost`` what its partials booked to None, ``open_world``
-    what was left on the empty set for want of any admissible element.
+    A rule expands the sources' product (or a stored conjunctive
+    product), hands the conflicting products to its transfer, and
+    finishes into a FusionResult.  ``k12`` is the mass of every
+    conflicting product.
     """
 
-    __slots__ = ("frame", "sources", "acc", "partials", "k12", "lost", "open_world")
+    __slots__ = ("frame", "sources", "acc", "partials", "k12")
 
     def __init__(self, sources):
         self.sources = tuple(sources)
@@ -104,21 +102,20 @@ class Ledger:
         self.acc = {}
         self.partials = []
         self.k12 = 0.0
-        self.lost = 0.0
-        self.open_world = 0.0
 
-    def expand(self, route=None, land=_intersection_element, claim=None,
+    def expand(self, land=_intersection_element, claim=None,
                weight=lambda els, masses: math.prod(masses)):
-        """Book every product's landing; route or return the conflicting ones.
+        """Land every product and yield the conflicting ones.
 
         The one loop over focal products.  A product weighs
         ``weight(els, masses)``, by default the product of its masses,
         and is skipped at exactly zero.  It conflicts when its landing is
-        empty or ``claim(els, landing)`` holds.  With a ``route`` each is
-        routed as it comes, so mass lands in enumeration order; without
-        one they are returned as (operands, weight) pairs.
+        empty or ``claim(els, landing)`` holds, and is then yielded as
+        (operands, weight, landing).  Products land as the caller
+        iterates: a transfer that books each conflict as it comes books
+        in enumeration order, one that needs every landing first takes
+        ``list(conflicts)``.
         """
-        conflicts = []
         for combo in itertools.product(*(m.items() for m in self.sources)):
             els, masses = zip(*combo)
             p = weight(els, masses)
@@ -129,28 +126,32 @@ class Ledger:
                 _add(self.acc, landing, p)
                 continue
             self.k12 += p
-            if route is None:
-                conflicts.append((els, p))
+            yield els, p, landing
+
+    def stored(self, product):
+        """Land a stored conjunctive product, as ``expand`` lands the
+        sources' product: its empty-set mass is one conflict with no
+        operands, yielded where the product holds it."""
+        for el, p in product.items():
+            if el.is_empty:
+                self.k12 += p
+                yield (), p, el
             else:
-                route(els, p, landing)
-        return conflicts
+                _add(self.acc, el, p)
 
     def book(self, els, p, shares, basis="", note=""):
         """Land a product's shares; None is lost and NORMALISED divided out."""
         for dest, share in shares:
-            if dest is None:
-                self.lost += share
-            elif dest is not NORMALISED:
+            if dest is not None and dest is not NORMALISED:
                 _add(self.acc, dest, share)
         self.partials.append(Partial(els, p, tuple(shares), basis=basis, note=note))
 
-    def divide(self, els, p, landing=None):
+    def divide(self, els, p):
         """Book a product whose mass a later normalisation divides out."""
         self.book(els, p, ((NORMALISED, p),), "normalization", "divided out")
 
     def strand(self, els, p, note, basis=""):
-        """Leave a product on the empty set as open-world mass."""
-        self.open_world += p
+        """Leave a product on the empty set."""
         self.book(els, p, ((self.frame.empty(), p),), basis, note)
 
     def escalate(self, els, p, dest, note, basis="",
@@ -165,33 +166,56 @@ class Ledger:
             self.book(els, p, ((dest, p),), basis, note)
 
     def finish(self, rule, warnings=(), open_world="open-world mass on the empty set"):
-        """The result, with the open-world mass flagged under ``open_world``."""
-        warnings = tuple(warnings)
-        if self.open_world > 0.0:
-            warnings += (f"{open_world}: {self.open_world:.6f}",)
-        return FusionResult(
-            MassFunction(self.frame, self.acc),
-            ConflictReport(self.k12, tuple(self.partials)),
-            rule=rule,
-            warnings=warnings,
-            sources=self.sources,
-        )
+        """The result of the landed mass and the booked partials."""
+        return _result(rule, MassFunction(self.frame, self.acc), self.sources,
+                       ConflictReport(self.k12, tuple(self.partials)), warnings, open_world)
 
 
-def _unconflicted(combined, rule, sources, warnings=()):
-    """The result of a rule that produces no conflicting products."""
-    return FusionResult(combined, ConflictReport(0.0, ()), rule=rule,
-                        warnings=tuple(warnings), sources=tuple(sources))
+def _result(rule, combined, sources, conflict=ConflictReport(0.0), warnings=(),
+            open_world="open-world mass on the empty set", signed_masses=None):
+    """Every FusionResult: the rule's warnings, then any combined mass on
+    the empty set, flagged under ``open_world``."""
+    empty = combined.mass(combined.frame.empty())
+    if empty > 0.0:
+        warnings = (*warnings, f"{open_world}: {empty:.6f}")
+    return FusionResult(combined, conflict, rule=rule, warnings=tuple(warnings),
+                        sources=tuple(sources), signed_masses=signed_masses)
 
 
-def _retained(ledger, rule, note, land=_intersection_element):
-    """Expand with every empty landing left on the empty set."""
-    empty = ledger.frame.empty()
-    ledger.expand(lambda els, p, _: ledger.book(els, p, ((empty, p),), note=note), land)
-    return ledger.finish(rule)
+def _direct(rule, sources, transfer, land=_intersection_element, **params):
+    """Expand the sources' product and hand its conflicts to ``transfer``."""
+    ledger = Ledger(sources)
+    return ledger.finish(rule, transfer(ledger, ledger.expand(land), **params))
 
 
 # -- transfers shared by the direct rules and the incremental store --------
+#
+# A transfer takes the ledger and its conflicts, as ``Ledger.expand`` or
+# ``Ledger.stored`` yield them, books where their mass goes and returns
+# the rule's warnings.
+
+def _retain(ledger, conflicts, note="retained"):
+    """Leave every conflicting product on the empty set."""
+    for els, p, _ in conflicts:
+        ledger.strand(els, p, note)
+    return ()
+
+
+def _divide_out(ledger, conflicts):
+    """Dempster: divide every conflicting product out by normalising."""
+    for els, p, _ in conflicts:
+        ledger.divide(els, p)
+    _normalise(ledger)
+    return ()
+
+
+def _to_ignorance(ledger, conflicts):
+    """Yager: move every conflicting product to total ignorance."""
+    ignorance = _ignorance(ledger.frame)
+    for els, p, _ in conflicts:
+        ledger.book(els, p, ((ignorance, p),), note="to ignorance")
+    return ()
+
 
 def _normalise(ledger, message=None):
     """Dempster's normalisation of the landed mass; the total before it.
@@ -228,24 +252,32 @@ def _audit_pooled(ledger, conflicts, fractions, basis):
     """Book each product's part of a transfer already made in one pool:
     its mass split over the destinations by ``fractions`` (summing to 1)."""
     ledger.partials.extend(Partial(els, p, tuple((el, w * p) for el, w in fractions), basis=basis)
-                           for els, p in conflicts)
+                           for els, p, _ in conflicts)
 
 
-def _weight_transfer(ledger, witems):
-    """Give each weighted destination its weight's share of k12."""
+def _weigh(ledger, conflicts, weights):
+    """wo: give each weighted destination its weight's share of k12."""
+    witems = _declared_weights(ledger.frame, weights)
+    conflicts = list(conflicts)
     if ledger.k12 > 0.0:
         for el, w in witems:
             _add(ledger.acc, el, w * ledger.k12)
+    _audit_pooled(ledger, conflicts, witems, "declared weights")
+    return ()
 
 
-def _inagaki_scaling(ledger, p):
-    """Scale every landing by (1 + p*k12) and top ignorance up.
+def _inagaki(ledger, conflicts, p):
+    """Inagaki: scale every landing by (1 + p*k12) and top ignorance up;
+    book each conflicting product by what the scaling added to each element.
 
     Non-negative for every p inside the validated range; at the upper
     bound the cancellation can leave -1ulp, which must not reach the
-    bba constructor.
+    bba constructor.  The scaling adds k12 * (1 + p * (T - 1)), T the
+    product of the source totals, so on subnormal sources the rest of
+    each product, a share p * (1 - T), is lost.
     """
     ignorance = _ignorance(ledger.frame)
+    conflicts = list(conflicts)
     acc, k12 = ledger.acc, ledger.k12
     m_ign = acc.get(ignorance, 0.0)
     bound_den = 1.0 - k12 - m_ign
@@ -257,26 +289,32 @@ def _inagaki_scaling(ledger, p):
     out = {el: v * scale for el, v in acc.items() if el != ignorance}
     out[ignorance] = max(0.0, scale * m_ign + (scale - p) * k12)
     ledger.acc = out
+    gains = [(el, v - acc.get(el, 0.0)) for el, v in out.items() if v > acc.get(el, 0.0)]
+    total = math.fsum(g for _, g in gains)
+    fractions = [(el, g / total) for el, g in gains]
+    short = p * (1.0 - math.prod(m.total for m in ledger.sources))
+    if short > _EPS:
+        fractions = [(el, f * (1.0 - short)) for el, f in fractions] + [(None, short)]
+    _audit_pooled(ledger, conflicts, fractions, "inagaki scaling")
+    return ()
 
 
 # -- conjunctive family -------------------------------------------------
 
 def conjunctive(*sources):
     """Intersect focal elements pairwise; conflict stays on the empty set."""
-    return _retained(Ledger(sources), "conjunctive", "retained")
+    return _direct("conjunctive", sources, _retain)
 
 
 def dsm_classic(*sources):
     """Conjunctive combination on the free model: intersections are kept
     as elements in their own right, so nothing needs transferring."""
-    return replace(conjunctive(*sources), rule="dsmc")
+    return _direct("dsmc", sources, _retain)
 
 
 def smets_tbm(*sources):
     """Open-world conjunctive rule: conflicting mass stays on the empty set."""
-    ledger = Ledger(sources)
-    ledger.expand(lambda els, p, _: ledger.strand(els, p, "retained"))
-    return ledger.finish("smets")
+    return _direct("smets", sources, _retain)
 
 
 def dempster(*sources):
@@ -286,19 +324,12 @@ def dempster(*sources):
     1 - k12 for normal sources but stays meaningful for subnormal ones.
     Total conflict has no defined result and raises.
     """
-    ledger = Ledger(sources)
-    ledger.expand(ledger.divide)
-    _normalise(ledger)
-    return ledger.finish("dempster")
+    return _direct("dempster", sources, _divide_out)
 
 
 def yager(*sources):
     """Conjunctive rule with all conflicting mass moved to total ignorance."""
-    ledger = Ledger(sources)
-    ignorance = _ignorance(ledger.frame)
-    ledger.expand(lambda els, p, _: ledger.book(
-        els, p, ((ignorance, p),), note="to ignorance"))
-    return ledger.finish("yager")
+    return _direct("yager", sources, _to_ignorance)
 
 
 def dubois_prade(*sources):
@@ -312,19 +343,18 @@ def dubois_prade(*sources):
     """
     ledger = Ledger(sources)
     ignorance = ledger.frame.ignorance()
-
-    def route(els, p, _):
+    lost = 0.0
+    for els, p, _ in ledger.expand():
         recipients = _conflict_operands(els, ignorance)
         union = _union_element(recipients) if recipients else ledger.frame.empty()
         if union.is_empty:
+            lost += p
             ledger.book(els, p, ((None, p),), note="union also empty; lost")
         else:
             ledger.book(els, p, ((union, p),), note="to union")
-
-    ledger.expand(route)
     warnings = ()
-    if ledger.lost > 0.0:
-        warnings = (f"mass lost on fully empty products: {ledger.lost:.6f}",)
+    if lost > 0.0:
+        warnings = (f"mass lost on fully empty products: {lost:.6f}",)
     return ledger.finish("dubois-prade", warnings)
 
 
@@ -339,16 +369,13 @@ def dsm_hybrid(*sources):
     set (open world, flagged).
     """
     ledger = Ledger(sources)
-
-    def route(els, p, landing):
+    for els, p, landing in ledger.expand():
         if all(el.is_empty for el in els):
             ledger.escalate(els, p, _union_element([el.disjunctive() for el in els]),
                             "operands empty; to joint disjunctive form")
         else:
             ledger.escalate(els, p, landing.disjunctive(),
                             "to disjunctive form of the conflict")
-
-    ledger.expand(route)
     return ledger.finish("dsmh")
 
 
@@ -359,12 +386,7 @@ def weighted_operator(*sources, weights):
     summing to one.  Putting the whole weight on the empty element
     recovers the open-world rule; on total ignorance, Yager's rule.
     """
-    ledger = Ledger(sources)
-    witems = _declared_weights(ledger.frame, weights)
-    conflicts = ledger.expand()
-    _weight_transfer(ledger, witems)
-    _audit_pooled(ledger, conflicts, witems, "declared weights")
-    return ledger.finish("wo")
+    return _direct("wo", sources, _weigh, weights=weights)
 
 
 def inagaki(*sources, p):
@@ -375,22 +397,14 @@ def inagaki(*sources, p):
     rule; when nothing lands on ignorance, p = 1/(1 - k12) is
     Dempster's.  Conflict is booked by what the scaling added to each element.
     """
-    ledger = Ledger(sources)
-    conflicts = ledger.expand()
-    before = dict(ledger.acc)
-    _inagaki_scaling(ledger, p)
-    gains = [(el, v - before.get(el, 0.0)) for el, v in ledger.acc.items()
-             if v > before.get(el, 0.0)]
-    total = math.fsum(g for _, g in gains)
-    _audit_pooled(ledger, conflicts, [(el, g / total) for el, g in gains], "inagaki scaling")
-    return ledger.finish("inagaki")
+    return _direct("inagaki", sources, _inagaki, p=p)
 
 
 # -- disjunctive family ----------------------------------------------------
 
 def disjunctive(*sources):
     """Combine by unions: right when at least one source is reliable."""
-    return _retained(Ledger(sources), "disjunctive", "all operands empty", _union_element)
+    return _direct("disjunctive", sources, _retain, _union_element, note="all operands empty")
 
 
 def exclusive_disjunctive(*sources):
@@ -399,8 +413,8 @@ def exclusive_disjunctive(*sources):
     Products of semantically equal operands land on the empty set and
     are flagged as degenerate rather than silently dropped.
     """
-    return _retained(Ledger(sources), "xor", "xor-degenerate",
-                     lambda els: _joined("xor", els))
+    return _direct("xor", sources, _retain, lambda els: _joined("xor", els),
+                   note="xor-degenerate")
 
 
 # -- mixed connective combinations ----------------------------------------
@@ -449,15 +463,16 @@ def mixed(sources, expr):
     """
     if isinstance(expr, str):
         expr = parse_source_expr(expr)
-    ledger = Ledger(sources)
+    sources = tuple(sources)
+    _common_frame(sources)
     leaves = []
     _source_expr_leaves(expr, leaves)
-    if sorted(leaves) != list(range(1, len(ledger.sources) + 1)):
+    if sorted(leaves) != list(range(1, len(sources) + 1)):
         raise ValueError(
-            f"expression must use each of sources 1..{len(ledger.sources)} exactly once, got {sorted(leaves)}"
+            f"expression must use each of sources 1..{len(sources)} exactly once, got {sorted(leaves)}"
         )
-    return _retained(ledger, "mixed", "empty landing",
-                     lambda els: _eval_source_expr(expr, els).canonical())
+    return _direct("mixed", sources, _retain,
+                   lambda els: _eval_source_expr(expr, els).canonical(), note="empty landing")
 
 
 def conditional(m, hypothesis, rule="conjunctive", **params):

@@ -208,17 +208,12 @@ def build_table(outcome, rule):
         if result is not None:
             footer.append(("k12", result.conflict.k12))
             footer.append(("lost", result.conflict.lost))
-        empty_mass = combined.mass(frame.empty())
-        if empty_mass > 0.0:
-            warnings.append(f"open-world mass on the empty set: {empty_mass:.6f}")
 
     status = "normal" if abs(total - 1.0) <= _SUM_TOL else (
         "incomplete" if total < 1.0 else "paraconsistent"
     )
     if status != "normal":
         warnings.append(f"{status}: sum={total:.6f}")
-    # Rules may have flagged the same condition already.
-    warnings = list(dict.fromkeys(warnings))
     return ResultTable(header, rows, footer, status, warnings)
 
 

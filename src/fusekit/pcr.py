@@ -13,6 +13,7 @@ from .classic import (
     _EPS,
     Ledger,
     _conflict_operands,
+    _direct,
     _intersection_element,
     _subset_unions,
     _union_element,
@@ -58,12 +59,8 @@ def _pcr5_split(els, sources, p):
 
 
 # -- pooled transfers: the whole k12 goes out as one partial ---------------
-
-def _pooled(ledger, rule, transfer):
-    conflicts = ledger.expand()
-    warnings = transfer(ledger, conflicts) if ledger.k12 > 0.0 else ()
-    return ledger.finish(rule, warnings)
-
+#
+# Each runs once every product has landed, and only on conflict.
 
 def _by_columns(ledger, entries, basis, failure):
     shares = _proportional([(el, c) for el, c in entries if c > 0.0], ledger.k12)
@@ -74,31 +71,38 @@ def _by_columns(ledger, entries, basis, failure):
     return ()
 
 
-def _column_averages(ledger, conflicts=()):
-    """WAO: each focal column takes k12 times its average mass; the empty
-    column's share has no admissible recipient and is lost."""
+def _column_averages(ledger, conflicts):
+    """WAO: each focal column takes k12 times its average mass.  The empty
+    column's share has no admissible recipient, and on subnormal sources
+    the averages sum to the mean source total, short of one; both are lost."""
+    if not list(conflicts):
+        return ()
     matrix = MassMatrix(ledger.sources)
     s = len(ledger.sources)
-    lost_w = 0.0
+    empty_w = 0.0
     shares = []
     for el in matrix.columns():
         w = matrix.column_sum(el) / s
         if w <= 0.0:
             continue
         if el.is_empty:
-            lost_w += w
+            empty_w += w
         else:
             shares.append((el, w * ledger.k12))
+    short = 1.0 - math.fsum(m.total for m in ledger.sources) / s
+    lost_w = empty_w + short if short > _EPS else empty_w
     if lost_w > 0.0:
         shares.append((None, lost_w * ledger.k12))
     ledger.book((), ledger.k12, shares, "column averages", "pooled conflict")
-    if ledger.lost > _EPS:
-        return (f"column weight on empty elements lost: {ledger.lost:.6f}",)
+    if empty_w * ledger.k12 > _EPS:
+        return (f"column weight on empty elements lost: {empty_w * ledger.k12:.6f}",)
     return ()
 
 
-def _column_sums(ledger, conflicts=()):
+def _column_sums(ledger, conflicts):
     """PCR1: k12 split by the column sums of the non-empty focal elements."""
+    if not list(conflicts):
+        return ()
     matrix = MassMatrix(ledger.sources)
     entries = [(el, matrix.column_sum(el)) for el in matrix.columns() if not el.is_empty]
     return _by_columns(ledger, entries, "column sums",
@@ -107,9 +111,12 @@ def _column_sums(ledger, conflicts=()):
 
 def _involved_columns(ledger, conflicts):
     """PCR2: like PCR1, over the columns of operands some conflict involves."""
+    conflicts = list(conflicts)
+    if not conflicts:
+        return ()
     ignorance = ledger.frame.ignorance()
     involved = set()
-    for els, _ in conflicts:
+    for els, _, _ in conflicts:
         involved.update(_conflict_operands(els, ignorance))
     matrix = MassMatrix(ledger.sources)
     entries = [(el, matrix.column_sum(el))
@@ -125,7 +132,7 @@ def wao(*sources):
     masses the sources give it.  Whatever weight the averages give the
     empty column cannot be placed and is reported as lost.
     """
-    return _pooled(Ledger(sources), "wao", _column_averages)
+    return _direct("wao", sources, _column_averages)
 
 
 def pcr1(*sources):
@@ -137,12 +144,12 @@ def pcr1(*sources):
     short, keeping the total at exactly the sources' mass that named a
     non-empty element.
     """
-    return _pooled(Ledger(sources), "pcr1", _column_sums)
+    return _direct("pcr1", sources, _column_sums)
 
 
 def pcr2(*sources):
     """Like PCR1 but only elements involved in some conflict receive mass."""
-    return _pooled(Ledger(sources), "pcr2", _involved_columns)
+    return _direct("pcr2", sources, _involved_columns)
 
 
 # -- per-product splits: each conflicting product goes out on its own ------
@@ -154,9 +161,9 @@ def _split_each(ledger, rule, why, split):
     the empty set.  ``m12`` is the conjunctive result before any
     redistribution.
     """
-    conflicts = ledger.expand()
+    conflicts = list(ledger.expand())
     m12 = dict(ledger.acc)
-    for els, p in conflicts:
+    for els, p, _ in conflicts:
         shares, basis = split(els, p, m12)
         if shares:
             ledger.book(els, p, shares, basis)

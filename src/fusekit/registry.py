@@ -66,10 +66,10 @@ _register("xor", lambda ss, p: classic.exclusive_disjunctive(*ss))
 _register("mixed", lambda ss, p: classic.mixed(ss, p["expr"]), needs=("expr",))
 _register("conditional", _conditional, needs=("given",), min_sources=1, max_sources=1)
 _register("dempster", lambda ss, p: classic.dempster(*ss))
-_register("murphy", lambda ss, p: classic._unconflicted(
-    classic.murphy_average(*ss), "murphy", ss))
-_register("mixing", lambda ss, p: classic._unconflicted(
-    classic.weighted_mixing(ss, p["weights"]), "mixing", ss),
+_register("murphy", lambda ss, p: classic._result(
+    "murphy", classic.murphy_average(*ss), ss))
+_register("mixing", lambda ss, p: classic._result(
+    "mixing", classic.weighted_mixing(ss, p["weights"]), ss),
           needs=("weights",), min_sources=1)
 _register("dsmc", lambda ss, p: classic.dsm_classic(*ss))
 _register("dsmh", lambda ss, p: classic.dsm_hybrid(*ss))

@@ -12,12 +12,13 @@ from .classic import (
     _common_frame,
     _intersection_element,
     _normalise,
+    _result,
     _subset_unions,
     _union_element,
 )
 from .frame import degree_intersection, degree_union
 from .mass import MassFunction, Opinion
-from .result import ConflictReport, FusionResult, Partial
+from .result import ConflictReport, Partial
 
 # Full power-set enumeration is exponential; 12 hypotheses is already
 # 4096 subsets and well past any sane frame here.
@@ -48,9 +49,10 @@ def _degree_weighted(m1, m2, rule, what, degree, land, message, disjoint=None):
         return not els[0].atoms.isdisjoint(els[1].atoms)
 
     # The route never reads a disjoint pair's landing, so none is built.
-    ledger.expand(lambda els, p, _: disjoint(ledger, els, p),
-                  lambda els: land(els) if disjoint is None or meets(els) else ledger.frame.empty(),
-                  weight=lambda els, ms: (degree(*els) if meets(els) else 1.0) * math.prod(ms))
+    for els, p, _ in ledger.expand(
+            lambda els: land(els) if disjoint is None or meets(els) else ledger.frame.empty(),
+            weight=lambda els, ms: (degree(*els) if meets(els) else 1.0) * math.prod(ms)):
+        disjoint(ledger, els, p)
     _normalise(ledger, message)
     return ledger.finish(rule)
 
@@ -224,7 +226,8 @@ TCONORMS = {
 
 def _norm_fusion(m1, m2, fn, land, rule, zero_msg):
     ledger = Ledger((m1, m2))
-    ledger.expand(ledger.divide, land, weight=lambda els, ws: fn(*ws))
+    for els, p, _ in ledger.expand(land, weight=lambda els, ws: fn(*ws)):
+        ledger.divide(els, p)
     total = _normalise(ledger, zero_msg)
     warnings = ()
     if abs(total + ledger.k12 - 1.0) > 1e-9:
@@ -300,10 +303,9 @@ def cautious_commonality_min(m1, m2):
         )
     k12 = combined.mass(frame.empty())
     pooled = (Partial((), k12, ((frame.empty(), k12),), "commonality minimum", "pooled conflict"),)
-    return FusionResult(
-        combined, ConflictReport(k12, pooled if k12 > 0.0 else ()), rule="cautious",
-        warnings=warnings, sources=(m1, m2), signed_masses=signed_out,
-    )
+    return _result("cautious", combined, (m1, m2),
+                   ConflictReport(k12, pooled if k12 > 0.0 else ()), warnings,
+                   signed_masses=signed_out)
 
 
 # -- degree-improved rule variants ---------------------------------------

@@ -14,16 +14,15 @@ from dataclasses import dataclass, field, replace
 
 from .errors import FrameMismatchError, RuleError
 from .classic import (
-    _EPS,
     Ledger,
     _common_frame,
-    _declared_weights,
-    _ignorance,
-    _inagaki_scaling,
-    _normalise,
-    _unconflicted,
+    _divide_out,
+    _inagaki,
+    _result,
+    _retain,
+    _to_ignorance,
     _union_element,
-    _weight_transfer,
+    _weigh,
     conjunctive,
     disjunctive,
     exclusive_disjunctive,
@@ -32,6 +31,7 @@ from .classic import (
 )
 from .mass import MassFunction
 from .pcr import _column_averages, _column_sums, _pcr5_split
+from .registry import resolve, validate_call
 from .result import FusionResult
 
 _ATTITUDE_KINDS = (
@@ -160,7 +160,7 @@ def uft_combine(sources, config=None):
         return replace(mixed(sources, config.mixed_expr), rule="uft")
     if config.reliability == "statistical":
         weights = [1.0] * len(sources) if config.discounts is None else config.discounts
-        return _unconflicted(weighted_mixing(sources, weights), "uft", sources)
+        return _result("uft", weighted_mixing(sources, weights), sources)
 
     effective = sources
     if config.reliability == "discounts":
@@ -172,10 +172,8 @@ def uft_combine(sources, config=None):
             )
         if all(f == 0.0 for f in config.discounts):
             # Nothing trustworthy remains; only full ignorance is honest.
-            return _unconflicted(
-                MassFunction.vacuous(frame), "uft", sources,
-                warnings=("all sources fully unreliable; vacuous result",),
-            )
+            return _result("uft", MassFunction.vacuous(frame), sources,
+                           warnings=("all sources fully unreliable; vacuous result",))
         effective = tuple(m.discount(f) for m, f in zip(sources, config.discounts))
 
     for pair, att in config.pair_attitudes.items():
@@ -201,7 +199,8 @@ def uft_combine(sources, config=None):
             att = _UNION
         return att
 
-    def route(els, p, landing):
+    for els, p, landing in ledger.expand(
+            claim=lambda els, landing: attitude(els, landing) is not None):
         att = attitude(els, landing)
         basis = f"case {case}" if case else f"attitude {att.kind}"
         if att.kind == "keep":
@@ -240,7 +239,6 @@ def uft_combine(sources, config=None):
         else:
             raise RuleError("both-wrong needs recipient elements in a closed world")
 
-    ledger.expand(route, claim=lambda els, landing: attitude(els, landing) is not None)
     result = ledger.finish("uft", open_world=(
         "mass on the empty set in a closed world" if config.world == "closed"
         else "open-world mass on the empty set"))
@@ -267,11 +265,9 @@ def dynamic_update(state, new_empty, transfer_rule="dsmh", **params):
     is a FusionResult carrying its sources, those are re-evaluated on
     the tightened frame and the transfer rule is re-run; a bare bba is
     re-routed by combining with the vacuous bba under the same rule.
-    A rule without a conflict clause leaves mass on the empty set; that
-    mass is surfaced with a warning, never dropped.
+    A rule without a conflict clause leaves mass on the empty set; the
+    result's own warning surfaces it.
     """
-    from .registry import resolve
-
     if isinstance(state, FusionResult):
         frame = state.combined.frame
     elif isinstance(state, MassFunction):
@@ -289,27 +285,24 @@ def dynamic_update(state, new_empty, transfer_rule="dsmh", **params):
         m = state.combined if isinstance(state, FusionResult) else state
         new_sources = [m.on_frame(tightened), MassFunction.vacuous(tightened)]
     result = spec.combine(new_sources, dict(params))
-    warnings = list(result.warnings)
-    leftover = result.combined.mass(tightened.empty())
-    if leftover > _EPS and not any("empty set" in w for w in warnings):
-        warnings.append(
-            f"transfer rule {transfer_rule!r} left mass on the empty set: {leftover:.6f}"
-        )
+    warnings = result.warnings
     total = result.combined.total
     if total < 1.0 - 1e-9:
-        warnings.append(f"incomplete: sum={total:.6f}")
+        warnings += (f"incomplete: sum={total:.6f}",)
     return replace(result, rule=result.rule or transfer_rule,
-                   warnings=tuple(warnings), sources=tuple(new_sources))
+                   warnings=warnings, sources=tuple(new_sources))
 
 
 # -- quasi-associative combining ---------------------------------------------
 
-# Rules whose transfer step needs only the running conjunctive product
-# (plus the source list for column statistics).
-_STORE_RULES = frozenset({
-    "conjunctive", "dsmc", "smets", "yager", "dempster", "wo", "inagaki",
-    "pcr1", "wao",
-})
+# Rules whose transfer needs only the running conjunctive product (plus
+# the source list for column statistics): each runs the direct rule's
+# transfer on the stored product.
+_STORE_RULES = {
+    "conjunctive": _retain, "dsmc": _retain, "smets": _retain,
+    "dempster": _divide_out, "yager": _to_ignorance, "wo": _weigh,
+    "inagaki": _inagaki, "pcr1": _column_sums, "wao": _column_averages,
+}
 # Conjunctive-based rules whose transfer needs the per-product conflict
 # structure; they are recomputed from the stored source list.
 _RECOMPUTE_RULES = frozenset({
@@ -357,55 +350,27 @@ class QuasiAssociativeState:
         return f"QuasiAssociativeState({len(self.sources)} sources)"
 
 
-def _transfer_from_store(state, rule, params):
-    """Apply a rule's conflict transfer to the stored conjunctive."""
-    product = state.product
-    ledger = Ledger(state.sources)
-    ledger.k12 = product.mass(state.frame.empty())
-    if rule in ("conjunctive", "dsmc", "smets"):
-        ledger.acc = dict(product.items())
-        if rule == "smets":
-            ledger.open_world = ledger.k12
-        return ledger.finish(rule)
-    ledger.acc = {el: v for el, v in product.items() if not el.is_empty}
-    warnings = ()
-    if rule == "dempster":
-        _normalise(ledger)
-    elif rule == "yager":  # wo with the whole weight on total ignorance
-        _weight_transfer(ledger, ((_ignorance(state.frame), 1.0),))
-    elif rule == "wo":
-        if params.get("weights") is None:
-            raise ValueError("wo needs element weights")
-        _weight_transfer(ledger, _declared_weights(state.frame, params["weights"]))
-    elif rule == "inagaki":
-        if params.get("p") is None:
-            raise ValueError("inagaki needs the parameter p")
-        _inagaki_scaling(ledger, params["p"])
-    elif ledger.k12 > 0.0:
-        transfer = _column_sums if rule == "pcr1" else _column_averages
-        warnings = transfer(ledger)
-    return ledger.finish(rule, warnings)
-
-
 def quasi_associative_combine(state, new, rule="dempster", **params):
     """Add one source to the running state and re-apply the rule.
 
     Returns (new state, FusionResult).  Equals the direct s-ary
-    computation for store-based rules; per-product rules are recomputed
-    over the stored source list.
+    computation for store-based rules, whose k12 is booked as one
+    pooled partial; per-product rules are recomputed over the stored
+    source list.
     """
-    from .registry import resolve
-
     if not isinstance(state, QuasiAssociativeState):
         state = QuasiAssociativeState.start(state)
     if rule not in _STORE_RULES and rule not in _RECOMPUTE_RULES:
         raise RuleError(
             f"rule {rule!r} is not conjunctive-based; incremental combining is undefined"
         )
+    spec = resolve(rule)
+    validate_call(spec, len(state.sources) + 1, params)
     state = state.append(new)
-    if rule in _STORE_RULES:
-        result = _transfer_from_store(state, rule, params)
-    else:
-        spec = resolve(rule)
-        result = spec.combine(list(state.sources), dict(params))
-    return state, replace(result, rule=result.rule or rule, sources=state.sources)
+    transfer = _STORE_RULES.get(rule)
+    if transfer is None:
+        return state, spec.combine(list(state.sources), dict(params))
+    ledger = Ledger(state.sources)
+    warnings = transfer(ledger, ledger.stored(state.product),
+                        **{key: params[key] for key in spec.needs})
+    return state, ledger.finish(rule, warnings)

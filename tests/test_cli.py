@@ -1,6 +1,7 @@
 """Command line behavior: tables, exports, exit codes, enumerate, verify."""
 
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -348,3 +349,28 @@ def test_conjunctive_run_flags_the_open_world_mass(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--rule", "conjunctive", "--input", str(src))
     assert code == 0
     assert "WARN open-world mass on the empty set: 0.180000" in out.splitlines()
+
+
+def test_closed_world_uft_run_warns_once(tmp_path, capsys):
+    src = tmp_path / "uft.txt"
+    src.write_text("frame: A B\nmodel: shafer\nsource m1: A=0.9, A|B=0.1\n"
+                   "source m2: B=0.6, A|B=0.4\nscenario: case 1.1.1\n")
+    code, out, _ = run_cli(capsys, "--rule", "uft", "--input", str(src))
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("WARN")] == [
+        "WARN mass on the empty set in a closed world: 0.540000"]
+
+
+def test_readme_dubois_prade_block_is_what_the_cli_prints(tmp_path, capsys):
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    blocks = re.findall(r"^```\w*\n(.*?)^```$", readme.read_text(encoding="utf-8"),
+                        re.S | re.M)
+    problem = next(b for b in blocks if b.startswith("frame: A B C\n"))
+    command, _, printed = next(
+        b for b in blocks if b.startswith("$ fuse --rule dubois-prade")).partition("\n")
+    src = tmp_path / "dp.txt"
+    src.write_text(problem)
+    assert command == "$ fuse --rule dubois-prade --input dp.txt"
+    code, out, _ = run_cli(capsys, "--rule", "dubois-prade", "--input", str(src))
+    assert code == 0
+    assert out == printed

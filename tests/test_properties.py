@@ -461,3 +461,20 @@ def test_every_ledger_passes_the_audit(sources):
             except (TotalConflictError, RuleError):
                 continue
             assert oracles.audit(out, srcs) == [], (selector, count)
+
+
+_STORE_RULES = ("conjunctive", "dsmc", "smets", "dempster", "yager", "wo", "inagaki",
+                "pcr1", "wao")
+
+
+@given(audit_sources())
+def test_every_store_ledger_passes_the_audit(sources):
+    for rule in _STORE_RULES:
+        params = _audit_params(rule, sources[0].frame, 3)
+        state = sources[0]
+        try:
+            for m in sources[1:]:
+                state, out = quasi_associative_combine(state, m, rule, **params)
+        except (TotalConflictError, RuleError):
+            continue
+        assert oracles.audit(out, sources) == [], rule

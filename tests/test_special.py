@@ -239,7 +239,7 @@ def test_cautious_worked_case(shafer2):
     assert out.combined.mass(shafer2.empty()) == pytest.approx(0.1, abs=1e-12)
     assert out.conflict.k12 == pytest.approx(0.1, abs=1e-12)
     assert out.signed_masses is None
-    assert out.warnings == ()
+    assert out.warnings == ("open-world mass on the empty set: 0.100000",)
 
 
 def test_cautious_idempotent(shafer2):

@@ -29,6 +29,7 @@ from fusekit import (
     weighted_operator,
     yager,
 )
+from fusekit.registry import resolve, validate_call
 from fusekit.uft import CASE_TO_KIND, _ATTITUDE_KINDS
 
 import oracles
@@ -326,7 +327,7 @@ def test_dynamic_update_surfaces_leftover_empty_mass():
     first = conjunctive(m1, m2)
     updated = dynamic_update(first, ["A&B"], transfer_rule="conjunctive")
     assert updated.combined.mass(updated.combined.frame.empty()) == pytest.approx(0.18)
-    assert any("left mass on the empty set" in w for w in updated.warnings)
+    assert updated.warnings == ("open-world mass on the empty set: 0.180000",)
 
 
 def test_dynamic_update_rejects_other_types():
@@ -471,3 +472,42 @@ def test_dynamic_update_flags_the_incomplete_total():
     out = dynamic_update(dubois_prade(m1, m2), ["C"], transfer_rule="dubois-prade")
     assert out.combined.total == pytest.approx(0.88, abs=1e-12)
     assert "incomplete: sum=0.880000" in out.warnings
+
+
+@pytest.mark.parametrize("rule,params,total", [
+    ("inagaki", {"p": 0.5}, 0.678),
+    ("wao", {}, 0.675),
+])
+def test_subnormal_sources_book_the_missing_mass_as_lost(rule, params, total):
+    # The sources' totals multiply to 0.72; the transfer hands out less
+    # than k12 and the rest must appear as lost, on both paths.
+    f = Frame.shafer(("A", "B", "C"))
+    m1 = MassFunction(f, {"A": 0.5, "B": 0.3})
+    m2 = MassFunction(f, {"B": 0.6, "A|B|C": 0.3})
+    direct = resolve(rule).combine([m1, m2], params)
+    _, stored = quasi_associative_combine(m1, m2, rule=rule, **params)
+    for out in (direct, stored):
+        assert out.combined.total == pytest.approx(total, abs=1e-12)
+        assert out.conflict.lost == pytest.approx(0.72 - total, abs=1e-12)
+        assert oracles.audit(out, (m1, m2)) == []
+    assert oracles.delta(oracles.plain(stored.combined), oracles.plain(direct.combined)) < 1e-12
+
+
+@pytest.mark.parametrize("rule,key", [("wo", "weights"), ("inagaki", "p")])
+def test_incremental_missing_parameter_raises_the_registry_error(stream, rule, key):
+    m1, m2, _ = stream
+    with pytest.raises(RuleError) as expected:
+        validate_call(resolve(rule), 2, {})
+    with pytest.raises(RuleError) as raised:
+        quasi_associative_combine(m1, m2, rule=rule)
+    assert str(raised.value) == str(expected.value) == f"rule {rule!r} needs parameter {key!r}"
+
+
+def test_incremental_yager_prints_like_the_direct_rule():
+    f = Frame.shafer(("A", "B", "C")).constrain("C")
+    m1 = MassFunction(f, {"A": 0.2, "B": 0.4, "C": 0.3, "A|B": 0.1})
+    m2 = MassFunction(f, {"A": 0.1, "B": 0.3, "C": 0.4, "A|B": 0.2})
+    _, stored = quasi_associative_combine(m1, m2, rule="yager")
+    direct = yager(m1, m2)
+    assert [el.display for el in stored.combined] == [el.display for el in direct.combined]
+    assert f.ignorance().display in [el.display for el in stored.combined]

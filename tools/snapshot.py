@@ -6,9 +6,12 @@
 ``write`` runs every mass-mode selector that takes no parameter, and
 ``inagaki`` with p = 0.5, over the label problems of the golden cases
 and a fixed seeded sweep of free, Shafer and hybrid problems with two or
-three sources, a quarter of them with mass on the empty set.  Each run is
-one JSON line: the CLI table's ``render()`` and ``to_json_dict()``, or
-the error the run raised.
+three sources, a quarter of them with mass on the empty set.  It also
+runs the nine rules of the quasi-associative store (selector
+``store:<rule>``), appending the sources in order; ``wo`` puts weight
+0.5 on total ignorance and 0.5 on the empty set, ``inagaki`` takes
+p = 0.5.  Each run is one JSON line: the CLI table's ``render()`` and
+``to_json_dict()``, or the error the run raised.
 
 ``diff`` prints, per selector, how many records differ in ``render()``
 and in the JSON, and the first difference of each kind.
@@ -29,6 +32,8 @@ import gen  # noqa: E402
 
 SWEEP = 96
 _KINDS = ("free", "shafer", "hybrid")
+_STORE_RULES = ("conjunctive", "dsmc", "smets", "dempster", "yager", "wo", "inagaki",
+                "pcr1", "wao")
 
 
 def _runs():
@@ -73,20 +78,44 @@ def _problems():
     return out + _sweep()
 
 
+def _store_params(rule, frame):
+    if rule == "wo":
+        return {"weights": {frame.ignorance(): 0.5, frame.empty(): 0.5}}
+    return {"p": 0.5} if rule == "inagaki" else {}
+
+
+def _store(problem, rule):
+    """The store's result after appending the problem's sources in order."""
+    from fusekit.golden import Outcome
+    from fusekit.uft import quasi_associative_combine
+
+    frame = problem.final_frame()
+    sources = problem.final_sources()
+    state = sources[0]
+    for m in sources[1:]:
+        state, result = quasi_associative_combine(state, m, rule, **_store_params(rule, frame))
+    return Outcome("mass", frame=frame, combined=result.combined, result=result,
+                   warnings=result.warnings)
+
+
 def write(path):
     from fusekit.cli import build_table
     from fusekit.errors import FusionError
     from fusekit.golden import execute_problem
     from fusekit.problem import parse_problem
 
+    runs = _runs() + [(f"store:{rule}", None) for rule in _STORE_RULES]
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for name, text in _problems():
             problem = parse_problem(text)
-            for selector, params in _runs():
+            for selector, params in runs:
                 record = {"problem": name, "selector": selector}
                 try:
-                    outcome = execute_problem(problem, selector, overrides=params)
+                    if params is None:
+                        outcome = _store(problem, selector.partition(":")[2])
+                    else:
+                        outcome = execute_problem(problem, selector, overrides=params)
                     table = build_table(outcome, selector)
                     record["render"] = table.render()
                     record["json"] = table.to_json_dict(outcome)
