@@ -274,8 +274,13 @@ def _inagaki(ledger, conflicts, p):
     bound the cancellation can leave -1ulp, which must not reach the
     bba constructor.  The scaling adds k12 * (1 + p * (T - 1)), T the
     product of the source totals, so on subnormal sources the rest of
-    each product, a share p * (1 - T), is lost.
+    each product, a share p * (1 - T), is lost; past T = 1 it would hand
+    out more than k12, so such sources raise.
     """
+    product = math.prod(m.total for m in ledger.sources)
+    if product > 1.0 + _EPS:
+        raise RuleError(f"inagaki needs source totals whose product is at most 1, "
+                        f"got {product:.6g}")
     ignorance = _ignorance(ledger.frame)
     conflicts = list(conflicts)
     acc, k12 = ledger.acc, ledger.k12
@@ -292,7 +297,7 @@ def _inagaki(ledger, conflicts, p):
     gains = [(el, v - acc.get(el, 0.0)) for el, v in out.items() if v > acc.get(el, 0.0)]
     total = math.fsum(g for _, g in gains)
     fractions = [(el, g / total) for el, g in gains]
-    short = p * (1.0 - math.prod(m.total for m in ledger.sources))
+    short = p * (1.0 - product)
     if short > _EPS:
         fractions = [(el, f * (1.0 - short)) for el, f in fractions] + [(None, short)]
     _audit_pooled(ledger, conflicts, fractions, "inagaki scaling")

@@ -391,15 +391,25 @@ class Element:
 
     Semantic identity is the atom-set: two elements are equal exactly
     when they denote the same atoms of the same frame, whatever their
-    expressions look like.  Instances are immutable by convention.
+    expressions look like.  Instances are immutable by convention.  The
+    expression of a ``canonical()`` element is reduced on first read of
+    ``expr`` (or ``display``) and kept.
     """
 
-    __slots__ = ("frame", "atoms", "expr")
+    __slots__ = ("frame", "atoms", "_expr", "_unreduced")
 
     def __init__(self, frame, atoms, expr):
         self.frame = frame
         self.atoms = frozenset(atoms)
-        self.expr = expr
+        self._expr = expr
+        self._unreduced = None
+
+    @property
+    def expr(self):
+        if self._unreduced is not None:
+            self._expr = _canonical_expr(self.frame, self._unreduced)
+            self._unreduced = None
+        return self._expr
 
     def __eq__(self, other):
         return (
@@ -459,8 +469,12 @@ class Element:
         Within an intersection any operand that covers another is
         dropped; within a union any operand covered by another is
         dropped.  Nested chains of one connective are flattened first.
+        The reduction runs on the first read of the new element's
+        ``expr``, so landings nothing displays never pay for it.
         """
-        return Element(self.frame, self.atoms, _canonical_expr(self.frame, self.expr))
+        el = Element(self.frame, self.atoms, None)
+        el._unreduced = self.expr
+        return el
 
     def disjunctive(self):
         """The disjunctive form: every connective replaced by union.

@@ -18,6 +18,7 @@ from .classic import (
     _subset_unions,
     _union_element,
 )
+from .errors import RuleError
 from .frame import _disjunctive_labels
 from .mass import MassMatrix
 
@@ -74,11 +75,15 @@ def _by_columns(ledger, entries, basis, failure):
 def _column_averages(ledger, conflicts):
     """WAO: each focal column takes k12 times its average mass.  The empty
     column's share has no admissible recipient, and on subnormal sources
-    the averages sum to the mean source total, short of one; both are lost."""
+    the averages sum to the mean source total, short of one; both are lost.
+    A mean total above one would hand out more than k12, so it raises."""
+    s = len(ledger.sources)
+    mean = math.fsum(m.total for m in ledger.sources) / s
+    if mean > 1.0 + _EPS:
+        raise RuleError(f"wao needs a mean source total of at most 1, got {mean:.6g}")
     if not list(conflicts):
         return ()
     matrix = MassMatrix(ledger.sources)
-    s = len(ledger.sources)
     empty_w = 0.0
     shares = []
     for el in matrix.columns():
@@ -89,7 +94,7 @@ def _column_averages(ledger, conflicts):
             empty_w += w
         else:
             shares.append((el, w * ledger.k12))
-    short = 1.0 - math.fsum(m.total for m in ledger.sources) / s
+    short = 1.0 - mean
     lost_w = empty_w + short if short > _EPS else empty_w
     if lost_w > 0.0:
         shares.append((None, lost_w * ledger.k12))

@@ -260,14 +260,33 @@ def _close(a, b, tol=1e-9):
     return abs(a - b) <= tol * max(1.0, abs(b))
 
 
-def audit(result, sources):
+def _expected_total(rule, sources, params):
+    """The total a rule's output plus its lost mass must reach.
+
+    Mixing averages the sources, so the mean of their totals under the
+    mixing weights; the cautious rule takes the minimum of the sources'
+    commonalities, and q(empty) is a source's total; every other rule
+    multiplies the sources' totals.
+    """
+    totals = [m.total for m in sources]
+    if rule in ("mixing", "murphy"):
+        weights = params.get("weights") or [1.0] * len(totals)
+        return math.fsum(w * t for w, t in zip(weights, totals)) / math.fsum(weights)
+    if rule == "cautious":
+        return min(totals)
+    return math.prod(totals)
+
+
+def audit(result, sources, params=None):
     """What a fusion result's ledger fails to account for, as messages.
 
     (a) each partial's shares sum to its mass; (b) the partials' masses
     sum to k12; (c) a renormalising rule's total is one with nothing
-    lost, the cautious rule's signed total is the product of the source
-    totals, and any other rule's total plus its lost mass is that
-    product.  A None destination is lost mass.
+    lost, the cautious rule's signed total is the expected total, and
+    any other rule's total plus its lost mass is that total: the product
+    of the source totals, their mean under mixing (weighted by the
+    ``weights`` of the rule's ``params``) or their minimum under the
+    cautious rule.  A None destination is lost mass.
     """
     problems = []
     conflict = result.conflict
@@ -279,15 +298,15 @@ def audit(result, sources):
     if not _close(booked, conflict.k12):
         problems.append(f"(b) partials sum to {booked!r}, k12 is {conflict.k12!r}")
     lost = math.fsum(v for p in conflict.partials for dest, v in p.shares if dest is None)
-    product = math.prod(m.total for m in sources)
+    expected = _expected_total(result.rule, sources, params or {})
     total = result.combined.total
     if _renormalises(result.rule):
         if not (_close(total, 1.0) and _close(lost, 0.0)):
             problems.append(f"(c) renormalised total {total!r} with {lost!r} lost")
     elif result.signed_masses is not None:
         signed = math.fsum(result.signed_masses.values())
-        if not _close(signed, product):
-            problems.append(f"(c) signed total {signed!r}, the sources' product is {product!r}")
-    elif not _close(total + lost, product):
-        problems.append(f"(c) total {total!r} + lost {lost!r}, the sources' product is {product!r}")
+        if not _close(signed, expected):
+            problems.append(f"(c) signed total {signed!r}, expected {expected!r}")
+    elif not _close(total + lost, expected):
+        problems.append(f"(c) total {total!r} + lost {lost!r}, expected {expected!r}")
     return problems

@@ -1,21 +1,30 @@
 """Frame construction, expression algebra, and degree measures."""
 
+import itertools
+import random
+
 import pytest
 
+from fusekit import frame as frame_module
 from fusekit import (
     Element,
     Frame,
     FrameMismatchError,
     FrameTooLargeError,
+    MassFunction,
     NotASubsetError,
     ParseError,
     UndefinedDegreeError,
     UnknownLabelError,
+    conjunctive,
     degree_inclusion,
     degree_intersection,
     degree_union,
 )
+from fusekit.cli import build_table
 from fusekit.frame import parse_expression_text, render_expression
+from fusekit.golden import GOLDEN_CASES, Outcome
+from fusekit.problem import parse_problem
 
 
 def test_frame_requires_two_unique_alnum_names():
@@ -122,6 +131,59 @@ def test_canonical_absorption():
     # Flattening merges nested chains of one connective.
     el = f.parse("A|(B|C)").canonical()
     assert el.display == "A|B|C"
+
+
+def _counting_reductions(monkeypatch):
+    """Count top-level expression reductions; nested calls are one."""
+    calls = []
+    real = frame_module._canonical_expr
+    depth = [0]
+
+    def counting(frame, expr):
+        if not depth[0]:
+            calls.append(expr)
+        depth[0] += 1
+        try:
+            return real(frame, expr)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(frame_module, "_canonical_expr", counting)
+    return calls
+
+
+def test_landings_are_reduced_only_when_read(monkeypatch):
+    # A Shafer pair with 40 focal unions of up to three of 8 hypotheses
+    # each: 1600 products, 633 of them landing empty.
+    f = Frame.shafer(tuple("ABCDEFGH"))
+    rng = random.Random(8)
+    unions = ["|".join(combo) for r in (1, 2, 3) for combo in itertools.combinations(f.names, r)]
+    m1, m2 = (MassFunction(f, {text: rng.random() for text in rng.sample(unions, 40)}).normalize()
+              for _ in range(2))
+    calls = _counting_reductions(monkeypatch)
+    out = conjunctive(m1, m2)
+    assert len(out.conflict.partials) > 600
+    assert calls == []
+    table = build_table(Outcome("mass", frame=f, combined=out.combined, result=out,
+                                warnings=out.warnings), "conjunctive")
+    table.render()
+    assert 0 < len(calls) <= len(out.combined)
+
+
+def test_lazy_reduction_yields_the_eager_expression():
+    for case in GOLDEN_CASES:
+        problem = parse_problem(case.text)
+        if problem.interval:
+            continue
+        frame = problem.final_frame()
+        focals = [el for m in problem.final_sources() for el in m]
+        for x, y in itertools.product(focals, repeat=2):
+            for joined in (x & y, x | y, ~x ^ y):
+                lazy = joined.canonical()
+                eager = frame_module._canonical_expr(frame, joined.expr)
+                assert lazy.expr == eager
+                assert lazy.atoms == joined.atoms
+                assert lazy.canonical().expr == frame_module._canonical_expr(frame, eager)
 
 
 def test_disjunctive_form_replaces_connectives_with_union():

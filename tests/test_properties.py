@@ -418,13 +418,16 @@ _AUDIT_FRAMES = tuple(
 
 @st.composite
 def audit_sources(draw):
+    """Three sources, each normal or subnormal with a total in [0.5, 1)."""
     frame, elements = draw(st.sampled_from(_AUDIT_FRAMES))
     sources = []
     for _ in range(3):
         els = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=4, unique=True))
         weights = draw(st.lists(st.integers(min_value=1, max_value=100),
                                 min_size=len(els), max_size=len(els)))
-        sources.append(MassFunction(frame, {el: w / sum(weights)
+        total = draw(st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=1.0,
+                                                         exclude_max=True)))
+        sources.append(MassFunction(frame, {el: total * w / sum(weights)
                                             for el, w in zip(els, weights)}))
     return sources
 
@@ -433,7 +436,7 @@ def _audit_params(selector, frame, count):
     return {
         "wo": {"weights": {frame.ignorance(): 0.5, frame.empty(): 0.5}},
         "inagaki": {"p": 0.5},
-        "mixing": {"weights": [1.0] * count},
+        "mixing": {"weights": [1.0, 2.0, 3.0][:count]},
         "conditional": {"given": "A"},
         "mixed": {"expr": "(1&2)|3"},
     }.get(selector, {})
@@ -456,11 +459,12 @@ def test_every_ledger_passes_the_audit(sources):
             continue
         for count in _audit_counts(spec):
             srcs = sources[:count]
+            params = _audit_params(selector, srcs[0].frame, count)
             try:
-                out = spec.combine(srcs, _audit_params(selector, srcs[0].frame, count))
+                out = spec.combine(srcs, params)
             except (TotalConflictError, RuleError):
                 continue
-            assert oracles.audit(out, srcs) == [], (selector, count)
+            assert oracles.audit(out, srcs, params) == [], (selector, count)
 
 
 _STORE_RULES = ("conjunctive", "dsmc", "smets", "dempster", "yager", "wo", "inagaki",

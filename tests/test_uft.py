@@ -493,6 +493,31 @@ def test_subnormal_sources_book_the_missing_mass_as_lost(rule, params, total):
     assert oracles.delta(oracles.plain(stored.combined), oracles.plain(direct.combined)) < 1e-12
 
 
+# Totals 1.2 and 1.1; then 1.3 and 0.75, a product under one with a mean
+# above it, where only wao's column averages (summing to the mean) overshoot.
+_SUPERADDITIVE = ({"A": 0.7, "B": 0.5}, {"B": 0.6, "A|B|C": 0.5})
+_MEAN_ABOVE_ONE = ({"A": 0.8, "B": 0.5}, {"B": 0.45, "A|B|C": 0.3})
+
+
+@pytest.mark.parametrize("pair,rule,params,raises", [
+    (_SUPERADDITIVE, "inagaki", {"p": 0.5}, True),
+    (_SUPERADDITIVE, "wao", {}, True),
+    (_MEAN_ABOVE_ONE, "inagaki", {"p": 0.5}, False),
+    (_MEAN_ABOVE_ONE, "wao", {}, True),
+])
+def test_sources_whose_transfer_would_overshoot_k12_raise(pair, rule, params, raises):
+    f = Frame.shafer(("A", "B", "C"))
+    m1, m2 = (MassFunction(f, masses) for masses in pair)
+    runs = (lambda: resolve(rule).combine([m1, m2], params),
+            lambda: quasi_associative_combine(m1, m2, rule=rule, **params)[1])
+    for run in runs:
+        if raises:
+            with pytest.raises(RuleError, match="at most 1"):
+                run()
+        else:
+            assert oracles.audit(run(), (m1, m2)) == []
+
+
 @pytest.mark.parametrize("rule,key", [("wo", "weights"), ("inagaki", "p")])
 def test_incremental_missing_parameter_raises_the_registry_error(stream, rule, key):
     m1, m2, _ = stream
