@@ -46,7 +46,7 @@ from .frame import (
     degree_union,
 )
 from .golden import GOLDEN_CASES, execute_problem, verify_golden
-from .mass import MassFunction, MassMatrix, Opinion
+from .mass import MassFunction, Opinion
 from .pcr import minc, pcr1, pcr2, pcr3, pcr4, pcr5, wao
 from .problem import ProblemFile, parse_problem, scenario_config
 from .registry import resolve, selectors
@@ -87,7 +87,6 @@ __all__ = [
     "IntervalElement",
     "IntervalMassFunction",
     "MassFunction",
-    "MassMatrix",
     "NotASubsetError",
     "Opinion",
     "ParseError",

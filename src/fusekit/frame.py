@@ -255,7 +255,15 @@ class Frame:
 
     @property
     def empty_atoms(self):
-        """The candidate atoms the model declares empty (built on each call)."""
+        """The candidate atoms the model declares empty (built on each call).
+
+        Past FREE_FRAME_GUARD hypotheses the 2^n candidates are not built.
+        """
+        if self.n > FREE_FRAME_GUARD:
+            raise FrameTooLargeError(
+                f"empty atoms are enumerated up to {FREE_FRAME_GUARD} hypotheses, "
+                f"frame has {self.n}"
+            )
         return frozenset(range(1, 1 << self.n)) - self._surviving
 
     @property

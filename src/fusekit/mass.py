@@ -221,35 +221,6 @@ class MassFunction:
         return Opinion(b, d, u, atomicity)
 
 
-class MassMatrix:
-    """Several sources over one frame, read column-wise."""
-
-    __slots__ = ("frame", "sources")
-
-    def __init__(self, sources):
-        sources = tuple(sources)
-        if not sources:
-            raise ValueError("a mass matrix needs at least one source")
-        frame = sources[0].frame
-        for m in sources[1:]:
-            if m.frame != frame:
-                raise FrameMismatchError("sources over different frames")
-        self.frame = frame
-        self.sources = sources
-
-    def column_sum(self, element):
-        """Sum of the element's mass down all sources."""
-        return math.fsum(m.mass(element) for m in self.sources)
-
-    def columns(self):
-        """Column sums for every element focal in at least one source."""
-        out = {}
-        for m in self.sources:
-            for el, v in m.items():
-                out[el] = out.get(el, 0.0) + v
-        return out
-
-
 @dataclass(frozen=True)
 class Opinion:
     """A binary opinion: belief, disbelief, uncertainty and relative atomicity."""

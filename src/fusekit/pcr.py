@@ -20,7 +20,15 @@ from .classic import (
 )
 from .errors import RuleError
 from .frame import _disjunctive_labels
-from .mass import MassMatrix
+
+
+def _columns(sources):
+    """Each focal element's mass summed down the sources, in first-seen order."""
+    masses = {}
+    for m in sources:
+        for el, v in m.items():
+            masses.setdefault(el, []).append(v)
+    return {el: math.fsum(vs) for el, vs in masses.items()}
 
 
 def _proportional(entries, p):
@@ -49,11 +57,14 @@ def _pcr5_split(els, sources, p):
     """PCR5: a product goes back to its operands by the masses that collided.
 
     Operand i weighs what source i gives it; equal operands pool their
-    weight.  None when every operand is empty or weightless.
+    weight.  Only the operands that cause the conflict weigh: empty ones
+    never, total ignorance only when no other operand is non-empty.
+    None when every such operand is weightless.
     """
+    responsible = _conflict_operands(els, sources[0].frame.ignorance())
     weights = {}
     for el, m in zip(els, sources):
-        w = 0.0 if el.is_empty else m.mass(el)
+        w = m.mass(el) if el in responsible else 0.0
         if w > 0.0:
             weights[el] = weights.get(el, 0.0) + w
     return _proportional(list(weights.items()), p)
@@ -83,11 +94,10 @@ def _column_averages(ledger, conflicts):
         raise RuleError(f"wao needs a mean source total of at most 1, got {mean:.6g}")
     if not list(conflicts):
         return ()
-    matrix = MassMatrix(ledger.sources)
     empty_w = 0.0
     shares = []
-    for el in matrix.columns():
-        w = matrix.column_sum(el) / s
+    for el, column in _columns(ledger.sources).items():
+        w = column / s
         if w <= 0.0:
             continue
         if el.is_empty:
@@ -108,8 +118,7 @@ def _column_sums(ledger, conflicts):
     """PCR1: k12 split by the column sums of the non-empty focal elements."""
     if not list(conflicts):
         return ()
-    matrix = MassMatrix(ledger.sources)
-    entries = [(el, matrix.column_sum(el)) for el in matrix.columns() if not el.is_empty]
+    entries = [(el, c) for el, c in _columns(ledger.sources).items() if not el.is_empty]
     return _by_columns(ledger, entries, "column sums",
                        "no non-empty focal columns; conflict lost")
 
@@ -123,8 +132,8 @@ def _involved_columns(ledger, conflicts):
     involved = set()
     for els, _, _ in conflicts:
         involved.update(_conflict_operands(els, ignorance))
-    matrix = MassMatrix(ledger.sources)
-    entries = [(el, matrix.column_sum(el))
+    columns = _columns(ledger.sources)
+    entries = [(el, columns.get(el, 0.0))
                for el in sorted(involved, key=lambda e: e.display)]
     return _by_columns(ledger, entries, "involved columns",
                        "conflict involves only empty operands; lost")
@@ -189,11 +198,12 @@ def pcr3(*sources):
     set.
     """
     ledger = Ledger(sources)
-    matrix = MassMatrix(ledger.sources)
+    columns = _columns(ledger.sources)
     ignorance = ledger.frame.ignorance()
 
     def split(els, p, m12):
-        entries = _weighted(_conflict_operands(els, ignorance), matrix.column_sum)
+        entries = _weighted(_conflict_operands(els, ignorance),
+                            lambda el: columns.get(el, 0.0))
         return _proportional(entries, p), "column sums"
 
     return _split_each(ledger, "pcr3", "all columns empty", split)
@@ -210,13 +220,13 @@ def pcr4(*sources):
     if len(sources) > 2:
         return _pairwise_fold(pcr4, "pcr4", sources)
     ledger = Ledger(sources)
-    matrix = MassMatrix(ledger.sources)
+    columns = _columns(ledger.sources)
 
     def split(els, p, m12):
         shares = _proportional(_weighted(els, lambda el: m12.get(el, 0.0)), p)
         if shares:
             return shares, "conjunctive masses"
-        return (_proportional(_weighted(els, matrix.column_sum), p),
+        return (_proportional(_weighted(els, lambda el: columns.get(el, 0.0)), p),
                 "column sums (conjunctive masses all zero)")
 
     return _split_each(ledger, "pcr4", "all weights zero", split)

@@ -2,10 +2,11 @@
 
 The format is deliberately small and diff-friendly.  One declaration
 per line; `#` starts a comment; commas separate assignments within a
-line.  Interval problems swap the label frame for real intervals and
-exclude models, events, and scenarios.
+line, except inside a param value.  Interval problems swap the label
+frame for real intervals and exclude models, events, and scenarios.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -21,6 +22,9 @@ _INTERVAL_RE = re.compile(
 # Commas inside [lo,hi] brackets do not separate assignments; the comma
 # of an interval is the one that meets ']' before any ',' or '['.
 _SEPARATOR_RE = re.compile(r",(?![^\[,]*\])")
+# A param value may hold commas (weights=A:0.5,B:0.5); only a comma that
+# starts another key=value pair separates params.
+_PARAM_SEPARATOR_RE = re.compile(r",(?=[^,]*=)")
 
 
 @dataclass
@@ -87,20 +91,6 @@ class ProblemFile:
             lines.append(f"discount: {name}={factor!r}")
         return "\n".join(lines) + "\n"
 
-    def __eq__(self, other):
-        if not isinstance(other, ProblemFile):
-            return NotImplemented
-        return (
-            self.interval == other.interval
-            and (self.frame == other.frame)
-            and self.model_kind == other.model_kind
-            and self.sources == other.sources
-            and self.events == other.events
-            and self.scenario == other.scenario
-            and self.params == other.params
-            and self.discounts == other.discounts
-        )
-
 
 def _render_focal(el):
     if isinstance(el, IntervalElement):
@@ -117,10 +107,10 @@ def _fail(lineno, message):
     raise ParseError(f"line {lineno}: {message}")
 
 
-def _split_assignments(body, lineno, lhs_form="<expr>"):
+def _split_assignments(body, lineno, lhs_form="<expr>", separator=_SEPARATOR_RE):
     """The (lhs, rhs) pairs of a comma-separated assignment list."""
     out = []
-    for chunk in _SEPARATOR_RE.split(body):
+    for chunk in separator.split(body):
         chunk = chunk.strip()
         if not chunk:
             _fail(lineno, "empty assignment")
@@ -159,6 +149,7 @@ def parse_problem(text):
     scenario = None
     params = {}
     discounts = {}
+    discount_lines = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -221,7 +212,7 @@ def parse_problem(text):
                 _fail(lineno, "scenario already declared")
             scenario = _parse_scenario(body, lineno)
         elif head == "param":
-            pairs = dict(_split_assignments(body, lineno))
+            pairs = dict(_split_assignments(body, lineno, separator=_PARAM_SEPARATOR_RE))
             if "" in pairs:
                 _fail(lineno, "param needs a key")
             try:
@@ -231,9 +222,20 @@ def parse_problem(text):
             params.update(pairs)
         elif head == "discount":
             for name, value in _split_assignments(body, lineno):
-                discounts[name] = _parse_float(value, lineno, "discount factor")
+                factor = _parse_float(value, lineno, "discount factor")
+                if not 0.0 <= factor <= 1.0:
+                    _fail(lineno, f"discount factor must be in [0, 1], got {value}")
+                discounts[name] = factor
+                discount_lines[name] = lineno
         else:
             _fail(lineno, f"unknown declaration {head!r}")
+
+    names = {name for name, _, _ in raw_sources}
+    for name, lineno in discount_lines.items():
+        if name not in names:
+            _fail(lineno, f"discount names no declared source: {name!r}")
+        if scenario is None or scenario["case"] != "3":
+            _fail(lineno, "discounts need 'scenario: case 3'")
 
     if interval:
         problem = ProblemFile(interval=True, params=params, discounts=discounts)
@@ -358,7 +360,7 @@ def scenario_config(problem):
         frame.parse(e) for e in problem.scenario.get("recipients", ())
     )
     discounts = None
-    if case == "3" or problem.discounts:
+    if case == "3":
         by_name = dict(problem.discounts)
         discounts = tuple(
             by_name.get(name, 1.0) for name, _ in problem.sources
@@ -369,6 +371,13 @@ def scenario_config(problem):
         recipients=recipients,
         discounts=discounts,
     )
+
+
+def _finite(text, key):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {text.strip()}")
+    return value
 
 
 def coerce_params(raw):
@@ -385,16 +394,16 @@ def coerce_params(raw):
             out[key] = value
             continue
         if key == "p":
-            out[key] = float(value)
+            out[key] = _finite(value, key)
         elif key == "weights":
             if ":" in value:
                 pairs = {}
                 for chunk in value.split(","):
                     lhs, _, rhs = chunk.strip().partition(":")
-                    pairs[lhs.strip()] = float(rhs)
+                    pairs[lhs.strip()] = _finite(rhs, key)
                 out[key] = pairs
             else:
-                out[key] = [float(v) for v in value.split(",")]
+                out[key] = [_finite(v, key) for v in value.split(",")]
         elif key == "dogmatic_bayesian":
             out[key] = value.strip().lower() in ("1", "true", "yes", "on")
         else:

@@ -335,8 +335,6 @@ class QuasiAssociativeState:
         """The state extended by one source; vacuous appends are no-ops
         on the stored product (products with full ignorance keep every
         landing)."""
-        if m.frame != self.frame:
-            raise FrameMismatchError("new source over a different frame")
         product = conjunctive(self.product, m).combined
         return QuasiAssociativeState(self.frame, self.sources + (m,), product)
 

@@ -374,3 +374,99 @@ def test_readme_dubois_prade_block_is_what_the_cli_prints(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--rule", "dubois-prade", "--input", str(src))
     assert code == 0
     assert out == printed
+
+
+@pytest.mark.parametrize("rule,line,flag", [
+    ("wo", "weights=A:0.5,B:0.5", "weights=A:0.5,B:0.5"),
+    ("mixing", "weights=1,2", "weights=1,2"),
+])
+def test_param_line_values_may_hold_commas(tmp_path, capsys, rule, line, flag):
+    src = tmp_path / "param.txt"
+    src.write_text(PCR_BINARY + f"param: {line}\n")
+    code, from_file, err = run_cli(capsys, "--rule", rule, "--input", str(src))
+    assert (code, err) == (0, "")
+    bare = tmp_path / "bare.txt"
+    bare.write_text(PCR_BINARY)
+    code, from_flag, _ = run_cli(capsys, "--rule", rule, "--input", str(bare),
+                                 "--param", flag)
+    assert code == 0
+    assert from_file == from_flag
+
+
+@pytest.mark.parametrize("rule,param", [
+    ("inagaki", "p=nan"), ("inagaki", "p=inf"), ("mixing", "weights=nan,1"),
+    ("wo", "weights=A:inf,B:0.5"),
+])
+def test_non_finite_params_fail_before_the_rule_runs(tmp_path, capsys, rule, param):
+    src = tmp_path / "pair.txt"
+    src.write_text(PCR_BINARY)
+    code, out, err = run_cli(capsys, "--rule", rule, "--input", str(src), "--param", param)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: bad --param value:")
+    assert "must be finite" in err
+    src.write_text(PCR_BINARY + f"param: {param}\n")
+    code, out, err = run_cli(capsys, "--rule", rule, "--input", str(src))
+    assert (code, out) == (4, "")
+    assert err.startswith("parse error: line 5: bad param value:")
+
+
+@pytest.mark.parametrize("tail,lineno", [
+    ("scenario: case 3\ndiscount: m2=1.5\n", 6),
+    ("scenario: case 3\ndiscount: mm1=0.5\n", 6),
+    ("discount: m2=0.5\n", 5),
+])
+def test_bad_discount_line_is_a_parse_error(tmp_path, capsys, tail, lineno):
+    src = tmp_path / "discount.txt"
+    src.write_text(PCR_BINARY + tail)
+    code, out, err = run_cli(capsys, "--rule", "uft", "--input", str(src))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"parse error: line {lineno}:")
+
+
+def test_interval_problem_run_and_export(tmp_path, capsys):
+    src = tmp_path / "iv.txt"
+    src.write_text("frame-intervals:\nsource s1: [1,3]=0.5, [2,4]=0.5\n"
+                   "source s2: [0,2]=1.0\n")
+    dest = tmp_path / "iv.json"
+    code, out, err = run_cli(capsys, "--rule", "xavg", "--input", str(src),
+                             "--export", str(dest))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["rule: xavg", "frame: intervals"]
+    doc = json.loads(dest.read_text())
+    assert set(doc) == {"header", "rows", "footer", "warnings"}
+    assert doc["header"] == ["rule: xavg", "frame: intervals"]
+    assert set(doc["footer"]) == {"sum", "status"}
+    assert {r["element"]: r["mass"] for r in doc["rows"]} == pytest.approx(
+        {"[0.5,2.5]": 0.5, "[1,3]": 0.5})
+
+
+def test_enumerate_past_the_guard_is_a_rule_error(tmp_path, capsys):
+    src = tmp_path / "enum.txt"
+    src.write_text("frame: A B C D E\nsource m1: A=1.0\n")
+    code, out, err = run_cli(capsys, "enumerate", "--input", str(src))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: FrameTooLargeError: enumeration limited to 4")
+
+
+@pytest.mark.parametrize("rule,sources,fragment", [
+    ("zhang-product", 3, "takes at most 2 sources, got 3"),
+    ("cautious", 3, "takes at most 2 sources, got 3"),
+    ("dempster", 1, "needs at least 2 sources, got 1"),
+])
+def test_arity_errors_are_rule_errors(tmp_path, capsys, rule, sources, fragment):
+    src = tmp_path / "arity.txt"
+    src.write_text("frame: A B\nmodel: shafer\n" + "".join(
+        f"source m{i}: A=0.5, A|B=0.5\n" for i in range(1, sources + 1)))
+    code, out, err = run_cli(capsys, "--rule", rule, "--input", str(src))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: RuleError:")
+    assert fragment in err
+
+
+def test_unwritable_export_is_a_usage_error(dp_file, tmp_path, capsys):
+    dest = tmp_path / "no-such-dir" / "out.json"
+    code, out, err = run_cli(capsys, "--rule", "dempster", "--input", dp_file,
+                             "--export", str(dest))
+    assert code == 2
+    assert out.startswith("rule: dempster")
+    assert err.startswith(f"usage error: cannot write {dest}:")

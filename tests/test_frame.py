@@ -312,6 +312,15 @@ def test_shafer_frame_over_64_hypotheses_keeps_64_atoms():
     assert f.parse("H0|H63").cardinality == 2
 
 
+def test_empty_atoms_past_the_size_guard_raise():
+    # The 2^64 candidate atoms of this frame would exhaust memory.
+    f = Frame.shafer([f"H{i}" for i in range(64)])
+    with pytest.raises(FrameTooLargeError, match="18 hypotheses"):
+        f.empty_atoms
+    with pytest.raises(FrameTooLargeError, match="18 hypotheses"):
+        f.model
+
+
 def test_free_frame_past_the_size_guard_raises_before_building():
     names = [f"H{i}" for i in range(24)]
     with pytest.raises(FrameTooLargeError, match="18 hypotheses"):

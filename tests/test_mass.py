@@ -2,7 +2,7 @@
 
 import pytest
 
-from fusekit import Frame, FrameMismatchError, MassFunction, MassMatrix, Opinion
+from fusekit import Frame, FrameMismatchError, MassFunction, Opinion
 
 import oracles
 
@@ -186,26 +186,6 @@ def test_to_opinion_explicit_atomicity(shafer3):
     op = m.to_opinion(shafer3.label("A"), atomicity=0.25)
     assert op.atomicity == 0.25
     assert op.is_dogmatic
-
-
-def test_mass_matrix_columns(shafer3):
-    m1 = MassFunction(shafer3, {"A": 0.6, "A|B": 0.4})
-    m2 = MassFunction(shafer3, {"B": 0.3, "A|B": 0.7})
-    matrix = MassMatrix((m1, m2))
-    assert matrix.column_sum(shafer3.parse("A|B")) == pytest.approx(1.1)
-    assert matrix.column_sum(shafer3.label("C")) == 0.0
-    cols = matrix.columns()
-    assert cols[shafer3.label("A")] == pytest.approx(0.6)
-    assert len(cols) == 3
-
-
-def test_mass_matrix_rejects_mixed_frames(shafer3):
-    other = Frame.shafer(("A", "B"))
-    with pytest.raises(FrameMismatchError):
-        MassMatrix((MassFunction(shafer3, {"A": 1.0}),
-                    MassFunction(other, {"A": 1.0})))
-    with pytest.raises(ValueError):
-        MassMatrix(())
 
 
 def test_opinion_validation():

@@ -254,6 +254,51 @@ def test_coerce_params():
     }
 
 
+@pytest.mark.parametrize("line,params", [
+    ("param: weights=A:0.5,B:0.5", {"weights": "A:0.5,B:0.5"}),
+    ("param: weights=1,2", {"weights": "1,2"}),
+    ("param: weights=A:0.5, B:0.5, p=0.3", {"weights": "A:0.5, B:0.5", "p": "0.3"}),
+])
+def test_param_values_may_hold_commas(line, params):
+    p = parse_problem(f"frame: A B\nsource s1: A=1\n{line}\n")
+    assert p.params == params
+    assert parse_problem(p.render()) == p
+
+
+@pytest.mark.parametrize("value", ["p=nan", "p=inf", "weights=nan,1", "weights=A:-inf,B:1"])
+def test_non_finite_param_fails_at_its_line(value):
+    with pytest.raises(ParseError) as err:
+        parse_problem(f"frame: A B\nsource s1: A=1\nparam: {value}\n")
+    assert str(err.value).startswith("line 3: bad param value:")
+    assert "must be finite" in str(err.value)
+
+
+_TWO_SOURCES = "frame: A B\nsource s1: A=1\nsource s2: B=1\n"
+
+
+@pytest.mark.parametrize("tail,lineno,fragment", [
+    ("scenario: case 3\ndiscount: s2=1.5\n", 5, "must be in [0, 1], got 1.5"),
+    ("scenario: case 3\ndiscount: s2=nan\n", 5, "must be in [0, 1], got nan"),
+    ("scenario: case 3\ndiscount: s2=-0.1\n", 5, "must be in [0, 1]"),
+    ("scenario: case 3\ndiscount: mm1=0.5\n", 5, "names no declared source: 'mm1'"),
+    ("discount: s2=0.5\nscenario: case 3\ndiscount: mm1=0.5\n", 6, "no declared source"),
+    ("discount: s2=0.5\n", 4, "need 'scenario: case 3'"),
+    ("scenario: case 1.2.1\ndiscount: s1=0.5\n", 5, "need 'scenario: case 3'"),
+    ("discount: s1=0.5\nscenario: case 1\n", 4, "need 'scenario: case 3'"),
+])
+def test_discount_lines_are_checked_at_parse(tail, lineno, fragment):
+    with pytest.raises(ParseError) as err:
+        parse_problem(_TWO_SOURCES + tail)
+    assert str(err.value).startswith(f"line {lineno}:")
+    assert fragment in str(err.value)
+
+
+def test_discount_line_before_its_scenario_and_source_parses():
+    p = parse_problem("frame: A B\ndiscount: s2=0.8\nsource s1: A=1\n"
+                      "scenario: case 3\nsource s2: B=1\n")
+    assert scenario_config(p).discounts == (1.0, 0.8)
+
+
 def test_malformed_param_value_fails_at_its_line():
     with pytest.raises(ParseError) as err:
         parse_problem("frame: A B\nsource s1: A=1\nparam: mode=fast\nparam: p=x\n")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fusekit import Frame, FusionResult, MassFunction
+from fusekit import Frame, FrameMismatchError, FusionResult, MassFunction
 from fusekit.registry import resolve, selectors, validate_call
 
 _PARAMS = {
@@ -44,3 +44,15 @@ def test_products_that_underflow_to_zero_leave_no_ledger_entry(selector):
     m2 = MassFunction(f, {"C": 5e-320, "B|C": 1.0})
     result = resolve(selector).combine([m1, m2], {})
     assert [p for p in result.conflict.partials if p.mass == 0.0] == []
+
+
+@pytest.mark.parametrize(
+    "selector",
+    [s for s in selectors()
+     if resolve(s).mode == "mass" and (resolve(s).max_sources or 2) >= 2],
+)
+def test_mass_mode_selectors_reject_sources_over_two_frames(selector):
+    m1 = MassFunction(Frame.shafer(("A", "B", "C")), {"A": 0.7, "A|B|C": 0.3})
+    m2 = MassFunction(Frame.shafer(("A", "B")), {"A": 0.6, "B": 0.4})
+    with pytest.raises(FrameMismatchError, match="sources over different frames"):
+        resolve(selector).combine([m1, m2], dict(_PARAMS.get(selector, {})))

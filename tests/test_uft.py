@@ -237,6 +237,27 @@ def test_split_escalates_weightless_operands(shafer2):
     assert any("weightless" in p.note for p in out.conflict.partials)
 
 
+def masses_of(m):
+    return {el.display: v for el, v in m.items()}
+
+
+def test_split_route_exonerates_a_vacuous_third_source():
+    # Total ignorance causes no conflict, so the split charges it nothing:
+    # a vacuous source, in any position, leaves the two-source result.
+    f = Frame.shafer(("A", "B", "C"))
+    m1 = MassFunction(f, {"A": 0.6, "B|C": 0.4})
+    m2 = MassFunction(f, {"B": 0.5, "A|C": 0.5})
+    vacuous = MassFunction.vacuous(f)
+    cfg = ScenarioConfig.for_case("1.2.1")
+    two = uft_combine((m1, m2), cfg).combined
+    assert masses_of(two) == pytest.approx(
+        {"A": 0.4636, "B": 0.3364, "A|C": 0.1111, "B|C": 0.0889}, abs=5e-5)
+    for sources in ((m1, m2, vacuous), (vacuous, m1, m2)):
+        three = uft_combine(sources, cfg).combined
+        assert three.mass(f.ignorance()) == 0.0
+        assert masses_of(three) == pytest.approx(masses_of(two), abs=1e-12)
+
+
 def test_pair_attitudes_route_specific_pairs():
     f = Frame.shafer(("A", "B", "C"))
     m1 = MassFunction(f, {"A": 0.5, "C": 0.5})

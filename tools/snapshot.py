@@ -14,7 +14,8 @@ p = 0.5.  Each run is one JSON line: the CLI table's ``render()`` and
 ``to_json_dict()``, or the error the run raised.
 
 ``diff`` prints, per selector, how many records differ in ``render()``
-and in the JSON, and the first difference of each kind.
+and in the JSON, and the first difference of each kind.  It exits 1 when
+any record differs and 0 when none does.
 
 fusekit is imported from the path, so ``PYTHONPATH=<checkout>/src``
 snapshots that checkout.  The sweep's models and focal elements come
@@ -185,7 +186,7 @@ def diff(path_a, path_b):
         for kind in ("render", "json"):
             if entry[kind]:
                 print(f"  first {kind}: {entry[kind][0]}")
-    return 0
+    return 1 if changed else 0
 
 
 def main(argv):
