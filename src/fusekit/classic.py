@@ -499,7 +499,7 @@ def conditional(m, hypothesis, rule="conjunctive", **params):
 def murphy_average(*sources):
     """The plain average of the sources' masses: mixing with equal weights."""
     _common_frame(sources)
-    return weighted_mixing(sources, [1.0] * len(sources))
+    return replace(weighted_mixing(sources, [1.0] * len(sources)), rule="murphy")
 
 
 def weighted_mixing(sources, weights):
@@ -520,4 +520,4 @@ def weighted_mixing(sources, weights):
             continue
         for el, v in m.items():
             _add(acc, el, v * w / wsum)
-    return MassFunction(frame, acc)
+    return _result("mixing", MassFunction(frame, acc), sources)

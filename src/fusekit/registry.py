@@ -22,12 +22,9 @@ class RuleSpec:
 
 
 def _uft_combine(sources, params):
-    from .uft import ScenarioConfig, uft_combine
+    from .uft import uft_combine
 
-    config = params.get("config")
-    if config is None:
-        config = ScenarioConfig()
-    return uft_combine(sources, config)
+    return uft_combine(sources, params.get("config"))
 
 
 def _conditional(sources, params):
@@ -66,10 +63,8 @@ _register("xor", lambda ss, p: classic.exclusive_disjunctive(*ss))
 _register("mixed", lambda ss, p: classic.mixed(ss, p["expr"]), needs=("expr",))
 _register("conditional", _conditional, needs=("given",), min_sources=1, max_sources=1)
 _register("dempster", lambda ss, p: classic.dempster(*ss))
-_register("murphy", lambda ss, p: classic._result(
-    "murphy", classic.murphy_average(*ss), ss))
-_register("mixing", lambda ss, p: classic._result(
-    "mixing", classic.weighted_mixing(ss, p["weights"]), ss),
+_register("murphy", lambda ss, p: classic.murphy_average(*ss))
+_register("mixing", lambda ss, p: classic.weighted_mixing(ss, p["weights"]),
           needs=("weights",), min_sources=1)
 _register("dsmc", lambda ss, p: classic.dsm_classic(*ss))
 _register("dsmh", lambda ss, p: classic.dsm_hybrid(*ss))

@@ -18,7 +18,6 @@ from .classic import (
     _common_frame,
     _divide_out,
     _inagaki,
-    _result,
     _retain,
     _to_ignorance,
     _union_element,
@@ -160,7 +159,7 @@ def uft_combine(sources, config=None):
         return replace(mixed(sources, config.mixed_expr), rule="uft")
     if config.reliability == "statistical":
         weights = [1.0] * len(sources) if config.discounts is None else config.discounts
-        return _result("uft", weighted_mixing(sources, weights), sources)
+        return replace(weighted_mixing(sources, weights), rule="uft")
 
     effective = sources
     if config.reliability == "discounts":
@@ -170,10 +169,6 @@ def uft_combine(sources, config=None):
             raise ValueError(
                 f"{len(sources)} sources but {len(config.discounts)} discount factors"
             )
-        if all(f == 0.0 for f in config.discounts):
-            # Nothing trustworthy remains; only full ignorance is honest.
-            return _result("uft", MassFunction.vacuous(frame), sources,
-                           warnings=("all sources fully unreliable; vacuous result",))
         effective = tuple(m.discount(f) for m, f in zip(sources, config.discounts))
 
     for pair, att in config.pair_attitudes.items():
@@ -295,22 +290,20 @@ def dynamic_update(state, new_empty, transfer_rule="dsmh", **params):
 
 # -- quasi-associative combining ---------------------------------------------
 
-# Rules whose transfer needs only the running conjunctive product (plus
-# the source list for column statistics): each runs the direct rule's
-# transfer on the stored product.
+# The rules the store serves.  Each transfer is the direct rule's own,
+# run on the stored product (plus the source list for column statistics);
+# None marks a rule that needs the per-product conflict structure and is
+# recomputed from the stored source list.
 _STORE_RULES = {
     "conjunctive": _retain, "dsmc": _retain, "smets": _retain,
     "dempster": _divide_out, "yager": _to_ignorance, "wo": _weigh,
     "inagaki": _inagaki, "pcr1": _column_sums, "wao": _column_averages,
+    "dubois-prade": None, "dsmh": None, "pcr2": None, "pcr3": None,
+    "pcr4": None, "pcr5": None, "minc-a": None, "minc-b": None,
 }
-# Conjunctive-based rules whose transfer needs the per-product conflict
-# structure; they are recomputed from the stored source list.
-_RECOMPUTE_RULES = frozenset({
-    "dubois-prade", "dsmh", "pcr2", "pcr3", "pcr4", "pcr5",
-    "minc-a", "minc-b",
-})
 
 
+@dataclass(frozen=True, slots=True)
 class QuasiAssociativeState:
     """Running conjunctive product over a growing source sequence.
 
@@ -320,32 +313,19 @@ class QuasiAssociativeState:
     them.
     """
 
-    __slots__ = ("frame", "sources", "product")
-
-    def __init__(self, frame, sources, product):
-        self.frame = frame
-        self.sources = tuple(sources)
-        self.product = product
+    sources: tuple
+    product: MassFunction
 
     @classmethod
     def start(cls, m):
-        return cls(m.frame, (m,), m)
+        return cls((m,), m)
 
     def append(self, m):
         """The state extended by one source; vacuous appends are no-ops
         on the stored product (products with full ignorance keep every
         landing)."""
         product = conjunctive(self.product, m).combined
-        return QuasiAssociativeState(self.frame, self.sources + (m,), product)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuasiAssociativeState):
-            return NotImplemented
-        return (self.frame == other.frame and self.sources == other.sources
-                and self.product == other.product)
-
-    def __repr__(self):
-        return f"QuasiAssociativeState({len(self.sources)} sources)"
+        return QuasiAssociativeState(self.sources + (m,), product)
 
 
 def quasi_associative_combine(state, new, rule="dempster", **params):
@@ -358,14 +338,14 @@ def quasi_associative_combine(state, new, rule="dempster", **params):
     """
     if not isinstance(state, QuasiAssociativeState):
         state = QuasiAssociativeState.start(state)
-    if rule not in _STORE_RULES and rule not in _RECOMPUTE_RULES:
+    if rule not in _STORE_RULES:
         raise RuleError(
             f"rule {rule!r} is not conjunctive-based; incremental combining is undefined"
         )
     spec = resolve(rule)
     validate_call(spec, len(state.sources) + 1, params)
     state = state.append(new)
-    transfer = _STORE_RULES.get(rule)
+    transfer = _STORE_RULES[rule]
     if transfer is None:
         return state, spec.combine(list(state.sources), dict(params))
     ledger = Ledger(state.sources)

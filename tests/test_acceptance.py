@@ -87,10 +87,6 @@ def expect_masses(combined, frame, rows, tol):
         assert abs(got - want) <= tol, f"{expr}: got {got}, want {want}"
 
 
-def combined_of(out):
-    return out.combined if hasattr(out, "combined") else out
-
-
 # -- 1. near-certain but disjoint sources ------------------------------------
 
 def test_criterion_01_high_conflict_pair_and_total_conflict():
@@ -113,7 +109,7 @@ def test_criterion_02_source_average_table():
     f = Frame.shafer(("A", "B", "C"))
     m1 = MassFunction(f, {"A": 0.2, "B": 0.4, "C": 0.3, "A|B": 0.1})
     m2 = MassFunction(f, {"A": 0.1, "B": 0.3, "C": 0.4, "A|B": 0.2})
-    out = combined_of(murphy_average(m1, m2))
+    out = murphy_average(m1, m2).combined
     expect_masses(out, f, (
         ("A", 0.15), ("B", 0.35), ("C", 0.35), ("A|B", 0.15),
     ), 1e-12)
@@ -405,8 +401,8 @@ def test_criterion_12_randomized_property_suites():
         m1, m2 = rand_bba(rng, fid), rand_bba(rng, fid)
         for fn in BINARY_RULES:
             try:
-                left = combined_of(fn(m1, m2))
-                right = combined_of(fn(m2, m1))
+                left = fn(m1, m2).combined
+                right = fn(m2, m1).combined
             except (TotalConflictError, RuleError):
                 continue
             assert rules_match(left, right)
@@ -432,8 +428,8 @@ def test_criterion_12_randomized_property_suites():
         m1, m2 = rand_bba(rng, fid), rand_bba(rng, fid)
         for fn in NORMALIZING_RULES:
             try:
-                left = combined_of(fn(m1, m2))
-                right = combined_of(fn(m2, m1))
+                left = fn(m1, m2).combined
+                right = fn(m2, m1).combined
             except (TotalConflictError, RuleError):
                 continue
             assert rules_match(left, right)
@@ -450,10 +446,7 @@ def test_criterion_12_randomized_property_suites():
                 out = fn(m1, m2)
             except (TotalConflictError, RuleError):
                 continue
-            if hasattr(out, "conflict"):
-                total = out.combined.total + out.conflict.lost
-            else:
-                total = out.total
+            total = out.combined.total + out.conflict.lost
             assert abs(total - 1.0) <= TOL
         i1, i2 = rand_interval_bba(rng), rand_interval_bba(rng)
         averaged = convolutive_x_average(i1, i2)
@@ -485,8 +478,8 @@ def test_criterion_12_randomized_property_suites():
         vac = MassFunction.vacuous(m1.frame)
         for fn in VBA_NEUTRAL_RULES:
             try:
-                base = combined_of(fn(m1, m2))
-                padded = combined_of(fn(m1, m2, vac))
+                base = fn(m1, m2).combined
+                padded = fn(m1, m2, vac).combined
             except (TotalConflictError, RuleError):
                 continue
             assert rules_match(base, padded)

@@ -4,6 +4,7 @@ import pytest
 
 from fusekit import (
     Frame,
+    FusionResult,
     MassFunction,
     RuleError,
     TotalConflictError,
@@ -284,8 +285,9 @@ def test_conditional_is_dempster_conditioning(shafer3):
 def test_murphy_average_is_elementwise(shafer3):
     m1 = MassFunction(shafer3, {"A": 0.2, "B": 0.4, "C": 0.3, "A|B": 0.1})
     m2 = MassFunction(shafer3, {"A": 0.1, "B": 0.3, "C": 0.4, "A|B": 0.2})
-    avg = murphy_average(m1, m2)
-    assert isinstance(avg, MassFunction)
+    out = murphy_average(m1, m2)
+    assert isinstance(out, FusionResult)
+    avg = out.combined
     assert avg.mass(shafer3.label("A")) == pytest.approx(0.15)
     assert avg.mass(shafer3.parse("A|B")) == pytest.approx(0.15)
     assert avg.total == pytest.approx(1.0)
@@ -295,7 +297,7 @@ def test_weighted_mixing(shafer3):
     m1 = MassFunction(shafer3, {"A": 1.0})
     m2 = MassFunction(shafer3, {"B": 1.0})
     out = weighted_mixing((m1, m2), (3.0, 1.0))
-    assert out.mass(shafer3.label("A")) == pytest.approx(0.75)
+    assert out.combined.mass(shafer3.label("A")) == pytest.approx(0.75)
     with pytest.raises(ValueError):
         weighted_mixing((m1, m2), (1.0,))
     with pytest.raises(ValueError):

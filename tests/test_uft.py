@@ -130,12 +130,12 @@ def test_mixed_reliability_needs_expression(scenario_sources):
 
 def test_statistical_pooling(scenario_sources):
     out = uft_combine(scenario_sources, ScenarioConfig(reliability="statistical"))
-    assert out.combined == murphy_average(*scenario_sources)
+    assert out.combined == murphy_average(*scenario_sources).combined
     weighted = uft_combine(
         scenario_sources,
         ScenarioConfig(reliability="statistical", discounts=(0.7, 0.3)),
     )
-    assert weighted.combined == weighted_mixing(scenario_sources, (0.7, 0.3))
+    assert weighted.combined == weighted_mixing(scenario_sources, (0.7, 0.3)).combined
 
 
 def test_discount_stage(scenario_sources, free4):
@@ -160,7 +160,15 @@ def test_all_zero_discounts_give_vacuous(scenario_sources, free4):
         ScenarioConfig(reliability="discounts", discounts=(0.0, 0.0)),
     )
     assert out.combined == MassFunction.vacuous(free4)
-    assert any("fully unreliable" in w for w in out.warnings)
+    # Subnormal sources keep their totals: discounting moves each whole
+    # total onto ignorance, so the result holds their product there.
+    shafer3 = Frame.shafer(("A", "B", "C"))
+    m1 = MassFunction(shafer3, {"A": 0.5, "B": 0.3})
+    m2 = MassFunction(shafer3, {"B": 0.6, "A|B|C": 0.2})
+    out = uft_combine((m1, m2), ScenarioConfig.for_case("3", discounts=(0.0, 0.0)))
+    assert dict(out.combined.items()) == {
+        shafer3.ignorance(): pytest.approx(m1.total * m2.total)}
+    assert out.warnings == ()
 
 
 # -- conflict routing --------------------------------------------------------
