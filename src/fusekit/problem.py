@@ -14,6 +14,7 @@ from .errors import FrameTooLargeError, ParseError
 from .frame import Frame, parse_expression_text, render_expression
 from .mass import MassFunction
 from .special import IntervalElement, IntervalMassFunction
+from .uft import CASE_TO_KIND, ScenarioConfig
 
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 _INTERVAL_RE = re.compile(
@@ -195,6 +196,8 @@ def parse_problem(text):
             name = head[len("source"):].strip()
             if not name:
                 _fail(lineno, "source needs a name: 'source <name>: ...'")
+            if any(name == seen for seen, _, _ in raw_sources):
+                _fail(lineno, f"source {name!r} already declared")
             raw_sources.append((name, body, lineno))
         elif head == "event":
             if interval:
@@ -327,6 +330,18 @@ def _parse_scenario(body, lineno):
             i += 1
         else:
             _fail(lineno, f"unexpected scenario token {tokens[i]!r}")
+    case = out["case"]
+    kind = CASE_TO_KIND.get(case)
+    if kind is None and case not in ("1", "2", "3"):
+        _fail(lineno, f"unknown scenario case {case!r}")
+    # Only the right-side route reads a right element and only the
+    # both-wrong route reads recipients; each needs its own.
+    reads = {"right": "right", "both-wrong": "recipients"}.get(kind)
+    for key in ("right", "recipients"):
+        if key == reads and not out[key]:
+            _fail(lineno, f"case {case} needs '{key} <expr>'")
+        if key != reads and out[key]:
+            _fail(lineno, f"case {case} does not read '{key}'")
     return out
 
 
@@ -347,8 +362,6 @@ def _parse_interval_source(body, lineno):
 
 def scenario_config(problem):
     """The ScenarioConfig a problem's scenario and discounts stand for."""
-    from .uft import ScenarioConfig
-
     if problem.scenario is None:
         return ScenarioConfig()
     # Attitude elements must live on the same frame as the sources the

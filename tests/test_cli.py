@@ -423,6 +423,22 @@ def test_bad_discount_line_is_a_parse_error(tmp_path, capsys, tail, lineno):
     assert err.startswith(f"parse error: line {lineno}:")
 
 
+@pytest.mark.parametrize("rule,tail", [
+    ("uft", "scenario: case 9.9\n"),
+    ("dempster", "scenario: case 9.9\n"),
+    ("uft", "scenario: case 1.2.6\n"),
+    ("uft", "scenario: case 1.2.7\n"),
+    ("uft", "scenario: case 2 right A\n"),
+    ("uft", "source m1: B=1\n"),
+])
+def test_bad_scenario_or_source_line_is_a_parse_error(tmp_path, capsys, rule, tail):
+    src = tmp_path / "scenario.txt"
+    src.write_text(PCR_BINARY + tail)
+    code, out, err = run_cli(capsys, "--rule", rule, "--input", str(src))
+    assert (code, out) == (4, "")
+    assert err.startswith("parse error: line 5:")
+
+
 def test_interval_problem_run_and_export(tmp_path, capsys):
     src = tmp_path / "iv.txt"
     src.write_text("frame-intervals:\nsource s1: [1,3]=0.5, [2,4]=0.5\n"

@@ -87,6 +87,22 @@ def test_duplicate_focals_merge():
      "recipients needs at least one"),
     ("frame: A B\nsource s1: A=1\nscenario: case 1 fallback union\n", 3,
      "unexpected scenario token"),
+    ("frame: A B\nsource s1: A=1\nscenario: case 9.9\n", 3,
+     "unknown scenario case '9.9'"),
+    ("frame: A B\nsource s1: A=1\nscenario: case 1.2.6\n", 3,
+     "case 1.2.6 needs 'right <expr>'"),
+    ("frame: A B\nsource s1: A=1\nscenario: case 1.2.7\n", 3,
+     "case 1.2.7 needs 'recipients <expr>'"),
+    ("frame: A B C\nsource s1: A=1\nscenario: case 1.2.5.1 recipients C right A\n", 3,
+     "case 1.2.5.1 does not read 'right'"),
+    ("frame: A B\nsource s1: A=1\nscenario: case 2 right A\n", 3,
+     "case 2 does not read 'right'"),
+    ("frame: A B\nsource s1: A=1\nscenario: case 1.2.6 right A recipients B\n", 3,
+     "case 1.2.6 does not read 'recipients'"),
+    ("frame: A B\nsource s1: A=1\nscenario: case 1.2.7 right A recipients B\n", 3,
+     "case 1.2.7 does not read 'right'"),
+    ("frame: A B\nsource s1: A=1\nsource s2: B=1\nsource s1: B=1\n", 4,
+     "source 's1' already declared"),
     ("frame: A B\nsource s1: A=1\nparam: =5\n", 3, "param needs a key"),
     ("frame: A B\nsource s1: A=1\ndiscount: s1=soon\n", 3, "bad discount factor"),
     ("frame-intervals:\nmodel: free\n", 2, "interval problems have no model"),

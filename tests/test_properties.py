@@ -8,6 +8,7 @@ from fusekit import (
     Frame,
     MassFunction,
     RuleError,
+    ScenarioConfig,
     TotalConflictError,
     cautious_commonality_min,
     conjunctive,
@@ -40,6 +41,7 @@ from fusekit import (
 )
 from fusekit.registry import resolve, selectors
 from fusekit.special import _IMPROVED_BASES, TCONORMS, TNORMS
+from fusekit.uft import CASE_TO_KIND
 
 import oracles
 
@@ -459,6 +461,28 @@ def test_every_ledger_passes_the_audit(sources):
             except (TotalConflictError, RuleError):
                 continue
             assert oracles.audit(out, srcs, params) == [], (selector, count)
+
+
+# uft under every scenario a problem file can declare: the reliability
+# cases with discount factors from {0, 0.5, 1}, all-zero included, and
+# every routing case, 1.2.6 with a drawn right element and 1.2.7 with two
+# drawn recipients.
+@given(audit_sources(), st.data())
+def test_every_uft_scenario_passes_the_audit(sources, data):
+    elements = [el for el in sources[0].frame.superpower_set() if not el.is_empty]
+    discounts = data.draw(st.lists(st.sampled_from((0.0, 0.5, 1.0)),
+                                   min_size=len(sources), max_size=len(sources)))
+    right = data.draw(st.sampled_from(elements))
+    recipients = data.draw(st.lists(st.sampled_from(elements), min_size=2, max_size=2,
+                                    unique=True))
+    configs = [ScenarioConfig.for_case("1"), ScenarioConfig.for_case("2"),
+               ScenarioConfig.for_case("3", discounts=discounts)]
+    configs += [ScenarioConfig.for_case(case, right=right if kind == "right" else None,
+                                        recipients=recipients if kind == "both-wrong" else ())
+                for case, kind in CASE_TO_KIND.items()]
+    for config in configs:
+        out = uft_combine(sources, config)
+        assert oracles.audit(out, sources) == [], (config.case, config.discounts)
 
 
 _STORE_RULES = ("conjunctive", "dsmc", "smets", "dempster", "yager", "wo", "inagaki",

@@ -385,6 +385,17 @@ def test_state_tracks_running_product(stream, shafer2):
         state.append(other)
 
 
+def test_store_state_is_a_hashable_value(stream):
+    m1, m2, m3 = stream
+    copies = [MassFunction(m.frame, dict(m.items())) for m in stream]
+    a = QuasiAssociativeState.start(m1).append(m2)
+    b = QuasiAssociativeState.start(copies[0]).append(copies[1])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.append(m3) != b.append(copies[0])
+    assert QuasiAssociativeState.start(m1).product is m1
+
+
 def test_vacuous_append_is_noop_on_product(stream, shafer2):
     m1, _, _ = stream
     state = QuasiAssociativeState.start(m1)

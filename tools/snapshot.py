@@ -7,9 +7,10 @@
 ``inagaki`` with p = 0.5, over the label problems of the golden cases
 and a fixed seeded sweep of free, Shafer and hybrid problems with two or
 three sources, a quarter of them with mass on the empty set.  It also
-runs the nine rules of the quasi-associative store (selector
-``store:<rule>``), appending the sources in order; ``wo`` puts weight
-0.5 on total ignorance and 0.5 on the empty set, ``inagaki`` takes
+runs all seventeen rules of the quasi-associative store (selector
+``store:<rule>``), the nine that run on the stored product and the eight
+recomputed from the sources, appending the sources in order; ``wo`` puts
+weight 0.5 on total ignorance and 0.5 on the empty set, ``inagaki`` takes
 p = 0.5.  Each run is one JSON line: the CLI table's ``render()`` and
 ``to_json_dict()``, or the error the run raised.
 
@@ -34,7 +35,8 @@ import gen  # noqa: E402
 SWEEP = 96
 _KINDS = ("free", "shafer", "hybrid")
 _STORE_RULES = ("conjunctive", "dsmc", "smets", "dempster", "yager", "wo", "inagaki",
-                "pcr1", "wao")
+                "pcr1", "wao", "dubois-prade", "dsmh", "pcr2", "pcr3", "pcr4", "pcr5",
+                "minc-a", "minc-b")
 
 
 def _runs():
