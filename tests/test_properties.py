@@ -200,8 +200,7 @@ def test_normalizing_rules_report_no_lost_mass(pair):
             out = resolve(selector).combine(list(pair), {})
         except (TotalConflictError, RuleError):
             continue
-        total = out.combined.total + out.conflict.lost
-        assert abs(total - 1.0) < 1e-9, selector
+        assert abs(out.combined.total + out.conflict.lost - 1.0) < 1e-9, selector
 
 
 @given(bba_pair(frame_ids=SHAFER_IDS))
