@@ -7,12 +7,13 @@ the empty element; that mass flows through the product expansions
 literally.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import replace
 
 from .errors import FrameMismatchError, RuleError, TotalConflictError
-from .frame import Element, fold, parse_expression_text
+from .frame import Element, _canonical_expr, fold, parse_expression_text
 from .mass import MassFunction
 from .result import NORMALISED, ConflictReport, FusionResult, Partial
 
@@ -35,18 +36,20 @@ def _add(acc, element, mass):
 
 
 def _joined(op, els):
-    """The operands joined by one connective into a single flat node."""
-    return Element(els[0].frame, fold(op, (el.atoms for el in els)),
-                   (op, tuple(el.expr for el in els)))
+    """The element of the operands' atoms joined by one connective."""
+    return Element(els[0].frame, fold(op, (el.atoms for el in els)))
 
 
-def _intersection_element(els):
-    """The operands' intersection with an absorption-reduced expression."""
-    return _joined("and", els).canonical()
+_intersection_element = functools.partial(_joined, "and")
+_union_element = functools.partial(_joined, "or")
 
 
-def _union_element(els):
-    return _joined("or", els).canonical()
+def _reduced_intersection(els):
+    """The operands' intersection under the absorption-reduced
+    intersection of their expressions, which dsmh's and minC's conflict
+    routes read."""
+    frame = els[0].frame
+    return frame.element(_canonical_expr(frame, ("and", tuple(el.expr for el in els))))
 
 
 def _subset_unions(els):
@@ -374,12 +377,12 @@ def dsm_hybrid(*sources):
     set (open world, flagged).
     """
     ledger = Ledger(sources)
-    for els, p, landing in ledger.expand():
+    for els, p, _ in ledger.expand():
         if all(el.is_empty for el in els):
             ledger.escalate(els, p, _union_element([el.disjunctive() for el in els]),
                             "operands empty; to joint disjunctive form")
         else:
-            ledger.escalate(els, p, landing.disjunctive(),
+            ledger.escalate(els, p, _reduced_intersection(els).disjunctive(),
                             "to disjunctive form of the conflict")
     return ledger.finish("dsmh")
 
@@ -469,7 +472,7 @@ def mixed(sources, expr):
     if isinstance(expr, str):
         expr = parse_source_expr(expr)
     sources = tuple(sources)
-    _common_frame(sources)
+    frame = _common_frame(sources)
     leaves = []
     _source_expr_leaves(expr, leaves)
     if sorted(leaves) != list(range(1, len(sources) + 1)):
@@ -477,7 +480,8 @@ def mixed(sources, expr):
             f"expression must use each of sources 1..{len(sources)} exactly once, got {sorted(leaves)}"
         )
     return _direct("mixed", sources, _retain,
-                   lambda els: _eval_source_expr(expr, els).canonical(), note="empty landing")
+                   lambda els: Element(frame, _eval_source_expr(expr, [el.atoms for el in els])),
+                   note="empty landing")
 
 
 def conditional(m, hypothesis, rule="conjunctive", **params):

@@ -163,8 +163,7 @@ class Frame:
     in the same order and keep the same atoms.
     """
 
-    __slots__ = ("names", "kind", "_index", "_surviving", "_label_atoms",
-                 "_empty_el", "_ignorance_el", "_hash")
+    __slots__ = ("names", "kind", "_index", "_surviving", "_label_atoms", "_displays", "_hash")
 
     def __init__(self, names, surviving_atoms=None):
         names = tuple(names)
@@ -199,8 +198,7 @@ class Frame:
         self._label_atoms = tuple(
             frozenset(a for a in surviving if a & (1 << i)) for i in range(n)
         )
-        self._empty_el = None
-        self._ignorance_el = None
+        self._displays = {}
         self._hash = hash((names, surviving))
 
     # -- construction -------------------------------------------------
@@ -311,23 +309,26 @@ class Frame:
         return [self.label(name) for name in self.names]
 
     def empty(self):
-        if self._empty_el is None:
-            self._empty_el = Element(self, frozenset(), EMPTY_EXPR)
-        return self._empty_el
+        return Element(self, frozenset())
 
     def ignorance(self):
         """Total ignorance: the union of all hypotheses."""
-        if self._ignorance_el is None:
-            expr = ("or", tuple(("label", nm) for nm in self.names))
-            self._ignorance_el = Element(self, self._surviving, expr)
-        return self._ignorance_el
+        return Element(self, self._surviving)
 
     def from_atoms(self, atoms):
-        """Element for a raw atom-set, with a readable display expression."""
+        """Element for a raw atom-set; it displays as every element of those atoms."""
         atoms = frozenset(atoms)
         if not atoms <= self._surviving:
             raise ValueError("atoms outside the surviving set")
-        return Element(self, atoms, self._describe(atoms))
+        return Element(self, atoms)
+
+    def _display(self, atoms):
+        """The (expression, text) of every element of ``atoms``, kept once computed."""
+        entry = self._displays.get(atoms)
+        if entry is None:
+            expr = _display_expr(self, atoms)
+            entry = self._displays[atoms] = (expr, render_expression(expr))
+        return entry
 
     def reevaluate(self, element):
         """Re-read an element's expression under this frame's model."""
@@ -355,68 +356,29 @@ class Frame:
         out.sort(key=lambda el: (el.cardinality, el.display))
         return out
 
-    # -- display helpers ---------------------------------------------------
-
-    def _describe(self, atoms):
-        """Pick a readable expression for an atom-set.
-
-        Tries labels, then unions and intersections of labels, then
-        complements of those, before falling back to a union of full
-        minterms.
-        """
-        if not atoms:
-            return EMPTY_EXPR
-        n = self.n
-        candidates = []
-        for i, name in enumerate(self.names):
-            candidates.append((("label", name), self._label_atoms[i]))
-        for size in range(2, n + 1):
-            for combo in itertools.combinations(range(n), size):
-                exprs = tuple(("label", self.names[i]) for i in combo)
-                for op in ("or", "and"):
-                    cand = fold(op, (self._label_atoms[i] for i in combo))
-                    candidates.append(((op, exprs), cand))
-        for expr, cand in candidates:
-            if cand == atoms:
-                return expr
-        for expr, cand in candidates:
-            if self._surviving - cand == atoms:
-                return ("not", expr)
-        minterms = []
-        for atom in sorted(atoms):
-            parts = []
-            for i, name in enumerate(self.names):
-                leaf = ("label", name)
-                parts.append(leaf if atom & (1 << i) else ("not", leaf))
-            minterms.append(("and", tuple(parts)))
-        if len(minterms) == 1:
-            return minterms[0]
-        return ("or", tuple(minterms))
-
 
 class Element:
-    """One member of a frame's algebra: an expression plus its atom-set.
+    """One member of a frame's algebra: an atom-set, maybe with an expression.
 
     Semantic identity is the atom-set: two elements are equal exactly
     when they denote the same atoms of the same frame, whatever their
-    expressions look like.  Instances are immutable by convention.  The
-    expression of a ``canonical()`` element is reduced on first read of
-    ``expr`` (or ``display``) and kept.
+    expressions look like.  The display is the frame's for those atoms;
+    an element built without an expression (a rule's landing, say) reads
+    the display's expression as its own.  Instances are immutable by
+    convention.
     """
 
-    __slots__ = ("frame", "atoms", "_expr", "_unreduced")
+    __slots__ = ("frame", "atoms", "_expr")
 
-    def __init__(self, frame, atoms, expr):
+    def __init__(self, frame, atoms, expr=None):
         self.frame = frame
         self.atoms = frozenset(atoms)
         self._expr = expr
-        self._unreduced = None
 
     @property
     def expr(self):
-        if self._unreduced is not None:
-            self._expr = _canonical_expr(self.frame, self._unreduced)
-            self._unreduced = None
+        if self._expr is None:
+            return self.frame._display(self.atoms)[0]
         return self._expr
 
     def __eq__(self, other):
@@ -437,7 +399,7 @@ class Element:
 
     @property
     def display(self):
-        return render_expression(self.expr)
+        return self.frame._display(self.atoms)[1]
 
     @property
     def is_empty(self):
@@ -472,17 +434,8 @@ class Element:
         )
 
     def canonical(self):
-        """Same atoms, absorption-reduced expression.
-
-        Within an intersection any operand that covers another is
-        dropped; within a union any operand covered by another is
-        dropped.  Nested chains of one connective are flattened first.
-        The reduction runs on the first read of the new element's
-        ``expr``, so landings nothing displays never pay for it.
-        """
-        el = Element(self.frame, self.atoms, None)
-        el._unreduced = self.expr
-        return el
+        """Same atoms, with the frame's display expression for them."""
+        return Element(self.frame, self.atoms)
 
     def disjunctive(self):
         """The disjunctive form: every connective replaced by union.
@@ -491,12 +444,68 @@ class Element:
         rewritten through their atom-set as the union of the hypotheses
         covering those atoms, which is the only model-consistent choice.
         """
-        names = _disjunctive_labels(self.frame, self.expr)
-        if not names:
-            return self.frame.empty()
-        exprs = tuple(("label", nm) for nm in names)
-        expr = exprs[0] if len(exprs) == 1 else ("or", exprs)
-        return self.frame.element(expr)
+        frame = self.frame
+        return Element(frame, frozenset().union(*(
+            frame._label_atoms[frame._index[nm]] for nm in _disjunctive_labels(frame, self.expr))))
+
+
+def _display_expr(frame, atoms):
+    """The one expression an atom set displays as.
+
+    An up-closed set (it holds every surviving atom above any of its
+    atoms) is a union of label intersections, at most one per minimal atom;
+    otherwise the complement of an up-closed set is ``~`` of that set's
+    expression, and anything else the union of its minterms.  Terms run
+    by label count, then by label index.
+    """
+    if not atoms:
+        return EMPTY_EXPR
+    for negate, region in ((False, atoms), (True, frame.surviving_atoms - atoms)):
+        terms = _up_closed_terms(frame, region)
+        if terms is not None:
+            return ("not", _node(terms)) if negate else _node(terms)
+    leaves = [("label", nm) for nm in frame.names]
+    return _node([("and", tuple(leaf if atom >> i & 1 else ("not", leaf)
+                                for i, leaf in enumerate(leaves)))
+                  for atom in sorted(atoms, key=_label_order)])
+
+
+def _up_closed_terms(frame, atoms):
+    """The label intersections an up-closed set is the union of, else None.
+
+    Each minimal atom's labels are thinned, last label first, while
+    their intersection stays inside the set; a term whose labels hold
+    another term's goes.
+    """
+    def above(mask):
+        return fold("and", (frame._label_atoms[i] for i in _label_order(mask)[1]))
+
+    minimal = []
+    for atom in sorted(atoms, key=int.bit_count):
+        if not any(atom & low == low for low in minimal):
+            minimal.append(atom)
+    if len(set().union(*map(above, minimal))) != len(atoms):
+        return None
+    masks = set()
+    for mask in minimal:
+        for i in reversed(_label_order(mask)[1]):
+            if mask != 1 << i and above(mask & ~(1 << i)) <= atoms:
+                mask &= ~(1 << i)
+        masks.add(mask)
+    return [_node([("label", frame.names[i]) for i in _label_order(mask)[1]], "and")
+            for mask in sorted(masks, key=_label_order)
+            if not any(other != mask and mask & other == other for other in masks)]
+
+
+def _label_order(mask):
+    """(label count, label indices) of an atom or label mask: the term order."""
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return len(bits), tuple(bits)
+
+
+def _node(terms, op="or"):
+    """One term alone, else the terms under one connective."""
+    return terms[0] if len(terms) == 1 else (op, tuple(terms))
 
 
 def _canonical_expr(frame, expr):
@@ -514,21 +523,11 @@ def _canonical_expr(frame, expr):
             flat.extend(kid[1])
         else:
             flat.append(kid)
-    keyed = []
+    keyed = {}
     for kid in flat:
-        atoms = frame.eval_atoms(kid)
-        if all(atoms != seen for seen, _ in keyed):
-            keyed.append((atoms, kid))
-    if op == "and":
-        kept = [
-            kid for atoms, kid in keyed
-            if not any(other < atoms for other, _ in keyed)
-        ]
-    else:
-        kept = [
-            kid for atoms, kid in keyed
-            if not any(other > atoms for other, _ in keyed)
-        ]
+        keyed.setdefault(frame.eval_atoms(kid), kid)
+    covers = operator.lt if op == "and" else operator.gt
+    kept = [kid for atoms, kid in keyed.items() if not any(covers(other, atoms) for other in keyed)]
     if len(kept) == 1:
         return kept[0]
     return (op, tuple(kept))
@@ -543,17 +542,10 @@ def _disjunctive_labels(frame, expr):
     if op == "empty":
         return []
     if op == "not":
-        atoms = frame.eval_atoms(expr)
-        bits = 0
-        for atom in atoms:
-            bits |= atom
-        return [frame.names[i] for i in range(frame.n) if bits & (1 << i)]
-    seen = []
-    for child in expr[1]:
-        for name in _disjunctive_labels(frame, child):
-            if name not in seen:
-                seen.append(name)
-    return sorted(seen, key=frame.names.index)
+        bits = functools.reduce(operator.or_, frame.eval_atoms(expr), 0)
+        return [frame.names[i] for i in _label_order(bits)[1]]
+    names = {name for child in expr[1] for name in _disjunctive_labels(frame, child)}
+    return sorted(names, key=frame.names.index)
 
 
 # -- degrees -----------------------------------------------------------

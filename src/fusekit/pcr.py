@@ -14,7 +14,7 @@ from .classic import (
     Ledger,
     _conflict_operands,
     _direct,
-    _intersection_element,
+    _reduced_intersection,
     _subset_unions,
     _union_element,
 )
@@ -263,14 +263,14 @@ def _pairwise_fold(rule_fn, rule_name, sources):
 # -- minC ---------------------------------------------------------------------
 
 def _intersection_parts(els):
-    """Distinct non-empty operands of the conflict's canonical intersection.
+    """Distinct non-empty operands of the conflict's reduced intersection.
 
-    The intersection of the operand expressions is canonicalized first,
+    The intersection of the operand expressions is reduced first,
     so (A u B) n B collapses to B and contributes the single part B.
-    Canonicalization merges equal operands and leaves no empty operand
+    The reduction merges equal operands and leaves no empty operand
     inside an intersection node.
     """
-    inter = _intersection_element(list(els))
+    inter = _reduced_intersection(els)
     if inter.expr[0] != "and":
         return [] if inter.is_empty else [inter]
     return [inter.frame.element(child) for child in inter.expr[1]]

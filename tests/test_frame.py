@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from fusekit import classic as classic_module
 from fusekit import frame as frame_module
 from fusekit import (
     Element,
@@ -23,8 +24,7 @@ from fusekit import (
 )
 from fusekit.cli import build_table
 from fusekit.frame import parse_expression_text, render_expression
-from fusekit.golden import GOLDEN_CASES, Outcome
-from fusekit.problem import parse_problem
+from fusekit.golden import Outcome
 
 
 def test_frame_requires_two_unique_alnum_names():
@@ -104,6 +104,15 @@ def test_render_round_trips_through_parse():
         el = f.parse(text)
         again = f.parse(render_expression(el.expr))
         assert again == el
+    # Every element of the property tests' frames, and of their hybrid;
+    # the empty set displays as ∅, which has no surface syntax.
+    frames = [make(names) for names in (("A", "B"), ("A", "B", "C"))
+              for make in (Frame.free, Frame.shafer)]
+    frames.append(Frame.free(("A", "B", "C")).constrain("A&B"))
+    for f in frames:
+        for el in f.superpower_set():
+            assert el.is_empty or f.parse(el.display) == el
+            assert f.from_atoms(el.atoms).display == el.display
 
 
 def test_semantic_equality_ignores_expression_shape():
@@ -133,26 +142,7 @@ def test_canonical_absorption():
     assert el.display == "A|B|C"
 
 
-def _counting_reductions(monkeypatch):
-    """Count top-level expression reductions; nested calls are one."""
-    calls = []
-    real = frame_module._canonical_expr
-    depth = [0]
-
-    def counting(frame, expr):
-        if not depth[0]:
-            calls.append(expr)
-        depth[0] += 1
-        try:
-            return real(frame, expr)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(frame_module, "_canonical_expr", counting)
-    return calls
-
-
-def test_landings_are_reduced_only_when_read(monkeypatch):
+def test_landings_are_never_reduced_and_each_display_is_computed_once(monkeypatch):
     # A Shafer pair with 40 focal unions of up to three of 8 hypotheses
     # each: 1600 products, 633 of them landing empty.
     f = Frame.shafer(tuple("ABCDEFGH"))
@@ -160,30 +150,25 @@ def test_landings_are_reduced_only_when_read(monkeypatch):
     unions = ["|".join(combo) for r in (1, 2, 3) for combo in itertools.combinations(f.names, r)]
     m1, m2 = (MassFunction(f, {text: rng.random() for text in rng.sample(unions, 40)}).normalize()
               for _ in range(2))
-    calls = _counting_reductions(monkeypatch)
+    reductions, computed = [], []
+    for module in (frame_module, classic_module):
+        monkeypatch.setattr(module, "_canonical_expr",
+                            lambda frame, expr: reductions.append(expr) or expr)
+    describe = frame_module._display_expr
+    monkeypatch.setattr(frame_module, "_display_expr",
+                        lambda frame, atoms: computed.append(atoms) or describe(frame, atoms))
     out = conjunctive(m1, m2)
     assert len(out.conflict.partials) > 600
-    assert calls == []
-    table = build_table(Outcome("mass", frame=f, combined=out.combined, result=out,
-                                warnings=out.warnings), "conjunctive")
+    outcome = Outcome("mass", frame=f, combined=out.combined, result=out, warnings=out.warnings)
+    table = build_table(outcome, "conjunctive")
     table.render()
-    assert 0 < len(calls) <= len(out.combined)
-
-
-def test_lazy_reduction_yields_the_eager_expression():
-    for case in GOLDEN_CASES:
-        problem = parse_problem(case.text)
-        if problem.interval:
-            continue
-        frame = problem.final_frame()
-        focals = [el for m in problem.final_sources() for el in m]
-        for x, y in itertools.product(focals, repeat=2):
-            for joined in (x & y, x | y, ~x ^ y):
-                lazy = joined.canonical()
-                eager = frame_module._canonical_expr(frame, joined.expr)
-                assert lazy.expr == eager
-                assert lazy.atoms == joined.atoms
-                assert lazy.canonical().expr == frame_module._canonical_expr(frame, eager)
+    doc = table.to_json_dict(outcome)
+    assert reductions == []
+    assert len(computed) == len(set(computed))
+    shown = {el.atoms for el in out.combined} | {el.atoms for m in (m1, m2) for el in m}
+    assert set(computed) == shown | {frozenset()}
+    reads = sum(len(p["operands"]) + len(p["shares"]) for p in doc["ledger"])
+    assert reads > 10 * len(computed)
 
 
 def test_disjunctive_form_replaces_connectives_with_union():
@@ -201,6 +186,8 @@ def test_from_atoms_picks_readable_displays():
     assert f.from_atoms(f.label("A").atoms).display == "A"
     both = f.label("A").atoms | f.label("B").atoms
     assert f.from_atoms(both).display == "A|B"
+    free = Frame.free(("A", "B", "C"))
+    assert free.from_atoms(free.parse("(A&B)|(C&A)").atoms).display == "A&B|A&C"
     with pytest.raises(ValueError):
         f.from_atoms({1 << 3})
 

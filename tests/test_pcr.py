@@ -195,6 +195,21 @@ def test_minc_equal_split_when_no_recipient_mass(shafer2):
     assert any("equal split" in p.basis for p in out.conflict.partials)
 
 
+def test_minc_fold_reads_only_the_intermediate_masses(shafer3):
+    # The fold's second step sees the first step's result as a mass
+    # function: rebuilding its elements from their atoms changes nothing.
+    m1 = MassFunction(shafer3, {"A": 0.6, "B|C": 0.4})
+    m2 = MassFunction(shafer3, {"B": 0.5, "A|C": 0.5})
+    m3 = MassFunction(shafer3, {"C": 0.7, "A|B": 0.3})
+    step = minc(m1, m2).combined
+    rebuilt = MassFunction(shafer3, {shafer3.from_atoms(el.atoms): v for el, v in step.items()})
+    folded = minc(m1, m2, m3).combined
+    assert oracles.delta(oracles.plain(folded), oracles.plain(minc(rebuilt, m3).combined)) < 1e-12
+    assert oracles.delta(oracles.plain(folded), {
+        shafer3.label("A").atoms: 0.314366, shafer3.label("B").atoms: 0.187119,
+        shafer3.label("C").atoms: 0.498515}) < 1e-6
+
+
 def test_minc_rejects_unknown_version(shafer2):
     m = MassFunction(shafer2, {"A": 1.0})
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Randomized invariants: commutativity, conservation, neutrality, axioms."""
 
+import itertools
 import math
 
 from hypothesis import assume, given, settings, strategies as st
@@ -39,6 +40,8 @@ from fusekit import (
     yager,
     zhang_center,
 )
+from fusekit.cli import build_table
+from fusekit.golden import Outcome
 from fusekit.registry import resolve, selectors
 from fusekit.special import _IMPROVED_BASES, TCONORMS, TNORMS
 from fusekit.uft import CASE_TO_KIND
@@ -499,3 +502,48 @@ def test_every_store_ledger_passes_the_audit(sources):
         except (TotalConflictError, RuleError):
             continue
         assert oracles.audit(out, sources) == [], rule
+
+
+# Folds that the rules themselves declare dependent on source order.
+_ORDERED_FOLDS = ("pcr4", "pcr5", "minc-a", "minc-b")
+
+
+def _permuted_params(selector, frame, order):
+    """The sweep's parameters for sources taken in ``order``."""
+    params = _audit_params(selector, frame, len(order))
+    if selector == "mixing":
+        params["weights"] = [params["weights"][i] for i in order]
+    if selector == "mixed":
+        params["expr"] = "({}&{})|{}".format(*(order.index(i) + 1 for i in range(3)))
+    return params
+
+
+def _printed(spec, sources, params):
+    """The CLI table's render() and JSON rows, or the error raised and no rows."""
+    try:
+        out = spec.combine(sources, params)
+    except (TotalConflictError, RuleError) as exc:
+        return type(exc).__name__, {}
+    outcome = Outcome("mass", frame=out.combined.frame, combined=out.combined, result=out,
+                      warnings=out.warnings)
+    table = build_table(outcome, spec.name)
+    return table.render(), {r["element"]: r["mass"] for r in table.to_json_dict(outcome)["rows"]}
+
+
+@given(audit_sources())
+def test_source_order_changes_no_table(sources):
+    for selector in selectors():
+        spec = resolve(selector)
+        if spec.mode != "mass":
+            continue
+        for count in _audit_counts(spec):
+            if count < 2 or (count > 2 and selector in _ORDERED_FOLDS):
+                continue
+            first = None
+            for order in itertools.permutations(range(count)):
+                srcs = [sources[i] for i in order]
+                render, rows = _printed(spec, srcs, _permuted_params(selector, srcs[0].frame, order))
+                first = first or (render, rows)
+                assert render == first[0], (selector, order)
+                assert rows.keys() == first[1].keys(), (selector, order)
+                assert all(abs(v - first[1][k]) <= 1e-12 for k, v in rows.items()), (selector, order)

@@ -15,12 +15,15 @@ p = 0.5.  Each run is one JSON line: the CLI table's ``render()`` and
 ``to_json_dict()``, or the error the run raised.
 
 ``diff`` prints, per selector, how many records differ in ``render()``
-and in the JSON, and the first difference of each kind.  It exits 1 when
-any record differs and 0 when none does.
+and in the JSON, how many of those become equal once every display in
+both is parsed into its atoms on the problem's frame (rows and shares
+then compare in atom order), and the first difference of each kind.  It
+exits 1 when any record differs and 0 when none does.
 
 fusekit is imported from the path, so ``PYTHONPATH=<checkout>/src``
-snapshots that checkout.  The sweep's models and focal elements come
-from ``bench/gen.py``.  Standard library only.
+snapshots that checkout; ``diff`` reads the problems' frames through
+it when two records differ.  The sweep's models and focal elements come from ``bench/gen.py``.
+Standard library only.
 """
 
 import json
@@ -161,14 +164,60 @@ def _first_render_difference(a, b):
     return f"{len(la)} lines -> {len(lb)} lines"
 
 
+def _by_atoms(record, frame):
+    """The record with each display replaced by its sorted atoms, and rows
+    and shares sorted; render lines outside the rows lose their padding,
+    and the rule under the rows, whose width follows the displays, goes."""
+    def atoms(display):
+        return sorted(frame.parse(display).atoms) if display != "∅" else []
+
+    def rows(items):
+        return sorted(items, key=json.dumps)
+
+    out = {"error": record.get("error")}
+    if "render" in record:
+        lines = record["render"].split("\n")
+        top = next(i for i, line in enumerate(lines) if line.startswith("element "))
+        end = next(i for i, line in enumerate(lines) if line.startswith("---"))
+        out["render"] = ([" ".join(line.split()) for line in lines[:top + 1] + lines[end + 1:]]
+                         + rows([atoms(line.split()[0]), line.split()[1]]
+                                for line in lines[top + 1:end]))
+    doc = dict(record.get("json") or {})
+    if "rows" in doc:
+        doc["rows"] = rows({**r, "element": atoms(r["element"])} for r in doc["rows"])
+    if "signed_masses" in doc:
+        doc["signed_masses"] = rows({**r, "element": atoms(r["element"])}
+                                    for r in doc["signed_masses"])
+    doc["ledger"] = [
+        {**p, "operands": [atoms(d) for d in p["operands"]],
+         "shares": rows({**s, "to": s["to"] if s["to"] in (None, "divided out") else atoms(s["to"])}
+                        for s in p["shares"])}
+        for p in doc.get("ledger", [])
+    ]
+    out["json"] = doc
+    return out
+
+
+def _frames():
+    """The final frame of every recorded problem, by name."""
+    from fusekit.problem import parse_problem
+
+    return {name: parse_problem(text).final_frame() for name, text in _problems()}
+
+
 def diff(path_a, path_b):
     a, b = _load(path_a), _load(path_b)
+    frames = None
     stats = {}
     for key in sorted(set(a) | set(b)):
         selector = key[1]
-        entry = stats.setdefault(selector, {"records": 0, "render": [], "json": []})
+        entry = stats.setdefault(selector, {"records": 0, "render": [], "json": [], "atoms": 0})
         entry["records"] += 1
         ra, rb = a.get(key, {}), b.get(key, {})
+        if ra != rb:
+            frames = frames or _frames()
+            frame = frames.get(key[0])
+            entry["atoms"] += frame is not None and _by_atoms(ra, frame) == _by_atoms(rb, frame)
         if ra.get("render") != rb.get("render") or ra.get("error") != rb.get("error"):
             if "render" in ra and "render" in rb:
                 what = _first_render_difference(ra["render"], rb["render"])
@@ -184,7 +233,7 @@ def diff(path_a, path_b):
         if not (entry["render"] or entry["json"]):
             continue
         print(f"{selector}: render {len(entry['render'])}, json {len(entry['json'])} "
-              f"of {entry['records']}")
+              f"of {entry['records']}; equal by atoms {entry['atoms']}")
         for kind in ("render", "json"):
             if entry[kind]:
                 print(f"  first {kind}: {entry[kind][0]}")
