@@ -7,11 +7,13 @@ over hypothesis indices naming exactly the hypotheses that contain it.
 A frame stores the atoms its model keeps; free models keep all 2^n - 1
 candidate atoms, exclusivity models keep only the n single-hypothesis
 atoms.  Atoms are only ever removed, never restored, so constraining a
-frame yields a new frame.
+frame yields a new frame.  Real intervals live on one frame of their
+own, ``INTERVAL_FRAME``, which parses them but has no algebra.
 """
 
 import functools
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -582,3 +584,62 @@ def degree_inclusion(x, y):
     if not x.atoms:
         return 0.0
     return len(x.atoms) / len(y.atoms)
+
+
+# -- intervals -----------------------------------------------------------
+
+_INTERVAL_RE = re.compile(
+    r"\[\s*([+-]?\d+(?:\.\d+)?)\s*,\s*([+-]?\d+(?:\.\d+)?)\s*\]\Z"
+)
+
+
+class _IntervalFrame:
+    """The frame of closed real intervals; it has no element algebra."""
+
+    __slots__ = ()
+
+    def parse(self, text):
+        """Parse ``[lo,hi]`` into an IntervalElement."""
+        match = _INTERVAL_RE.match(text)
+        if not match:
+            raise ParseError(f"expected [lo,hi] interval, got {text!r}")
+        try:
+            return IntervalElement(float(match.group(1)), float(match.group(2)))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+
+    def __repr__(self):
+        return "INTERVAL_FRAME"
+
+
+INTERVAL_FRAME = _IntervalFrame()
+
+
+@dataclass(frozen=True)
+class IntervalElement:
+    """A closed real interval used as a focal element."""
+
+    lo: float
+    hi: float
+    frame = INTERVAL_FRAME
+
+    def __post_init__(self):
+        lo = float(self.lo)
+        hi = float(self.hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("interval bounds must be finite")
+        if lo > hi:
+            raise ValueError(f"interval bounds out of order: [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def average(self, other):
+        """The midpoint interval of self and other, bound by bound."""
+        return IntervalElement((self.lo + other.lo) / 2, (self.hi + other.hi) / 2)
+
+    @property
+    def display(self):
+        return f"[{self.lo:g},{self.hi:g}]"
+
+    def __str__(self):
+        return self.display

@@ -32,14 +32,9 @@ def execute_problem(problem, rule, overrides=None):
     params = coerce_params(problem.params)
     if overrides:
         params.update(overrides)
-    if problem.interval:
-        if spec.mode != "interval":
-            raise RuleError(f"rule {rule!r} needs a label frame, not intervals")
-        sources = problem.source_masses
-        validate_call(spec, len(sources), params)
-        combined = spec.combine(sources, params)
-        return Outcome("interval", combined=combined)
-    if spec.mode == "interval":
+    if problem.interval and spec.mode != "interval":
+        raise RuleError(f"rule {rule!r} needs a label frame, not intervals")
+    if spec.mode == "interval" and not problem.interval:
         raise RuleError(f"rule {rule!r} needs an interval problem (frame-intervals:)")
     frame = problem.final_frame()
     sources = problem.final_sources()
@@ -47,6 +42,8 @@ def execute_problem(problem, rule, overrides=None):
         params["config"] = scenario_config(problem)
     validate_call(spec, len(sources), params)
     out = spec.combine(sources, params)
+    if spec.mode == "interval":
+        return Outcome("interval", frame=frame, combined=out)
     if spec.mode == "opinion":
         return Outcome("opinion", frame=frame, opinion=out)
     return Outcome("mass", frame=frame, combined=out.combined, result=out,
@@ -456,13 +453,7 @@ def run_case(case, perturb=None):
 def _lookup(outcome, key):
     if outcome.kind == "opinion":
         return getattr(outcome.opinion, key, None)
-    if outcome.kind == "interval":
-        for el, v in outcome.combined.items():
-            if el.display == key:
-                return v
-        return None
-    el = outcome.frame.parse(key)
-    return outcome.combined.mass(el)
+    return outcome.combined.mass(outcome.frame.parse(key))
 
 
 def _check_value(outcome, what):
@@ -487,12 +478,7 @@ def bump_first_mass(delta=1e-3):
         el, v = items[0]
         rest = dict(items[1:])
         rest[el] = v + delta
-        if problem.interval:
-            from .special import IntervalMassFunction
-
-            problem.sources[0] = (name, IntervalMassFunction(rest))
-        else:
-            problem.sources[0] = (name, MassFunction(m.frame, rest))
+        problem.sources[0] = (name, MassFunction(m.frame, rest))
         return problem
 
     return hook

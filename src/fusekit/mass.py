@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FrameMismatchError
-from .frame import Element, degree_inclusion, degree_intersection
+from .frame import Element, IntervalElement, degree_inclusion, degree_intersection
 
 # How far a total may drift from 1 before the bba stops counting as normal.
 STATUS_TOL = 1e-9
@@ -13,10 +13,11 @@ STATUS_TOL = 1e-9
 class MassFunction:
     """An immutable assignment of mass to elements of one frame.
 
-    Only focal elements (mass > 0) are stored; semantically equal keys
-    are merged at construction.  Mass on the empty element is allowed:
-    open-world sources carry it, and it flows through combination
-    formulas literally.
+    The frame is a label frame, with Element keys, or the interval
+    frame, with IntervalElement keys.  Only focal elements (mass > 0)
+    are stored; semantically equal keys are merged at construction.
+    Mass on the empty element is allowed: open-world sources carry it,
+    and it flows through combination formulas literally.
     """
 
     __slots__ = ("frame", "_map")
@@ -26,7 +27,7 @@ class MassFunction:
         merged = {}
         for key, value in items:
             el = frame.parse(key) if isinstance(key, str) else key
-            if not isinstance(el, Element):
+            if not isinstance(el, (Element, IntervalElement)):
                 raise TypeError(f"expected Element or str key, got {type(key).__name__}")
             if el.frame != frame:
                 raise FrameMismatchError("focal element from another frame")

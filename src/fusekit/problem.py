@@ -11,15 +11,11 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import FrameTooLargeError, ParseError
-from .frame import Frame, parse_expression_text, render_expression
+from .frame import INTERVAL_FRAME, Frame, IntervalElement, render_expression
 from .mass import MassFunction
-from .special import IntervalElement, IntervalMassFunction
 from .uft import CASE_TO_KIND, ScenarioConfig
 
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
-_INTERVAL_RE = re.compile(
-    r"\[\s*([+-]?\d+(?:\.\d+)?)\s*,\s*([+-]?\d+(?:\.\d+)?)\s*\]\Z"
-)
 # Commas inside [lo,hi] brackets do not separate assignments; the comma
 # of an interval is the one that meets ']' before any ',' or '['.
 _SEPARATOR_RE = re.compile(r",(?![^\[,]*\])")
@@ -35,12 +31,16 @@ class ProblemFile:
     frame: Frame = None
     model_kind: str = "free"
     model_constraints: tuple = ()
-    interval: bool = False
     sources: list = field(default_factory=list)
     events: tuple = ()
     scenario: dict = None
     params: dict = field(default_factory=dict)
     discounts: dict = field(default_factory=dict)
+
+    @property
+    def interval(self):
+        """Whether the sources are interval bbas."""
+        return self.frame is INTERVAL_FRAME
 
     @property
     def source_masses(self):
@@ -240,23 +240,15 @@ def parse_problem(text):
         if scenario is None or scenario["case"] != "3":
             _fail(lineno, "discounts need 'scenario: case 3'")
 
-    if interval:
-        problem = ProblemFile(interval=True, params=params, discounts=discounts)
-        if not raw_sources:
-            raise ParseError("problem declares no sources")
-        for name, body, lineno in raw_sources:
-            problem.sources.append((name, _parse_interval_source(body, lineno)))
-        return problem
-
-    if frame_labels is None:
+    if frame_labels is None and not interval:
         raise ParseError("problem declares no frame")
     if not raw_sources:
         raise ParseError("problem declares no sources")
-    if len(frame_labels) < 2:
+    if interval:
+        frame = INTERVAL_FRAME
+    elif len(frame_labels) < 2:
         _fail(frame_lineno, "a frame needs at least two hypotheses")
-    if model_kind is None:
-        model_kind = "free"
-    if model_kind == "shafer":
+    elif model_kind == "shafer":
         frame = Frame.shafer(frame_labels)
     else:
         try:
@@ -267,13 +259,13 @@ def parse_problem(text):
             frame = frame.constrain(*model_constraints)
 
     problem = ProblemFile(
-        frame=frame, model_kind=model_kind, model_constraints=model_constraints,
-        interval=False, events=tuple(events), scenario=scenario, params=params,
-        discounts=discounts,
+        frame=frame, model_kind=model_kind or "free", model_constraints=model_constraints,
+        events=tuple(events), scenario=scenario, params=params, discounts=discounts,
     )
+    lhs_form = "[lo,hi]" if interval else "<expr>"
     for name, body, lineno in raw_sources:
         masses = {}
-        for lhs, rhs in _split_assignments(body, lineno):
+        for lhs, rhs in _split_assignments(body, lineno, lhs_form):
             try:
                 el = frame.parse(lhs)
             except ParseError as exc:
@@ -343,21 +335,6 @@ def _parse_scenario(body, lineno):
         if key != reads and out[key]:
             _fail(lineno, f"case {case} does not read '{key}'")
     return out
-
-
-def _parse_interval_source(body, lineno):
-    masses = {}
-    for lhs, rhs in _split_assignments(body, lineno, "[lo,hi]"):
-        match = _INTERVAL_RE.match(lhs)
-        if not match:
-            _fail(lineno, f"expected [lo,hi] interval, got {lhs!r}")
-        try:
-            el = IntervalElement(float(match.group(1)), float(match.group(2)))
-        except ValueError as exc:
-            _fail(lineno, str(exc))
-        v = _parse_float(rhs, lineno, "mass")
-        masses[el] = masses.get(el, 0.0) + v
-    return IntervalMassFunction(masses)
 
 
 def scenario_config(problem):

@@ -3,7 +3,6 @@ consensus operator on opinions, T-norm and T-conorm fusion, the
 cautious commonality-min rule, and degree-improved rule variants."""
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateConsensusError, FrameTooLargeError, RuleError
 from .classic import (
@@ -16,7 +15,7 @@ from .classic import (
     _subset_unions,
     _union_element,
 )
-from .frame import degree_intersection, degree_union
+from .frame import INTERVAL_FRAME, IntervalElement, degree_intersection, degree_union
 from .mass import MassFunction, Opinion
 from .result import ConflictReport, Partial
 
@@ -38,8 +37,9 @@ def _degree_weighted(m1, m2, rule, what, degree, land, message, disjoint=None):
 
     A pair with mass product p weighs degree(x, y) * p when x and y
     overlap (the degree is its weight, as a T-norm is) and p when they
-    are disjoint.  Pairs land on ``land``; given a ``disjoint(ledger, els,
-    p)`` route, a disjoint pair lands on the empty set and goes to it.
+    are disjoint.  Pairs land on ``land``.  Under an intersection a
+    disjoint pair lands on the empty set, conflicts, and goes to the
+    ``disjoint(ledger, els, p)`` route; a union lands every pair.
     """
     ledger = Ledger((m1, m2))
     if any(el.is_empty for m in ledger.sources for el in m):
@@ -48,10 +48,8 @@ def _degree_weighted(m1, m2, rule, what, degree, land, message, disjoint=None):
     def meets(els):
         return not els[0].atoms.isdisjoint(els[1].atoms)
 
-    # The route never reads a disjoint pair's landing, so none is built.
     for els, p, _ in ledger.expand(
-            lambda els: land(els) if disjoint is None or meets(els) else ledger.frame.empty(),
-            weight=lambda els, ms: (degree(*els) if meets(els) else 1.0) * math.prod(ms)):
+            land, weight=lambda els, ms: (degree(*els) if meets(els) else 1.0) * math.prod(ms)):
         disjoint(ledger, els, p)
     _normalise(ledger, message)
     return ledger.finish(rule)
@@ -76,91 +74,25 @@ def zhang_center(m1, m2, degree="product"):
 
 # -- convolutive x-averaging ----------------------------------------------
 
-@dataclass(frozen=True)
-class IntervalElement:
-    """A closed real interval used as a focal element."""
+class IntervalMassFunction(MassFunction):
+    """A bba over the interval frame, its focal elements in (lo, hi) order."""
 
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("interval bounds must be finite")
-        if lo > hi:
-            raise ValueError(f"interval bounds out of order: [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def average(self, other):
-        """The midpoint interval of self and other, bound by bound."""
-        return IntervalElement((self.lo + other.lo) / 2, (self.hi + other.hi) / 2)
-
-    @property
-    def display(self):
-        return f"[{self.lo:g},{self.hi:g}]"
-
-    def __str__(self):
-        return self.display
-
-
-class IntervalMassFunction:
-    """A bba whose focal elements are real intervals.
-
-    Interval frames never mix with label frames; this is deliberately a
-    separate, minimal container.
-    """
-
-    __slots__ = ("_map",)
+    __slots__ = ()
 
     def __init__(self, masses):
-        acc = {}
-        for el, v in dict(masses).items():
+        masses = dict(masses)
+        for el in masses:
             if not isinstance(el, IntervalElement):
                 raise TypeError(f"focal elements must be intervals, got {type(el).__name__}")
-            v = float(v)
-            if v < 0.0:
-                raise ValueError(f"negative mass {v} on {el.display}")
-            if v == 0.0:
-                continue
-            acc[el] = acc.get(el, 0.0) + v
-        self._map = dict(sorted(acc.items(), key=lambda kv: (kv[0].lo, kv[0].hi)))
-
-    def items(self):
-        return tuple(self._map.items())
-
-    def mass(self, el):
-        return self._map.get(el, 0.0)
-
-    @property
-    def total(self):
-        return math.fsum(self._map.values())
-
-    def __len__(self):
-        return len(self._map)
-
-    def __iter__(self):
-        return iter(self._map)
-
-    def __eq__(self, other):
-        if not isinstance(other, IntervalMassFunction):
-            return NotImplemented
-        return self._map == other._map
-
-    def __hash__(self):
-        return hash(frozenset(self._map.items()))
-
-    def __repr__(self):
-        inner = ", ".join(f"{el.display}: {v:g}" for el, v in self._map.items())
-        return f"IntervalMassFunction({{{inner}}})"
+        super().__init__(INTERVAL_FRAME,
+                         sorted(masses.items(), key=lambda kv: (kv[0].lo, kv[0].hi)))
 
 
 def convolutive_x_average(m1, m2):
     """Combine interval bbas by averaging: mass lands on the midpoint
     interval of each focal pair.  Coinciding midpoints merge."""
     for m in (m1, m2):
-        if not isinstance(m, IntervalMassFunction):
+        if not isinstance(m, MassFunction) or m.frame is not INTERVAL_FRAME:
             raise TypeError("convolutive averaging needs interval bbas")
     acc = {}
     for x, px in m1.items():

@@ -235,6 +235,15 @@ def test_non_finite_mass_is_a_parse_error(tmp_path, capsys, value):
     assert "non-finite mass" in err
 
 
+@pytest.mark.parametrize("masses", ["[1,2]=nan", "[1,2]=inf", "[1,2]=-0.5, [2,3]=1.5"])
+def test_bad_interval_mass_is_a_parse_error(tmp_path, capsys, masses):
+    src = tmp_path / "iv.txt"
+    src.write_text(f"frame-intervals:\nsource s1: {masses}\nsource s2: [1,2]=1\n")
+    code, out, err = run_cli(capsys, "--rule", "xavg", "--input", str(src))
+    assert (code, out) == (4, "")
+    assert err.startswith("parse error: line 2:")
+
+
 def test_missing_rule_parameter_is_a_rule_error(tmp_path, capsys):
     src = tmp_path / "op.txt"
     src.write_text(BAYESIAN_PAIR)

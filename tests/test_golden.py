@@ -17,6 +17,8 @@ def test_perturbation_is_caught():
     report = verify_golden(perturb=bump_first_mass())
     assert not report.ok
     assert report.failed >= 1
+    failed = {c.name for c in report.cases if not c.ok}
+    assert "interval-midpoint-average" in failed
 
 
 def test_report_lines_format():

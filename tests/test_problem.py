@@ -110,6 +110,9 @@ def test_duplicate_focals_merge():
     ("frame-intervals:\nscenario: case 1\n", 2, "interval problems have no scenario"),
     ("frame-intervals:\nsource s1: A=1\n", 2, "expected [lo,hi] interval"),
     ("frame-intervals:\nsource s1: [3,1]=1\n", 2, "out of order"),
+    ("frame-intervals:\nsource s1: [1,2]=-0.5, [2,3]=1.5\n", 2, "negative mass -0.5 on [1,2]"),
+    ("frame-intervals:\nsource s1: [1,2]=nan\n", 2, "non-finite mass nan on [1,2]"),
+    ("frame-intervals:\nsource s1: [1,2]=inf\n", 2, "non-finite mass inf on [1,2]"),
     ("frame: A B\nfame: x\n", 2, "unknown declaration"),
 ])
 def test_grammar_errors_carry_line_numbers(text, lineno, fragment):

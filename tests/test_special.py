@@ -125,6 +125,12 @@ def test_interval_mass_function_container():
     assert IntervalMassFunction({b: 0.4}).mass(IntervalElement(1, 3)) == 0.4
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_interval_mass_function_rejects_non_finite_masses(value):
+    with pytest.raises(ValueError, match="non-finite mass"):
+        IntervalMassFunction({IntervalElement(1, 3): value})
+
+
 def test_convolutive_x_average():
     m1 = IntervalMassFunction({IntervalElement(1, 3): 0.3, IntervalElement(2, 5): 0.7})
     m2 = IntervalMassFunction({IntervalElement(1, 3): 0.4, IntervalElement(2, 5): 0.6})

@@ -1,4 +1,4 @@
-"""Record and compare the outputs of the mass-mode rules.
+"""Record and compare the outputs of the mass-mode rules and ``xavg``.
 
     python3 tools/snapshot.py write OUT.jsonl
     python3 tools/snapshot.py diff A.jsonl B.jsonl
@@ -6,13 +6,15 @@
 ``write`` runs every mass-mode selector that takes no parameter, and
 ``inagaki`` with p = 0.5, over the label problems of the golden cases
 and a fixed seeded sweep of free, Shafer and hybrid problems with two or
-three sources, a quarter of them with mass on the empty set.  It also
-runs all seventeen rules of the quasi-associative store (selector
-``store:<rule>``), the nine that run on the stored product and the eight
-recomputed from the sources, appending the sources in order; ``wo`` puts
-weight 0.5 on total ignorance and 0.5 on the empty set, ``inagaki`` takes
-p = 0.5.  Each run is one JSON line: the CLI table's ``render()`` and
-``to_json_dict()``, or the error the run raised.
+three sources, a quarter of them with mass on the empty set.  It runs
+``xavg`` over the golden cases' interval problems.  It also runs every
+rule of the quasi-associative store (selector ``store:<rule>``, in the
+order of ``fusekit.uft._STORE_RULES``), the nine that run on the stored
+product and the eight recomputed from the sources, appending the
+sources in order; ``wo`` puts weight 0.5 on total ignorance and 0.5 on
+the empty set, ``inagaki`` takes p = 0.5.  Each run is one JSON line:
+the CLI table's ``render()`` and ``to_json_dict()``, or the error the
+run raised.
 
 ``diff`` prints, per selector, how many records differ in ``render()``
 and in the JSON, how many of those become equal once every display in
@@ -37,9 +39,6 @@ import gen  # noqa: E402
 
 SWEEP = 96
 _KINDS = ("free", "shafer", "hybrid")
-_STORE_RULES = ("conjunctive", "dsmc", "smets", "dempster", "yager", "wo", "inagaki",
-                "pcr1", "wao", "dubois-prade", "dsmh", "pcr2", "pcr3", "pcr4", "pcr5",
-                "minc-a", "minc-b")
 
 
 def _runs():
@@ -78,7 +77,7 @@ def _problems():
     seen = set()
     out = []
     for case in GOLDEN_CASES:
-        if "frame-intervals:" not in case.text and case.text not in seen:
+        if case.text not in seen:
             seen.add(case.text)
             out.append((f"golden-{case.name}", case.text))
     return out + _sweep()
@@ -109,13 +108,14 @@ def write(path):
     from fusekit.errors import FusionError
     from fusekit.golden import execute_problem
     from fusekit.problem import parse_problem
+    from fusekit.uft import _STORE_RULES
 
-    runs = _runs() + [(f"store:{rule}", None) for rule in _STORE_RULES]
+    label_runs = _runs() + [(f"store:{rule}", None) for rule in _STORE_RULES]
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for name, text in _problems():
             problem = parse_problem(text)
-            for selector, params in runs:
+            for selector, params in [("xavg", {})] if problem.interval else label_runs:
                 record = {"problem": name, "selector": selector}
                 try:
                     if params is None:
@@ -199,10 +199,11 @@ def _by_atoms(record, frame):
 
 
 def _frames():
-    """The final frame of every recorded problem, by name."""
+    """The final frame of every recorded label problem, by name."""
     from fusekit.problem import parse_problem
 
-    return {name: parse_problem(text).final_frame() for name, text in _problems()}
+    problems = {name: parse_problem(text) for name, text in _problems()}
+    return {name: p.final_frame() for name, p in problems.items() if not p.interval}
 
 
 def diff(path_a, path_b):
