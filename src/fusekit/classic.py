@@ -10,10 +10,11 @@ literally.
 import functools
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 from .errors import FrameMismatchError, RuleError, TotalConflictError
-from .frame import Element, _canonical_expr, fold, parse_expression_text
+from .frame import Element, _canonical_expr, _disjunctive_labels, fold, parse_expression_text
 from .mass import MassFunction
 from .result import NORMALISED, ConflictReport, FusionResult, Partial
 
@@ -42,14 +43,6 @@ def _joined(op, els):
 
 _intersection_element = functools.partial(_joined, "and")
 _union_element = functools.partial(_joined, "or")
-
-
-def _reduced_intersection(els):
-    """The operands' intersection under the absorption-reduced
-    intersection of their expressions, which dsmh's and minC's conflict
-    routes read."""
-    frame = els[0].frame
-    return frame.element(_canonical_expr(frame, ("and", tuple(el.expr for el in els))))
 
 
 def _subset_unions(els):
@@ -88,6 +81,104 @@ def _ignorance(frame):
 
 # -- the shared expansion and routing core ----------------------------------
 
+# One part of a reduced intersection: the index of its atom set among the
+# call's distinct part atom sets, its disjunctive form's labels as a label
+# mask and in frame order, and its element.
+_Part = namedtuple("_Part", "index mask labels element")
+
+
+class Reductions:
+    """The absorption-reduced intersections of one call's conflicting products.
+
+    dsmh sends a conflicting product to the disjunctive form of the
+    reduced intersection of its operands' expressions, and minC takes
+    its recipients from that intersection's parts.  Those parts are the
+    operands' own reduced parts in operand order, with equal atom sets
+    merged (the first one kept) and only the minimal ones kept.  So each
+    distinct operand expression is reduced once per call, and a product
+    only merges its operands' parts.  Each distinct atom set of a part
+    gets an index, and the indices of the atom sets strictly inside it,
+    as one int, so a product's minimal parts take one test each.
+
+    The memo is keyed by expression, never by Element: elements compare
+    by atoms, and on a Shafer frame A&B and C&D are one empty element
+    with different disjunctive forms.
+    """
+
+    __slots__ = ("frame", "_operands", "_indices", "_below", "_forms")
+
+    def __init__(self, frame):
+        self.frame = frame
+        self._operands = {}  # expression -> (its reduced parts, its own label mask)
+        self._indices = {}  # part atom set -> its index
+        self._below = []  # index -> bits of the indices of its strict subsets
+        self._forms = {}  # label mask -> the union of those labels
+
+    def _index_of(self, atoms):
+        index = self._indices.get(atoms)
+        if index is None:
+            index = len(self._below)
+            below = 0
+            for other, i in self._indices.items():
+                if other < atoms:
+                    below |= 1 << i
+                elif atoms < other:
+                    self._below[i] |= 1 << index
+            self._indices[atoms] = index
+            self._below.append(below)
+        return index
+
+    def _operand(self, expr):
+        """An operand expression's reduced parts and its own label mask."""
+        entry = self._operands.get(expr)
+        if entry is None:
+            frame, label_index = self.frame, self.frame._index
+            reduced = _canonical_expr(frame, expr)
+            parts = []
+            for node in reduced[1] if reduced[0] == "and" else (reduced,):
+                atoms = frame.eval_atoms(node)
+                labels = _disjunctive_labels(frame, node)
+                parts.append(_Part(self._index_of(atoms),
+                                   sum(1 << label_index[nm] for nm in labels),
+                                   labels, Element(frame, atoms, node)))
+            own = sum(1 << label_index[nm] for nm in _disjunctive_labels(frame, expr))
+            entry = self._operands[expr] = (parts, own)
+        return entry
+
+    def parts(self, els):
+        """The parts of the operands' reduced intersection, first seen first."""
+        present, seen = 0, []
+        for el in els:
+            for part in self._operand(el.expr)[0]:
+                if not present >> part.index & 1:
+                    present |= 1 << part.index
+                    seen.append(part)
+        return [part for part in seen if not self._below[part.index] & present]
+
+    def _form(self, mask):
+        """The union of the labels in ``mask``, one Element per mask."""
+        form = self._forms.get(mask)
+        if form is None:
+            label_atoms = self.frame._label_atoms
+            form = self._forms[mask] = Element(self.frame, frozenset().union(
+                *(label_atoms[i] for i in range(mask.bit_length()) if mask >> i & 1)))
+        return form
+
+    def disjunctive(self, els):
+        """The disjunctive form of the operands' reduced intersection."""
+        mask = 0
+        for part in self.parts(els):
+            mask |= part.mask
+        return self._form(mask)
+
+    def joint_disjunctive(self, els):
+        """The union of the operands' own disjunctive forms."""
+        mask = 0
+        for el in els:
+            mask |= self._operand(el.expr)[1]
+        return self._form(mask)
+
+
 class Ledger:
     """Landed mass and the conflict audit trail of one combination.
 
@@ -97,7 +188,7 @@ class Ledger:
     conflicting product.
     """
 
-    __slots__ = ("frame", "sources", "acc", "partials", "k12")
+    __slots__ = ("frame", "sources", "acc", "partials", "k12", "reductions")
 
     def __init__(self, sources):
         self.sources = tuple(sources)
@@ -105,6 +196,7 @@ class Ledger:
         self.acc = {}
         self.partials = []
         self.k12 = 0.0
+        self.reductions = Reductions(self.frame)
 
     def expand(self, land=_intersection_element, claim=None,
                weight=lambda els, masses: math.prod(masses)):
@@ -377,12 +469,13 @@ def dsm_hybrid(*sources):
     set (open world, flagged).
     """
     ledger = Ledger(sources)
+    reductions = ledger.reductions
     for els, p, _ in ledger.expand():
         if all(el.is_empty for el in els):
-            ledger.escalate(els, p, _union_element([el.disjunctive() for el in els]),
+            ledger.escalate(els, p, reductions.joint_disjunctive(els),
                             "operands empty; to joint disjunctive form")
         else:
-            ledger.escalate(els, p, _reduced_intersection(els).disjunctive(),
+            ledger.escalate(els, p, reductions.disjunctive(els),
                             "to disjunctive form of the conflict")
     return ledger.finish("dsmh")
 

@@ -593,6 +593,18 @@ _INTERVAL_RE = re.compile(
 )
 
 
+def _decimal_text(x):
+    """The shortest decimal text, in the interval grammar, that reads back as ``x``."""
+    text = repr(x)
+    if "e" in text:
+        # The grammar has no exponents; only the exponent-form floats pay
+        # for importing decimal.
+        from decimal import Decimal
+
+        text = f"{Decimal(text):f}"
+    return text.removesuffix(".0")
+
+
 class _IntervalFrame:
     """The frame of closed real intervals; it has no element algebra."""
 
@@ -639,7 +651,7 @@ class IntervalElement:
 
     @property
     def display(self):
-        return f"[{self.lo:g},{self.hi:g}]"
+        return f"[{_decimal_text(self.lo)},{_decimal_text(self.hi)}]"
 
     def __str__(self):
         return self.display

@@ -14,12 +14,9 @@ from .classic import (
     Ledger,
     _conflict_operands,
     _direct,
-    _reduced_intersection,
     _subset_unions,
-    _union_element,
 )
 from .errors import RuleError
-from .frame import _disjunctive_labels
 
 
 def _columns(sources):
@@ -182,7 +179,7 @@ def _split_each(ledger, rule, why, split):
         if shares:
             ledger.book(els, p, shares, basis)
         else:
-            ledger.escalate(els, p, _union_element([el.disjunctive() for el in els]),
+            ledger.escalate(els, p, ledger.reductions.joint_disjunctive(els),
                             f"{why}; to joint disjunctive form")
     return ledger.finish(rule)
 
@@ -262,36 +259,21 @@ def _pairwise_fold(rule_fn, rule_name, sources):
 
 # -- minC ---------------------------------------------------------------------
 
-def _intersection_parts(els):
-    """Distinct non-empty operands of the conflict's reduced intersection.
-
-    The intersection of the operand expressions is reduced first,
-    so (A u B) n B collapses to B and contributes the single part B.
-    The reduction merges equal operands and leaves no empty operand
-    inside an intersection node.
-    """
-    inter = _reduced_intersection(els)
-    if inter.expr[0] != "and":
-        return [] if inter.is_empty else [inter]
-    return [inter.frame.element(child) for child in inter.expr[1]]
-
-
-def _minc_recipients_a(frame, els):
+def _minc_recipients_a(frame, parts):
     """Unions of every non-empty subset of the conflict's parts."""
-    return list(_subset_unions(_intersection_parts(els)))
+    return list(_subset_unions([part.element for part in parts if not part.element.is_empty]))
 
 
-def _minc_recipients_b(frame, els):
+def _minc_recipients_b(frame, parts):
     """Every non-empty union over the hypotheses the conflict involves.
 
     The involved hypotheses are those in the parts' disjunctive forms;
     the recipients are all 2^k - 1 unions over them, zero-mass ones
     included (they simply draw no share).
     """
-    parts = _intersection_parts(els)
     labels = []
     for part in parts:
-        for name in _disjunctive_labels(frame, part.expr):
+        for name in part.labels:
             if name not in labels:
                 labels.append(name)
     return list(_subset_unions([frame.label(name) for name in labels]))
@@ -317,7 +299,7 @@ def minc(*sources, version="a"):
     recipients_fn = _minc_recipients_a if version == "a" else _minc_recipients_b
 
     def split(els, p, m12):
-        recipients = recipients_fn(ledger.frame, els)
+        recipients = recipients_fn(ledger.frame, ledger.reductions.parts(els))
         if not recipients:
             return None, ""
         shares = _proportional(_weighted(recipients, lambda el: m12.get(el, 0.0)), p)

@@ -212,7 +212,7 @@ def uft_combine(sources, config=None):
                 ledger.book(els, p, shares, basis, "split to operands")
             else:
                 note = "operands weightless; escalated"
-                ledger.escalate(els, p, _union_element([el.disjunctive() for el in els]),
+                ledger.escalate(els, p, ledger.reductions.joint_disjunctive(els),
                                 note, basis, suffix="", degenerate=note)
         elif att.kind == "union":
             ledger.escalate(els, p, _union_element(els), "to union of operands", basis,
@@ -314,18 +314,32 @@ class QuasiAssociativeState:
     """
 
     sources: tuple
-    product: MassFunction
+    # The product of the first ``_folded`` sources.
+    _base: MassFunction = field(compare=False, repr=False)
+    _folded: int = field(compare=False, repr=False)
 
     @classmethod
     def start(cls, m):
-        return cls((m,), m)
+        return cls((m,), m, 1)
 
     def append(self, m):
         """The state extended by one source; vacuous appends are no-ops
         on the stored product (products with full ignorance keep every
         landing)."""
-        product = conjunctive(self.product, m).combined
-        return QuasiAssociativeState(self.sources + (m,), product)
+        _common_frame((self.sources[0], m))
+        return QuasiAssociativeState(self.sources + (m,), self._base, self._folded)
+
+    @property
+    def product(self):
+        """The sources' conjunctive product, folded left to right on its
+        first read from the product the state carried over; a stream whose
+        rule recomputes from the sources never builds it."""
+        product = self._base
+        for m in self.sources[self._folded:]:
+            product = conjunctive(product, m).combined
+        object.__setattr__(self, "_base", product)
+        object.__setattr__(self, "_folded", len(self.sources))
+        return product
 
 
 def quasi_associative_combine(state, new, rule="dempster", **params):

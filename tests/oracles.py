@@ -8,6 +8,7 @@ the empty element; tests that exercise empty-focal sources check
 invariants instead of oracle equality.
 """
 
+import itertools
 import math
 
 EMPTY = frozenset()
@@ -247,6 +248,120 @@ def mobius_from_commonality(qmap):
         )
         if abs(total) > 1e-12:
             out[a] = total
+    return out
+
+
+# -- the reduced intersection read by dsmh and minC ----------------------
+#
+# Expressions are plain tuple trees: ("label", name), ("empty",),
+# ("not", e) and (op, (e, ...)) for op in and, or, xor.  A frame is its
+# hypothesis names and its surviving atoms.  The whole intersection of a
+# product's operand expressions is reduced in one pass, as the rules
+# define it.
+
+def expr_atoms(expr, names, surviving):
+    """The surviving atoms an expression denotes."""
+    op = expr[0]
+    if op == "label":
+        bit = 1 << names.index(expr[1])
+        return frozenset(a for a in surviving if a & bit)
+    if op == "empty":
+        return EMPTY
+    if op == "not":
+        return frozenset(surviving) - expr_atoms(expr[1], names, surviving)
+    out = None
+    for child in expr[1]:
+        atoms = expr_atoms(child, names, surviving)
+        if out is None:
+            out = atoms
+        elif op == "and":
+            out = out & atoms
+        elif op == "or":
+            out = out | atoms
+        else:
+            out = out ^ atoms
+    return out
+
+
+def reduce_expr(expr, names, surviving):
+    """Absorption, inside out: a chain of one connective (and or or) is
+    flattened, terms of equal atoms keep the first, and an and-chain
+    drops every term holding another term's atoms, an or-chain every
+    term inside another's."""
+    op = expr[0]
+    if op in ("label", "empty"):
+        return expr
+    if op == "not":
+        return ("not", reduce_expr(expr[1], names, surviving))
+    kids = [reduce_expr(child, names, surviving) for child in expr[1]]
+    if op == "xor":
+        return ("xor", tuple(kids))
+    terms = []
+    for kid in kids:
+        terms.extend(kid[1] if kid[0] == op else [kid])
+    first = {}
+    for term in terms:
+        first.setdefault(expr_atoms(term, names, surviving), term)
+    kept = []
+    for atoms, term in first.items():
+        others = [other for other in first if other != atoms]
+        if op == "and" and any(other <= atoms for other in others):
+            continue
+        if op == "or" and any(atoms <= other for other in others):
+            continue
+        kept.append(term)
+    return kept[0] if len(kept) == 1 else (op, tuple(kept))
+
+
+def _form_labels(expr, names, surviving):
+    """The hypotheses of an expression's disjunctive form; a complement
+    reads as the hypotheses covering its atoms."""
+    op = expr[0]
+    if op == "label":
+        return {expr[1]}
+    if op == "empty":
+        return set()
+    if op == "not":
+        atoms = expr_atoms(expr, names, surviving)
+        return {nm for i, nm in enumerate(names) if any(a >> i & 1 for a in atoms)}
+    return set().union(*(_form_labels(child, names, surviving) for child in expr[1]))
+
+
+def intersection_parts(operands, names, surviving):
+    """The terms of the reduced intersection of the operand expressions."""
+    reduced = reduce_expr(("and", tuple(operands)), names, surviving)
+    return list(reduced[1]) if reduced[0] == "and" else [reduced]
+
+
+def dsmh_destination(operands, names, surviving):
+    """The atoms a conflicting dsmh product goes to.
+
+    Operands that are all empty send it to the union of their own
+    disjunctive forms, any other product to the disjunctive form of the
+    reduced intersection.  An empty destination falls back to total
+    ignorance, which is empty only in a fully degenerate model.
+    """
+    if all(not expr_atoms(e, names, surviving) for e in operands):
+        labels = set().union(*(_form_labels(e, names, surviving) for e in operands))
+    else:
+        labels = _form_labels(reduce_expr(("and", tuple(operands)), names, surviving),
+                              names, surviving)
+    dest = frozenset().union(*(expr_atoms(("label", nm), names, surviving) for nm in labels))
+    return dest or frozenset(surviving)
+
+
+def minc_a_recipients(operands, names, surviving):
+    """minC version a's recipients: the distinct non-empty unions of the
+    non-empty parts, over subsets taken smallest first."""
+    parts = [atoms for atoms in (expr_atoms(part, names, surviving)
+                                 for part in intersection_parts(operands, names, surviving))
+             if atoms]
+    out = []
+    for r in range(1, len(parts) + 1):
+        for combo in itertools.combinations(parts, r):
+            union = frozenset().union(*combo)
+            if union not in out:
+                out.append(union)
     return out
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+import fusekit.classic as classic_module
+
 from fusekit import (
     Frame,
     FusionResult,
@@ -17,6 +19,7 @@ from fusekit import (
     dubois_prade,
     exclusive_disjunctive,
     inagaki,
+    minc,
     mixed,
     murphy_average,
     smets_tbm,
@@ -148,6 +151,36 @@ def test_dsm_hybrid_empty_operands_use_joint_disjunctive():
     m = MassFunction(free, {"A&B": 1.0}).on_frame(tight)
     out = dsm_hybrid(m, m)
     assert out.combined.mass(tight.parse("A|B")) == pytest.approx(1.0)
+
+
+def test_dsm_hybrid_routes_by_operand_expression_not_by_element():
+    # On a Shafer frame A&B and C&D are one empty element, but their
+    # disjunctive forms differ, and each conflict takes its own operands'.
+    f = Frame.shafer(tuple("ABCD"))
+    m1 = MassFunction(f, {"A&B": 0.5, "C": 0.5})
+    m2 = MassFunction(f, {"C&D": 0.5, "A": 0.5})
+    out = dsm_hybrid(m1, m2)
+    assert {el.display: v for el, v in out.combined.items()} == pytest.approx(
+        {"A|B": 0.25, "A|B|C|D": 0.25, "A|C": 0.25, "C|D": 0.25}, abs=1e-15)
+
+
+def test_each_operand_expression_is_reduced_once_per_call(monkeypatch):
+    f = Frame.shafer(tuple("ABCDEF"))
+    texts = ("A|B", "A&B|C", "(A|B)&(B|C)", "C|D|E", "E&F", "D", "(A|E)&(E|F)", "B|F")
+    sources = [MassFunction(f, {t: 1.0 for t in (texts * 2)[i:i + 6]}).normalize()
+               for i in (0, 1, 2)]
+    calls = []
+    reduce = classic_module._canonical_expr
+    monkeypatch.setattr(classic_module, "_canonical_expr",
+                        lambda frame, expr: calls.append(expr) or reduce(frame, expr))
+    operands = {el.expr for m in sources for el in m}
+    for combine in (dsm_hybrid, lambda *s: minc(*s[:2], version="a"),
+                    lambda *s: minc(*s[:2], version="b")):
+        calls.clear()
+        out = combine(*sources)
+        assert len(out.conflict.partials) > 2 * len(calls) > 0, len(calls)
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= operands
 
 
 def test_dsm_hybrid_falls_back_to_ignorance_when_the_disjunctive_form_is_empty():

@@ -210,6 +210,24 @@ def test_minc_fold_reads_only_the_intermediate_masses(shafer3):
         shafer3.label("C").atoms: 0.498515}) < 1e-6
 
 
+def test_minc_takes_parts_by_operand_expression_not_by_element():
+    # A&B and C&D are one empty element on a Shafer frame; each conflict
+    # takes its recipients from its own operands' parts.  No recipient
+    # holds conjunctive mass, so every product splits equally.
+    f = Frame.shafer(tuple("ABCD"))
+    m1 = MassFunction(f, {"A&B": 0.5, "C": 0.5})
+    m2 = MassFunction(f, {"C&D": 0.5, "A": 0.5})
+    out = minc(m1, m2, version="a")
+    recipients = [[dest.display for dest, _ in p.shares] for p in out.conflict.partials]
+    assert recipients[1:] == [["A", "B", "A|B"], ["C", "D", "C|D"], ["C", "A", "A|C"]]
+    assert len(recipients[0]) == 15
+    sixtieths = {el.display: v * 60 for el, v in out.combined.items()}
+    assert sixtieths == pytest.approx({
+        "A": 11, "B": 6, "C": 11, "D": 6, "A|B": 6, "A|C": 6, "C|D": 6,
+        "A|D": 1, "B|C": 1, "B|D": 1, "A|B|C": 1, "A|B|D": 1, "A|C|D": 1, "B|C|D": 1,
+        "A|B|C|D": 1}, abs=1e-12)
+
+
 def test_minc_rejects_unknown_version(shafer2):
     m = MassFunction(shafer2, {"A": 1.0})
     with pytest.raises(ValueError):

@@ -204,6 +204,17 @@ def test_render_interval_round_trip():
     assert parse_problem(p.render()) == p
 
 
+def test_render_interval_round_trip_keeps_every_digit():
+    # Bounds that agree to six digits, and one a six-digit format would
+    # print with an exponent, which the grammar rejects.
+    text = ("frame-intervals:\n"
+            "source s1: [1.23456789,2]=0.25, [1.2345678,2]=0.25, [0.00001,1000000]=0.5\n")
+    p = parse_problem(text)
+    rendered = p.render()
+    assert "[1.23456789,2]=0.25, [1.2345678,2]=0.25, [0.00001,1000000]=0.5" in rendered
+    assert parse_problem(rendered) == p
+
+
 def test_interval_duplicates_merge():
     p = parse_problem("frame-intervals:\nsource s1: [1,3]=0.4, [1.0,3.0]=0.6\n")
     assert p.source_masses[0].mass(IntervalElement(1, 3)) == 1.0

@@ -547,3 +547,59 @@ def test_source_order_changes_no_table(sources):
                 assert render == first[0], (selector, order)
                 assert rows.keys() == first[1].keys(), (selector, order)
                 assert all(abs(v - first[1][k]) <= 1e-12 for k, v in rows.items()), (selector, order)
+
+
+# -- dsmh and minC against the whole-intersection reduction -----------------
+
+EXPR_FRAMES = (
+    Frame(("A", "B", "C")),
+    Frame.shafer(("A", "B", "C")),
+    Frame(("A", "B", "C")).constrain("A&B", "B&C&~A"),
+    Frame.shafer(("A", "B", "C", "D")),
+    Frame(("A", "B", "C", "D")).constrain("A&B", "C&D"),
+)
+
+
+def expressions(names):
+    """Expression trees over the names, with complements and nested chains."""
+    leaves = st.sampled_from(names).map(lambda name: ("label", name))
+    return st.recursive(leaves, lambda kids: st.one_of(
+        kids.map(lambda kid: ("not", kid)),
+        st.tuples(st.sampled_from(("and", "or", "xor")),
+                  st.lists(kids, min_size=2, max_size=3).map(tuple)),
+    ), max_leaves=4)
+
+
+@st.composite
+def expression_sources(draw):
+    """Two or three sources whose focal elements keep the expressions drawn."""
+    frame = draw(st.sampled_from(EXPR_FRAMES))
+    sources = []
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        exprs = draw(st.lists(expressions(frame.names), min_size=1, max_size=4))
+        weights = draw(st.lists(st.integers(min_value=1, max_value=100),
+                                min_size=len(exprs), max_size=len(exprs)))
+        total = sum(weights)
+        sources.append(MassFunction(frame, [(frame.element(e), w / total)
+                                            for e, w in zip(exprs, weights)]))
+    return sources
+
+
+@given(expression_sources())
+def test_reduced_intersection_routes_match_the_oracle(sources):
+    frame = sources[0].frame
+    names, surviving = frame.names, frame.surviving_atoms
+    for partial in dsm_hybrid(*sources).conflict.partials:
+        (dest, _), = partial.shares
+        operands = [el.expr for el in partial.operands]
+        assert dest.atoms == oracles.dsmh_destination(operands, names, surviving), operands
+    for partial in minc(*sources[:2]).conflict.partials:
+        if "disjunctive form" in partial.note:
+            continue
+        operands = [el.expr for el in partial.operands]
+        want = oracles.minc_a_recipients(operands, names, surviving)
+        got = [dest.atoms for dest, _ in partial.shares]
+        if partial.basis.startswith("equal split"):
+            assert got == want, operands
+        else:
+            assert got == [atoms for atoms in want if atoms in got], operands

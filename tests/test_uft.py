@@ -2,6 +2,7 @@
 
 import pytest
 
+import fusekit.uft as uft_module
 from fusekit import (
     Attitude,
     Frame,
@@ -402,6 +403,27 @@ def test_vacuous_append_is_noop_on_product(stream, shafer2):
     grown = state.append(MassFunction.vacuous(shafer2))
     assert grown.product == state.product
     assert len(grown.sources) == 2
+
+
+def test_recomputed_rules_never_build_the_stored_product(stream, monkeypatch):
+    m1, m2, m3 = stream
+    calls = []
+    fold = uft_module.conjunctive
+    monkeypatch.setattr(uft_module, "conjunctive", lambda *s: calls.append(s) or fold(*s))
+    state = QuasiAssociativeState.start(m1)
+    for m in (m2, m3):
+        state, _ = quasi_associative_combine(state, m, "pcr5")
+    assert calls == []
+    # A stored rule on the same state folds the product left to right,
+    # as a stream of that rule alone does, to the same floats.
+    _, late = quasi_associative_combine(state, m1, "dempster")
+    assert len(calls) == 3
+    assert state.product == fold(fold(m1, m2).combined, m3).combined
+    eager = m1
+    for m in (m2, m3, m1):
+        eager, on_time = quasi_associative_combine(eager, m, "dempster")
+    assert late.combined == on_time.combined
+    assert late.conflict == on_time.conflict
 
 
 @pytest.mark.parametrize("rule,direct,params", [
