@@ -10,11 +10,11 @@ literally.
 import functools
 import itertools
 import math
-from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import replace
 
 from .errors import FrameMismatchError, RuleError, TotalConflictError
-from .frame import Element, _canonical_expr, _disjunctive_labels, fold, parse_expression_text
+from .frame import Element, Reductions, fold, parse_expression_text
 from .mass import MassFunction
 from .result import NORMALISED, ConflictReport, FusionResult, Partial
 
@@ -80,104 +80,6 @@ def _ignorance(frame):
 
 
 # -- the shared expansion and routing core ----------------------------------
-
-# One part of a reduced intersection: the index of its atom set among the
-# call's distinct part atom sets, its disjunctive form's labels as a label
-# mask and in frame order, and its element.
-_Part = namedtuple("_Part", "index mask labels element")
-
-
-class Reductions:
-    """The absorption-reduced intersections of one call's conflicting products.
-
-    dsmh sends a conflicting product to the disjunctive form of the
-    reduced intersection of its operands' expressions, and minC takes
-    its recipients from that intersection's parts.  Those parts are the
-    operands' own reduced parts in operand order, with equal atom sets
-    merged (the first one kept) and only the minimal ones kept.  So each
-    distinct operand expression is reduced once per call, and a product
-    only merges its operands' parts.  Each distinct atom set of a part
-    gets an index, and the indices of the atom sets strictly inside it,
-    as one int, so a product's minimal parts take one test each.
-
-    The memo is keyed by expression, never by Element: elements compare
-    by atoms, and on a Shafer frame A&B and C&D are one empty element
-    with different disjunctive forms.
-    """
-
-    __slots__ = ("frame", "_operands", "_indices", "_below", "_forms")
-
-    def __init__(self, frame):
-        self.frame = frame
-        self._operands = {}  # expression -> (its reduced parts, its own label mask)
-        self._indices = {}  # part atom set -> its index
-        self._below = []  # index -> bits of the indices of its strict subsets
-        self._forms = {}  # label mask -> the union of those labels
-
-    def _index_of(self, atoms):
-        index = self._indices.get(atoms)
-        if index is None:
-            index = len(self._below)
-            below = 0
-            for other, i in self._indices.items():
-                if other < atoms:
-                    below |= 1 << i
-                elif atoms < other:
-                    self._below[i] |= 1 << index
-            self._indices[atoms] = index
-            self._below.append(below)
-        return index
-
-    def _operand(self, expr):
-        """An operand expression's reduced parts and its own label mask."""
-        entry = self._operands.get(expr)
-        if entry is None:
-            frame, label_index = self.frame, self.frame._index
-            reduced = _canonical_expr(frame, expr)
-            parts = []
-            for node in reduced[1] if reduced[0] == "and" else (reduced,):
-                atoms = frame.eval_atoms(node)
-                labels = _disjunctive_labels(frame, node)
-                parts.append(_Part(self._index_of(atoms),
-                                   sum(1 << label_index[nm] for nm in labels),
-                                   labels, Element(frame, atoms, node)))
-            own = sum(1 << label_index[nm] for nm in _disjunctive_labels(frame, expr))
-            entry = self._operands[expr] = (parts, own)
-        return entry
-
-    def parts(self, els):
-        """The parts of the operands' reduced intersection, first seen first."""
-        present, seen = 0, []
-        for el in els:
-            for part in self._operand(el.expr)[0]:
-                if not present >> part.index & 1:
-                    present |= 1 << part.index
-                    seen.append(part)
-        return [part for part in seen if not self._below[part.index] & present]
-
-    def _form(self, mask):
-        """The union of the labels in ``mask``, one Element per mask."""
-        form = self._forms.get(mask)
-        if form is None:
-            label_atoms = self.frame._label_atoms
-            form = self._forms[mask] = Element(self.frame, frozenset().union(
-                *(label_atoms[i] for i in range(mask.bit_length()) if mask >> i & 1)))
-        return form
-
-    def disjunctive(self, els):
-        """The disjunctive form of the operands' reduced intersection."""
-        mask = 0
-        for part in self.parts(els):
-            mask |= part.mask
-        return self._form(mask)
-
-    def joint_disjunctive(self, els):
-        """The union of the operands' own disjunctive forms."""
-        mask = 0
-        for el in els:
-            mask |= self._operand(el.expr)[1]
-        return self._form(mask)
-
 
 class Ledger:
     """Landed mass and the conflict audit trail of one combination.
@@ -328,6 +230,8 @@ def _normalise(ledger, message=None):
 
 def _declared_weights(frame, weights):
     """Validate wo's element weights; the weighted destinations."""
+    if not isinstance(weights, Mapping):
+        raise RuleError(f"wo needs weights as element:weight pairs, got {type(weights).__name__}")
     witems = []
     for el, w in weights.items():
         el = frame.parse(el) if isinstance(el, str) else el
@@ -382,7 +286,7 @@ def _inagaki(ledger, conflicts, p):
     m_ign = acc.get(ignorance, 0.0)
     bound_den = 1.0 - k12 - m_ign
     p = float(p)
-    if p < 0.0 or (bound_den > _EPS and p > 1.0 / bound_den + _EPS):
+    if not math.isfinite(p) or p < 0.0 or (bound_den > _EPS and p > 1.0 / bound_den + _EPS):
         limit = "unbounded" if bound_den <= _EPS else f"{1.0 / bound_den:.12g}"
         raise ValueError(f"p must lie in [0, {limit}], got {p}")
     scale = 1.0 + p * k12
@@ -606,6 +510,8 @@ def weighted_mixing(sources, weights):
     weights = [float(w) for w in weights]
     if len(weights) != len(sources):
         raise ValueError(f"{len(sources)} sources but {len(weights)} weights")
+    if not all(map(math.isfinite, weights)):
+        raise ValueError("mixing weights must be finite")
     if any(w < 0.0 for w in weights):
         raise ValueError("mixing weights must be non-negative")
     wsum = math.fsum(weights)

@@ -16,6 +16,7 @@ import itertools
 import math
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import (
@@ -165,7 +166,8 @@ class Frame:
     in the same order and keep the same atoms.
     """
 
-    __slots__ = ("names", "kind", "_index", "_surviving", "_label_atoms", "_displays", "_hash")
+    __slots__ = ("names", "kind", "_index", "_surviving", "_label_atoms", "_displays",
+                 "_forms", "_hash")
 
     def __init__(self, names, surviving_atoms=None):
         names = tuple(names)
@@ -201,6 +203,7 @@ class Frame:
             frozenset(a for a in surviving if a & (1 << i)) for i in range(n)
         )
         self._displays = {}
+        self._forms = {}
         self._hash = hash((names, surviving))
 
     # -- construction -------------------------------------------------
@@ -303,8 +306,6 @@ class Frame:
         return self.element(expr)
 
     def label(self, name):
-        if name not in self._index:
-            raise UnknownLabelError(f"unknown hypothesis {name!r}")
         return self.element(("label", name))
 
     def labels(self):
@@ -323,6 +324,15 @@ class Frame:
         if not atoms <= self._surviving:
             raise ValueError("atoms outside the surviving set")
         return Element(self, atoms)
+
+    def _label_union(self, mask):
+        """The element of the union of the hypotheses in a label mask, kept
+        once built: every disjunctive form is built here."""
+        form = self._forms.get(mask)
+        if form is None:
+            atoms = frozenset(a for a in self._surviving if a & mask)
+            form = self._forms[mask] = Element(self, atoms)
+        return form
 
     def _display(self, atoms):
         """The (expression, text) of every element of ``atoms``, kept once computed."""
@@ -446,9 +456,7 @@ class Element:
         rewritten through their atom-set as the union of the hypotheses
         covering those atoms, which is the only model-consistent choice.
         """
-        frame = self.frame
-        return Element(frame, frozenset().union(*(
-            frame._label_atoms[frame._index[nm]] for nm in _disjunctive_labels(frame, self.expr))))
+        return self.frame._label_union(_disjunctive_mask(self.frame, self.expr))
 
 
 def _display_expr(frame, atoms):
@@ -535,19 +543,102 @@ def _canonical_expr(frame, expr):
     return (op, tuple(kept))
 
 
-def _disjunctive_labels(frame, expr):
-    """Ordered hypothesis names appearing in the disjunctive form."""
+def _disjunctive_mask(frame, expr):
+    """The label mask of an expression's disjunctive form (see Element.disjunctive)."""
     op = expr[0]
     if op == "label":
         frame.eval_atoms(expr)  # validates the label
-        return [expr[1]]
+        return 1 << frame._index[expr[1]]
     if op == "empty":
-        return []
+        return 0
     if op == "not":
-        bits = functools.reduce(operator.or_, frame.eval_atoms(expr), 0)
-        return [frame.names[i] for i in _label_order(bits)[1]]
-    names = {name for child in expr[1] for name in _disjunctive_labels(frame, child)}
-    return sorted(names, key=frame.names.index)
+        return functools.reduce(operator.or_, frame.eval_atoms(expr), 0)
+    return functools.reduce(operator.or_, (_disjunctive_mask(frame, child) for child in expr[1]))
+
+
+# One part of a reduced intersection: the index of its atom set among the
+# call's distinct part atom sets, its disjunctive form's label mask, and
+# its element.
+_Part = namedtuple("_Part", "index mask element")
+
+
+class Reductions:
+    """The absorption-reduced intersections of one call's conflicting products.
+
+    dsmh sends a conflicting product to the disjunctive form of the
+    reduced intersection of its operands' expressions, and minC takes
+    its recipients from that intersection's parts.  Those parts are the
+    operands' own reduced parts in operand order, with equal atom sets
+    merged (the first one kept) and only the minimal ones kept.  So each
+    distinct operand expression is reduced once per call, and a product
+    only merges its operands' parts.  Each distinct atom set of a part
+    gets an index, and the indices of the atom sets strictly inside it,
+    as one int, so a product's minimal parts take one test each.
+
+    The memo is keyed by expression, never by Element: elements compare
+    by atoms, and on a Shafer frame A&B and C&D are one empty element
+    with different disjunctive forms.
+    """
+
+    __slots__ = ("frame", "_operands", "_indices", "_below")
+
+    def __init__(self, frame):
+        self.frame = frame
+        self._operands = {}  # expression -> (its reduced parts, its own label mask)
+        self._indices = {}  # part atom set -> its index
+        self._below = []  # index -> bits of the indices of its strict subsets
+
+    def _index_of(self, atoms):
+        index = self._indices.get(atoms)
+        if index is None:
+            index = len(self._below)
+            below = 0
+            for other, i in self._indices.items():
+                if other < atoms:
+                    below |= 1 << i
+                elif atoms < other:
+                    self._below[i] |= 1 << index
+            self._indices[atoms] = index
+            self._below.append(below)
+        return index
+
+    def _operand(self, expr):
+        """An operand expression's reduced parts and its own label mask."""
+        entry = self._operands.get(expr)
+        if entry is None:
+            frame = self.frame
+            reduced = _canonical_expr(frame, expr)
+            parts = []
+            for node in reduced[1] if reduced[0] == "and" else (reduced,):
+                atoms = frame.eval_atoms(node)
+                parts.append(_Part(self._index_of(atoms), _disjunctive_mask(frame, node),
+                                   Element(frame, atoms, node)))
+            entry = self._operands[expr] = (parts, _disjunctive_mask(frame, expr))
+        return entry
+
+    def parts(self, els):
+        """The parts of the operands' reduced intersection, first seen first."""
+        present, seen = 0, []
+        for el in els:
+            for part in self._operand(el.expr)[0]:
+                if not present >> part.index & 1:
+                    present |= 1 << part.index
+                    seen.append(part)
+        return [part for part in seen if not self._below[part.index] & present]
+
+    def disjunctive(self, els):
+        """The disjunctive form of the operands' reduced intersection."""
+        mask = 0
+        for part in self.parts(els):
+            mask |= part.mask
+        return self.frame._label_union(mask)
+
+    def joint_disjunctive(self, els):
+        """The union of the operands' own disjunctive forms."""
+        mask = 0
+        for el in els:
+            mask |= self._operand(el.expr)[1]
+        return self.frame._label_union(mask)
 
 
 # -- degrees -----------------------------------------------------------

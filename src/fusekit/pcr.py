@@ -271,12 +271,12 @@ def _minc_recipients_b(frame, parts):
     the recipients are all 2^k - 1 unions over them, zero-mass ones
     included (they simply draw no share).
     """
-    labels = []
+    seen, labels = 0, []
     for part in parts:
-        for name in part.labels:
-            if name not in labels:
-                labels.append(name)
-    return list(_subset_unions([frame.label(name) for name in labels]))
+        new = part.mask & ~seen
+        seen |= new
+        labels += [frame.label(frame.names[i]) for i in range(new.bit_length()) if new >> i & 1]
+    return list(_subset_unions(labels))
 
 
 def minc(*sources, version="a"):

@@ -145,6 +145,8 @@ def uft_combine(sources, config=None):
     """
     sources = tuple(sources)
     config = config or ScenarioConfig()
+    if not isinstance(config, ScenarioConfig):
+        raise RuleError(f"uft needs a ScenarioConfig, got {type(config).__name__}")
     frame = _common_frame(sources)
     case = config.case or ""
 
@@ -171,32 +173,35 @@ def uft_combine(sources, config=None):
             )
         effective = tuple(m.discount(f) for m, f in zip(sources, config.discounts))
 
-    for pair, att in config.pair_attitudes.items():
+    pairs, default = config.pair_attitudes, config.default_attitude
+    for pair, att in pairs.items():
         for el in pair:
             _check_frame_element(frame, el, "attitude pair")
         _validate_attitude(frame, att)
-    if config.default_attitude is not None:
-        _validate_attitude(frame, config.default_attitude)
+    if default is not None:
+        _validate_attitude(frame, default)
 
-    # Conflict stage: route every product an attitude claims.
+    # Conflict stage: route every product an attitude claims: its pair's,
+    # else the default when it is contested (an empty landing is), else
+    # the union when it is empty, the least committal destination that
+    # loses nothing.  With no declared pairs every product yielded takes
+    # that fallback.
     ledger = Ledger(effective)
     ignorance = frame.ignorance()
+    fallback = default or _UNION
 
     def attitude(els, landing):
-        att = config.pair_attitudes.get(frozenset(els))
-        if att is None and config.default_attitude is not None and (
-            landing.is_empty or all(landing.atoms != el.atoms for el in els)
-        ):
-            att = config.default_attitude
-        if att is None and landing.is_empty:
-            # Model-empty pair without declared knowledge: the union is
-            # the least committal destination that loses nothing.
-            att = _UNION
+        att = pairs.get(frozenset(els)) if pairs else None
+        if att is None and (landing.is_empty or default is not None
+                            and all(landing.atoms != el.atoms for el in els)):
+            att = fallback
         return att
 
-    for els, p, landing in ledger.expand(
-            claim=lambda els, landing: attitude(els, landing) is not None):
-        att = attitude(els, landing)
+    def claim(els, landing):
+        return attitude(els, landing) is not None
+
+    for els, p, landing in ledger.expand(claim=claim if pairs or default is not None else None):
+        att = attitude(els, landing) if pairs else fallback
         basis = f"case {case}" if case else f"attitude {att.kind}"
         if att.kind == "keep":
             note = "kept on intersection"

@@ -350,19 +350,35 @@ def dsmh_destination(operands, names, surviving):
     return dest or frozenset(surviving)
 
 
+def _subset_unions(atom_sets):
+    """The distinct non-empty unions of the sets, over subsets taken
+    smallest first."""
+    out = []
+    for r in range(1, len(atom_sets) + 1):
+        for combo in itertools.combinations(atom_sets, r):
+            union = frozenset().union(*combo)
+            if union and union not in out:
+                out.append(union)
+    return out
+
+
 def minc_a_recipients(operands, names, surviving):
     """minC version a's recipients: the distinct non-empty unions of the
     non-empty parts, over subsets taken smallest first."""
-    parts = [atoms for atoms in (expr_atoms(part, names, surviving)
-                                 for part in intersection_parts(operands, names, surviving))
-             if atoms]
-    out = []
-    for r in range(1, len(parts) + 1):
-        for combo in itertools.combinations(parts, r):
-            union = frozenset().union(*combo)
-            if union not in out:
-                out.append(union)
-    return out
+    parts = intersection_parts(operands, names, surviving)
+    return _subset_unions([expr_atoms(part, names, surviving) for part in parts])
+
+
+def minc_b_recipients(operands, names, surviving):
+    """minC version b's recipients: the distinct non-empty unions over the
+    hypotheses of the parts' disjunctive forms, over subsets taken smallest
+    first.  The hypotheses come part by part, each part's in frame order,
+    each kept where it is first seen."""
+    involved = []
+    for part in intersection_parts(operands, names, surviving):
+        labels = _form_labels(part, names, surviving)
+        involved += [name for name in names if name in labels and name not in involved]
+    return _subset_unions([expr_atoms(("label", name), names, surviving) for name in involved])
 
 
 # -- the conflict ledger's contract -------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-import fusekit.classic as classic_module
+import fusekit.frame as frame_module
 
 from fusekit import (
     Frame,
@@ -169,10 +169,21 @@ def test_each_operand_expression_is_reduced_once_per_call(monkeypatch):
     texts = ("A|B", "A&B|C", "(A|B)&(B|C)", "C|D|E", "E&F", "D", "(A|E)&(E|F)", "B|F")
     sources = [MassFunction(f, {t: 1.0 for t in (texts * 2)[i:i + 6]}).normalize()
                for i in (0, 1, 2)]
-    calls = []
-    reduce = classic_module._canonical_expr
-    monkeypatch.setattr(classic_module, "_canonical_expr",
-                        lambda frame, expr: calls.append(expr) or reduce(frame, expr))
+    calls, depth = [], []
+    reduce = frame_module._canonical_expr
+
+    def outermost(frame, expr):
+        # The reduction recurses through the module name: count only the
+        # calls the rules make.
+        if not depth:
+            calls.append(expr)
+        depth.append(expr)
+        try:
+            return reduce(frame, expr)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(frame_module, "_canonical_expr", outermost)
     operands = {el.expr for m in sources for el in m}
     for combine in (dsm_hybrid, lambda *s: minc(*s[:2], version="a"),
                     lambda *s: minc(*s[:2], version="b")):

@@ -10,6 +10,7 @@ import pytest
 
 from fusekit import execute_problem, parse_problem
 from fusekit.cli import main
+from fusekit.registry import selectors
 
 DP_DYNAMIC = """\
 frame: A B C
@@ -495,3 +496,35 @@ def test_unwritable_export_is_a_usage_error(dp_file, tmp_path, capsys):
     assert code == 2
     assert out.startswith("rule: dempster")
     assert err.startswith(f"usage error: cannot write {dest}:")
+
+
+MALFORMED_PARAMS = ("config=x", "weights=1,2", "weights=1", "given=Z", "focus=Z",
+                    "expr=(1", "base=xavg")
+
+
+@pytest.mark.parametrize("problem", [
+    PCR_BINARY,
+    "frame-intervals:\nsource s1: [1,3]=0.5, [2,4]=0.5\nsource s2: [1,2]=1\n",
+], ids=["labels", "intervals"])
+def test_malformed_params_end_in_a_documented_exit_code(tmp_path, capsys, problem):
+    src = tmp_path / "problem.txt"
+    src.write_text(problem)
+    for rule in selectors():
+        for param in MALFORMED_PARAMS:
+            code = main(["--rule", rule, "--input", str(src), "--param", param])
+            assert code in (0, 2, 3, 4), (rule, param, code)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("rule,param,message", [
+    ("uft", "config=x", "error: RuleError: uft needs a ScenarioConfig, got str"),
+    ("wo", "weights=1,2", "error: RuleError: wo needs weights as element:weight pairs, got list"),
+], ids=["uft", "wo"])
+def test_a_malformed_rule_parameter_is_a_rule_error(tmp_path, capsys, rule, param, message):
+    src = tmp_path / "pair.txt"
+    src.write_text(PCR_BINARY)
+    code, out, err = run_cli(capsys, "--rule", rule, "--input", str(src), "--param", param)
+    assert (code, out, err) == (3, "", message + "\n")
+    src.write_text(PCR_BINARY + f"param: {param}\n")
+    code, out, err = run_cli(capsys, "--rule", rule, "--input", str(src))
+    assert (code, out, err) == (3, "", message + "\n")

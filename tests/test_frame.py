@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from fusekit import classic as classic_module
 from fusekit import frame as frame_module
 from fusekit import (
     Element,
@@ -151,9 +150,8 @@ def test_landings_are_never_reduced_and_each_display_is_computed_once(monkeypatc
     m1, m2 = (MassFunction(f, {text: rng.random() for text in rng.sample(unions, 40)}).normalize()
               for _ in range(2))
     reductions, computed = [], []
-    for module in (frame_module, classic_module):
-        monkeypatch.setattr(module, "_canonical_expr",
-                            lambda frame, expr: reductions.append(expr) or expr)
+    monkeypatch.setattr(frame_module, "_canonical_expr",
+                        lambda frame, expr: reductions.append(expr) or expr)
     describe = frame_module._display_expr
     monkeypatch.setattr(frame_module, "_display_expr",
                         lambda frame, atoms: computed.append(atoms) or describe(frame, atoms))

@@ -593,13 +593,21 @@ def test_reduced_intersection_routes_match_the_oracle(sources):
         (dest, _), = partial.shares
         operands = [el.expr for el in partial.operands]
         assert dest.atoms == oracles.dsmh_destination(operands, names, surviving), operands
-    for partial in minc(*sources[:2]).conflict.partials:
-        if "disjunctive form" in partial.note:
-            continue
-        operands = [el.expr for el in partial.operands]
-        want = oracles.minc_a_recipients(operands, names, surviving)
-        got = [dest.atoms for dest, _ in partial.shares]
-        if partial.basis.startswith("equal split"):
-            assert got == want, operands
-        else:
-            assert got == [atoms for atoms in want if atoms in got], operands
+    for version, recipients in (("a", oracles.minc_a_recipients),
+                                ("b", oracles.minc_b_recipients)):
+        for partial in minc(*sources[:2], version=version).conflict.partials:
+            if "disjunctive form" in partial.note:
+                continue
+            operands = [el.expr for el in partial.operands]
+            want = recipients(operands, names, surviving)
+            got = [dest.atoms for dest, _ in partial.shares]
+            if partial.basis.startswith("equal split"):
+                assert got == want, (version, operands)
+            else:
+                assert got == [atoms for atoms in want if atoms in got], (version, operands)
+    for el in (el for m in sources for el in m):
+        for form in (el, ~el):
+            labels = oracles._form_labels(form.expr, names, surviving)
+            want = frozenset().union(*(oracles.expr_atoms(("label", name), names, surviving)
+                                       for name in labels))
+            assert form.disjunctive().atoms == want, form.expr

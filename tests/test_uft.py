@@ -1,5 +1,8 @@
 """Scenario engine: attitudes, reliability stages, routing, updates."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 import fusekit.uft as uft_module
@@ -598,3 +601,60 @@ def test_incremental_yager_prints_like_the_direct_rule():
     direct = yager(m1, m2)
     assert [el.display for el in stored.combined] == [el.display for el in direct.combined]
     assert f.ignorance().display in [el.display for el in stored.combined]
+
+
+def test_non_finite_parameters_fail_where_they_are_checked(stream):
+    m1, m2, _ = stream
+    runs = (lambda p: inagaki(m1, m2, p=p),
+            lambda p: quasi_associative_combine(m1, m2, rule="inagaki", p=p))
+    for run in runs:
+        with pytest.raises(ValueError, match=r"^p must lie in \[0, [0-9.]+\], got nan$"):
+            run(math.nan)
+    f = Frame.shafer(("A", "B"))
+    total = (MassFunction(f, {"A": 1.0}), MassFunction(f, {"B": 1.0}))
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, unbounded\], got inf$"):
+        inagaki(*total, p=math.inf)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^mixing weights must be finite$"):
+            weighted_mixing((m1, m2), (bad, 1.0))
+        with pytest.raises(ValueError, match="^mixing weights must be finite$"):
+            uft_combine((m1, m2), ScenarioConfig(reliability="statistical", discounts=(1.0, bad)))
+
+
+def test_malformed_rule_parameters_are_rule_errors(stream):
+    m1, m2, _ = stream
+    with pytest.raises(RuleError, match="^uft needs a ScenarioConfig, got str$"):
+        uft_combine((m1, m2), "x")
+    for run in (lambda: weighted_operator(m1, m2, weights=[0.5, 0.5]),
+                lambda: quasi_associative_combine(m1, m2, rule="wo", weights=[0.5, 0.5])):
+        with pytest.raises(RuleError, match="^wo needs weights as element:weight pairs"):
+            run()
+
+
+class _CountingTable(dict):
+    """An empty pair-attitude table that counts every key probe."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+def test_an_empty_pair_table_is_never_probed(scenario_sources, shafer2):
+    exclusive = (MassFunction(shafer2, {"A": 0.6, "A|B": 0.4}),
+                 MassFunction(shafer2, {"B": 0.3, "A|B": 0.7}))
+    for sources in (scenario_sources, exclusive):
+        for config in (ScenarioConfig(), ScenarioConfig.for_case("1.2.1")):
+            table = _CountingTable()
+            out = uft_combine(sources, replace(config, pair_attitudes=table))
+            assert table.probes == 0
+            assert out == uft_combine(sources, config)
