@@ -10,7 +10,6 @@ conflicting product went.
 """
 
 from .classic import (
-    conditional,
     conjunctive,
     dempster,
     disjunctive,
@@ -49,7 +48,7 @@ from .golden import GOLDEN_CASES, execute_problem, verify_golden
 from .mass import MassFunction, Opinion
 from .pcr import minc, pcr1, pcr2, pcr3, pcr4, pcr5, wao
 from .problem import ProblemFile, parse_problem, scenario_config
-from .registry import resolve, selectors
+from .registry import conditional, resolve, selectors
 from .result import ConflictReport, FusionResult, Partial
 from .special import (
     IntervalElement,

@@ -169,14 +169,14 @@ class Ledger:
 
 
 def _result(rule, combined, sources, conflict=ConflictReport(0.0), warnings=(),
-            open_world="open-world mass on the empty set", signed_masses=None):
+            open_world="open-world mass on the empty set"):
     """Every FusionResult: the rule's warnings, then any combined mass on
     the empty set, flagged under ``open_world``."""
     empty = combined.mass(combined.frame.empty())
     if empty > 0.0:
         warnings = (*warnings, f"{open_world}: {empty:.6f}")
     return FusionResult(combined, conflict, rule=rule, warnings=tuple(warnings),
-                        sources=tuple(sources), signed_masses=signed_masses)
+                        sources=tuple(sources))
 
 
 def _direct(rule, sources, transfer, land=_intersection_element, **params):
@@ -479,20 +479,6 @@ def mixed(sources, expr):
     return _direct("mixed", sources, _retain,
                    lambda els: Element(frame, _eval_source_expr(expr, [el.atoms for el in els])),
                    note="empty landing")
-
-
-def conditional(m, hypothesis, rule="conjunctive", **params):
-    """Condition a bba on a hypothesis by fusing it with certainty in it."""
-    if hypothesis.frame != m.frame:
-        raise FrameMismatchError("hypothesis from another frame")
-    if hypothesis.is_empty:
-        raise ValueError("cannot condition on an empty hypothesis")
-    from .registry import resolve
-
-    spec = resolve(rule)
-    certain = MassFunction.certain(hypothesis)
-    result = spec.combine([m, certain], dict(params))
-    return replace(result, rule=f"conditional[{rule}]", sources=(m, certain))
 
 
 # -- mixing family -----------------------------------------------------------

@@ -725,6 +725,7 @@ class IntervalElement:
     lo: float
     hi: float
     frame = INTERVAL_FRAME
+    is_empty = False  # lo <= hi always
 
     def __post_init__(self):
         lo = float(self.lo)

@@ -8,10 +8,10 @@ perturbation hook exists so tests can prove the checks actually bite.
 
 from dataclasses import dataclass, field
 
-from .errors import FusionError, RuleError
+from .errors import FusionError
 from .mass import MassFunction
 from .problem import coerce_params, parse_problem, scenario_config
-from .registry import resolve, validate_call
+from .registry import resolve, run
 
 
 @dataclass
@@ -28,23 +28,18 @@ class Outcome:
 
 def execute_problem(problem, rule, overrides=None):
     """Run a rule over a parsed problem, events applied first."""
-    spec = resolve(rule)
+    mode = resolve(rule).mode
     params = coerce_params(problem.params)
     if overrides:
         params.update(overrides)
-    if problem.interval and spec.mode != "interval":
-        raise RuleError(f"rule {rule!r} needs a label frame, not intervals")
-    if spec.mode == "interval" and not problem.interval:
-        raise RuleError(f"rule {rule!r} needs an interval problem (frame-intervals:)")
     frame = problem.final_frame()
     sources = problem.final_sources()
     if rule == "uft" and "config" not in params:
         params["config"] = scenario_config(problem)
-    validate_call(spec, len(sources), params)
-    out = spec.combine(sources, params)
-    if spec.mode == "interval":
+    out = run(rule, sources, params)
+    if mode == "interval":
         return Outcome("interval", frame=frame, combined=out)
-    if spec.mode == "opinion":
+    if mode == "opinion":
         return Outcome("opinion", frame=frame, opinion=out)
     return Outcome("mass", frame=frame, combined=out.combined, result=out,
                    warnings=out.warnings)

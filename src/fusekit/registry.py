@@ -1,14 +1,16 @@
 """Selector-string dispatch for every combination rule.
 
 Each entry adapts one rule to a uniform call shape: a list of sources
-plus a parameter dict.  Strictly binary rules declare max_sources=2 so
-front ends can reject longer lists before computing anything.
+plus a parameter dict.  Front ends and rules that re-run a rule call
+``run``, which checks the call first; uft's store calls ``validate_call``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import classic, pcr, special
-from .errors import RuleError
+from .errors import FrameMismatchError, RuleError
+from .frame import INTERVAL_FRAME
+from .mass import MassFunction
 
 
 @dataclass(frozen=True)
@@ -27,13 +29,18 @@ def _uft_combine(sources, params):
     return uft_combine(sources, params.get("config"))
 
 
-def _conditional(sources, params):
-    given = params["given"]
-    frame = sources[0].frame
-    hypothesis = frame.parse(given) if isinstance(given, str) else given
-    base = params.get("base", "conjunctive")
-    extra = {k: v for k, v in params.items() if k not in ("given", "base")}
-    return classic.conditional(sources[0], hypothesis, rule=base, **extra)
+def conditional(m, hypothesis, /, rule="conjunctive", **params):
+    """Fuse a bba with certainty in a hypothesis, an element or its text,
+    under the mass-mode ``rule`` and its ``params``."""
+    if isinstance(hypothesis, str):
+        hypothesis = m.frame.parse(hypothesis)
+    if hypothesis.frame != m.frame:
+        raise FrameMismatchError("hypothesis from another frame")
+    if hypothesis.is_empty:
+        raise ValueError("cannot condition on an empty hypothesis")
+    certain = MassFunction.certain(hypothesis)
+    result = run_mass(rule, [m, certain], params)
+    return replace(result, rule=f"conditional[{rule}]", sources=(m, certain))
 
 
 def _consensus(sources, params):
@@ -61,7 +68,10 @@ _register("conjunctive", lambda ss, p: classic.conjunctive(*ss))
 _register("disjunctive", lambda ss, p: classic.disjunctive(*ss))
 _register("xor", lambda ss, p: classic.exclusive_disjunctive(*ss))
 _register("mixed", lambda ss, p: classic.mixed(ss, p["expr"]), needs=("expr",))
-_register("conditional", _conditional, needs=("given",), min_sources=1, max_sources=1)
+_register("conditional",
+          lambda ss, p: conditional(ss[0], p["given"],
+                                    **{**p, "rule": p.get("base", "conjunctive")}),
+          needs=("given",), min_sources=1, max_sources=1)
 _register("dempster", lambda ss, p: classic.dempster(*ss))
 _register("murphy", lambda ss, p: classic.murphy_average(*ss))
 _register("mixing", lambda ss, p: classic.weighted_mixing(ss, p["weights"]),
@@ -137,3 +147,23 @@ def validate_call(spec, n_sources, params):
     for key in spec.needs:
         if key not in params:
             raise RuleError(f"rule {spec.name!r} needs parameter {key!r}")
+
+
+def run(name, sources, params):
+    """Run a rule by selector once its sources' kind (interval or label),
+    their number and the rule's parameters check out."""
+    spec = resolve(name)
+    interval = bool(sources) and sources[0].frame is INTERVAL_FRAME
+    if interval and spec.mode != "interval":
+        raise RuleError(f"rule {name!r} needs a label frame, not intervals")
+    if spec.mode == "interval" and not interval:
+        raise RuleError(f"rule {name!r} needs an interval problem (frame-intervals:)")
+    validate_call(spec, len(sources), params)
+    return spec.combine(sources, params)
+
+
+def run_mass(name, sources, params):
+    """``run`` for a rule that re-runs another and reads its FusionResult."""
+    if resolve(name).mode != "mass":
+        raise RuleError(f"rule {name!r} does not give a mass function")
+    return run(name, sources, params)

@@ -3,6 +3,7 @@ consensus operator on opinions, T-norm and T-conorm fusion, the
 cautious commonality-min rule, and degree-improved rule variants."""
 
 import math
+from dataclasses import replace
 
 from .errors import DegenerateConsensusError, FrameTooLargeError, RuleError
 from .classic import (
@@ -11,13 +12,11 @@ from .classic import (
     _common_frame,
     _intersection_element,
     _normalise,
-    _result,
     _subset_unions,
     _union_element,
 )
 from .frame import INTERVAL_FRAME, IntervalElement, degree_intersection, degree_union
 from .mass import MassFunction, Opinion
-from .result import ConflictReport, Partial
 
 # Full power-set enumeration is exponential; 12 hypotheses is already
 # 4096 subsets and well past any sane frame here.
@@ -94,12 +93,9 @@ def convolutive_x_average(m1, m2):
     for m in (m1, m2):
         if not isinstance(m, MassFunction) or m.frame is not INTERVAL_FRAME:
             raise TypeError("convolutive averaging needs interval bbas")
-    acc = {}
-    for x, px in m1.items():
-        for y, py in m2.items():
-            mid = x.average(y)
-            acc[mid] = acc.get(mid, 0.0) + px * py
-    return IntervalMassFunction(acc)
+    ledger = Ledger((m1, m2))
+    list(ledger.expand(lambda els: els[0].average(els[1])))  # a midpoint never conflicts
+    return IntervalMassFunction(ledger.acc)
 
 
 # -- consensus operator ------------------------------------------------------
@@ -224,20 +220,13 @@ def cautious_commonality_min(m1, m2):
             signed[el] = total
     negatives = {el: v for el, v in signed.items() if v < -1e-9}
     positives = {el: v for el, v in signed.items() if v > _EPS}
-    combined = MassFunction(frame, positives)
-    warnings = ()
-    signed_out = None
-    if negatives:
-        signed_out = dict(signed)
-        warnings = (
-            "inverted mass map is not a bba; combined keeps the positive part "
-            "and signed_masses carries the full inversion",
-        )
-    k12 = combined.mass(frame.empty())
-    pooled = (Partial((), k12, ((frame.empty(), k12),), "commonality minimum", "pooled conflict"),)
-    return _result("cautious", combined, (m1, m2),
-                   ConflictReport(k12, pooled if k12 > 0.0 else ()), warnings,
-                   signed_masses=signed_out)
+    warnings = ("inverted mass map is not a bba; combined keeps the positive part "
+                "and signed_masses carries the full inversion",) if negatives else ()
+    ledger = Ledger((m1, m2))
+    for els, p, empty in ledger.stored(MassFunction(frame, positives)):
+        ledger.book(els, p, ((empty, p),), "commonality minimum", "pooled conflict")
+    return replace(ledger.finish("cautious", warnings),
+                   signed_masses=signed if negatives else None)
 
 
 # -- degree-improved rule variants ---------------------------------------

@@ -30,7 +30,7 @@ from .classic import (
 )
 from .mass import MassFunction
 from .pcr import _column_averages, _column_sums, _pcr5_split
-from .registry import resolve, validate_call
+from .registry import resolve, run_mass, validate_call
 from .result import FusionResult
 
 _ATTITUDE_KINDS = (
@@ -265,6 +265,7 @@ def dynamic_update(state, new_empty, transfer_rule="dsmh", **params):
     is a FusionResult carrying its sources, those are re-evaluated on
     the tightened frame and the transfer rule is re-run; a bare bba is
     re-routed by combining with the vacuous bba under the same rule.
+    The transfer rule must be a mass-mode rule; its call is checked.
     A rule without a conflict clause leaves mass on the empty set; the
     result's own warning surfaces it.
     """
@@ -278,13 +279,12 @@ def dynamic_update(state, new_empty, transfer_rule="dsmh", **params):
     if tightened == frame:
         return state
 
-    spec = resolve(transfer_rule)
     if isinstance(state, FusionResult) and state.sources:
         new_sources = [m.on_frame(tightened) for m in state.sources]
     else:
         m = state.combined if isinstance(state, FusionResult) else state
         new_sources = [m.on_frame(tightened), MassFunction.vacuous(tightened)]
-    result = spec.combine(new_sources, dict(params))
+    result = run_mass(transfer_rule, new_sources, params)
     warnings = result.warnings
     total = result.combined.total
     if total < 1.0 - 1e-9:

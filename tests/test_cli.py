@@ -501,11 +501,17 @@ def test_unwritable_export_is_a_usage_error(dp_file, tmp_path, capsys):
 MALFORMED_PARAMS = ("config=x", "weights=1,2", "weights=1", "given=Z", "focus=Z",
                     "expr=(1", "base=xavg")
 
+# Well-formed parameters of the selectors that need some, for the bases
+# of ``conditional``, which runs its base on two sources.
+BASE_PARAMS = {"mixed": ("expr=1|2",), "mixing": ("weights=1,1",), "wo": ("weights=A|B:1",),
+               "inagaki": ("p=0.5",), "consensus": ("focus=A",), "conditional": ("given=A",)}
+
 
 @pytest.mark.parametrize("problem", [
     PCR_BINARY,
+    "frame: A B\nmodel: shafer\nsource m1: A=0.6, A|B=0.4\n",
     "frame-intervals:\nsource s1: [1,3]=0.5, [2,4]=0.5\nsource s2: [1,2]=1\n",
-], ids=["labels", "intervals"])
+], ids=["labels", "one-source", "intervals"])
 def test_malformed_params_end_in_a_documented_exit_code(tmp_path, capsys, problem):
     src = tmp_path / "problem.txt"
     src.write_text(problem)
@@ -513,6 +519,13 @@ def test_malformed_params_end_in_a_documented_exit_code(tmp_path, capsys, proble
         for param in MALFORMED_PARAMS:
             code = main(["--rule", rule, "--input", str(src), "--param", param])
             assert code in (0, 2, 3, 4), (rule, param, code)
+        # Every selector as conditional's base: bare, with its parameters,
+        # and with stray ones named as conditional's own arguments.
+        for params in ((), BASE_PARAMS.get(rule, ()), ("rule=x", "m=1", "hypothesis=B")):
+            argv = ["--rule", "conditional", "--input", str(src),
+                    "--param", "given=A", "--param", f"base={rule}"]
+            code = main(argv + [arg for param in params for arg in ("--param", param)])
+            assert code in (0, 3), (rule, params, code)
     capsys.readouterr()
 
 

@@ -190,6 +190,13 @@ def test_from_atoms_picks_readable_displays():
         f.from_atoms({1 << 3})
 
 
+def test_up_closed_display_thins_labels():
+    # With A's lone atom gone, A is the union of A&B and A&C.
+    f = Frame(["A", "B", "C"]).constrain("A&~B&~C")
+    assert f.parse("A").display == "A"
+    assert f.parse("A&B|A&C").display == "A"
+
+
 def test_reevaluate_carries_expressions_to_tighter_models():
     free = Frame.free(("A", "B"))
     el = free.parse("A&B")

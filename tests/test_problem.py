@@ -8,6 +8,7 @@ from fusekit import (
     IntervalElement,
     MassFunction,
     ParseError,
+    ProblemFile,
     parse_problem,
     scenario_config,
 )
@@ -192,6 +193,16 @@ def test_render_empty_focal_round_trip():
     p = parse_problem(text)
     rendered = p.render()
     assert "A&~A" in rendered
+    assert parse_problem(rendered) == p
+
+
+def test_render_bare_empty_focal_round_trip():
+    # frame.empty() has no expression of its own to print.
+    f = Frame.shafer(("A", "B"))
+    p = ProblemFile(frame=f, model_kind="shafer",
+                    sources=[("s1", MassFunction(f, {f.empty(): 0.3, "A": 0.7}))])
+    rendered = p.render()
+    assert "source s1: A&~A=0.3, A=0.7\n" in rendered
     assert parse_problem(rendered) == p
 
 

@@ -363,6 +363,19 @@ def test_dynamic_update_surfaces_leftover_empty_mass():
     assert updated.warnings == ("open-world mass on the empty set: 0.180000",)
 
 
+def test_dynamic_update_checks_the_transfer_rule_call():
+    f = Frame(("A", "B"))
+    sources = [MassFunction(f, {"A": 0.6, "A|B": 0.4}), MassFunction(f, {"B": 0.3, "A|B": 0.7}),
+               MassFunction(f, {"A": 0.5, "B": 0.5})]
+    state = dsm_hybrid(*sources)
+    with pytest.raises(RuleError, match="'zhang-product' takes at most 2 sources, got 3"):
+        dynamic_update(state, ["A&B"], transfer_rule="zhang-product")
+    with pytest.raises(RuleError, match="'wo' needs parameter 'weights'"):
+        dynamic_update(state, ["A&B"], transfer_rule="wo")
+    with pytest.raises(RuleError, match="'consensus' does not give a mass function"):
+        dynamic_update(state, ["A&B"], transfer_rule="consensus", focus="A")
+
+
 def test_dynamic_update_rejects_other_types():
     with pytest.raises(TypeError):
         dynamic_update({"A": 1.0}, ["A"])

@@ -3,18 +3,22 @@
     python3 tools/snapshot.py write OUT.jsonl
     python3 tools/snapshot.py diff A.jsonl B.jsonl
 
-``write`` runs every mass-mode selector that takes no parameter, and
-``inagaki`` with p = 0.5, over the label problems of the golden cases
-and a fixed seeded sweep of free, Shafer and hybrid problems with two or
-three sources, a quarter of them with mass on the empty set.  It runs
-``xavg`` over the golden cases' interval problems.  It also runs every
-rule of the quasi-associative store (selector ``store:<rule>``, in the
-order of ``fusekit.uft._STORE_RULES``), the nine that run on the stored
-product and the eight recomputed from the sources, appending the
-sources in order; ``wo`` puts weight 0.5 on total ignorance and 0.5 on
-the empty set, ``inagaki`` takes p = 0.5.  Each run is one JSON line:
-the CLI table's ``render()`` and ``to_json_dict()``, or the error the
-run raised.
+``write`` runs every mass-mode selector that takes no parameter over the
+label problems of the golden cases and a fixed seeded sweep of free,
+Shafer and hybrid problems with two or three sources, a quarter of them
+with mass on the empty set.  It runs the selectors that take parameters
+with fixed ones: ``inagaki`` with p = 0.5; ``conditional`` on the first
+source, given the first label, with base ``dempster``; ``mixed`` with
+``1|2`` on two sources and ``(1&2)|3`` on three; ``mixing`` with equal
+weights; ``wo`` with weight 0.5 on total ignorance and 0.5 on the empty
+set; ``consensus`` with the first label as focus.  It runs ``xavg`` over
+the golden cases' interval problems.  It also runs every rule of the
+quasi-associative store (selector ``store:<rule>``, in the order of
+``fusekit.uft._STORE_RULES``), the nine that run on the stored product
+and the eight recomputed from the sources, appending the sources in
+order, with the parameters above for ``wo`` and ``inagaki``.  Each run is
+one JSON line: the CLI table's ``render()`` and ``to_json_dict()``, or
+the error the run raised.
 
 ``diff`` prints, per selector, how many records differ in ``render()``
 and in the JSON, how many of those become equal once every display in
@@ -31,6 +35,7 @@ Standard library only.
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -41,13 +46,24 @@ SWEEP = 96
 _KINDS = ("free", "shafer", "hybrid")
 
 
-def _runs():
-    """(selector, parameter overrides) of every recorded rule."""
+def _runs(problem):
+    """(selector, problem, parameter overrides) of every recorded run on a
+    label problem; None for a store rule."""
     from fusekit.registry import resolve, selectors
+    from fusekit.uft import _STORE_RULES
 
-    runs = [(name, {}) for name in selectors()
+    first, n = problem.frame.names[0], len(problem.sources)
+    runs = [(name, problem, {}) for name in selectors()
             if resolve(name).mode == "mass" and not resolve(name).needs]
-    return runs + [("inagaki", {"p": 0.5})]
+    return runs + [
+        ("inagaki", problem, {"p": 0.5}),
+        ("conditional", replace(problem, sources=problem.sources[:1]),
+         {"given": first, "base": "dempster"}),
+        ("mixed", problem, {"expr": "1|2" if n == 2 else "(1&2)|3"}),
+        ("mixing", problem, {"weights": [1.0] * n}),
+        ("wo", problem, _store_params("wo", problem.final_frame())),
+        ("consensus", problem, {"focus": first}),
+    ] + [(f"store:{rule}", problem, None) for rule in _STORE_RULES]
 
 
 def _sweep():
@@ -108,20 +124,19 @@ def write(path):
     from fusekit.errors import FusionError
     from fusekit.golden import execute_problem
     from fusekit.problem import parse_problem
-    from fusekit.uft import _STORE_RULES
 
-    label_runs = _runs() + [(f"store:{rule}", None) for rule in _STORE_RULES]
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for name, text in _problems():
             problem = parse_problem(text)
-            for selector, params in [("xavg", {})] if problem.interval else label_runs:
+            runs = [("xavg", problem, {})] if problem.interval else _runs(problem)
+            for selector, run_on, params in runs:
                 record = {"problem": name, "selector": selector}
                 try:
                     if params is None:
-                        outcome = _store(problem, selector.partition(":")[2])
+                        outcome = _store(run_on, selector.partition(":")[2])
                     else:
-                        outcome = execute_problem(problem, selector, overrides=params)
+                        outcome = execute_problem(run_on, selector, overrides=params)
                     table = build_table(outcome, selector)
                     record["render"] = table.render()
                     record["json"] = table.to_json_dict(outcome)
@@ -168,6 +183,9 @@ def _by_atoms(record, frame):
     """The record with each display replaced by its sorted atoms, and rows
     and shares sorted; render lines outside the rows lose their padding,
     and the rule under the rows, whose width follows the displays, goes."""
+    if "opinion" in record.get("json", {}):
+        return record  # an opinion's rows name no elements
+
     def atoms(display):
         return sorted(frame.parse(display).atoms) if display != "∅" else []
 
