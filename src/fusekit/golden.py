@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .errors import FusionError
 from .mass import MassFunction
 from .problem import coerce_params, parse_problem, scenario_config
-from .registry import resolve, run
+from .registry import check
 
 
 @dataclass
@@ -28,18 +28,18 @@ class Outcome:
 
 def execute_problem(problem, rule, overrides=None):
     """Run a rule over a parsed problem, events applied first."""
-    mode = resolve(rule).mode
     params = coerce_params(problem.params)
     if overrides:
         params.update(overrides)
-    frame = problem.final_frame()
     sources = problem.final_sources()
     if rule == "uft" and "config" not in params:
         params["config"] = scenario_config(problem)
-    out = run(rule, sources, params)
-    if mode == "interval":
+    spec = check(rule, sources, params)
+    frame = sources[0].frame
+    out = spec.combine(sources, params)
+    if spec.mode == "interval":
         return Outcome("interval", frame=frame, combined=out)
-    if mode == "opinion":
+    if spec.mode == "opinion":
         return Outcome("opinion", frame=frame, opinion=out)
     return Outcome("mass", frame=frame, combined=out.combined, result=out,
                    warnings=out.warnings)

@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass
 
-from .errors import FrameMismatchError
+from .errors import FrameMismatchError, RuleError
 from .frame import Element, IntervalElement, degree_inclusion, degree_intersection
 
 # How far a total may drift from 1 before the bba stops counting as normal.
@@ -217,6 +217,9 @@ class MassFunction:
                 d += v
             else:
                 u += v
+        if abs(b + d + u - 1.0) > STATUS_TOL:
+            raise RuleError(f"an opinion needs a source whose non-empty masses total 1, "
+                            f"got {b + d + u:g}")
         if atomicity is None:
             atomicity = degree_inclusion(focus, self.frame.ignorance())
         return Opinion(b, d, u, atomicity)

@@ -47,11 +47,8 @@ class ProblemFile:
         return [m for _, m in self.sources]
 
     def final_frame(self):
-        """The frame after all dynamic constraint events."""
-        frame = self.frame
-        for expr in self.events:
-            frame = frame.constrain(expr)
-        return frame
+        """The frame after all dynamic constraint events, applied together."""
+        return self.frame.constrain(*self.events) if self.events else self.frame
 
     def final_sources(self):
         """Sources re-evaluated under the post-event frame."""

@@ -1,8 +1,8 @@
 """Selector-string dispatch for every combination rule.
 
 Each entry adapts one rule to a uniform call shape: a list of sources
-plus a parameter dict.  Front ends and rules that re-run a rule call
-``run``, which checks the call first; uft's store calls ``validate_call``.
+plus a parameter dict.  Every call that names a rule passes ``check``;
+``run`` is ``check`` followed by the rule's ``combine``.
 """
 
 from dataclasses import dataclass, replace
@@ -149,9 +149,9 @@ def validate_call(spec, n_sources, params):
             raise RuleError(f"rule {spec.name!r} needs parameter {key!r}")
 
 
-def run(name, sources, params):
-    """Run a rule by selector once its sources' kind (interval or label),
-    their number and the rule's parameters check out."""
+def check(name, sources, params):
+    """The spec a selector names, once its sources' kind (interval or
+    label), their number and the rule's parameters check out."""
     spec = resolve(name)
     interval = bool(sources) and sources[0].frame is INTERVAL_FRAME
     if interval and spec.mode != "interval":
@@ -159,7 +159,12 @@ def run(name, sources, params):
     if spec.mode == "interval" and not interval:
         raise RuleError(f"rule {name!r} needs an interval problem (frame-intervals:)")
     validate_call(spec, len(sources), params)
-    return spec.combine(sources, params)
+    return spec
+
+
+def run(name, sources, params):
+    """Run a rule by selector once ``check`` passes."""
+    return check(name, sources, params).combine(sources, params)
 
 
 def run_mass(name, sources, params):

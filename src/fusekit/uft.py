@@ -30,7 +30,7 @@ from .classic import (
 )
 from .mass import MassFunction
 from .pcr import _column_averages, _column_sums, _pcr5_split
-from .registry import resolve, run_mass, validate_call
+from .registry import check, run_mass
 from .result import FusionResult
 
 _ATTITUDE_KINDS = (
@@ -197,11 +197,17 @@ def uft_combine(sources, config=None):
             att = fallback
         return att
 
-    def claim(els, landing):
-        return attitude(els, landing) is not None
+    claimed = None
 
+    def claim(els, landing):
+        nonlocal claimed
+        claimed = attitude(els, landing)
+        return claimed is not None
+
+    # expand claims a non-empty landing just before yielding it, and
+    # yields an empty one unclaimed.
     for els, p, landing in ledger.expand(claim=claim if pairs or default is not None else None):
-        att = attitude(els, landing) if pairs else fallback
+        att = claimed if not landing.is_empty else attitude(els, landing) if pairs else fallback
         basis = f"case {case}" if case else f"attitude {att.kind}"
         if att.kind == "keep":
             note = "kept on intersection"
@@ -358,15 +364,13 @@ def quasi_associative_combine(state, new, rule="dempster", **params):
     if not isinstance(state, QuasiAssociativeState):
         state = QuasiAssociativeState.start(state)
     if rule not in _STORE_RULES:
-        raise RuleError(
-            f"rule {rule!r} is not conjunctive-based; incremental combining is undefined"
-        )
-    spec = resolve(rule)
-    validate_call(spec, len(state.sources) + 1, params)
+        raise RuleError(f"rule {rule!r} is not conjunctive-based; "
+                        "incremental combining is undefined")
     state = state.append(new)
+    spec = check(rule, state.sources, params)
     transfer = _STORE_RULES[rule]
     if transfer is None:
-        return state, spec.combine(list(state.sources), dict(params))
+        return state, spec.combine(state.sources, params)
     ledger = Ledger(state.sources)
     warnings = transfer(ledger, ledger.stored(state.product),
                         **{key: params[key] for key in spec.needs})

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from fusekit import execute_problem, parse_problem
+from fusekit import GOLDEN_CASES, execute_problem, parse_problem
 from fusekit.cli import main
 from fusekit.registry import selectors
 
@@ -541,3 +541,14 @@ def test_a_malformed_rule_parameter_is_a_rule_error(tmp_path, capsys, rule, para
     src.write_text(PCR_BINARY + f"param: {param}\n")
     code, out, err = run_cli(capsys, "--rule", rule, "--input", str(src))
     assert (code, out, err) == (3, "", message + "\n")
+
+
+def test_consensus_on_a_subnormal_source_is_a_rule_error(tmp_path, capsys):
+    case = next(c for c in GOLDEN_CASES if c.name == "union-transfer-dynamic-incomplete")
+    src = tmp_path / "dp.txt"
+    src.write_text(case.text)
+    code, out, err = run_cli(capsys, "--rule", "consensus", "--input", str(src),
+                             "--param", "focus=A")
+    assert (code, out) == (3, "")
+    assert "RuleError" in err
+    assert "non-empty masses total 1, got 0.7" in err

@@ -9,6 +9,7 @@ from fusekit import (
     MassFunction,
     ParseError,
     ProblemFile,
+    execute_problem,
     parse_problem,
     scenario_config,
 )
@@ -353,3 +354,32 @@ def test_free_frame_past_the_size_guard_fails_at_the_frame_line(model):
     with pytest.raises(ParseError) as err:
         parse_problem(f"# wide\nframe: {labels}\n{model}source s1: H0=1\n")
     assert str(err.value) == "line 2: free frames are limited to 18 hypotheses, frame has 24"
+
+
+_TWO_EVENTS = """\
+frame: A B C
+source m1: A=0.5, B|C=0.3, A&B=0.2
+source m2: B=0.6, A|C=0.4
+event: constrain A&B=0
+event: constrain B&C=0
+"""
+
+
+@pytest.mark.parametrize("rule,tail,most", [
+    ("dempster", "", 1),
+    ("uft", "scenario: case 1.2.1\n", 2),
+])
+def test_a_problem_run_builds_its_final_frame_once(monkeypatch, rule, tail, most):
+    problem = parse_problem(_TWO_EVENTS + tail)
+    calls = []
+    init = Frame.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Frame, "__init__", counting_init)
+    outcome = execute_problem(problem, rule)
+    assert 1 <= len(calls) <= most
+    assert outcome.frame == problem.frame.constrain("A&B").constrain("B&C")
+    assert outcome.combined.frame is outcome.frame

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fusekit import (
     Frame,
     MassFunction,
+    ProblemFile,
     RuleError,
     ScenarioConfig,
     TotalConflictError,
@@ -41,6 +42,7 @@ from fusekit import (
     zhang_center,
 )
 from fusekit.cli import build_table
+from fusekit.frame import render_expression
 from fusekit.golden import Outcome
 from fusekit.registry import resolve, selectors
 from fusekit.special import _IMPROVED_BASES, TCONORMS, TNORMS
@@ -611,3 +613,19 @@ def test_reduced_intersection_routes_match_the_oracle(sources):
             want = frozenset().union(*(oracles.expr_atoms(("label", name), names, surviving)
                                        for name in labels))
             assert form.disjunctive().atoms == want, form.expr
+
+
+@given(expression_sources(), st.data())
+def test_events_applied_together_match_one_at_a_time(sources, data):
+    frame = sources[0].frame
+    events = tuple(render_expression(data.draw(expressions(frame.names))) for _ in range(2))
+    problem = ProblemFile(frame=frame, sources=[(f"m{i}", m) for i, m in enumerate(sources)],
+                          events=events)
+    stepwise = frame.constrain(events[0]).constrain(events[1])
+    final = problem.final_frame()
+    assert final == stepwise
+    assert final.surviving_atoms == stepwise.surviving_atoms
+    for m, moved in zip(sources, problem.final_sources()):
+        assert moved == m.on_frame(stepwise)
+        for el in m:
+            assert final.reevaluate(el).atoms == stepwise.reevaluate(el).atoms

@@ -23,6 +23,7 @@ from fusekit import (
     exclusive_disjunctive,
     inagaki,
     murphy_average,
+    parse_problem,
     pcr1,
     pcr5,
     quasi_associative_combine,
@@ -489,10 +490,9 @@ def test_incremental_recompute_rules(stream):
 
 def test_incremental_rejects_non_conjunctive_rules(stream):
     m1, m2, _ = stream
-    with pytest.raises(RuleError):
-        quasi_associative_combine(m1, m2, rule="disjunctive")
-    with pytest.raises(RuleError):
-        quasi_associative_combine(m1, m2, rule="murphy")
+    for rule in ("disjunctive", "murphy", "xavg", "nonesuch"):
+        with pytest.raises(RuleError, match="is not conjunctive-based"):
+            quasi_associative_combine(m1, m2, rule=rule)
 
 
 def test_incremental_wo_rejects_weights_out_of_range(stream):
@@ -671,3 +671,29 @@ def test_an_empty_pair_table_is_never_probed(scenario_sources, shafer2):
             out = uft_combine(sources, replace(config, pair_attitudes=table))
             assert table.probes == 0
             assert out == uft_combine(sources, config)
+
+
+def test_a_one_pair_table_resolves_each_product_once():
+    f = Frame.shafer(("A", "B", "C"))
+    m1 = MassFunction(f, {"A": 0.5, "B": 0.3, "A|B": 0.2})
+    m2 = MassFunction(f, {"A": 0.6, "B|C": 0.4})
+    pair = frozenset((f.parse("A|B"), f.parse("B|C")))
+    for config in (ScenarioConfig(), ScenarioConfig.for_case("1.2.1")):
+        table = _CountingTable({pair: Attitude("union")})
+        out = uft_combine((m1, m2), replace(config, pair_attitudes=table))
+        assert table.probes == 6  # one per product of the 3x2 table
+        assert out == uft_combine((m1, m2), replace(config, pair_attitudes=dict(table)))
+        claimed, = (q for q in out.conflict.partials if frozenset(q.operands) == pair)
+        assert claimed.shares == ((f.parse("A|B|C"), pytest.approx(0.2 * 0.4)),)
+
+
+def test_the_store_refuses_interval_and_mixed_frame_sources(stream):
+    m1, _, _ = stream
+    interval = [m for _, m in parse_problem(
+        "frame-intervals:\nsource m1: [2,5]=0.6, [1,3]=0.4\nsource m2: [1,3]=1\n").sources]
+    for rule in ("dempster", "wo", "pcr5"):
+        with pytest.raises(RuleError, match=f"^rule '{rule}' needs a label frame, not intervals$"):
+            quasi_associative_combine(*interval, rule=rule)
+    other = MassFunction(Frame.shafer(("A", "B", "C")), {"C": 1.0})
+    with pytest.raises(FrameMismatchError):
+        quasi_associative_combine(m1, other, rule="dempster")

@@ -16,9 +16,10 @@ the golden cases' interval problems.  It also runs every rule of the
 quasi-associative store (selector ``store:<rule>``, in the order of
 ``fusekit.uft._STORE_RULES``), the nine that run on the stored product
 and the eight recomputed from the sources, appending the sources in
-order, with the parameters above for ``wo`` and ``inagaki``.  Each run is
-one JSON line: the CLI table's ``render()`` and ``to_json_dict()``, or
-the error the run raised.
+order, with the parameters above for ``wo`` and ``inagaki``; on the
+interval problems it runs them with no parameters, where each one must
+be refused.  Each run is one JSON line: the CLI table's ``render()`` and
+``to_json_dict()``, or the error the run raised.
 
 ``diff`` prints, per selector, how many records differ in ``render()``
 and in the JSON, how many of those become equal once every display in
@@ -47,11 +48,14 @@ _KINDS = ("free", "shafer", "hybrid")
 
 
 def _runs(problem):
-    """(selector, problem, parameter overrides) of every recorded run on a
-    label problem; None for a store rule."""
+    """(selector, problem, parameter overrides) of every recorded run."""
     from fusekit.registry import resolve, selectors
     from fusekit.uft import _STORE_RULES
 
+    if problem.interval:
+        return [("xavg", problem, {})] + [(f"store:{rule}", problem, {})
+                                          for rule in _STORE_RULES]
+    frame = problem.final_frame()
     first, n = problem.frame.names[0], len(problem.sources)
     runs = [(name, problem, {}) for name in selectors()
             if resolve(name).mode == "mass" and not resolve(name).needs]
@@ -61,9 +65,9 @@ def _runs(problem):
          {"given": first, "base": "dempster"}),
         ("mixed", problem, {"expr": "1|2" if n == 2 else "(1&2)|3"}),
         ("mixing", problem, {"weights": [1.0] * n}),
-        ("wo", problem, _store_params("wo", problem.final_frame())),
+        ("wo", problem, _store_params("wo", frame)),
         ("consensus", problem, {"focus": first}),
-    ] + [(f"store:{rule}", problem, None) for rule in _STORE_RULES]
+    ] + [(f"store:{rule}", problem, _store_params(rule, frame)) for rule in _STORE_RULES]
 
 
 def _sweep():
@@ -105,17 +109,16 @@ def _store_params(rule, frame):
     return {"p": 0.5} if rule == "inagaki" else {}
 
 
-def _store(problem, rule):
+def _store(problem, rule, params):
     """The store's result after appending the problem's sources in order."""
     from fusekit.golden import Outcome
     from fusekit.uft import quasi_associative_combine
 
-    frame = problem.final_frame()
     sources = problem.final_sources()
     state = sources[0]
     for m in sources[1:]:
-        state, result = quasi_associative_combine(state, m, rule, **_store_params(rule, frame))
-    return Outcome("mass", frame=frame, combined=result.combined, result=result,
+        state, result = quasi_associative_combine(state, m, rule, **params)
+    return Outcome("mass", frame=sources[0].frame, combined=result.combined, result=result,
                    warnings=result.warnings)
 
 
@@ -129,12 +132,11 @@ def write(path):
     with open(path, "w", encoding="utf-8") as fh:
         for name, text in _problems():
             problem = parse_problem(text)
-            runs = [("xavg", problem, {})] if problem.interval else _runs(problem)
-            for selector, run_on, params in runs:
+            for selector, run_on, params in _runs(problem):
                 record = {"problem": name, "selector": selector}
                 try:
-                    if params is None:
-                        outcome = _store(run_on, selector.partition(":")[2])
+                    if selector.startswith("store:"):
+                        outcome = _store(run_on, selector.partition(":")[2], params)
                     else:
                         outcome = execute_problem(run_on, selector, overrides=params)
                     table = build_table(outcome, selector)
