@@ -38,7 +38,7 @@ def _add(acc, element, mass):
 
 def _joined(op, els):
     """The element of the operands' atoms joined by one connective."""
-    return Element(els[0].frame, fold(op, (el.atoms for el in els)))
+    return Element(els[0].frame, fold(op, (el.mask for el in els)))
 
 
 _intersection_element = functools.partial(_joined, "and")
@@ -55,8 +55,8 @@ def _subset_unions(els):
     for r in range(1, len(els) + 1):
         for combo in itertools.combinations(els, r):
             el = combo[0] if r == 1 else _union_element(combo)
-            if not el.is_empty and el.atoms not in seen:
-                seen.add(el.atoms)
+            if not el.is_empty and el.mask not in seen:
+                seen.add(el.mask)
                 yield el
 
 
@@ -477,7 +477,7 @@ def mixed(sources, expr):
             f"expression must use each of sources 1..{len(sources)} exactly once, got {sorted(leaves)}"
         )
     return _direct("mixed", sources, _retain,
-                   lambda els: Element(frame, _eval_source_expr(expr, [el.atoms for el in els])),
+                   lambda els: Element(frame, _eval_source_expr(expr, [el.mask for el in els])),
                    note="empty landing")
 
 

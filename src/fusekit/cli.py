@@ -15,6 +15,7 @@ import json
 import sys
 
 from .errors import FusionError, ParseError
+from .frame import render_expression
 from .golden import execute_problem, verify_golden
 from .problem import coerce_params, parse_problem
 from .registry import resolve
@@ -159,9 +160,25 @@ class ResultTable:
         doc["warnings"] = list(self.warnings)
         result = outcome.result
         if result is not None:
-            doc["ledger"] = [
-                {
-                    "operands": [el.display for el in p.operands],
+            texts = {}  # operand expression -> its text, rendered once per table
+
+            def operand_exprs(operands, shown):
+                exprs = []
+                for el in operands:
+                    expr = el.expr
+                    if expr not in texts:
+                        texts[expr] = render_expression(expr)
+                    exprs.append(texts[expr])
+                # A ledger can hold tens of thousands of partials: where every
+                # operand displays as written, the displays' list is shared.
+                return shown if exprs == shown else exprs
+
+            doc["ledger"] = []
+            for p in result.conflict.partials:
+                shown = [el.display for el in p.operands]
+                doc["ledger"].append({
+                    "operands": shown,
+                    "operand_exprs": operand_exprs(p.operands, shown),
                     "mass": p.mass,
                     "basis": p.basis,
                     "note": p.note,
@@ -169,9 +186,7 @@ class ResultTable:
                         {"to": dest if dest in (None, NORMALISED) else dest.display, "mass": v}
                         for dest, v in p.shares
                     ],
-                }
-                for p in result.conflict.partials
-            ]
+                })
             if result.signed_masses:
                 doc["signed_masses"] = [
                     {"element": el.display, "mass": v}

@@ -4,11 +4,19 @@ A frame names n hypotheses which may overlap.  Every element of the
 generated algebra (closed under union, intersection and complement) is
 identified with a set of Venn atoms: an atom is encoded as a bitmask
 over hypothesis indices naming exactly the hypotheses that contain it.
-A frame stores the atoms its model keeps; free models keep all 2^n - 1
-candidate atoms, exclusivity models keep only the n single-hypothesis
-atoms.  Atoms are only ever removed, never restored, so constraining a
-frame yields a new frame.  Real intervals live on one frame of their
-own, ``INTERVAL_FRAME``, which parses them but has no algebra.
+A frame keeps the atoms its model does not empty, in ascending order;
+free models keep all 2^n - 1 candidate atoms, exclusivity models keep
+only the n single-hypothesis atoms.  An element is one int mask over
+its frame's surviving atoms (Smarandache's codification of the Venn
+regions): bit k stands for the k-th surviving atom, so the connectives,
+subset tests and cardinalities are int operations.  A free frame's k-th
+atom is k + 1, so it lists no atoms and builds each hypothesis's mask
+from a doubled bit pattern.  ``Element.atoms``, ``Frame.surviving_atoms``,
+``empty_atoms`` and ``model`` are frozenset views in the atom encoding,
+built when read.  Atoms are only ever removed, never restored, so
+constraining a frame yields a new frame.  Real intervals live on one
+frame of their own, ``INTERVAL_FRAME``, which parses them but has no
+algebra.
 """
 
 import functools
@@ -47,7 +55,7 @@ CONNECTIVES = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
 
 
 def fold(op, operands):
-    """Join operands (atom-sets or Elements) left to right by one connective."""
+    """Join operands (survivor masks or Elements) left to right by one connective."""
     try:
         join = CONNECTIVES[op]
     except KeyError:
@@ -159,14 +167,50 @@ class ModelConstraints:
     empty_atoms: frozenset
 
 
+def _bit_indices(mask):
+    """The indices of the set bits of ``mask``, ascending."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+def _free_hypotheses(n):
+    """Each hypothesis's survivor mask on the free frame of n hypotheses.
+
+    Bit k stands for atom k + 1, so hypothesis i holds runs of 2^i bits
+    every 2^(i+1): one run is doubled up to the 2^n atoms.
+    """
+    out = []
+    for i in range(n):
+        run = 1 << i
+        pattern, width = ((1 << run) - 1) << run, 2 * run
+        while width < 1 << n:
+            pattern |= pattern << width
+            width *= 2
+        out.append(pattern >> 1)
+    return tuple(out)
+
+
+def _strictly_inside(a, b):
+    """Whether survivor mask ``a`` is a proper subset of ``b``."""
+    return a != b and not a & ~b
+
+
 class Frame:
     """A frame of discernment with emptiness constraints.
 
     Immutable.  Two frames are equal when they name the same hypotheses
-    in the same order and keep the same atoms.
+    in the same order and keep the same atoms.  ``_atoms`` holds the
+    surviving atoms in ascending order, or None on a free frame, whose
+    k-th atom is k + 1; ``_hypotheses[i]`` is hypothesis i's survivor
+    mask and ``_full`` the mask of every survivor.
     """
 
-    __slots__ = ("names", "kind", "_index", "_surviving", "_label_atoms", "_displays",
+    __slots__ = ("names", "kind", "_index", "_atoms", "_hypotheses", "_full", "_displays",
                  "_forms", "_hash")
 
     def __init__(self, names, surviving_atoms=None):
@@ -179,32 +223,39 @@ class Frame:
             if not name or not name.isalnum():
                 raise ValueError(f"hypothesis labels must be alphanumeric, got {name!r}")
         n = len(names)
+        atoms = None
         if surviving_atoms is None:
             if n > FREE_FRAME_GUARD:
                 raise FrameTooLargeError(
                     f"free frames are limited to {FREE_FRAME_GUARD} hypotheses, "
                     f"frame has {n}"
                 )
-            surviving = frozenset(range(1, 1 << n))
         else:
-            surviving = frozenset(surviving_atoms)
-            if surviving and not 0 < min(surviving) <= max(surviving) < 1 << n:
+            atoms = tuple(sorted(set(surviving_atoms)))
+            if atoms and not 0 < atoms[0] <= atoms[-1] < 1 << n:
                 raise ValueError("surviving atoms outside the frame's atom universe")
-        if len(surviving) == (1 << n) - 1:
+            if len(atoms) == (1 << n) - 1:
+                atoms = None
+        if atoms is None:
             self.kind = "free"
-        elif len(surviving) == n and all(a & (a - 1) == 0 for a in surviving):
-            self.kind = "shafer"
+            self._hypotheses = _free_hypotheses(n)
+            self._full = (1 << ((1 << n) - 1)) - 1
         else:
-            self.kind = "hybrid"
+            if len(atoms) == n and all(a & (a - 1) == 0 for a in atoms):
+                self.kind = "shafer"
+                self._hypotheses = tuple(1 << i for i in range(n))
+            else:
+                self.kind = "hybrid"
+                self._hypotheses = tuple(
+                    int("".join("1" if a >> i & 1 else "0" for a in reversed(atoms)) or "0", 2)
+                    for i in range(n))
+            self._full = (1 << len(atoms)) - 1
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
-        self._surviving = surviving
-        self._label_atoms = tuple(
-            frozenset(a for a in surviving if a & (1 << i)) for i in range(n)
-        )
+        self._atoms = atoms
         self._displays = {}
         self._forms = {}
-        self._hash = hash((names, surviving))
+        self._hash = hash((names, atoms))
 
     # -- construction -------------------------------------------------
 
@@ -221,13 +272,13 @@ class Frame:
 
     def constrain(self, *elements):
         """New frame with the given elements' atoms removed from the surviving set."""
-        gone = set()
+        gone = 0
         for el in elements:
             el = self.parse(el) if isinstance(el, str) else el
             if el.frame != self:
                 raise FrameMismatchError("constraint element from another frame")
-            gone |= el.atoms
-        return Frame(self.names, self._surviving - gone)
+            gone |= el.mask
+        return Frame(self.names, self._values(self._full & ~gone))
 
     # -- identity -----------------------------------------------------
 
@@ -237,7 +288,7 @@ class Frame:
             isinstance(other, Frame)
             and self.names == other.names
             and self.kind == other.kind
-            and (self.kind != "hybrid" or self._surviving == other._surviving)
+            and (self.kind != "hybrid" or self._atoms == other._atoms)
         )
 
     def __hash__(self):
@@ -252,9 +303,18 @@ class Frame:
     def n(self):
         return len(self.names)
 
+    def _values(self, mask):
+        """The atoms of a survivor mask, ascending."""
+        if self._atoms is None:
+            return [k + 1 for k in _bit_indices(mask)]
+        return [self._atoms[k] for k in _bit_indices(mask)]
+
     @property
     def surviving_atoms(self):
-        return self._surviving
+        """The atoms the model keeps (a view, built on each call)."""
+        if self._atoms is None:
+            return frozenset(range(1, 1 << self.n))
+        return frozenset(self._atoms)
 
     @property
     def empty_atoms(self):
@@ -267,7 +327,9 @@ class Frame:
                 f"empty atoms are enumerated up to {FREE_FRAME_GUARD} hypotheses, "
                 f"frame has {self.n}"
             )
-        return frozenset(range(1, 1 << self.n)) - self._surviving
+        if self._atoms is None:
+            return frozenset()
+        return frozenset(range(1, 1 << self.n)).difference(self._atoms)
 
     @property
     def model(self):
@@ -279,7 +341,8 @@ class Frame:
 
     # -- evaluation -----------------------------------------------------
 
-    def eval_atoms(self, expr):
+    def eval_mask(self, expr):
+        """The survivor mask an expression tree denotes."""
         op = expr[0]
         if op == "label":
             try:
@@ -288,17 +351,17 @@ class Frame:
                 raise UnknownLabelError(
                     f"unknown hypothesis {expr[1]!r} (frame has {', '.join(self.names)})"
                 ) from None
-            return self._label_atoms[i]
+            return self._hypotheses[i]
         if op == "empty":
-            return frozenset()
+            return 0
         if op == "not":
-            return self._surviving - self.eval_atoms(expr[1])
-        return fold(op, [self.eval_atoms(child) for child in expr[1]])
+            return self._full ^ self.eval_mask(expr[1])
+        return fold(op, [self.eval_mask(child) for child in expr[1]])
 
     # -- element constructors --------------------------------------------
 
     def element(self, expr):
-        return Element(self, self.eval_atoms(expr), expr)
+        return Element(self, self.eval_mask(expr), expr)
 
     def parse(self, text):
         """Parse expression text into an Element of this frame."""
@@ -312,34 +375,40 @@ class Frame:
         return [self.label(name) for name in self.names]
 
     def empty(self):
-        return Element(self, frozenset())
+        return Element(self, 0)
 
     def ignorance(self):
         """Total ignorance: the union of all hypotheses."""
-        return Element(self, self._surviving)
+        return Element(self, self._full)
 
     def from_atoms(self, atoms):
         """Element for a raw atom-set; it displays as every element of those atoms."""
         atoms = frozenset(atoms)
-        if not atoms <= self._surviving:
+        if self._atoms is None:
+            positions = [a - 1 for a in atoms if 0 < a < 1 << self.n]
+        else:
+            positions = [k for k, a in enumerate(self._atoms) if a in atoms]
+        if len(positions) != len(atoms):
             raise ValueError("atoms outside the surviving set")
-        return Element(self, atoms)
+        return Element(self, sum(1 << k for k in positions))
 
-    def _label_union(self, mask):
+    def _label_union(self, labels):
         """The element of the union of the hypotheses in a label mask, kept
         once built: every disjunctive form is built here."""
-        form = self._forms.get(mask)
+        form = self._forms.get(labels)
         if form is None:
-            atoms = frozenset(a for a in self._surviving if a & mask)
-            form = self._forms[mask] = Element(self, atoms)
+            mask = 0
+            for i in _bit_indices(labels):
+                mask |= self._hypotheses[i]
+            form = self._forms[labels] = Element(self, mask)
         return form
 
-    def _display(self, atoms):
-        """The (expression, text) of every element of ``atoms``, kept once computed."""
-        entry = self._displays.get(atoms)
+    def _display(self, mask):
+        """The (expression, text) of every element of ``mask``, kept once computed."""
+        entry = self._displays.get(mask)
         if entry is None:
-            expr = _display_expr(self, atoms)
-            entry = self._displays[atoms] = (expr, render_expression(expr))
+            expr = _display_expr(self, mask)
+            entry = self._displays[mask] = (expr, render_expression(expr))
         return entry
 
     def reevaluate(self, element):
@@ -360,48 +429,53 @@ class Frame:
             raise FrameTooLargeError(
                 f"enumeration limited to {ENUMERATION_GUARD} hypotheses, frame has {self.n}"
             )
-        atoms = sorted(self._surviving)
-        out = []
-        for r in range(len(atoms) + 1):
-            for combo in itertools.combinations(atoms, r):
-                out.append(self.from_atoms(combo))
+        count = self._full.bit_count()
+        out = [Element(self, sum(1 << k for k in combo))
+               for r in range(count + 1) for combo in itertools.combinations(range(count), r)]
         out.sort(key=lambda el: (el.cardinality, el.display))
         return out
 
 
 class Element:
-    """One member of a frame's algebra: an atom-set, maybe with an expression.
+    """One member of a frame's algebra: a set of surviving atoms, maybe with
+    an expression.
 
-    Semantic identity is the atom-set: two elements are equal exactly
-    when they denote the same atoms of the same frame, whatever their
-    expressions look like.  The display is the frame's for those atoms;
-    an element built without an expression (a rule's landing, say) reads
-    the display's expression as its own.  Instances are immutable by
-    convention.
+    The set is ``mask``: bit k stands for the frame's k-th surviving atom
+    in ascending order, so the connectives are int operations.  Semantic
+    identity is the set: two elements are equal exactly when they denote
+    the same atoms of the same frame, whatever their expressions look
+    like.  The display is the frame's for those atoms; an element built
+    without an expression (a rule's landing, say) reads the display's
+    expression as its own.  Instances are immutable by convention.
     """
 
-    __slots__ = ("frame", "atoms", "_expr")
+    __slots__ = ("frame", "mask", "_expr")
 
-    def __init__(self, frame, atoms, expr=None):
+    def __init__(self, frame, mask, expr=None):
         self.frame = frame
-        self.atoms = frozenset(atoms)
+        self.mask = mask
         self._expr = expr
+
+    @property
+    def atoms(self):
+        """The atoms of the element (a frozenset view, built on each call)."""
+        return frozenset(self.frame._values(self.mask))
 
     @property
     def expr(self):
         if self._expr is None:
-            return self.frame._display(self.atoms)[0]
+            return self.frame._display(self.mask)[0]
         return self._expr
 
     def __eq__(self, other):
         return (
             isinstance(other, Element)
-            and self.frame == other.frame
-            and self.atoms == other.atoms
+            and (self.frame is other.frame or self.frame == other.frame)
+            and self.mask == other.mask
         )
 
     def __hash__(self):
-        return hash((self.frame, self.atoms))
+        return hash((self.frame._hash, self.mask))
 
     def __repr__(self):
         return f"<Element {self.display}>"
@@ -411,43 +485,41 @@ class Element:
 
     @property
     def display(self):
-        return self.frame._display(self.atoms)[1]
+        return self.frame._display(self.mask)[1]
 
     @property
     def is_empty(self):
-        return not self.atoms
+        return not self.mask
 
     @property
     def cardinality(self):
         """Number of model-surviving atoms inside the element."""
-        return len(self.atoms)
+        return self.mask.bit_count()
 
     def _check_peer(self, other):
         if not isinstance(other, Element):
             raise TypeError(f"expected Element, got {type(other).__name__}")
-        if other.frame != self.frame:
+        if other.frame is not self.frame and other.frame != self.frame:
             raise FrameMismatchError("elements from different frames")
 
     def __and__(self, other):
         self._check_peer(other)
-        return Element(self.frame, self.atoms & other.atoms, ("and", (self.expr, other.expr)))
+        return Element(self.frame, self.mask & other.mask, ("and", (self.expr, other.expr)))
 
     def __or__(self, other):
         self._check_peer(other)
-        return Element(self.frame, self.atoms | other.atoms, ("or", (self.expr, other.expr)))
+        return Element(self.frame, self.mask | other.mask, ("or", (self.expr, other.expr)))
 
     def __xor__(self, other):
         self._check_peer(other)
-        return Element(self.frame, self.atoms ^ other.atoms, ("xor", (self.expr, other.expr)))
+        return Element(self.frame, self.mask ^ other.mask, ("xor", (self.expr, other.expr)))
 
     def __invert__(self):
-        return Element(
-            self.frame, self.frame.surviving_atoms - self.atoms, ("not", self.expr)
-        )
+        return Element(self.frame, self.frame._full ^ self.mask, ("not", self.expr))
 
     def canonical(self):
         """Same atoms, with the frame's display expression for them."""
-        return Element(self.frame, self.atoms)
+        return Element(self.frame, self.mask)
 
     def disjunctive(self):
         """The disjunctive form: every connective replaced by union.
@@ -459,8 +531,8 @@ class Element:
         return self.frame._label_union(_disjunctive_mask(self.frame, self.expr))
 
 
-def _display_expr(frame, atoms):
-    """The one expression an atom set displays as.
+def _display_expr(frame, mask):
+    """The one expression a survivor mask displays as.
 
     An up-closed set (it holds every surviving atom above any of its
     atoms) is a union of label intersections, at most one per minimal atom;
@@ -468,43 +540,43 @@ def _display_expr(frame, atoms):
     expression, and anything else the union of its minterms.  Terms run
     by label count, then by label index.
     """
-    if not atoms:
+    if not mask:
         return EMPTY_EXPR
-    for negate, region in ((False, atoms), (True, frame.surviving_atoms - atoms)):
+    for negate, region in ((False, mask), (True, frame._full ^ mask)):
         terms = _up_closed_terms(frame, region)
         if terms is not None:
             return ("not", _node(terms)) if negate else _node(terms)
     leaves = [("label", nm) for nm in frame.names]
     return _node([("and", tuple(leaf if atom >> i & 1 else ("not", leaf)
                                 for i, leaf in enumerate(leaves)))
-                  for atom in sorted(atoms, key=_label_order)])
+                  for atom in sorted(frame._values(mask), key=_label_order)])
 
 
-def _up_closed_terms(frame, atoms):
+def _up_closed_terms(frame, mask):
     """The label intersections an up-closed set is the union of, else None.
 
     Each minimal atom's labels are thinned, last label first, while
     their intersection stays inside the set; a term whose labels hold
     another term's goes.
     """
-    def above(mask):
-        return fold("and", (frame._label_atoms[i] for i in _label_order(mask)[1]))
+    def above(labels):
+        return fold("and", (frame._hypotheses[i] for i in _label_order(labels)[1]))
 
     minimal = []
-    for atom in sorted(atoms, key=int.bit_count):
+    for atom in sorted(frame._values(mask), key=int.bit_count):
         if not any(atom & low == low for low in minimal):
             minimal.append(atom)
-    if len(set().union(*map(above, minimal))) != len(atoms):
+    if functools.reduce(operator.or_, map(above, minimal), 0) != mask:
         return None
-    masks = set()
-    for mask in minimal:
-        for i in reversed(_label_order(mask)[1]):
-            if mask != 1 << i and above(mask & ~(1 << i)) <= atoms:
-                mask &= ~(1 << i)
-        masks.add(mask)
-    return [_node([("label", frame.names[i]) for i in _label_order(mask)[1]], "and")
-            for mask in sorted(masks, key=_label_order)
-            if not any(other != mask and mask & other == other for other in masks)]
+    terms = set()
+    for labels in minimal:
+        for i in reversed(_label_order(labels)[1]):
+            if labels != 1 << i and not above(labels & ~(1 << i)) & ~mask:
+                labels &= ~(1 << i)
+        terms.add(labels)
+    return [_node([("label", frame.names[i]) for i in _label_order(labels)[1]], "and")
+            for labels in sorted(terms, key=_label_order)
+            if not any(other != labels and labels & other == other for other in terms)]
 
 
 def _label_order(mask):
@@ -535,9 +607,12 @@ def _canonical_expr(frame, expr):
             flat.append(kid)
     keyed = {}
     for kid in flat:
-        keyed.setdefault(frame.eval_atoms(kid), kid)
-    covers = operator.lt if op == "and" else operator.gt
-    kept = [kid for atoms, kid in keyed.items() if not any(covers(other, atoms) for other in keyed)]
+        keyed.setdefault(frame.eval_mask(kid), kid)
+    # An and-chain drops a term holding another term, an or-chain a term
+    # inside another.
+    kept = [kid for mask, kid in keyed.items()
+            if not any(_strictly_inside(other, mask) if op == "and"
+                       else _strictly_inside(mask, other) for other in keyed)]
     if len(kept) == 1:
         return kept[0]
     return (op, tuple(kept))
@@ -547,12 +622,13 @@ def _disjunctive_mask(frame, expr):
     """The label mask of an expression's disjunctive form (see Element.disjunctive)."""
     op = expr[0]
     if op == "label":
-        frame.eval_atoms(expr)  # validates the label
+        frame.eval_mask(expr)  # validates the label
         return 1 << frame._index[expr[1]]
     if op == "empty":
         return 0
     if op == "not":
-        return functools.reduce(operator.or_, frame.eval_atoms(expr), 0)
+        mask = frame.eval_mask(expr)
+        return sum(1 << i for i, hypothesis in enumerate(frame._hypotheses) if hypothesis & mask)
     return functools.reduce(operator.or_, (_disjunctive_mask(frame, child) for child in expr[1]))
 
 
@@ -585,20 +661,20 @@ class Reductions:
     def __init__(self, frame):
         self.frame = frame
         self._operands = {}  # expression -> (its reduced parts, its own label mask)
-        self._indices = {}  # part atom set -> its index
+        self._indices = {}  # part survivor mask -> its index
         self._below = []  # index -> bits of the indices of its strict subsets
 
-    def _index_of(self, atoms):
-        index = self._indices.get(atoms)
+    def _index_of(self, mask):
+        index = self._indices.get(mask)
         if index is None:
             index = len(self._below)
             below = 0
             for other, i in self._indices.items():
-                if other < atoms:
+                if _strictly_inside(other, mask):
                     below |= 1 << i
-                elif atoms < other:
+                elif _strictly_inside(mask, other):
                     self._below[i] |= 1 << index
-            self._indices[atoms] = index
+            self._indices[mask] = index
             self._below.append(below)
         return index
 
@@ -610,9 +686,9 @@ class Reductions:
             reduced = _canonical_expr(frame, expr)
             parts = []
             for node in reduced[1] if reduced[0] == "and" else (reduced,):
-                atoms = frame.eval_atoms(node)
-                parts.append(_Part(self._index_of(atoms), _disjunctive_mask(frame, node),
-                                   Element(frame, atoms, node)))
+                mask = frame.eval_mask(node)
+                parts.append(_Part(self._index_of(mask), _disjunctive_mask(frame, node),
+                                   Element(frame, mask, node)))
             entry = self._operands[expr] = (parts, _disjunctive_mask(frame, expr))
         return entry
 
@@ -650,10 +726,10 @@ def degree_intersection(x, y):
     division.  Undefined when both elements are empty.
     """
     x._check_peer(y)
-    union = x.atoms | y.atoms
+    union = x.mask | y.mask
     if not union:
         raise UndefinedDegreeError("degree of two empty elements is undefined")
-    return len(x.atoms & y.atoms) / len(union)
+    return (x.mask & y.mask).bit_count() / union.bit_count()
 
 
 def degree_union(x, y):
@@ -668,13 +744,13 @@ def degree_inclusion(x, y):
     degree 0, and in itself with degree 1.
     """
     x._check_peer(y)
-    if not x.atoms <= y.atoms:
+    if x.mask & ~y.mask:
         raise NotASubsetError(f"{x.display} is not included in {y.display}")
-    if not y.atoms:
+    if not y.mask:
         return 1.0
-    if not x.atoms:
+    if not x.mask:
         return 0.0
-    return len(x.atoms) / len(y.atoms)
+    return x.mask.bit_count() / y.mask.bit_count()
 
 
 # -- intervals -----------------------------------------------------------

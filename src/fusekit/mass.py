@@ -113,13 +113,13 @@ class MassFunction:
         """Belief: total mass of non-empty focal elements inside a."""
         self._check(a)
         return math.fsum(
-            v for el, v in self._map.items() if el.atoms and el.atoms <= a.atoms
+            v for el, v in self._map.items() if el.mask and not el.mask & ~a.mask
         )
 
     def pl(self, a):
         """Plausibility: total mass of focal elements meeting a."""
         self._check(a)
-        return math.fsum(v for el, v in self._map.items() if el.atoms & a.atoms)
+        return math.fsum(v for el, v in self._map.items() if el.mask & a.mask)
 
     def bel_d(self, a):
         """Inclusion-weighted belief: each subset counts for |X|/|a| of its mass."""
@@ -129,7 +129,7 @@ class MassFunction:
         return math.fsum(
             degree_inclusion(el, a) * v
             for el, v in self._map.items()
-            if el.atoms and el.atoms <= a.atoms
+            if el.mask and not el.mask & ~a.mask
         )
 
     def pl_d(self, a):
@@ -138,13 +138,13 @@ class MassFunction:
         return math.fsum(
             degree_intersection(el, a) * v
             for el, v in self._map.items()
-            if el.atoms & a.atoms
+            if el.mask & a.mask
         )
 
     def q(self, a):
         """Commonality: total mass of focal elements containing a."""
         self._check(a)
-        return math.fsum(v for el, v in self._map.items() if el.atoms >= a.atoms)
+        return math.fsum(v for el, v in self._map.items() if not a.mask & ~el.mask)
 
     def commonality(self):
         """The commonality function of this bba."""
@@ -211,9 +211,9 @@ class MassFunction:
         for el, v in self._map.items():
             if el.is_empty:
                 continue
-            if el.atoms <= focus.atoms:
+            if not el.mask & ~focus.mask:
                 b += v
-            elif el.atoms <= comp.atoms:
+            elif not el.mask & ~comp.mask:
                 d += v
             else:
                 u += v

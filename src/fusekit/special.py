@@ -26,7 +26,8 @@ _CAUTIOUS_GUARD = 12
 # -- Zhang's center combination ------------------------------------------
 
 _ZHANG_DEGREES = {
-    "product": lambda x, y: len(x.atoms & y.atoms) / (len(x.atoms) * len(y.atoms)),
+    "product": lambda x, y: ((x.mask & y.mask).bit_count()
+                             / (x.mask.bit_count() * y.mask.bit_count())),
     "union": degree_intersection,
 }
 
@@ -45,7 +46,7 @@ def _degree_weighted(m1, m2, rule, what, degree, land, message, disjoint=None):
         raise RuleError(f"{what} needs non-empty focal elements")
 
     def meets(els):
-        return not els[0].atoms.isdisjoint(els[1].atoms)
+        return els[0].mask & els[1].mask
 
     for els, p, _ in ledger.expand(
             land, weight=lambda els, ms: (degree(*els) if meets(els) else 1.0) * math.prod(ms)):
@@ -206,15 +207,15 @@ def cautious_commonality_min(m1, m2):
             f"power-set inversion over {frame.n} hypotheses is too large"
         )
     subsets = _power_set_elements(frame)
-    qmin = {el.atoms: min(m1.q(el), m2.q(el)) for el in subsets}
+    qmin = {el.mask: min(m1.q(el), m2.q(el)) for el in subsets}
     signed = {}
     for el in subsets:
         card = el.cardinality
         terms = []
         for other in subsets:
-            if other.atoms >= el.atoms:
+            if not el.mask & ~other.mask:
                 sign = -1.0 if (other.cardinality - card) % 2 else 1.0
-                terms.append(sign * qmin[other.atoms])
+                terms.append(sign * qmin[other.mask])
         total = math.fsum(terms)
         if abs(total) > _EPS:
             signed[el] = total

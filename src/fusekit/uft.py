@@ -193,7 +193,7 @@ def uft_combine(sources, config=None):
     def attitude(els, landing):
         att = pairs.get(frozenset(els)) if pairs else None
         if att is None and (landing.is_empty or default is not None
-                            and all(landing.atoms != el.atoms for el in els)):
+                            and all(landing.mask != el.mask for el in els)):
             att = fallback
         return att
 

@@ -283,6 +283,30 @@ def expr_atoms(expr, names, surviving):
     return out
 
 
+def free_atoms(n):
+    """Every candidate atom of n hypotheses: the free model keeps them all."""
+    return frozenset(range(1, 1 << n))
+
+
+def shafer_atoms(n):
+    """The n single-hypothesis atoms of Shafer's model."""
+    return frozenset(1 << i for i in range(n))
+
+
+def constrain(constraints, names, surviving):
+    """The surviving atoms left once every constraint expression is empty."""
+    gone = frozenset().union(*(expr_atoms(e, names, surviving) for e in constraints))
+    return frozenset(surviving) - gone
+
+
+def degree_intersection(x, y):
+    return len(x & y) / len(x | y)
+
+
+def degree_inclusion(x, y):
+    return len(x) / len(y) if y else 1.0
+
+
 def reduce_expr(expr, names, surviving):
     """Absorption, inside out: a chain of one connective (and or or) is
     flattened, terms of equal atoms keep the first, and an and-chain

@@ -151,6 +151,22 @@ def test_export_writes_divided_out_shares(tmp_path, capsys):
         assert entry["shares"] == [{"to": "divided out", "mass": entry["mass"]}]
 
 
+@pytest.mark.parametrize("rule", ["dempster", "pcr5", "dsmh"])
+def test_export_ledger_names_each_operand_by_its_expression(tmp_path, capsys, rule):
+    # The golden case's event empties B, so B displays as the empty set
+    # (and absorbs the sources' A&~A); its expression still names it.
+    case = next(c for c in GOLDEN_CASES if c.name == "column-average-degenerate")
+    src = tmp_path / "degenerate.txt"
+    src.write_text(case.text)
+    dest = tmp_path / "degenerate.json"
+    code, _, _ = run_cli(capsys, "--rule", rule, "--input", str(src), "--export", str(dest))
+    assert code == 0
+    doc = json.loads(dest.read_text())
+    named = {(shown, expr) for entry in doc["ledger"]
+             for shown, expr in zip(entry["operands"], entry["operand_exprs"], strict=True)}
+    assert named == {("∅", "B"), ("A", "A"), ("C", "C")}
+
+
 def test_param_overrides_file_params(tmp_path, capsys):
     src = tmp_path / "inagaki.txt"
     src.write_text(PCR_BINARY + "param: p=0.0\n")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,9 +21,10 @@ from fusekit import (
     degree_inclusion,
     degree_intersection,
     degree_union,
+    parse_problem,
 )
 from fusekit.cli import build_table
-from fusekit.frame import parse_expression_text, render_expression
+from fusekit.frame import FREE_FRAME_GUARD, parse_expression_text, render_expression
 from fusekit.golden import Outcome
 
 
@@ -154,7 +156,7 @@ def test_landings_are_never_reduced_and_each_display_is_computed_once(monkeypatc
                         lambda frame, expr: reductions.append(expr) or expr)
     describe = frame_module._display_expr
     monkeypatch.setattr(frame_module, "_display_expr",
-                        lambda frame, atoms: computed.append(atoms) or describe(frame, atoms))
+                        lambda frame, mask: computed.append(mask) or describe(frame, mask))
     out = conjunctive(m1, m2)
     assert len(out.conflict.partials) > 600
     outcome = Outcome("mass", frame=f, combined=out.combined, result=out, warnings=out.warnings)
@@ -163,8 +165,8 @@ def test_landings_are_never_reduced_and_each_display_is_computed_once(monkeypatc
     doc = table.to_json_dict(outcome)
     assert reductions == []
     assert len(computed) == len(set(computed))
-    shown = {el.atoms for el in out.combined} | {el.atoms for m in (m1, m2) for el in m}
-    assert set(computed) == shown | {frozenset()}
+    shown = {el.mask for el in out.combined} | {el.mask for m in (m1, m2) for el in m}
+    assert set(computed) == shown | {0}
     reads = sum(len(p["operands"]) + len(p["shares"]) for p in doc["ledger"])
     assert reads > 10 * len(computed)
 
@@ -319,6 +321,61 @@ def test_free_frame_past_the_size_guard_raises_before_building():
         Frame(names)
     with pytest.raises(FrameTooLargeError):
         Frame.free(names)
+
+
+# A Shafer model of 16 hypotheses with four pairwise overlaps left
+# non-empty: the model line constrains the other 116 pairs.
+WIDE_HYBRID = (
+    "frame: A B C D E F G H I J K L M N O P\n"
+    "model: constrain A&B=0, A&C=0, A&D=0, A&E=0, A&F=0, A&G=0, A&H=0, "
+    "A&I=0, A&J=0, A&K=0, A&L=0, A&M=0, A&N=0, A&O=0, A&P=0, B&C=0, B&D=0, "
+    "B&E=0, B&F=0, B&G=0, B&H=0, B&I=0, B&J=0, B&K=0, B&L=0, B&M=0, B&N=0, "
+    "B&O=0, B&P=0, C&D=0, C&E=0, C&F=0, C&G=0, C&H=0, C&I=0, C&J=0, C&K=0, "
+    "C&L=0, C&M=0, C&O=0, C&P=0, D&E=0, D&F=0, D&G=0, D&H=0, D&I=0, D&J=0, "
+    "D&K=0, D&L=0, D&M=0, D&N=0, D&O=0, D&P=0, E&F=0, E&G=0, E&I=0, E&J=0, "
+    "E&K=0, E&L=0, E&M=0, E&N=0, E&O=0, E&P=0, F&G=0, F&H=0, F&I=0, F&J=0, "
+    "F&L=0, F&M=0, F&N=0, F&O=0, F&P=0, G&H=0, G&J=0, G&K=0, G&L=0, G&M=0, "
+    "G&N=0, G&O=0, G&P=0, H&I=0, H&J=0, H&K=0, H&L=0, H&M=0, H&N=0, H&O=0, "
+    "H&P=0, I&J=0, I&K=0, I&L=0, I&M=0, I&N=0, I&O=0, I&P=0, J&K=0, J&L=0, "
+    "J&M=0, J&N=0, J&O=0, J&P=0, K&L=0, K&M=0, K&N=0, K&O=0, K&P=0, L&M=0, "
+    "L&N=0, L&O=0, L&P=0, M&N=0, M&O=0, M&P=0, N&O=0, N&P=0, O&P=0\n"
+    "source m1: F|K=0.2788507768558397, B|H|P=0.34633623796147767, "
+    "G|L|N=0.2804380494394441, D|I|L=0.0943749357432385\n"
+    "source m2: C|E|K=0.34410344123476844, C|D|M=0.3669779919008193, "
+    "B|F|I=0.06193686433059152, E|J|L=0.22698170253382072\n"
+)
+
+
+def _traced_peak(build):
+    """What ``build()`` returns, and the peak of the Python allocations it made."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_hybrid_problem_parses_without_building_the_free_frame_atom_sets():
+    problem, peak = _traced_peak(lambda: parse_problem(WIDE_HYBRID))
+    assert peak < 4 * 2**20, peak
+    # Brute force over the 2^16 - 1 candidate atoms: an atom survives
+    # when it holds no constrained pair.
+    names = problem.frame.names
+    model = WIDE_HYBRID.splitlines()[1].removeprefix("model: constrain ")
+    pairs = [sum(1 << names.index(name) for name in text.removesuffix("=0").split("&"))
+             for text in model.split(", ")]
+    assert len(pairs) == 116
+    surviving = {a for a in range(1, 1 << 16) if not any(a & pair == pair for pair in pairs)}
+    assert len(surviving) == 20
+    assert problem.frame.surviving_atoms == surviving
+
+
+def test_free_frame_at_the_size_guard_builds_small():
+    names = [f"H{i}" for i in range(FREE_FRAME_GUARD)]
+    frame, peak = _traced_peak(lambda: Frame.free(names))
+    assert peak < 4 * 2**20, peak
+    last = names[-1]
+    assert frame.parse(f"H0&{last}").cardinality == 1 << (FREE_FRAME_GUARD - 2)
 
 
 def test_surviving_atoms_must_lie_in_the_atom_universe():

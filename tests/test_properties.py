@@ -3,17 +3,21 @@
 import itertools
 import math
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fusekit import (
     Frame,
     MassFunction,
+    NotASubsetError,
     ProblemFile,
     RuleError,
     ScenarioConfig,
     TotalConflictError,
+    UndefinedDegreeError,
     cautious_commonality_min,
     conjunctive,
+    degree_inclusion,
     degree_intersection,
     degree_union,
     dempster,
@@ -42,7 +46,7 @@ from fusekit import (
     zhang_center,
 )
 from fusekit.cli import build_table
-from fusekit.frame import render_expression
+from fusekit.frame import parse_expression_text, render_expression
 from fusekit.golden import Outcome
 from fusekit.registry import resolve, selectors
 from fusekit.special import _IMPROVED_BASES, TCONORMS, TNORMS
@@ -629,3 +633,58 @@ def test_events_applied_together_match_one_at_a_time(sources, data):
         assert moved == m.on_frame(stepwise)
         for el in m:
             assert final.reevaluate(el).atoms == stepwise.reevaluate(el).atoms
+
+
+# -- the mask algebra against brute force over atom sets ---------------------
+
+@st.composite
+def oracle_frames(draw):
+    """A free or Shafer frame of two to five hypotheses, maybe constrained
+    by drawn expressions, with the surviving atoms the oracle gives it."""
+    names = tuple("ABCDE"[:draw(st.integers(min_value=2, max_value=5))])
+    if draw(st.booleans()):
+        frame, surviving = Frame.free(names), oracles.free_atoms(len(names))
+    else:
+        frame, surviving = Frame.shafer(names), oracles.shafer_atoms(len(names))
+    texts = [render_expression(draw(expressions(names)))
+             for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+    if texts:
+        frame = frame.constrain(*texts)
+        surviving = oracles.constrain([parse_expression_text(t) for t in texts], names, surviving)
+    return frame, surviving
+
+
+@given(oracle_frames(), st.data())
+def test_mask_algebra_matches_brute_force_over_atom_sets(framed, data):
+    frame, surviving = framed
+    names = frame.names
+    assert frame.surviving_atoms == surviving
+    texts = [render_expression(data.draw(expressions(names))) for _ in range(3)]
+    els = [frame.parse(t) for t in texts]
+    want = [oracles.expr_atoms(parse_expression_text(t), names, surviving) for t in texts]
+    for el, atoms in zip(els, want):
+        assert el.atoms == atoms, el.expr
+        assert el.cardinality == len(atoms)
+        assert frame.from_atoms(atoms) == el
+        assert frame.from_atoms(atoms).atoms == atoms
+
+    (x, y), (ax, ay) = els[:2], want[:2]
+    if ax | ay:
+        assert degree_intersection(x, y) == oracles.degree_intersection(ax, ay)
+    else:
+        with pytest.raises(UndefinedDegreeError):
+            degree_intersection(x, y)
+    assert degree_inclusion(x & y, x) == oracles.degree_inclusion(ax & ay, ax)
+    if not ax <= ay:
+        with pytest.raises(NotASubsetError):
+            degree_inclusion(x, y)
+
+    weights = (0.5, 0.3, 0.2)
+    m = MassFunction(frame, zip(els, weights))
+    plain = {}
+    for atoms, w in zip(want, weights):
+        plain[atoms] = plain.get(atoms, 0.0) + w
+    for a, atoms in zip(els, want):
+        assert m.bel(a) == oracles.bel(plain, atoms)
+        assert m.pl(a) == oracles.pl(plain, atoms)
+        assert m.q(a) == oracles.q(plain, atoms)
