@@ -7,14 +7,13 @@ the empty element; that mass flows through the product expansions
 literally.
 """
 
-import functools
 import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import replace
 
 from .errors import FrameMismatchError, RuleError, TotalConflictError
-from .frame import Element, Reductions, fold, parse_expression_text
+from .frame import CONNECTIVES, Element, Reductions, fold, parse_expression_text
 from .mass import MassFunction
 from .result import NORMALISED, ConflictReport, FusionResult, Partial
 
@@ -36,13 +35,9 @@ def _add(acc, element, mass):
     acc[element] = acc.get(element, 0.0) + mass
 
 
-def _joined(op, els):
-    """The element of the operands' atoms joined by one connective."""
-    return Element(els[0].frame, fold(op, (el.mask for el in els)))
-
-
-_intersection_element = functools.partial(_joined, "and")
-_union_element = functools.partial(_joined, "or")
+def _union_element(els):
+    """The element of the union of the operands' atoms."""
+    return Element(els[0].frame, fold("or", (el.mask for el in els)))
 
 
 def _subset_unions(els):
@@ -90,7 +85,7 @@ class Ledger:
     conflicting product.
     """
 
-    __slots__ = ("frame", "sources", "acc", "partials", "k12", "reductions")
+    __slots__ = ("frame", "sources", "acc", "partials", "k12", "reductions", "_landings")
 
     def __init__(self, sources):
         self.sources = tuple(sources)
@@ -99,31 +94,63 @@ class Ledger:
         self.partials = []
         self.k12 = 0.0
         self.reductions = Reductions(self.frame)
+        self._landings = {}
 
-    def expand(self, land=_intersection_element, claim=None,
-               weight=lambda els, masses: math.prod(masses)):
+    def expand(self, op="and", claim=None, leaf=None):
         """Land every product and yield the conflicting ones.
 
-        The one loop over focal products.  A product weighs
-        ``weight(els, masses)``, by default the product of its masses,
-        and is skipped at exactly zero.  It conflicts when its landing is
-        empty or ``claim(els, landing)`` holds, and is then yielded as
-        (operands, weight, landing).  Products land as the caller
-        iterates: a transfer that books each conflict as it comes books
-        in enumeration order, one that needs every landing first takes
-        ``list(conflicts)``.
+        The one loop over focal products: a depth-first walk in
+        ``itertools.product`` order whose prefixes carry their operands,
+        mass product (left to right from 1.0, as ``math.prod``) and masks
+        joined by ``op``.  A product weighs its mass product and lands on
+        ``landing(mask)``, and a zero prefix skips its subtree; a
+        ``leaf(els, p, mask)`` returns (weight, landing) instead and
+        prunes nothing.  A product of zero weight is skipped; one whose
+        landing is empty or ``claim(els, landing)`` holds conflicts and
+        is yielded as (operands, weight, landing).  Products land as the
+        caller iterates: a transfer that books each conflict as it comes
+        books in enumeration order, one that needs every landing first
+        takes ``list(conflicts)``.
         """
-        for combo in itertools.product(*(m.items() for m in self.sources)):
-            els, masses = zip(*combo)
-            p = weight(els, masses)
-            if p == 0.0:
+        join = CONNECTIVES[op]
+        # An interval has no mask: only a leaf lands interval products.
+        levels = [tuple((el, m, getattr(el, "mask", 0)) for el, m in src.items())
+                  for src in self.sources]
+        last, acc, landings = len(levels) - 1, self.acc, self._landings
+        stack = [((), 1.0, 0, iter(levels[0]))]
+        while stack:
+            prefix, p, mask, children = stack[-1]
+            if len(prefix) < last:
+                for el, m, k in children:
+                    q = p * m
+                    if q or leaf is not None:
+                        stack.append(((*prefix, el), q, join(mask, k) if prefix else k,
+                                      iter(levels[len(prefix) + 1])))
+                        break
+                else:
+                    stack.pop()
                 continue
-            landing = land(els)
-            if not landing.is_empty and (claim is None or not claim(els, landing)):
-                _add(self.acc, landing, p)
-                continue
-            self.k12 += p
-            yield els, p, landing
+            stack.pop()
+            for el, m, k in children:
+                els = (*prefix, el)
+                if leaf is None:
+                    w, k = p * m, join(mask, k)
+                    landing = landings.get(k) or self.landing(k)
+                else:
+                    w, landing = leaf(els, p * m, join(mask, k))
+                if not w:
+                    continue
+                if not landing.is_empty and (claim is None or not claim(els, landing)):
+                    acc[landing] = acc.get(landing, 0.0) + w
+                    continue
+                self.k12 += w
+                yield els, w, landing
+
+    def landing(self, mask):
+        """The one Element this combination lands on for a survivor mask."""
+        if (el := self._landings.get(mask)) is None:
+            el = self._landings[mask] = Element(self.frame, mask)
+        return el
 
     def stored(self, product):
         """Land a stored conjunctive product, as ``expand`` lands the
@@ -149,7 +176,7 @@ class Ledger:
 
     def strand(self, els, p, note, basis=""):
         """Leave a product on the empty set."""
-        self.book(els, p, ((self.frame.empty(), p),), basis, note)
+        self.book(els, p, ((self.landing(0), p),), basis, note)
 
     def escalate(self, els, p, dest, note, basis="",
                  suffix="; fell back to ignorance", degenerate="model fully degenerate"):
@@ -179,10 +206,10 @@ def _result(rule, combined, sources, conflict=ConflictReport(0.0), warnings=(),
                         sources=tuple(sources))
 
 
-def _direct(rule, sources, transfer, land=_intersection_element, **params):
-    """Expand the sources' product and hand its conflicts to ``transfer``."""
+def _direct(rule, sources, transfer, op="and", **params):
+    """Expand the sources' product under ``op``; hand its conflicts to ``transfer``."""
     ledger = Ledger(sources)
-    return ledger.finish(rule, transfer(ledger, ledger.expand(land), **params))
+    return ledger.finish(rule, transfer(ledger, ledger.expand(op), **params))
 
 
 # -- transfers shared by the direct rules and the incremental store --------
@@ -409,7 +436,7 @@ def inagaki(*sources, p):
 
 def disjunctive(*sources):
     """Combine by unions: right when at least one source is reliable."""
-    return _direct("disjunctive", sources, _retain, _union_element, note="all operands empty")
+    return _direct("disjunctive", sources, _retain, "or", note="all operands empty")
 
 
 def exclusive_disjunctive(*sources):
@@ -418,8 +445,7 @@ def exclusive_disjunctive(*sources):
     Products of semantically equal operands land on the empty set and
     are flagged as degenerate rather than silently dropped.
     """
-    return _direct("xor", sources, _retain, lambda els: _joined("xor", els),
-                   note="xor-degenerate")
+    return _direct("xor", sources, _retain, "xor", note="xor-degenerate")
 
 
 # -- mixed connective combinations ----------------------------------------
@@ -469,16 +495,16 @@ def mixed(sources, expr):
     if isinstance(expr, str):
         expr = parse_source_expr(expr)
     sources = tuple(sources)
-    frame = _common_frame(sources)
+    ledger = Ledger(sources)
     leaves = []
     _source_expr_leaves(expr, leaves)
     if sorted(leaves) != list(range(1, len(sources) + 1)):
         raise ValueError(
             f"expression must use each of sources 1..{len(sources)} exactly once, got {sorted(leaves)}"
         )
-    return _direct("mixed", sources, _retain,
-                   lambda els: Element(frame, _eval_source_expr(expr, [el.mask for el in els])),
-                   note="empty landing")
+    conflicts = ledger.expand(leaf=lambda els, p, _: (
+        p, ledger.landing(_eval_source_expr(expr, [el.mask for el in els]))))
+    return ledger.finish("mixed", _retain(ledger, conflicts, "empty landing"))
 
 
 # -- mixing family -----------------------------------------------------------

@@ -10,7 +10,6 @@ from .classic import (
     _EPS,
     Ledger,
     _common_frame,
-    _intersection_element,
     _normalise,
     _subset_unions,
     _union_element,
@@ -32,12 +31,12 @@ _ZHANG_DEGREES = {
 }
 
 
-def _degree_weighted(m1, m2, rule, what, degree, land, message, disjoint=None):
+def _degree_weighted(m1, m2, rule, what, degree, op, message, disjoint=None):
     """Weigh each focal pair by a degree on the Ledger core, then renormalize.
 
     A pair with mass product p weighs degree(x, y) * p when x and y
     overlap (the degree is its weight, as a T-norm is) and p when they
-    are disjoint.  Pairs land on ``land``.  Under an intersection a
+    are disjoint.  Pairs land on their ``op`` join.  Under an intersection a
     disjoint pair lands on the empty set, conflicts, and goes to the
     ``disjoint(ledger, els, p)`` route; a union lands every pair.
     """
@@ -45,11 +44,8 @@ def _degree_weighted(m1, m2, rule, what, degree, land, message, disjoint=None):
     if any(el.is_empty for m in ledger.sources for el in m):
         raise RuleError(f"{what} needs non-empty focal elements")
 
-    def meets(els):
-        return els[0].mask & els[1].mask
-
-    for els, p, _ in ledger.expand(
-            land, weight=lambda els, ms: (degree(*els) if meets(els) else 1.0) * math.prod(ms)):
+    for els, p, _ in ledger.expand(op, leaf=lambda els, p, mask: (
+            (degree(*els) if els[0].mask & els[1].mask else 1.0) * p, ledger.landing(mask))):
         disjoint(ledger, els, p)
     _normalise(ledger, message)
     return ledger.finish(rule)
@@ -67,7 +63,7 @@ def zhang_center(m1, m2, degree="product"):
         raise ValueError(f"degree must be 'product' or 'union', got {degree!r}")
     return _degree_weighted(
         m1, m2, f"zhang-{degree}", "zhang_center", _ZHANG_DEGREES[degree],
-        _intersection_element, "all focal pairs are disjoint; nothing to renormalize",
+        "and", "all focal pairs are disjoint; nothing to renormalize",
         Ledger.divide,
     )
 
@@ -95,7 +91,7 @@ def convolutive_x_average(m1, m2):
         if not isinstance(m, MassFunction) or m.frame is not INTERVAL_FRAME:
             raise TypeError("convolutive averaging needs interval bbas")
     ledger = Ledger((m1, m2))
-    list(ledger.expand(lambda els: els[0].average(els[1])))  # a midpoint never conflicts
+    list(ledger.expand(leaf=lambda els, p, _: (p, els[0].average(els[1]))))  # never conflicts
     return IntervalMassFunction(ledger.acc)
 
 
@@ -153,9 +149,10 @@ TCONORMS = {
 }
 
 
-def _norm_fusion(m1, m2, fn, land, rule, zero_msg):
+def _norm_fusion(m1, m2, fn, op, rule, zero_msg):
     ledger = Ledger((m1, m2))
-    for els, p, _ in ledger.expand(land, weight=lambda els, ws: fn(*ws)):
+    for els, p, _ in ledger.expand(op, leaf=lambda els, p, mask: (
+            fn(m1.mass(els[0]), m2.mass(els[1])), ledger.landing(mask))):
         ledger.divide(els, p)
     total = _normalise(ledger, zero_msg)
     warnings = ()
@@ -169,7 +166,7 @@ def tnorm_fusion(m1, m2, kind="algebraic"):
     if kind not in TNORMS:
         raise ValueError(f"kind must be one of {sorted(TNORMS)}, got {kind!r}")
     return _norm_fusion(
-        m1, m2, TNORMS[kind], _intersection_element, f"tnorm-{kind}",
+        m1, m2, TNORMS[kind], "and", f"tnorm-{kind}",
         f"all T-norm terms vanish under the {kind} norm",
     )
 
@@ -179,7 +176,7 @@ def tconorm_fusion(m1, m2, kind="algebraic"):
     if kind not in TCONORMS:
         raise ValueError(f"kind must be one of {sorted(TCONORMS)}, got {kind!r}")
     return _norm_fusion(
-        m1, m2, TCONORMS[kind], _union_element, f"tconorm-{kind}",
+        m1, m2, TCONORMS[kind], "or", f"tconorm-{kind}",
         f"all T-conorm terms vanish under the {kind} conorm",
     )
 
@@ -238,12 +235,12 @@ def _to_union(ledger, els, p):
 
 
 _IMPROVED = {
-    "disjunctive": (degree_union, _union_element, None),
-    "dsmc": (degree_intersection, _intersection_element, Ledger.divide),
-    "dsmh": (degree_intersection, _intersection_element, _to_union),
-    "smets": (degree_intersection, _intersection_element, Ledger.divide),
-    "yager": (degree_intersection, _intersection_element, Ledger.divide),
-    "dp": (degree_intersection, _intersection_element, _to_union),
+    "disjunctive": (degree_union, "or", None),
+    "dsmc": (degree_intersection, "and", Ledger.divide),
+    "dsmh": (degree_intersection, "and", _to_union),
+    "smets": (degree_intersection, "and", Ledger.divide),
+    "yager": (degree_intersection, "and", Ledger.divide),
+    "dp": (degree_intersection, "and", _to_union),
 }
 _IMPROVED_BASES = tuple(_IMPROVED)
 
@@ -260,6 +257,6 @@ def improved_rules(m1, m2, base="dsmc"):
     """
     if base not in _IMPROVED:
         raise ValueError(f"base must be one of {_IMPROVED_BASES}, got {base!r}")
-    degree, land, disjoint = _IMPROVED[base]
-    return _degree_weighted(m1, m2, f"improved-{base}", "improved rules", degree, land,
+    degree, op, disjoint = _IMPROVED[base]
+    return _degree_weighted(m1, m2, f"improved-{base}", "improved rules", degree, op,
                             "zero total after degree weighting", disjoint)

@@ -8,8 +8,10 @@ the empty element; tests that exercise empty-focal sources check
 invariants instead of oracle equality.
 """
 
+import functools
 import itertools
 import math
+import operator
 
 EMPTY = frozenset()
 
@@ -40,6 +42,34 @@ def products(p1, p2):
     for x, wx in p1.items():
         for y, wy in p2.items():
             yield x, y, wx * wy
+
+
+def expand_products(sources, op, claim=None):
+    """The conjunctive-family product loop as one plain ``itertools.product``
+    over the sources' (element, mass) items; it reads only their masks.
+
+    A product weighs ``math.prod`` of its masses and is skipped at zero;
+    its landing is its operands' masks joined left to right by ``op``
+    ("and", "or" or "xor").  A non-empty landing that ``claim(els, mask)``
+    does not claim lands; every other product conflicts.  Returns the
+    conflicts as (operands, weight, landing mask) in enumeration order,
+    their total k12 summed in that order, and the landed masses as
+    [(mask, mass)] in first-landing order.
+    """
+    join = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}[op]
+    conflicts, k12, acc = [], 0.0, {}
+    for combo in itertools.product(*(m.items() for m in sources)):
+        els, masses = zip(*combo)
+        p = math.prod(masses)
+        if p == 0.0:
+            continue
+        mask = functools.reduce(join, (el.mask for el in els))
+        if mask and (claim is None or not claim(els, mask)):
+            _add(acc, mask, p)
+            continue
+        k12 += p
+        conflicts.append((els, p, mask))
+    return conflicts, k12, list(acc.items())
 
 
 def columns(*ps):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -45,6 +46,7 @@ from fusekit import (
     yager,
     zhang_center,
 )
+from fusekit.classic import Ledger
 from fusekit.cli import build_table
 from fusekit.frame import parse_expression_text, render_expression
 from fusekit.golden import Outcome
@@ -633,6 +635,50 @@ def test_events_applied_together_match_one_at_a_time(sources, data):
         assert moved == m.on_frame(stepwise)
         for el in m:
             assert final.reevaluate(el).atoms == stepwise.reevaluate(el).atoms
+
+
+# -- the product walk against the plain product loop ------------------------
+
+@st.composite
+def walk_sources(draw):
+    """Two to five sources on one frame; one is subnormal, its total below
+    one and one of its masses tiny enough that products through it round
+    to zero or to IEEE subnormals."""
+    frame = draw(st.sampled_from(EXPR_FRAMES))
+    count = draw(st.integers(min_value=2, max_value=5))
+    low = draw(st.integers(min_value=0, max_value=count - 1))
+    sources = []
+    for i in range(count):
+        exprs = draw(st.lists(expressions(frame.names), min_size=1, max_size=3))
+        weights = draw(st.lists(st.integers(min_value=1, max_value=100),
+                                min_size=len(exprs), max_size=len(exprs)))
+        masses = [w / sum(weights) for w in weights]
+        if i == low:
+            masses = [v / 2 for v in masses]
+            masses[0] = draw(st.sampled_from((5e-324, 1e-310, 1e-160)))
+        sources.append(MassFunction(frame, [(frame.element(e), v)
+                                            for e, v in zip(exprs, masses)]))
+    return sources
+
+
+def _contested(els, mask):
+    """uft's claim under a default attitude: a landing that is none of its operands."""
+    return all(mask != el.mask for el in els)
+
+
+@given(walk_sources())
+def test_product_walk_matches_the_plain_product_loop(sources):
+    for op, claim in (("and", None), ("or", None), ("xor", None), ("and", _contested)):
+        ledger = Ledger(sources)
+        got = list(ledger.expand(op, claim and (lambda els, landing: claim(els, landing.mask))))
+        conflicts, k12, acc = oracles.expand_products(sources, op, claim)
+        assert len(got) == len(conflicts), op
+        for (els, p, landing), (want_els, want_p, want_mask) in zip(got, conflicts):
+            assert len(els) == len(want_els) and all(map(operator.is_, els, want_els)), op
+            assert p == want_p, (op, p, want_p)
+            assert landing.mask == want_mask, op
+        assert ledger.k12.hex() == k12.hex(), op
+        assert [(el.mask, v) for el, v in ledger.acc.items()] == acc, op
 
 
 # -- the mask algebra against brute force over atom sets ---------------------

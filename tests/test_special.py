@@ -209,6 +209,19 @@ def test_min_tnorm_warns_off_unit_total(shafer2):
     assert any("pre-normalization total was" in w for w in out.warnings)
 
 
+def test_tnorm_weight_is_not_skipped_with_an_underflowing_mass_product():
+    # 1e-200 * 1e-200 underflows to 0.0, yet min(1e-200, 1e-200) is the
+    # pair's weight: a skip keyed to the mass product would drop it.
+    frame = Frame.shafer(("A", "B", "C"))
+    m = MassFunction(frame, {"A": 1e-200, "B": 1 - 1e-200})
+    r = tnorm_fusion(m, m, "min")
+    assert r.combined.mass(frame.parse("A")) == 1e-200
+    assert r.combined.mass(frame.parse("B")) == 1.0
+    assert r.conflict.k12 == 2e-200
+    operands = [[el.display for el in p.operands] for p in r.conflict.partials]
+    assert operands == [["A", "B"], ["B", "A"]]
+
+
 def test_bounded_tnorm_total_conflict(shafer2):
     m1 = MassFunction(shafer2, {"A": 0.5, "B": 0.5})
     m2 = MassFunction(shafer2, {"A": 0.5, "B": 0.5})
