@@ -160,30 +160,34 @@ class ResultTable:
         doc["warnings"] = list(self.warnings)
         result = outcome.result
         if result is not None:
-            texts = {}  # operand expression -> its text, rendered once per table
+            # Each operand's display and expression text, once per table.
+            # Keyed by identity: elements with equal atoms may carry
+            # different expressions.
+            names = {}
 
-            def operand_exprs(operands, shown):
-                exprs = []
-                for el in operands:
-                    expr = el.expr
-                    if expr not in texts:
-                        texts[expr] = render_expression(expr)
-                    exprs.append(texts[expr])
-                # A ledger can hold tens of thousands of partials: where every
-                # operand displays as written, the displays' list is shared.
-                return shown if exprs == shown else exprs
+            def name(el):
+                entry = names.get(id(el))
+                if entry is None:
+                    entry = names[id(el)] = (el.display, render_expression(el.expr))
+                return entry
 
             doc["ledger"] = []
             for p in result.conflict.partials:
-                shown = [el.display for el in p.operands]
+                named = [name(el) for el in p.operands]
+                shown = [display for display, _ in named]
+                exprs = [text for _, text in named]
                 doc["ledger"].append({
                     "operands": shown,
-                    "operand_exprs": operand_exprs(p.operands, shown),
+                    # A ledger can hold tens of thousands of partials: where
+                    # every operand displays as written, the displays' list
+                    # is shared.
+                    "operand_exprs": shown if exprs == shown else exprs,
                     "mass": p.mass,
                     "basis": p.basis,
                     "note": p.note,
                     "shares": [
-                        {"to": dest if dest in (None, NORMALISED) else dest.display, "mass": v}
+                        {"to": dest if dest is None or dest is NORMALISED else dest.display,
+                         "mass": v}
                         for dest, v in p.shares
                     ],
                 })

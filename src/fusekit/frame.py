@@ -13,7 +13,10 @@ subset tests and cardinalities are int operations.  A free frame's k-th
 atom is k + 1, so it lists no atoms and builds each hypothesis's mask
 from a doubled bit pattern.  ``Element.atoms``, ``Frame.surviving_atoms``,
 ``empty_atoms`` and ``model`` are frozenset views in the atom encoding,
-built when read.  Atoms are only ever removed, never restored, so
+built when read.  An element's hash is computed once, from its frame's
+hash and its mask.  A frame keeps, for as long as it lives, each
+display it has computed and each label intersection's ("meet's")
+survivor mask.  Atoms are only ever removed, never restored, so
 constraining a frame yields a new frame.  Real intervals live on one
 frame of their own, ``INTERVAL_FRAME``, which parses them but has no
 algebra.
@@ -211,7 +214,7 @@ class Frame:
     """
 
     __slots__ = ("names", "kind", "_index", "_atoms", "_hypotheses", "_full", "_displays",
-                 "_forms", "_hash")
+                 "_forms", "_meets", "_hash")
 
     def __init__(self, names, surviving_atoms=None):
         names = tuple(names)
@@ -255,6 +258,7 @@ class Frame:
         self._atoms = atoms
         self._displays = {}
         self._forms = {}
+        self._meets = {}
         self._hash = hash((names, atoms))
 
     # -- construction -------------------------------------------------
@@ -403,6 +407,17 @@ class Frame:
             form = self._forms[labels] = Element(self, mask)
         return form
 
+    def _meet(self, labels):
+        """The survivor mask of the intersection of the hypotheses in a label
+        mask (a cube of positive literals), kept once built."""
+        meet = self._meets.get(labels)
+        if meet is None:
+            meet = self._full
+            for i in _bit_indices(labels):
+                meet &= self._hypotheses[i]
+            self._meets[labels] = meet
+        return meet
+
     def _display(self, mask):
         """The (expression, text) of every element of ``mask``, kept once computed."""
         entry = self._displays.get(mask)
@@ -449,12 +464,13 @@ class Element:
     expression as its own.  Instances are immutable by convention.
     """
 
-    __slots__ = ("frame", "mask", "_expr")
+    __slots__ = ("frame", "mask", "_expr", "_hash")
 
     def __init__(self, frame, mask, expr=None):
         self.frame = frame
         self.mask = mask
         self._expr = expr
+        self._hash = hash((frame._hash, mask))
 
     @property
     def atoms(self):
@@ -475,7 +491,7 @@ class Element:
         )
 
     def __hash__(self):
-        return hash((self.frame._hash, self.mask))
+        return self._hash
 
     def __repr__(self):
         return f"<Element {self.display}>"
@@ -549,40 +565,37 @@ def _display_expr(frame, mask):
     leaves = [("label", nm) for nm in frame.names]
     return _node([("and", tuple(leaf if atom >> i & 1 else ("not", leaf)
                                 for i, leaf in enumerate(leaves)))
-                  for atom in sorted(frame._values(mask), key=_label_order)])
+                  for atom in sorted(frame._values(mask),
+                                     key=lambda a: (a.bit_count(), _bit_indices(a)))])
 
 
 def _up_closed_terms(frame, mask):
     """The label intersections an up-closed set is the union of, else None.
 
-    Each minimal atom's labels are thinned, last label first, while
-    their intersection stays inside the set; a term whose labels hold
-    another term's goes.
+    An atom is also the label mask of the hypotheses holding it, so the
+    atoms above it are its labels' meet.  Each minimal atom's labels are
+    thinned, last label first, while their meet stays inside the set.  No
+    term's labels hold another's: a label outside the smaller term's
+    labels would have been thinned away.
     """
-    def above(labels):
-        return fold("and", (frame._hypotheses[i] for i in _label_order(labels)[1]))
-
+    meet = frame._meet
     minimal = []
     for atom in sorted(frame._values(mask), key=int.bit_count):
         if not any(atom & low == low for low in minimal):
+            if meet(atom) & ~mask:
+                return None
             minimal.append(atom)
-    if functools.reduce(operator.or_, map(above, minimal), 0) != mask:
-        return None
-    terms = set()
+    terms = {}  # thinned label mask -> its label indices
     for labels in minimal:
-        for i in reversed(_label_order(labels)[1]):
-            if labels != 1 << i and not above(labels & ~(1 << i)) & ~mask:
-                labels &= ~(1 << i)
-        terms.add(labels)
-    return [_node([("label", frame.names[i]) for i in _label_order(labels)[1]], "and")
-            for labels in sorted(terms, key=_label_order)
-            if not any(other != labels and labels & other == other for other in terms)]
-
-
-def _label_order(mask):
-    """(label count, label indices) of an atom or label mask: the term order."""
-    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    return len(bits), tuple(bits)
+        indices = _bit_indices(labels)
+        for i in reversed(indices):
+            bit = 1 << i
+            if labels != bit and not meet(labels ^ bit) & ~mask:
+                labels ^= bit
+        terms[labels] = [i for i in indices if labels >> i & 1]
+    names = frame.names
+    return [_node([("label", names[i]) for i in indices], "and")
+            for indices in sorted(terms.values(), key=lambda t: (len(t), t))]
 
 
 def _node(terms, op="or"):

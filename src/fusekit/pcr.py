@@ -58,12 +58,13 @@ def _pcr5_split(els, sources, p):
     never, total ignorance only when no other operand is non-empty.
     None when every such operand is weightless.
     """
-    responsible = _conflict_operands(els, sources[0].frame.ignorance())
+    full = sources[0].frame._full
+    exonerated = full if any(0 < el.mask != full for el in els) else 0
     weights = {}
     for el, m in zip(els, sources):
-        w = m.mass(el) if el in responsible else 0.0
-        if w > 0.0:
-            weights[el] = weights.get(el, 0.0) + w
+        # Operand i is a focal element of source i, so it has a mass there.
+        if el.mask and el.mask != exonerated:
+            weights[el] = weights.get(el, 0.0) + m._map[el]
     return _proportional(list(weights.items()), p)
 
 

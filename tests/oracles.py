@@ -241,6 +241,26 @@ def pcr5(p1, p2):
     return out
 
 
+def pcr5_split(operands, weights, ignorance, p):
+    """PCR5's split of one conflicting product back to its operands.
+
+    ``operands`` are the operands' atom sets and ``weights`` the masses
+    their sources give them.  Empty operands weigh nothing; total
+    ignorance weighs only when no other operand is non-empty; operands of
+    equal atoms pool their weights, kept where first seen.  Returns
+    [(atoms, share)], or None when the operands weigh nothing.
+    """
+    nonempty = [i for i, atoms in enumerate(operands) if atoms]
+    charged = [i for i in nonempty if operands[i] != ignorance] or nonempty
+    pooled = {}
+    for i in charged:
+        _add(pooled, operands[i], weights[i])
+    total = sum(pooled.values())
+    if total <= 1e-12:
+        return None
+    return [(atoms, p * w / total) for atoms, w in pooled.items()]
+
+
 # -- belief measures --------------------------------------------------------
 
 def bel(p, a):
@@ -402,6 +422,72 @@ def dsmh_destination(operands, names, surviving):
                               names, surviving)
     dest = frozenset().union(*(expr_atoms(("label", nm), names, surviving) for nm in labels))
     return dest or frozenset(surviving)
+
+
+# -- displays -------------------------------------------------------------------
+#
+# The display rule as one plain pass over atom sets: a union of label
+# intersections when the set is up-closed, else the complement of one,
+# else the union of its minterms.  Every meet is recomputed from the
+# surviving atoms.
+
+def display_expr(names, surviving, atoms):
+    """The expression the atom set ``atoms`` displays as.
+
+    An up-closed set (it holds every surviving atom above any of its
+    atoms) is a union of label intersections, at most one per minimal atom;
+    otherwise the complement of an up-closed set is ``~`` of that set's
+    expression, and anything else the union of its minterms.  Terms run
+    by label count, then by label index.
+    """
+    if not atoms:
+        return ("empty",)
+    for negate, region in ((False, atoms), (True, frozenset(surviving) - atoms)):
+        terms = _up_closed_terms(surviving, region, names)
+        if terms is not None:
+            return ("not", _node(terms)) if negate else _node(terms)
+    leaves = [("label", nm) for nm in names]
+    return _node([("and", tuple(leaf if atom >> i & 1 else ("not", leaf)
+                                for i, leaf in enumerate(leaves)))
+                  for atom in sorted(atoms, key=_label_order)])
+
+
+def _up_closed_terms(surviving, atoms, names):
+    """The label intersections an up-closed set is the union of, else None.
+
+    Each minimal atom's labels are thinned, last label first, while
+    their intersection stays inside the set; a term whose labels hold
+    another term's goes.
+    """
+    def above(labels):
+        return frozenset(a for a in surviving if a & labels == labels)
+
+    minimal = []
+    for atom in sorted(sorted(atoms), key=int.bit_count):
+        if not any(atom & low == low for low in minimal):
+            minimal.append(atom)
+    if frozenset().union(*map(above, minimal)) != atoms:
+        return None
+    terms = set()
+    for labels in minimal:
+        for i in reversed(_label_order(labels)[1]):
+            if labels != 1 << i and not above(labels & ~(1 << i)) - atoms:
+                labels &= ~(1 << i)
+        terms.add(labels)
+    return [_node([("label", names[i]) for i in _label_order(labels)[1]], "and")
+            for labels in sorted(terms, key=_label_order)
+            if not any(other != labels and labels & other == other for other in terms)]
+
+
+def _label_order(mask):
+    """(label count, label indices) of an atom or label mask: the term order."""
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return len(bits), tuple(bits)
+
+
+def _node(terms, op="or"):
+    """One term alone, else the terms under one connective."""
+    return terms[0] if len(terms) == 1 else (op, tuple(terms))
 
 
 def _subset_unions(atom_sets):

@@ -123,6 +123,33 @@ def test_semantic_equality_ignores_expression_shape():
     assert hash(f.parse("A|B")) == hash(f.parse("B|A"))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Frame.free(("A", "B", "C")),
+    lambda: Frame.shafer(("A", "B", "C")),
+    lambda: Frame(("A", "B", "C"), (1, 2, 3, 4, 7)),
+    lambda: Frame.free(("A", "B", "C")).constrain("A&C"),
+], ids=["free", "shafer", "hybrid", "constrained"])
+def test_equal_elements_of_separately_built_frames_hash_equal(build):
+    f, g = build(), build()
+    direct = Frame(f.names, f.surviving_atoms)
+    assert f is not g and f == g == direct
+    keys = {el: el.display for el in f.superpower_set()}
+    for frame in (g, direct):
+        for el in frame.superpower_set():
+            twin = f.from_atoms(el.atoms)
+            assert el == twin and hash(el) == hash(twin)
+            assert keys[el] == el.display
+
+
+def test_an_element_hash_ignores_its_expression():
+    f = Frame(("A", "B", "C")).constrain("A&B")
+    same = [f.parse("A|B"), f.parse("B|A"), f.parse("~(~A&~B)"), f.from_atoms(f.parse("A|B").atoms),
+            f.parse("A") | f.parse("B")]
+    assert {hash(el) for el in same} == {hash(same[0])}
+    assert len(set(same)) == 1
+    assert hash(f.parse("A&B")) == hash(f.parse("C&~C")) == hash(f.empty())
+
+
 def test_empty_and_ignorance():
     f = Frame.shafer(("A", "B"))
     assert f.empty().is_empty

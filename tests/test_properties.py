@@ -734,3 +734,87 @@ def test_mask_algebra_matches_brute_force_over_atom_sets(framed, data):
         assert m.bel(a) == oracles.bel(plain, atoms)
         assert m.pl(a) == oracles.pl(plain, atoms)
         assert m.q(a) == oracles.q(plain, atoms)
+
+
+# -- displays against the plain display rule ----------------------------------
+
+def _assert_displays_as_the_oracle(el, surviving):
+    frame = el.frame
+    want = oracles.display_expr(frame.names, surviving, el.atoms)
+    assert (el.expr, el.display) == (want, render_expression(want)), (frame, sorted(el.atoms))
+
+
+def test_every_expression_frame_element_displays_as_the_oracle():
+    for frame in EXPR_FRAMES:
+        surviving = frame.surviving_atoms
+        for el in frame.superpower_set():
+            _assert_displays_as_the_oracle(el, surviving)
+
+
+@st.composite
+def display_frames(draw):
+    """Shafer and hybrid frames of 6 and 8 hypotheses, the pair-conflict
+    workload's shapes: the single-hypothesis atoms plus a few drawn
+    overlaps of two or three hypotheses."""
+    n = draw(st.sampled_from((6, 8)))
+    singles = [1 << i for i in range(n)]
+    overlaps = [sum(combo) for r in (2, 3) for combo in itertools.combinations(singles, r)]
+    return Frame(tuple("ABCDEFGH"[:n]), singles + draw(st.lists(st.sampled_from(overlaps),
+                                                                 max_size=4)))
+
+
+@given(display_frames(), st.data())
+def test_wide_frame_displays_match_the_oracle(frame, data):
+    surviving = frame.surviving_atoms
+    survivors = sorted(surviving)
+    for _ in range(4):
+        if data.draw(st.booleans()):
+            atoms = data.draw(st.frozensets(st.sampled_from(survivors)))
+        else:
+            atoms = frame.parse(render_expression(data.draw(expressions(frame.names)))).atoms
+        _assert_displays_as_the_oracle(frame.from_atoms(atoms), surviving)
+
+
+# -- uft's split route against the plain PCR5 split ---------------------------
+
+@st.composite
+def split_sources(draw):
+    """Two to four sources on one frame, some vacuous, the others drawn
+    from labels, a union, an intersection, total ignorance and an empty
+    element: products pool equal operands and hold empty operands and
+    total ignorance beside others."""
+    frame = draw(st.sampled_from(EXPR_FRAMES))
+    a, b, c = frame.names[:3]
+    pool = [a, b, c, f"{a}|{b}", f"{b}&{c}", "|".join(frame.names), f"{a}&~{a}"]
+    sources = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            sources.append(MassFunction.vacuous(frame))
+            continue
+        texts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(min_value=1, max_value=100),
+                                min_size=len(texts), max_size=len(texts)))
+        sources.append(MassFunction(frame, {t: w / sum(weights) for t, w in zip(texts, weights)}))
+    return sources
+
+
+@given(split_sources())
+def test_uft_split_route_matches_the_plain_pcr5_split(sources):
+    frame = sources[0].frame
+    plains = [oracles.plain(m) for m in sources]
+    out = uft_combine(sources, ScenarioConfig.for_case("1.2.1"))
+    conflicts, _, _ = oracles.expand_products(sources, "and", _contested)
+    assert len(out.conflict.partials) == len(conflicts)
+    for partial, (els, p, _) in zip(out.conflict.partials, conflicts):
+        operands = [el.atoms for el in els]
+        assert [el.atoms for el in partial.operands] == operands
+        assert partial.mass == p
+        weights = [masses[atoms] for masses, atoms in zip(plains, operands)]
+        want = oracles.pcr5_split(operands, weights, frame.surviving_atoms, p)
+        if want is None:
+            assert partial.note == "operands weightless; escalated", operands
+            continue
+        got = [(dest.atoms, v) for dest, v in partial.shares]
+        assert [atoms for atoms, _ in got] == [atoms for atoms, _ in want], operands
+        for (_, v), (_, w) in zip(got, want):
+            assert math.isclose(v, w, rel_tol=1e-12), operands
