@@ -7,135 +7,47 @@ conjunctive and disjunctive classics through proportional conflict
 redistribution to a configurable unified engine.  Every rule returns
 the fused mass function together with a ledger saying where each
 conflicting product went.
-"""
 
-from .classic import (
-    conjunctive,
-    dempster,
-    disjunctive,
-    dsm_classic,
-    dsm_hybrid,
-    dubois_prade,
-    exclusive_disjunctive,
-    inagaki,
-    mixed,
-    murphy_average,
-    smets_tbm,
-    weighted_mixing,
-    weighted_operator,
-    yager,
-)
-from .errors import (
-    DegenerateConsensusError,
-    FrameMismatchError,
-    FrameTooLargeError,
-    FusionError,
-    NotASubsetError,
-    ParseError,
-    RuleError,
-    TotalConflictError,
-    UndefinedDegreeError,
-    UnknownLabelError,
-)
-from .frame import (
-    Element,
-    Frame,
-    degree_inclusion,
-    degree_intersection,
-    degree_union,
-)
-from .golden import GOLDEN_CASES, execute_problem, verify_golden
-from .mass import MassFunction, Opinion
-from .pcr import minc, pcr1, pcr2, pcr3, pcr4, pcr5, wao
-from .problem import ProblemFile, parse_problem, scenario_config
-from .registry import conditional, resolve, selectors
-from .result import ConflictReport, FusionResult, Partial
-from .special import (
-    IntervalElement,
-    IntervalMassFunction,
-    cautious_commonality_min,
-    consensus,
-    convolutive_x_average,
-    improved_rules,
-    tconorm_fusion,
-    tnorm_fusion,
-    zhang_center,
-)
-from .uft import (
-    Attitude,
-    QuasiAssociativeState,
-    ScenarioConfig,
-    dynamic_update,
-    quasi_associative_combine,
-    uft_combine,
-)
+Importing the package loads none of its modules: each public name
+imports its module on first access, so a process pays only for the
+rules it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Attitude",
-    "ConflictReport",
-    "DegenerateConsensusError",
-    "Element",
-    "Frame",
-    "FrameMismatchError",
-    "FrameTooLargeError",
-    "FusionError",
-    "FusionResult",
-    "GOLDEN_CASES",
-    "IntervalElement",
-    "IntervalMassFunction",
-    "MassFunction",
-    "NotASubsetError",
-    "Opinion",
-    "ParseError",
-    "Partial",
-    "ProblemFile",
-    "QuasiAssociativeState",
-    "RuleError",
-    "ScenarioConfig",
-    "TotalConflictError",
-    "UndefinedDegreeError",
-    "UnknownLabelError",
-    "cautious_commonality_min",
-    "conditional",
-    "conjunctive",
-    "consensus",
-    "convolutive_x_average",
-    "degree_inclusion",
-    "degree_intersection",
-    "degree_union",
-    "dempster",
-    "disjunctive",
-    "dsm_classic",
-    "dsm_hybrid",
-    "dubois_prade",
-    "dynamic_update",
-    "exclusive_disjunctive",
-    "execute_problem",
-    "improved_rules",
-    "inagaki",
-    "minc",
-    "mixed",
-    "murphy_average",
-    "parse_problem",
-    "pcr1",
-    "pcr2",
-    "pcr3",
-    "pcr4",
-    "pcr5",
-    "quasi_associative_combine",
-    "resolve",
-    "scenario_config",
-    "selectors",
-    "smets_tbm",
-    "tconorm_fusion",
-    "tnorm_fusion",
-    "uft_combine",
-    "verify_golden",
-    "wao",
-    "weighted_mixing",
-    "weighted_operator",
-    "yager",
-    "zhang_center",
-]
+_MODULES = {
+    "classic": "conjunctive dempster disjunctive dsm_classic dsm_hybrid dubois_prade "
+               "exclusive_disjunctive inagaki mixed murphy_average smets_tbm "
+               "weighted_mixing weighted_operator yager",
+    "errors": "DegenerateConsensusError FrameMismatchError FrameTooLargeError FusionError "
+              "NotASubsetError ParseError RuleError TotalConflictError "
+              "UndefinedDegreeError UnknownLabelError",
+    "frame": "Element Frame IntervalElement degree_inclusion degree_intersection degree_union",
+    "golden": "GOLDEN_CASES verify_golden",
+    "mass": "MassFunction Opinion",
+    "pcr": "minc pcr1 pcr2 pcr3 pcr4 pcr5 wao",
+    "problem": "ProblemFile parse_problem scenario_config",
+    "registry": "conditional execute_problem resolve selectors",
+    "result": "ConflictReport FusionResult Partial",
+    "special": "IntervalMassFunction cautious_commonality_min consensus convolutive_x_average "
+               "improved_rules tconorm_fusion tnorm_fusion zhang_center",
+    "uft": "Attitude QuasiAssociativeState ScenarioConfig dynamic_update "
+           "quasi_associative_combine uft_combine",
+}
+# Each public name and the module that defines it.
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows in -X importtime.
+    value = globals()[name] = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -164,10 +164,12 @@ class Ledger:
                 _add(self.acc, el, p)
 
     def book(self, els, p, shares, basis="", note=""):
-        """Land a product's shares; None is lost and NORMALISED divided out."""
+        """Land a product's shares; None is lost and NORMALISED divided out.
+        A share lands on the ledger's own element for its mask, which
+        ``acc`` holds already when a product landed there."""
         for dest, share in shares:
             if dest is not None and dest is not NORMALISED:
-                _add(self.acc, dest, share)
+                _add(self.acc, self.landing(dest.mask), share)
         self.partials.append(Partial(els, p, tuple(shares), basis=basis, note=note))
 
     def divide(self, els, p):

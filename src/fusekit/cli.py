@@ -16,9 +16,8 @@ import sys
 
 from .errors import FusionError, ParseError
 from .frame import render_expression
-from .golden import execute_problem, verify_golden
 from .problem import coerce_params, parse_problem
-from .registry import resolve
+from .registry import execute_problem, resolve
 from .result import NORMALISED
 
 # One part in the sixth printed decimal: the boundary between a total
@@ -246,6 +245,8 @@ def _cmd_verify(argv):
     ns, code = _parse_args(parser, argv)
     if ns is None:
         return code
+    from .golden import verify_golden
+
     report = verify_golden()
     for line in report.lines():
         print(line)

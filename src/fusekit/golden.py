@@ -1,4 +1,4 @@
-"""Embedded verification cases and the shared problem runner.
+"""Embedded verification cases and the command that re-runs them.
 
 Each golden case is a complete problem file plus the expected output of
 one rule, with a tolerance matched to the precision of the published
@@ -10,39 +10,9 @@ from dataclasses import dataclass, field
 
 from .errors import FusionError
 from .mass import MassFunction
-from .problem import coerce_params, parse_problem, scenario_config
-from .registry import check
-
-
-@dataclass
-class Outcome:
-    """What running one rule over one problem produced."""
-
-    kind: str
-    frame: object = None
-    combined: object = None
-    result: object = None
-    opinion: object = None
-    warnings: tuple = ()
-
-
-def execute_problem(problem, rule, overrides=None):
-    """Run a rule over a parsed problem, events applied first."""
-    params = coerce_params(problem.params)
-    if overrides:
-        params.update(overrides)
-    sources = problem.final_sources()
-    if rule == "uft" and "config" not in params:
-        params["config"] = scenario_config(problem)
-    spec = check(rule, sources, params)
-    frame = sources[0].frame
-    out = spec.combine(sources, params)
-    if spec.mode == "interval":
-        return Outcome("interval", frame=frame, combined=out)
-    if spec.mode == "opinion":
-        return Outcome("opinion", frame=frame, opinion=out)
-    return Outcome("mass", frame=frame, combined=out.combined, result=out,
-                   warnings=out.warnings)
+from .problem import parse_problem
+# Outcome and execute_problem live in registry; they import from here too.
+from .registry import Outcome, execute_problem  # noqa: F401
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,22 @@ from dataclasses import dataclass, field
 from .errors import FrameTooLargeError, ParseError
 from .frame import INTERVAL_FRAME, Frame, IntervalElement, render_expression
 from .mass import MassFunction
-from .uft import CASE_TO_KIND, ScenarioConfig
+
+# Scenario case identifiers and the routing they stand for.  Several
+# cases share one routing; the case code is kept in the audit trail.
+CASE_TO_KIND = {
+    "1.1.1": "keep",
+    "1.3": "keep",
+    "1.1.2": "split",
+    "1.2.1": "split",
+    "1.2.2": "union",
+    "1.2.3": "union",
+    "1.2.4": "union",
+    "1.2.5.1": "ignorance",
+    "1.2.5.2": "empty",
+    "1.2.6": "right",
+    "1.2.7": "both-wrong",
+}
 
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 # Commas inside [lo,hi] brackets do not separate assignments; the comma
@@ -336,6 +351,8 @@ def _parse_scenario(body, lineno):
 
 def scenario_config(problem):
     """The ScenarioConfig a problem's scenario and discounts stand for."""
+    from .uft import ScenarioConfig
+
     if problem.scenario is None:
         return ScenarioConfig()
     # Attitude elements must live on the same frame as the sources the

@@ -2,15 +2,22 @@
 
 Each entry adapts one rule to a uniform call shape: a list of sources
 plus a parameter dict.  Every call that names a rule passes ``check``;
-``run`` is ``check`` followed by the rule's ``combine``.
+``run`` is ``check`` followed by the rule's ``combine``, and
+``execute_problem`` runs a rule over a parsed problem file.  The rules
+of ``pcr``, ``special`` and ``uft`` import their module on their first
+combine, so a process loads only the rule families it runs.
 """
 
 from dataclasses import dataclass, replace
 
-from . import classic, pcr, special
+from . import classic
 from .errors import FrameMismatchError, RuleError
 from .frame import INTERVAL_FRAME
 from .mass import MassFunction
+from .problem import coerce_params, scenario_config
+
+# Bound to their modules by the first combine of one of their rules.
+pcr = special = uft = None
 
 
 @dataclass(frozen=True)
@@ -21,12 +28,6 @@ class RuleSpec:
     needs: tuple = ()
     min_sources: int = 2
     max_sources: int = None
-
-
-def _uft_combine(sources, params):
-    from .uft import uft_combine
-
-    return uft_combine(sources, params.get("config"))
 
 
 def conditional(m, hypothesis, /, rule="conjunctive", **params):
@@ -60,7 +61,17 @@ def _consensus(sources, params):
 _RULES = {}
 
 
-def _register(name, fn, **kw):
+def _register(name, fn, module=None, **kw):
+    """Enter a rule; one whose code is in ``module`` imports and binds it
+    on its first combine, then swaps in ``fn`` as the entry's combine."""
+    if module is not None:
+        bound = fn
+
+        def fn(sources, params):
+            # ``from . import <module>``, as -X importtime sees it.
+            globals()[module] = getattr(__import__(__package__, fromlist=[module]), module)
+            _RULES[name] = replace(_RULES[name], combine=bound)
+            return bound(sources, params)
     _RULES[name] = RuleSpec(name=name, combine=fn, **kw)
 
 
@@ -84,39 +95,41 @@ _register("dubois-prade", lambda ss, p: classic.dubois_prade(*ss))
 _register("wo", lambda ss, p: classic.weighted_operator(*ss, weights=p["weights"]),
           needs=("weights",))
 _register("inagaki", lambda ss, p: classic.inagaki(*ss, p=p["p"]), needs=("p",))
-_register("wao", lambda ss, p: pcr.wao(*ss))
-_register("pcr1", lambda ss, p: pcr.pcr1(*ss))
-_register("pcr2", lambda ss, p: pcr.pcr2(*ss))
-_register("pcr3", lambda ss, p: pcr.pcr3(*ss))
-_register("pcr4", lambda ss, p: pcr.pcr4(*ss))
-_register("pcr5", lambda ss, p: pcr.pcr5(*ss))
-_register("minc-a", lambda ss, p: pcr.minc(*ss, version="a"))
-_register("minc-b", lambda ss, p: pcr.minc(*ss, version="b"))
+_register("wao", lambda ss, p: pcr.wao(*ss), module="pcr")
+_register("pcr1", lambda ss, p: pcr.pcr1(*ss), module="pcr")
+_register("pcr2", lambda ss, p: pcr.pcr2(*ss), module="pcr")
+_register("pcr3", lambda ss, p: pcr.pcr3(*ss), module="pcr")
+_register("pcr4", lambda ss, p: pcr.pcr4(*ss), module="pcr")
+_register("pcr5", lambda ss, p: pcr.pcr5(*ss), module="pcr")
+_register("minc-a", lambda ss, p: pcr.minc(*ss, version="a"), module="pcr")
+_register("minc-b", lambda ss, p: pcr.minc(*ss, version="b"), module="pcr")
 _register("zhang-product",
           lambda ss, p: special.zhang_center(ss[0], ss[1], degree="product"),
-          max_sources=2)
+          module="special", max_sources=2)
 _register("zhang-union",
           lambda ss, p: special.zhang_center(ss[0], ss[1], degree="union"),
-          max_sources=2)
+          module="special", max_sources=2)
 _register("xavg", lambda ss, p: special.convolutive_x_average(ss[0], ss[1]),
-          mode="interval", max_sources=2)
-_register("consensus", _consensus, mode="opinion", needs=("focus",))
-for _kind in special.TNORMS:
+          module="special", mode="interval", max_sources=2)
+_register("consensus", _consensus, module="special", mode="opinion", needs=("focus",))
+# The kinds of special.TNORMS, special.TCONORMS and special._IMPROVED_BASES,
+# spelled out so that filling the table does not import special.
+for _kind in ("algebraic", "bounded", "min"):
     _register(f"tnorm-{_kind}",
               lambda ss, p, k=_kind: special.tnorm_fusion(ss[0], ss[1], kind=k),
-              max_sources=2)
-for _kind in special.TCONORMS:
+              module="special", max_sources=2)
+for _kind in ("algebraic", "bounded", "max"):
     _register(f"tconorm-{_kind}",
               lambda ss, p, k=_kind: special.tconorm_fusion(ss[0], ss[1], kind=k),
-              max_sources=2)
+              module="special", max_sources=2)
 _register("cautious",
           lambda ss, p: special.cautious_commonality_min(ss[0], ss[1]),
-          max_sources=2)
-for _base in special._IMPROVED_BASES:
+          module="special", max_sources=2)
+for _base in ("disjunctive", "dsmc", "dsmh", "smets", "yager", "dp"):
     _register(f"improved-{_base}",
               lambda ss, p, b=_base: special.improved_rules(ss[0], ss[1], base=b),
-              max_sources=2)
-_register("uft", _uft_combine)
+              module="special", max_sources=2)
+_register("uft", lambda ss, p: uft.uft_combine(ss, p.get("config")), module="uft")
 
 
 def selectors():
@@ -172,3 +185,34 @@ def run_mass(name, sources, params):
     if resolve(name).mode != "mass":
         raise RuleError(f"rule {name!r} does not give a mass function")
     return run(name, sources, params)
+
+
+@dataclass
+class Outcome:
+    """What running one rule over one problem produced."""
+
+    kind: str
+    frame: object = None
+    combined: object = None
+    result: object = None
+    opinion: object = None
+    warnings: tuple = ()
+
+
+def execute_problem(problem, rule, overrides=None):
+    """Run a rule over a parsed problem, events applied first."""
+    params = coerce_params(problem.params)
+    if overrides:
+        params.update(overrides)
+    sources = problem.final_sources()
+    if rule == "uft" and "config" not in params:
+        params["config"] = scenario_config(problem)
+    spec = check(rule, sources, params)
+    frame = sources[0].frame
+    out = spec.combine(sources, params)
+    if spec.mode == "interval":
+        return Outcome("interval", frame=frame, combined=out)
+    if spec.mode == "opinion":
+        return Outcome("opinion", frame=frame, opinion=out)
+    return Outcome("mass", frame=frame, combined=out.combined, result=out,
+                   warnings=out.warnings)

@@ -30,28 +30,13 @@ from .classic import (
 )
 from .mass import MassFunction
 from .pcr import _column_averages, _column_sums, _pcr5_split
+from .problem import CASE_TO_KIND
 from .registry import check, run_mass
 from .result import FusionResult
 
 _ATTITUDE_KINDS = (
     "keep", "split", "union", "ignorance", "empty", "right", "both-wrong",
 )
-
-# Scenario case identifiers and the routing they stand for.  Several
-# cases share one routing; the case code is kept in the audit trail.
-CASE_TO_KIND = {
-    "1.1.1": "keep",
-    "1.3": "keep",
-    "1.1.2": "split",
-    "1.2.1": "split",
-    "1.2.2": "union",
-    "1.2.3": "union",
-    "1.2.4": "union",
-    "1.2.5.1": "ignorance",
-    "1.2.5.2": "empty",
-    "1.2.6": "right",
-    "1.2.7": "both-wrong",
-}
 
 _RELIABILITY_MODES = (
     "all-reliable", "at-least-one", "exactly-one", "mixed", "discounts",

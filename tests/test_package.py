@@ -1,10 +1,17 @@
 """Package-wide properties: fusekit runs on the standard library alone,
-and the README names every rule selector."""
+loads only the modules a run needs, and the README names every rule
+selector."""
 
 import ast
+import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
+import textwrap
+
+import pytest
 
 import fusekit
 from fusekit.registry import selectors
@@ -47,3 +54,72 @@ def test_readme_lists_every_rule_selector():
     paragraph = readme.read_text(encoding="utf-8").split("Rule selectors:", 1)[1]
     paragraph = paragraph.split("\n\n", 1)[0]
     assert re.findall(r"`([^`]+)`", _expand_ranges(paragraph)) == selectors()
+
+
+def _fresh(code, *argv):
+    """What ``code`` prints as JSON in a fresh interpreter that imports
+    fusekit from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# Appended to a child's code: print the fusekit modules it loaded.
+_LOADED = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("fusekit."))))
+"""
+
+
+def test_importing_the_package_loads_no_module():
+    assert _fresh("import fusekit" + _LOADED) == []
+
+
+SHAFER = """\
+frame: A B C
+model: shafer
+source m1: A=0.5, B=0.3, A|B=0.2
+source m2: A=0.2, C=0.5, A|B|C=0.3
+"""
+
+
+@pytest.mark.parametrize("rule, extra", [("dempster", set()), ("pcr5", {"fusekit.pcr"})])
+def test_a_run_loads_only_its_rules_modules(tmp_path, rule, extra):
+    problem = tmp_path / "p.txt"
+    problem.write_text(SHAFER)
+    code = textwrap.dedent("""
+        import sys
+        from fusekit.cli import main
+        main(["--rule", sys.argv[1], "--input", sys.argv[2], "--export", sys.argv[3]])
+    """) + _LOADED
+    loaded = set(_fresh(code, rule, str(problem), str(tmp_path / "p.json")))
+    assert (tmp_path / "p.json").exists()
+    assert loaded == {f"fusekit.{m}" for m in (
+        "classic", "cli", "errors", "frame", "mass", "problem", "registry", "result",
+    )} | extra
+
+
+def test_every_public_name_resolves_lazily():
+    names = _fresh("""
+        import json, fusekit
+        listed = [n for n in fusekit.__all__ if n in dir(fusekit)]
+        namespace = {}
+        exec("from fusekit import *", namespace)
+        try:
+            fusekit.no_such_name
+        except AttributeError:
+            unknown = "AttributeError"
+        print(json.dumps({
+            "all": fusekit.__all__,
+            "resolved": [n for n in fusekit.__all__ if getattr(fusekit, n) is not None],
+            "star": sorted(n for n in namespace if not n.startswith("__")),
+            "dir": listed,
+            "unknown": unknown,
+        }))
+    """)
+    assert names["all"] == sorted(names["all"]) and len(names["all"]) == 65
+    assert names["resolved"] == names["star"] == names["dir"] == names["all"]
+    assert names["unknown"] == "AttributeError"

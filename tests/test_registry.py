@@ -3,6 +3,7 @@
 import pytest
 
 from fusekit import Frame, FrameMismatchError, FusionResult, MassFunction
+from fusekit import special
 from fusekit.registry import resolve, selectors, validate_call
 
 _PARAMS = {
@@ -56,3 +57,14 @@ def test_mass_mode_selectors_reject_sources_over_two_frames(selector):
     m2 = MassFunction(Frame.shafer(("A", "B")), {"A": 0.6, "B": 0.4})
     with pytest.raises(FrameMismatchError, match="sources over different frames"):
         resolve(selector).combine([m1, m2], dict(_PARAMS.get(selector, {})))
+
+
+def test_special_kind_selectors_match_special_tables():
+    # The registry spells these kinds out so that it need not import special.
+    def kinds(prefix):
+        return {s[len(prefix):] for s in selectors() if s.startswith(prefix)}
+
+    assert kinds("tnorm-") == set(special.TNORMS)
+    assert kinds("tconorm-") == set(special.TCONORMS)
+    assert kinds("improved-") == set(special._IMPROVED_BASES)
+

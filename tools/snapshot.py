@@ -111,7 +111,7 @@ def _store_params(rule, frame):
 
 def _store(problem, rule, params):
     """The store's result after appending the problem's sources in order."""
-    from fusekit.golden import Outcome
+    from fusekit.registry import Outcome
     from fusekit.uft import quasi_associative_combine
 
     sources = problem.final_sources()
@@ -125,8 +125,8 @@ def _store(problem, rule, params):
 def write(path):
     from fusekit.cli import build_table
     from fusekit.errors import FusionError
-    from fusekit.golden import execute_problem
     from fusekit.problem import parse_problem
+    from fusekit.registry import execute_problem
 
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
