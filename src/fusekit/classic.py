@@ -103,9 +103,8 @@ class Ledger:
         ``itertools.product`` order whose prefixes carry their operands,
         mass product (left to right from 1.0, as ``math.prod``) and masks
         joined by ``op``.  A product weighs its mass product and lands on
-        ``landing(mask)``, and a zero prefix skips its subtree; a
-        ``leaf(els, p, mask)`` returns (weight, landing) instead and
-        prunes nothing.  A product of zero weight is skipped; one whose
+        ``landing(mask)``; a ``leaf(els, p, mask)`` returns (weight,
+        landing) instead.  A product of zero weight is skipped; one whose
         landing is empty or ``claim(els, landing)`` holds conflicts and
         is yielded as (operands, weight, landing).  Products land as the
         caller iterates: a transfer that books each conflict as it comes
@@ -122,11 +121,9 @@ class Ledger:
             prefix, p, mask, children = stack[-1]
             if len(prefix) < last:
                 for el, m, k in children:
-                    q = p * m
-                    if q or leaf is not None:
-                        stack.append(((*prefix, el), q, join(mask, k) if prefix else k,
-                                      iter(levels[len(prefix) + 1])))
-                        break
+                    stack.append(((*prefix, el), p * m, join(mask, k) if prefix else k,
+                                  iter(levels[len(prefix) + 1])))
+                    break
                 else:
                     stack.pop()
                 continue

@@ -9,17 +9,18 @@ free models keep all 2^n - 1 candidate atoms, exclusivity models keep
 only the n single-hypothesis atoms.  An element is one int mask over
 its frame's surviving atoms (Smarandache's codification of the Venn
 regions): bit k stands for the k-th surviving atom, so the connectives,
-subset tests and cardinalities are int operations.  A free frame's k-th
-atom is k + 1, so it lists no atoms and builds each hypothesis's mask
-from a doubled bit pattern.  ``Element.atoms``, ``Frame.surviving_atoms``,
-``empty_atoms`` and ``model`` are frozenset views in the atom encoding,
-built when read.  An element's hash is computed once, from its frame's
-hash and its mask.  A frame keeps, for as long as it lives, each
-display it has computed and each label intersection's ("meet's")
-survivor mask.  Atoms are only ever removed, never restored, so
-constraining a frame yields a new frame.  Real intervals live on one
-frame of their own, ``INTERVAL_FRAME``, which parses them but has no
-algebra.
+subset tests and cardinalities are int operations.  A free frame lists
+its atoms as a ``range``, whose k-th atom is k + 1, and builds each
+hypothesis's mask from a doubled bit pattern; any other frame lists them
+in a tuple and reads hypothesis i's mask off column i of their binary
+digits.  ``Element.atoms``, ``Frame.surviving_atoms``, ``empty_atoms``
+and ``model`` are frozenset views in the atom encoding, built when read.
+An element's hash is computed once, from its frame's hash and its mask.
+A frame keeps, for as long as it lives, each display it has computed
+and each label intersection's ("meet's") survivor mask.  Atoms are
+only ever removed, never restored, so constraining a frame yields a new
+frame.  Real intervals live on one frame of their own,
+``INTERVAL_FRAME``, which parses them but has no algebra.
 """
 
 import functools
@@ -198,6 +199,18 @@ def _free_hypotheses(n):
     return tuple(out)
 
 
+def _hypotheses(atoms, n):
+    """Each hypothesis's survivor mask over the ascending atoms of any frame.
+
+    Hypothesis i's mask is column i of the atoms' binary digits, the last
+    atom's digit highest: the rows are laid end to end in one string, so
+    a column is one stride slice of it.
+    """
+    spec = f"0{n}b"
+    digits = "".join([format(a, spec) for a in reversed(atoms)])
+    return tuple(int(digits[n - 1 - i::n] or "0", 2) for i in range(n))
+
+
 def _strictly_inside(a, b):
     """Whether survivor mask ``a`` is a proper subset of ``b``."""
     return a != b and not a & ~b
@@ -207,10 +220,11 @@ class Frame:
     """A frame of discernment with emptiness constraints.
 
     Immutable.  Two frames are equal when they name the same hypotheses
-    in the same order and keep the same atoms.  ``_atoms`` holds the
-    surviving atoms in ascending order, or None on a free frame, whose
-    k-th atom is k + 1; ``_hypotheses[i]`` is hypothesis i's survivor
-    mask and ``_full`` the mask of every survivor.
+    in the same order and keep the same atoms; the kind follows from the
+    atoms.  ``_atoms`` holds the surviving atoms in ascending order, a
+    ``range`` on a free frame and a tuple otherwise; ``_hypotheses[i]``
+    is hypothesis i's survivor mask and ``_full`` the mask of every
+    survivor.
     """
 
     __slots__ = ("names", "kind", "_index", "_atoms", "_hypotheses", "_full", "_displays",
@@ -226,33 +240,24 @@ class Frame:
             if not name or not name.isalnum():
                 raise ValueError(f"hypothesis labels must be alphanumeric, got {name!r}")
         n = len(names)
-        atoms = None
-        if surviving_atoms is None:
-            if n > FREE_FRAME_GUARD:
-                raise FrameTooLargeError(
-                    f"free frames are limited to {FREE_FRAME_GUARD} hypotheses, "
-                    f"frame has {n}"
-                )
-        else:
-            atoms = tuple(sorted(set(surviving_atoms)))
-            if atoms and not 0 < atoms[0] <= atoms[-1] < 1 << n:
+        atoms = range(1, 1 << n)
+        if surviving_atoms is not None:
+            kept = tuple(sorted(set(surviving_atoms)))
+            if kept and not 0 < kept[0] <= kept[-1] < 1 << n:
                 raise ValueError("surviving atoms outside the frame's atom universe")
-            if len(atoms) == (1 << n) - 1:
-                atoms = None
-        if atoms is None:
+            if len(kept) < (1 << n) - 1:
+                atoms = kept
+        elif n > FREE_FRAME_GUARD:
+            raise FrameTooLargeError(
+                f"free frames are limited to {FREE_FRAME_GUARD} hypotheses, frame has {n}")
+        if isinstance(atoms, range):
             self.kind = "free"
             self._hypotheses = _free_hypotheses(n)
-            self._full = (1 << ((1 << n) - 1)) - 1
         else:
-            if len(atoms) == n and all(a & (a - 1) == 0 for a in atoms):
-                self.kind = "shafer"
-                self._hypotheses = tuple(1 << i for i in range(n))
-            else:
-                self.kind = "hybrid"
-                self._hypotheses = tuple(
-                    int("".join("1" if a >> i & 1 else "0" for a in reversed(atoms)) or "0", 2)
-                    for i in range(n))
-            self._full = (1 << len(atoms)) - 1
+            shafer = len(atoms) == n and all(a & (a - 1) == 0 for a in atoms)
+            self.kind = "shafer" if shafer else "hybrid"
+            self._hypotheses = _hypotheses(atoms, n)
+        self._full = (1 << len(atoms)) - 1
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
         self._atoms = atoms
@@ -287,12 +292,10 @@ class Frame:
     # -- identity -----------------------------------------------------
 
     def __eq__(self, other):
-        # The names fix the atoms of a free or a Shafer model.
         return self is other or (
             isinstance(other, Frame)
             and self.names == other.names
-            and self.kind == other.kind
-            and (self.kind != "hybrid" or self._atoms == other._atoms)
+            and self._atoms == other._atoms
         )
 
     def __hash__(self):
@@ -309,15 +312,11 @@ class Frame:
 
     def _values(self, mask):
         """The atoms of a survivor mask, ascending."""
-        if self._atoms is None:
-            return [k + 1 for k in _bit_indices(mask)]
         return [self._atoms[k] for k in _bit_indices(mask)]
 
     @property
     def surviving_atoms(self):
         """The atoms the model keeps (a view, built on each call)."""
-        if self._atoms is None:
-            return frozenset(range(1, 1 << self.n))
         return frozenset(self._atoms)
 
     @property
@@ -331,7 +330,7 @@ class Frame:
                 f"empty atoms are enumerated up to {FREE_FRAME_GUARD} hypotheses, "
                 f"frame has {self.n}"
             )
-        if self._atoms is None:
+        if self.kind == "free":
             return frozenset()
         return frozenset(range(1, 1 << self.n)).difference(self._atoms)
 
@@ -388,10 +387,7 @@ class Frame:
     def from_atoms(self, atoms):
         """Element for a raw atom-set; it displays as every element of those atoms."""
         atoms = frozenset(atoms)
-        if self._atoms is None:
-            positions = [a - 1 for a in atoms if 0 < a < 1 << self.n]
-        else:
-            positions = [k for k, a in enumerate(self._atoms) if a in atoms]
+        positions = [k for k, a in enumerate(self._atoms) if a in atoms]
         if len(positions) != len(atoms):
             raise ValueError("atoms outside the surviving set")
         return Element(self, sum(1 << k for k in positions))

@@ -14,21 +14,27 @@ from .errors import FrameTooLargeError, ParseError
 from .frame import INTERVAL_FRAME, Frame, IntervalElement, render_expression
 from .mass import MassFunction
 
-# Scenario case identifiers and the routing they stand for.  Several
-# cases share one routing; the case code is kept in the audit trail.
-CASE_TO_KIND = {
-    "1.1.1": "keep",
-    "1.3": "keep",
-    "1.1.2": "split",
-    "1.2.1": "split",
-    "1.2.2": "union",
-    "1.2.3": "union",
-    "1.2.4": "union",
-    "1.2.5.1": "ignorance",
-    "1.2.5.2": "empty",
-    "1.2.6": "right",
-    "1.2.7": "both-wrong",
+# Scenario case identifiers: each case's reliability mode and the routing
+# (attitude kind) of its contested products, None where the case only
+# sets the reliability.  Several cases share one routing; the case code
+# is kept in the audit trail.
+CASES = {
+    "1": ("all-reliable", None),
+    "2": ("at-least-one", None),
+    "3": ("discounts", None),
+    "1.1.1": ("all-reliable", "keep"),
+    "1.3": ("all-reliable", "keep"),
+    "1.1.2": ("all-reliable", "split"),
+    "1.2.1": ("all-reliable", "split"),
+    "1.2.2": ("all-reliable", "union"),
+    "1.2.3": ("all-reliable", "union"),
+    "1.2.4": ("all-reliable", "union"),
+    "1.2.5.1": ("all-reliable", "ignorance"),
+    "1.2.5.2": ("all-reliable", "empty"),
+    "1.2.6": ("all-reliable", "right"),
+    "1.2.7": ("all-reliable", "both-wrong"),
 }
+CASE_TO_KIND = {case: kind for case, (_, kind) in CASES.items() if kind}
 
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 # Commas inside [lo,hi] brackets do not separate assignments; the comma
@@ -249,7 +255,7 @@ def parse_problem(text):
     for name, lineno in discount_lines.items():
         if name not in names:
             _fail(lineno, f"discount names no declared source: {name!r}")
-        if scenario is None or scenario["case"] != "3":
+        if scenario is None or CASES[scenario["case"]][0] != "discounts":
             _fail(lineno, "discounts need 'scenario: case 3'")
 
     if frame_labels is None and not interval:
@@ -335,9 +341,9 @@ def _parse_scenario(body, lineno):
         else:
             _fail(lineno, f"unexpected scenario token {tokens[i]!r}")
     case = out["case"]
-    kind = CASE_TO_KIND.get(case)
-    if kind is None and case not in ("1", "2", "3"):
+    if case not in CASES:
         _fail(lineno, f"unknown scenario case {case!r}")
+    kind = CASES[case][1]
     # Only the right-side route reads a right element and only the
     # both-wrong route reads recipients; each needs its own.
     reads = {"right": "right", "both-wrong": "recipients"}.get(kind)
@@ -351,29 +357,28 @@ def _parse_scenario(body, lineno):
 
 def scenario_config(problem):
     """The ScenarioConfig a problem's scenario and discounts stand for."""
+    # Attitude elements must live on the same frame as the sources the
+    # engine will see, which is the frame after constraint events.
+    return _scenario_config(problem, problem.final_frame() if problem.scenario else None)
+
+
+def _scenario_config(problem, frame):
+    """``scenario_config`` on ``frame``, the sources' post-event frame."""
     from .uft import ScenarioConfig
 
     if problem.scenario is None:
         return ScenarioConfig()
-    # Attitude elements must live on the same frame as the sources the
-    # engine will see, which is the frame after constraint events.
-    frame = problem.final_frame()
     case = problem.scenario["case"]
     right = problem.scenario.get("right")
     recipients = tuple(
         frame.parse(e) for e in problem.scenario.get("recipients", ())
     )
-    discounts = None
-    if case == "3":
-        by_name = dict(problem.discounts)
-        discounts = tuple(
-            by_name.get(name, 1.0) for name, _ in problem.sources
-        )
+    # Only a case that reads discounts keeps them.
     return ScenarioConfig.for_case(
         case,
         right=frame.parse(right) if right else None,
         recipients=recipients,
-        discounts=discounts,
+        discounts=tuple(problem.discounts.get(name, 1.0) for name, _ in problem.sources),
     )
 
 

@@ -14,7 +14,7 @@ from . import classic
 from .errors import FrameMismatchError, RuleError
 from .frame import INTERVAL_FRAME
 from .mass import MassFunction
-from .problem import coerce_params, scenario_config
+from .problem import _scenario_config, coerce_params
 
 # Bound to their modules by the first combine of one of their rules.
 pcr = special = uft = None
@@ -206,7 +206,7 @@ def execute_problem(problem, rule, overrides=None):
         params.update(overrides)
     sources = problem.final_sources()
     if rule == "uft" and "config" not in params:
-        params["config"] = scenario_config(problem)
+        params["config"] = _scenario_config(problem, sources[0].frame)
     spec = check(rule, sources, params)
     frame = sources[0].frame
     out = spec.combine(sources, params)

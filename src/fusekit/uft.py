@@ -30,13 +30,11 @@ from .classic import (
 )
 from .mass import MassFunction
 from .pcr import _column_averages, _column_sums, _pcr5_split
-from .problem import CASE_TO_KIND
+from .problem import CASE_TO_KIND, CASES
 from .registry import check, run_mass
 from .result import FusionResult
 
-_ATTITUDE_KINDS = (
-    "keep", "split", "union", "ignorance", "empty", "right", "both-wrong",
-)
+_ATTITUDE_KINDS = tuple(dict.fromkeys(CASE_TO_KIND.values()))
 
 _RELIABILITY_MODES = (
     "all-reliable", "at-least-one", "exactly-one", "mixed", "discounts",
@@ -91,25 +89,16 @@ class ScenarioConfig:
     def for_case(cls, case, right=None, recipients=(), world=None, discounts=None):
         """Build the config a bare scenario case identifier stands for."""
         case = str(case)
-        if case == "1":
-            return cls(reliability="all-reliable", case=case,
-                       world=world or "closed")
-        if case == "2":
-            return cls(reliability="at-least-one", case=case,
-                       world=world or "closed")
-        if case == "3":
-            if discounts is None:
-                raise ValueError("case 3 needs discount factors")
-            return cls(reliability="discounts", discounts=discounts, case=case,
-                       world=world or "closed")
-        kind = CASE_TO_KIND.get(case)
-        if kind is None:
+        if case not in CASES:
             raise ValueError(f"unknown scenario case {case!r}")
-        att = Attitude(kind, right=right, recipients=tuple(recipients))
-        default_world = "open" if kind == "empty" else "closed"
+        reliability, kind = CASES[case]
+        if reliability == "discounts" and discounts is None:
+            raise ValueError(f"case {case} needs discount factors")
         return cls(
-            reliability="all-reliable", world=world or default_world,
-            default_attitude=att, case=case,
+            reliability=reliability, case=case,
+            discounts=discounts if reliability == "discounts" else None,
+            world=world or ("open" if kind == "empty" else "closed"),
+            default_attitude=Attitude(kind, right=right, recipients=recipients) if kind else None,
         )
 
 
@@ -239,12 +228,11 @@ def uft_combine(sources, config=None):
 def _validate_attitude(frame, att):
     if not isinstance(att, Attitude):
         raise TypeError(f"expected Attitude, got {type(att).__name__}")
-    if att.right is not None:
-        _check_frame_element(frame, att.right, "right")
-    for r in att.recipients:
-        _check_frame_element(frame, r, "recipient")
-        if r.is_empty:
-            raise ValueError("recipient elements must be non-empty")
+    named = [("right", att.right)] if att.right is not None else []
+    for what, el in named + [("recipient", r) for r in att.recipients]:
+        _check_frame_element(frame, el, what)
+        if el.is_empty:
+            raise ValueError(f"{what} elements must be non-empty")
 
 
 # -- dynamic model updates -------------------------------------------------

@@ -387,6 +387,19 @@ def test_closed_world_uft_run_warns_once(tmp_path, capsys):
         "WARN mass on the empty set in a closed world: 0.540000"]
 
 
+@pytest.mark.parametrize("scenario,message", [
+    ("case 1.2.6 right C", "right elements must be non-empty"),
+    ("case 1.2.7 recipients C", "recipient elements must be non-empty"),
+])
+def test_attitude_elements_the_model_empties_are_refused(tmp_path, capsys, scenario, message):
+    src = tmp_path / "uft.txt"
+    src.write_text("frame: A B C D\nsource m1: A=0.2, B=0.5, A|B=0.3\n"
+                   "source m2: A=0.4, B=0.4, A|B=0.2\nevent: constrain C=0\n"
+                   f"scenario: {scenario}\n")
+    code, out, err = run_cli(capsys, "--rule", "uft", "--input", str(src))
+    assert (code, out, err) == (3, "", f"error: ValueError: {message}\n")
+
+
 def test_readme_dubois_prade_block_is_what_the_cli_prints(tmp_path, capsys):
     readme = pathlib.Path(__file__).parents[1] / "README.md"
     blocks = re.findall(r"^```\w*\n(.*?)^```$", readme.read_text(encoding="utf-8"),

@@ -365,12 +365,8 @@ event: constrain B&C=0
 """
 
 
-@pytest.mark.parametrize("rule,tail,most", [
-    ("dempster", "", 1),
-    ("uft", "scenario: case 1.2.1\n", 2),
-])
-def test_a_problem_run_builds_its_final_frame_once(monkeypatch, rule, tail, most):
-    problem = parse_problem(_TWO_EVENTS + tail)
+def _counted_frame_builds(monkeypatch):
+    """The arguments of every Frame built from now on, one entry per build."""
     calls = []
     init = Frame.__init__
 
@@ -379,7 +375,29 @@ def test_a_problem_run_builds_its_final_frame_once(monkeypatch, rule, tail, most
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Frame, "__init__", counting_init)
+    return calls
+
+
+@pytest.mark.parametrize("rule,tail,most", [
+    ("dempster", "", 1),
+    ("uft", "scenario: case 1.2.1\n", 2),
+])
+def test_a_problem_run_builds_its_final_frame_once(monkeypatch, rule, tail, most):
+    problem = parse_problem(_TWO_EVENTS + tail)
+    calls = _counted_frame_builds(monkeypatch)
     outcome = execute_problem(problem, rule)
     assert 1 <= len(calls) <= most
     assert outcome.frame == problem.frame.constrain("A&B").constrain("B&C")
     assert outcome.combined.frame is outcome.frame
+
+
+def test_a_uft_run_builds_its_attitudes_on_the_sources_frame(monkeypatch):
+    problem = parse_problem(_TWO_EVENTS + "scenario: case 1.2.6 right A\n")
+    calls = _counted_frame_builds(monkeypatch)
+    outcome = execute_problem(problem, "uft")
+    assert len(calls) == 1
+    partials = outcome.result.conflict.partials
+    assert partials and all(p.note == "A declared right" for p in partials)
+    for p in partials:
+        (right, _), = p.shares
+        assert right.frame is outcome.result.sources[0].frame

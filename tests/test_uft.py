@@ -210,6 +210,14 @@ def test_right_route(scenario_sources, free4):
     assert masses(out, free4, "A", "B", "A|B") == pytest.approx((0.52, 0.42, 0.06))
 
 
+def test_right_route_refuses_an_element_the_model_empties(scenario_sources, free4):
+    frame = free4.constrain("C")
+    sources = [m.on_frame(frame) for m in scenario_sources]
+    cfg = ScenarioConfig.for_case("1.2.6", right=frame.label("C"))
+    with pytest.raises(ValueError, match="right elements must be non-empty"):
+        uft_combine(sources, cfg)
+
+
 def test_both_wrong_route(scenario_sources, free4):
     cfg = ScenarioConfig.for_case(
         "1.2.7", recipients=(free4.label("C"), free4.label("D"))
