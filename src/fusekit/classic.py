@@ -99,36 +99,29 @@ class Ledger:
     def expand(self, op="and", claim=None, leaf=None):
         """Land every product and yield the conflicting ones.
 
-        The one loop over focal products: a depth-first walk in
-        ``itertools.product`` order whose prefixes carry their operands,
-        mass product (left to right from 1.0, as ``math.prod``) and masks
-        joined by ``op``.  A product weighs its mass product and lands on
-        ``landing(mask)``; a ``leaf(els, p, mask)`` returns (weight,
-        landing) instead.  A product of zero weight is skipped; one whose
-        landing is empty or ``claim(els, landing)`` holds conflicts and
-        is yielded as (operands, weight, landing).  Products land as the
-        caller iterates: a transfer that books each conflict as it comes
-        books in enumeration order, one that needs every landing first
-        takes ``list(conflicts)``.
+        The one loop over focal products, in ``itertools.product`` order.
+        Every source but the last is walked level by level: each prefix
+        carries its operands, mass product (left to right, as
+        ``math.prod``) and masks joined by ``op``.  A product weighs its
+        mass product and lands on ``landing(mask)``; a ``leaf(els, p,
+        mask)`` returns (weight, landing) instead.  A product of zero
+        weight is skipped; one whose landing is empty or ``claim(els,
+        landing)`` holds conflicts and is yielded as (operands, weight,
+        landing).  Products land as the caller iterates: a transfer that
+        books each conflict as it comes books in enumeration order, one
+        that needs every landing first takes ``list(conflicts)``.
         """
         join = CONNECTIVES[op]
         # An interval has no mask: only a leaf lands interval products.
         levels = [tuple((el, m, getattr(el, "mask", 0)) for el, m in src.items())
                   for src in self.sources]
-        last, acc, landings = len(levels) - 1, self.acc, self._landings
-        stack = [((), 1.0, 0, iter(levels[0]))]
-        while stack:
-            prefix, p, mask, children = stack[-1]
-            if len(prefix) < last:
-                for el, m, k in children:
-                    stack.append(((*prefix, el), p * m, join(mask, k) if prefix else k,
-                                  iter(levels[len(prefix) + 1])))
-                    break
-                else:
-                    stack.pop()
-                continue
-            stack.pop()
-            for el, m, k in children:
+        prefixes = [((el,), m, k) for el, m, k in levels[0]]
+        for level in levels[1:-1]:
+            prefixes = [((*els, el), p * m, join(mask, k))
+                        for els, p, mask in prefixes for el, m, k in level]
+        acc, landings = self.acc, self._landings
+        for prefix, p, mask in prefixes:
+            for el, m, k in levels[-1]:
                 els = (*prefix, el)
                 if leaf is None:
                     w, k = p * m, join(mask, k)

@@ -16,11 +16,12 @@ in a tuple and reads hypothesis i's mask off column i of their binary
 digits.  ``Element.atoms``, ``Frame.surviving_atoms``, ``empty_atoms``
 and ``model`` are frozenset views in the atom encoding, built when read.
 An element's hash is computed once, from its frame's hash and its mask.
-A frame keeps, for as long as it lives, each display it has computed
-and each label intersection's ("meet's") survivor mask.  Atoms are
-only ever removed, never restored, so constraining a frame yields a new
-frame.  Real intervals live on one frame of their own,
-``INTERVAL_FRAME``, which parses them but has no algebra.
+A frame keeps, for as long as it lives, each display it has computed (a
+union of cubes, label intersections with some labels negated, that
+covers the atoms) and each label intersection's ("meet's") survivor
+mask.  Atoms are only ever removed, never restored, so constraining a
+frame yields a new frame.  Real intervals live on one frame of their
+own, ``INTERVAL_FRAME``, which parses them but has no algebra.
 """
 
 import functools
@@ -544,54 +545,59 @@ class Element:
 
 
 def _display_expr(frame, mask):
-    """The one expression a survivor mask displays as.
-
-    An up-closed set (it holds every surviving atom above any of its
-    atoms) is a union of label intersections, at most one per minimal atom;
-    otherwise the complement of an up-closed set is ``~`` of that set's
-    expression, and anything else the union of its minterms.  Terms run
-    by label count, then by label index.
-    """
+    """The one expression a survivor mask displays as: the set's cover when
+    it negates no label (the set is up-closed), else ``~`` of the
+    complement's cover when that one negates none (the whole frame's cover
+    never negates), else the set's cover."""
     if not mask:
         return EMPTY_EXPR
-    for negate, region in ((False, mask), (True, frame._full ^ mask)):
-        terms = _up_closed_terms(frame, region)
-        if terms is not None:
-            return ("not", _node(terms)) if negate else _node(terms)
-    leaves = [("label", nm) for nm in frame.names]
-    return _node([("and", tuple(leaf if atom >> i & 1 else ("not", leaf)
-                                for i, leaf in enumerate(leaves)))
-                  for atom in sorted(frame._values(mask),
-                                     key=lambda a: (a.bit_count(), _bit_indices(a)))])
+    cubes = _cover(frame, mask)
+    if any(negated for _, negated in cubes):
+        outer = _cover(frame, frame._full ^ mask)
+        if not any(negated for _, negated in outer):
+            return ("not", _cubes_expr(frame.names, outer))
+    return _cubes_expr(frame.names, cubes)
 
 
-def _up_closed_terms(frame, mask):
-    """The label intersections an up-closed set is the union of, else None.
+def _cover(frame, mask):
+    """The (labels, negated labels) masks of cubes whose union is the set.
 
-    An atom is also the label mask of the hypotheses holding it, so the
-    atoms above it are its labels' meet.  Each minimal atom's labels are
-    thinned, last label first, while their meet stays inside the set.  No
-    term's labels hold another's: a label outside the smaller term's
-    labels would have been thinned away.
+    A cube is its labels' meet minus each negated hypothesis.  The lowest
+    uncovered atom (its subsets are lower atoms) seeds its minterm: its
+    labels, every other label negated.  The negated labels go at once if
+    the labels' meet stays inside the set, else one by one, lowest first,
+    while the cube stays inside; then the labels go one by one, highest
+    first, while it stays inside and keeps a literal (Espresso's EXPAND).
     """
-    meet = frame._meet
-    minimal = []
-    for atom in sorted(frame._values(mask), key=int.bit_count):
-        if not any(atom & low == low for low in minimal):
-            if meet(atom) & ~mask:
-                return None
-            minimal.append(atom)
-    terms = {}  # thinned label mask -> its label indices
-    for labels in minimal:
-        indices = _bit_indices(labels)
-        for i in reversed(indices):
-            bit = 1 << i
-            if labels != bit and not meet(labels ^ bit) & ~mask:
-                labels ^= bit
-        terms[labels] = [i for i in indices if labels >> i & 1]
-    names = frame.names
-    return [_node([("label", names[i]) for i in indices], "and")
-            for indices in sorted(terms.values(), key=lambda t: (len(t), t))]
+    meet, hypotheses, outside = frame._meet, frame._hypotheses, frame._full ^ mask
+
+    def cut(negated):
+        return functools.reduce(operator.or_, [hypotheses[i] for i in _bit_indices(negated)], 0)
+
+    cubes, rest = [], mask
+    while rest:
+        labels, negated, out = frame._atoms[(rest & -rest).bit_length() - 1], 0, 0
+        if bad := meet(labels) & outside:
+            negated = ((1 << frame.n) - 1) ^ labels
+            for i in _bit_indices(negated):
+                if not bad & ~cut(negated ^ 1 << i):
+                    negated ^= 1 << i
+            out = cut(negated)
+        for i in reversed(_bit_indices(labels)):
+            if (labels ^ 1 << i or negated) and not meet(labels ^ 1 << i) & outside & ~out:
+                labels ^= 1 << i
+        cubes.append((labels, negated))
+        rest &= out | ~meet(labels)
+    return cubes
+
+
+def _cubes_expr(names, cubes):
+    """The union of the cubes: terms by literal count, then by their (label
+    index, negated) pairs; literals in label order."""
+    terms = sorted(([(i, negated >> i & 1) for i in _bit_indices(labels | negated)]
+                    for labels, negated in cubes), key=lambda term: (len(term), term))
+    return _node([_node([("not", ("label", names[i])) if neg else ("label", names[i])
+                         for i, neg in term], "and") for term in terms])
 
 
 def _node(terms, op="or"):

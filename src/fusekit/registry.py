@@ -16,8 +16,11 @@ from .frame import INTERVAL_FRAME
 from .mass import MassFunction
 from .problem import _scenario_config, coerce_params
 
-# Bound to their modules by the first combine of one of their rules.
-pcr = special = uft = None
+
+def _lazy(module):
+    """A submodule, imported on first use (``from . import <module>``, as
+    -X importtime sees it)."""
+    return getattr(__import__(__package__, fromlist=[module]), module)
 
 
 @dataclass(frozen=True)
@@ -54,24 +57,14 @@ def _consensus(sources, params):
     opinions = [m.to_opinion(focus) for m in sources]
     out = opinions[0]
     for w in opinions[1:]:
-        out = special.consensus(out, w, dogmatic_bayesian=dogmatic_bayesian)
+        out = _lazy("special").consensus(out, w, dogmatic_bayesian=dogmatic_bayesian)
     return out
 
 
 _RULES = {}
 
 
-def _register(name, fn, module=None, **kw):
-    """Enter a rule; one whose code is in ``module`` imports and binds it
-    on its first combine, then swaps in ``fn`` as the entry's combine."""
-    if module is not None:
-        bound = fn
-
-        def fn(sources, params):
-            # ``from . import <module>``, as -X importtime sees it.
-            globals()[module] = getattr(__import__(__package__, fromlist=[module]), module)
-            _RULES[name] = replace(_RULES[name], combine=bound)
-            return bound(sources, params)
+def _register(name, fn, **kw):
     _RULES[name] = RuleSpec(name=name, combine=fn, **kw)
 
 
@@ -95,41 +88,41 @@ _register("dubois-prade", lambda ss, p: classic.dubois_prade(*ss))
 _register("wo", lambda ss, p: classic.weighted_operator(*ss, weights=p["weights"]),
           needs=("weights",))
 _register("inagaki", lambda ss, p: classic.inagaki(*ss, p=p["p"]), needs=("p",))
-_register("wao", lambda ss, p: pcr.wao(*ss), module="pcr")
-_register("pcr1", lambda ss, p: pcr.pcr1(*ss), module="pcr")
-_register("pcr2", lambda ss, p: pcr.pcr2(*ss), module="pcr")
-_register("pcr3", lambda ss, p: pcr.pcr3(*ss), module="pcr")
-_register("pcr4", lambda ss, p: pcr.pcr4(*ss), module="pcr")
-_register("pcr5", lambda ss, p: pcr.pcr5(*ss), module="pcr")
-_register("minc-a", lambda ss, p: pcr.minc(*ss, version="a"), module="pcr")
-_register("minc-b", lambda ss, p: pcr.minc(*ss, version="b"), module="pcr")
+_register("wao", lambda ss, p: _lazy("pcr").wao(*ss))
+_register("pcr1", lambda ss, p: _lazy("pcr").pcr1(*ss))
+_register("pcr2", lambda ss, p: _lazy("pcr").pcr2(*ss))
+_register("pcr3", lambda ss, p: _lazy("pcr").pcr3(*ss))
+_register("pcr4", lambda ss, p: _lazy("pcr").pcr4(*ss))
+_register("pcr5", lambda ss, p: _lazy("pcr").pcr5(*ss))
+_register("minc-a", lambda ss, p: _lazy("pcr").minc(*ss, version="a"))
+_register("minc-b", lambda ss, p: _lazy("pcr").minc(*ss, version="b"))
 _register("zhang-product",
-          lambda ss, p: special.zhang_center(ss[0], ss[1], degree="product"),
-          module="special", max_sources=2)
+          lambda ss, p: _lazy("special").zhang_center(ss[0], ss[1], degree="product"),
+          max_sources=2)
 _register("zhang-union",
-          lambda ss, p: special.zhang_center(ss[0], ss[1], degree="union"),
-          module="special", max_sources=2)
-_register("xavg", lambda ss, p: special.convolutive_x_average(ss[0], ss[1]),
-          module="special", mode="interval", max_sources=2)
-_register("consensus", _consensus, module="special", mode="opinion", needs=("focus",))
+          lambda ss, p: _lazy("special").zhang_center(ss[0], ss[1], degree="union"),
+          max_sources=2)
+_register("xavg", lambda ss, p: _lazy("special").convolutive_x_average(ss[0], ss[1]),
+          mode="interval", max_sources=2)
+_register("consensus", _consensus, mode="opinion", needs=("focus",))
 # The kinds of special.TNORMS, special.TCONORMS and special._IMPROVED_BASES,
 # spelled out so that filling the table does not import special.
 for _kind in ("algebraic", "bounded", "min"):
     _register(f"tnorm-{_kind}",
-              lambda ss, p, k=_kind: special.tnorm_fusion(ss[0], ss[1], kind=k),
-              module="special", max_sources=2)
+              lambda ss, p, k=_kind: _lazy("special").tnorm_fusion(ss[0], ss[1], kind=k),
+              max_sources=2)
 for _kind in ("algebraic", "bounded", "max"):
     _register(f"tconorm-{_kind}",
-              lambda ss, p, k=_kind: special.tconorm_fusion(ss[0], ss[1], kind=k),
-              module="special", max_sources=2)
+              lambda ss, p, k=_kind: _lazy("special").tconorm_fusion(ss[0], ss[1], kind=k),
+              max_sources=2)
 _register("cautious",
-          lambda ss, p: special.cautious_commonality_min(ss[0], ss[1]),
-          module="special", max_sources=2)
+          lambda ss, p: _lazy("special").cautious_commonality_min(ss[0], ss[1]),
+          max_sources=2)
 for _base in ("disjunctive", "dsmc", "dsmh", "smets", "yager", "dp"):
     _register(f"improved-{_base}",
-              lambda ss, p, b=_base: special.improved_rules(ss[0], ss[1], base=b),
-              module="special", max_sources=2)
-_register("uft", lambda ss, p: uft.uft_combine(ss, p.get("config")), module="uft")
+              lambda ss, p, b=_base: _lazy("special").improved_rules(ss[0], ss[1], base=b),
+              max_sources=2)
+_register("uft", lambda ss, p: _lazy("uft").uft_combine(ss, p.get("config")))
 
 
 def selectors():

@@ -426,13 +426,78 @@ def dsmh_destination(operands, names, surviving):
 
 # -- displays -------------------------------------------------------------------
 #
-# The display rule as one plain pass over atom sets: a union of label
-# intersections when the set is up-closed, else the complement of one,
-# else the union of its minterms.  Every meet is recomputed from the
-# surviving atoms.
+# The display rule as plain passes over atom sets: a cover of the set by
+# cubes, each grown from the minterm of its lowest uncovered atom by
+# dropping literals while it stays inside the set.  Every cube is
+# recomputed from the surviving atoms.
 
 def display_expr(names, surviving, atoms):
     """The expression the atom set ``atoms`` displays as.
+
+    The union of the set's cubes when none negates a label, else ``~`` of
+    the union of the complement's cubes when none of those negates one,
+    else the union of the set's cubes.
+    """
+    if not atoms:
+        return ("empty",)
+    cubes = cover(names, surviving, atoms)
+    if any(negated for _, negated in cubes):
+        outer = cover(names, surviving, frozenset(surviving) - atoms)
+        if not any(negated for _, negated in outer):
+            return ("not", _cubes_node(names, outer))
+    return _cubes_node(names, cubes)
+
+
+def cover(names, surviving, atoms):
+    """The cubes, as (label indices, negated label indices), whose union is
+    ``atoms``.
+
+    The lowest uncovered atom seeds its minterm.  Negated labels are
+    dropped one at a time, lowest index first, then labels, highest index
+    first, each while the cube stays inside the set and keeps a literal.
+    (Dropping the negated labels one at a time drops them all when the
+    labels' intersection is inside the set.)
+    """
+    def cube(labels, negated):
+        return frozenset(a for a in surviving
+                         if all(a >> i & 1 for i in labels)
+                         and not any(a >> i & 1 for i in negated))
+
+    cubes, covered = [], frozenset()
+    for seed in sorted(atoms):
+        if seed in covered:
+            continue
+        labels = {i for i in range(len(names)) if seed >> i & 1}
+        negated = set(range(len(names))) - labels
+        for i in sorted(negated):
+            if cube(labels, negated - {i}) <= atoms:
+                negated.discard(i)
+        for i in sorted(labels, reverse=True):
+            if len(labels) + len(negated) > 1 and cube(labels - {i}, negated) <= atoms:
+                labels.discard(i)
+        cubes.append((labels, negated))
+        covered |= cube(labels, negated)
+    assert covered == atoms
+    return cubes
+
+
+def _cubes_node(names, cubes):
+    """The union of the cubes: terms by literal count, then by their
+    (label index, negated) pairs; literals in label order."""
+    terms = sorted(sorted([(i, False) for i in labels] + [(i, True) for i in negated])
+                   for labels, negated in cubes)
+    return _node([_node([("not", ("label", names[i])) if neg else ("label", names[i])
+                         for i, neg in term], "and")
+                  for term in sorted(terms, key=len)])
+
+
+# The display rule before the cube cover, kept to compare lengths: a union
+# of label intersections when the set is up-closed, else the complement of
+# one, else the union of its minterms.
+
+def minterm_display_expr(names, surviving, atoms):
+    """The expression the atom set ``atoms`` displayed as before the cube
+    cover.
 
     An up-closed set (it holds every surviving atom above any of its
     atoms) is a union of label intersections, at most one per minimal atom;

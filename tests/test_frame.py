@@ -226,6 +226,12 @@ def test_up_closed_display_thins_labels():
     assert f.parse("A&B|A&C").display == "A"
 
 
+def test_displays_grow_with_their_cubes_not_with_the_frame():
+    f = Frame([f"H{i}" for i in range(16)])
+    assert f.parse("H0&~H1").display == "H0&~H1"
+    assert f.parse("H0^H1").display == "H0&~H1|~H0&H1"
+
+
 def test_reevaluate_carries_expressions_to_tighter_models():
     free = Frame.free(("A", "B"))
     el = free.parse("A&B")

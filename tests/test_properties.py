@@ -775,6 +775,20 @@ def test_wide_frame_displays_match_the_oracle(frame, data):
         _assert_displays_as_the_oracle(frame.from_atoms(atoms), surviving)
 
 
+@given(oracle_frames(), st.data())
+def test_displays_parse_back_and_are_no_longer_than_the_minterm_rule(framed, data):
+    frame, surviving = framed
+    survivors = sorted(surviving)
+    for _ in range(4):
+        atoms = data.draw(st.frozensets(st.sampled_from(survivors))) if survivors else frozenset()
+        el = frame.from_atoms(atoms)
+        if atoms:
+            assert oracles.expr_atoms(parse_expression_text(el.display), frame.names,
+                                      surviving) == atoms, el.display
+        old = oracles.minterm_display_expr(frame.names, surviving, atoms)
+        assert len(el.display) <= len(render_expression(old)), (frame, sorted(atoms))
+
+
 # -- uft's split route against the plain PCR5 split ---------------------------
 
 @st.composite

@@ -362,6 +362,23 @@ def test_dynamic_update_of_bare_bba():
     assert updated.combined.mass(nf.parse("A|B")) == pytest.approx(0.5)
 
 
+def test_dynamic_update_of_bare_bba_routes_by_the_display_expression():
+    # The xor landing A&~B carries no expression of its own, so dsmh routes
+    # it, once emptied, by its display's disjunctive form: A|C.
+    f = Frame(("A", "B", "C"))
+    m1 = MassFunction(f, {"A": 0.6, "A|B": 0.4})
+    m2 = MassFunction(f, {"B": 0.5, "A|C": 0.5})
+    combined = exclusive_disjunctive(m1, m2).combined
+    assert combined.mass(f.parse("A&~B")) == pytest.approx(0.2)
+    updated = dynamic_update(combined, ["A&~B"], "dsmh")
+    nf = updated.combined.frame
+    rows = sorted((el.display, v) for el, v in updated.combined.items())
+    assert [text for text, _ in rows] == ["A|C", "~(A|B&C)", "~A&B", "~B|~A&C"]
+    assert [v for _, v in rows] == pytest.approx([0.2, 0.2, 0.3, 0.3])
+    assert updated.combined.mass(nf.parse("A|C")) == pytest.approx(0.2)
+    assert updated.combined.mass(nf.parse("B|C")) == 0.0
+
+
 def test_dynamic_update_surfaces_leftover_empty_mass():
     f = Frame(("A", "B"))
     m1 = MassFunction(f, {"A": 0.6, "A|B": 0.4})
