@@ -10,7 +10,6 @@ literally.
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import replace
 
 from .errors import FrameMismatchError, RuleError, TotalConflictError
 from .frame import CONNECTIVES, Element, Reductions, fold, parse_expression_text
@@ -504,7 +503,7 @@ def mixed(sources, expr):
 def murphy_average(*sources):
     """The plain average of the sources' masses: mixing with equal weights."""
     _common_frame(sources)
-    return replace(weighted_mixing(sources, [1.0] * len(sources)), rule="murphy")
+    return weighted_mixing(sources, [1.0] * len(sources))._replace(rule="murphy")
 
 
 def weighted_mixing(sources, weights):

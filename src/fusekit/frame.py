@@ -30,7 +30,6 @@ import math
 import operator
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .errors import (
     FrameMismatchError,
@@ -164,12 +163,49 @@ def render_expression(expr):
     return sep.join(parts)
 
 
-@dataclass(frozen=True)
-class ModelConstraints:
-    """Which candidate atoms the model declares empty, plus a kind tag."""
+class Value:
+    """An immutable record of the fields its class's ``__slots__`` name: equal,
+    and hashed alike, by type and fields.  Unlike a named tuple it neither
+    iterates nor equals a tuple.  ``_replace`` copies it with fields changed."""
 
-    kind: str  # "free" | "shafer" | "hybrid"
-    empty_atoms: frozenset
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls.__slots__)  # self._key(self): the fields' tuple
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self.__slots__, self._key(self)), **changes))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ModelConstraints(namedtuple("ModelConstraints", "kind empty_atoms")):
+    """Which candidate atoms the model declares empty, plus a kind tag
+    ("free", "shafer" or "hybrid")."""
+
+    __slots__ = ()
 
 
 def _bit_indices(mask):
@@ -548,19 +584,25 @@ def _display_expr(frame, mask):
     """The one expression a survivor mask displays as: the set's cover when
     it negates no label (the set is up-closed), else ``~`` of the
     complement's cover when that one negates none (the whole frame's cover
-    never negates), else the set's cover."""
+    never negates), else the set's cover.  The complement's cover is given
+    up at its first negating cube."""
     if not mask:
         return EMPTY_EXPR
-    cubes = _cover(frame, mask)
+    cubes = list(_cover(frame, mask))
     if any(negated for _, negated in cubes):
-        outer = _cover(frame, frame._full ^ mask)
-        if not any(negated for _, negated in outer):
+        outer = []
+        for cube in _cover(frame, frame._full ^ mask):
+            if cube[1]:
+                break
+            outer.append(cube)
+        else:
             return ("not", _cubes_expr(frame.names, outer))
     return _cubes_expr(frame.names, cubes)
 
 
 def _cover(frame, mask):
-    """The (labels, negated labels) masks of cubes whose union is the set.
+    """The (labels, negated labels) masks of cubes whose union is the set,
+    yielded one cube at a time.
 
     A cube is its labels' meet minus each negated hypothesis.  The lowest
     uncovered atom (its subsets are lower atoms) seeds its minterm: its
@@ -568,27 +610,26 @@ def _cover(frame, mask):
     the labels' meet stays inside the set, else one by one, lowest first,
     while the cube stays inside; then the labels go one by one, highest
     first, while it stays inside and keeps a literal (Espresso's EXPAND).
+    A label's drop test reads the union of the kept lower negated
+    hypotheses and the suffix union of the higher ones.
     """
     meet, hypotheses, outside = frame._meet, frame._hypotheses, frame._full ^ mask
-
-    def cut(negated):
-        return functools.reduce(operator.or_, [hypotheses[i] for i in _bit_indices(negated)], 0)
-
-    cubes, rest = [], mask
+    rest = mask
     while rest:
         labels, negated, out = frame._atoms[(rest & -rest).bit_length() - 1], 0, 0
         if bad := meet(labels) & outside:
-            negated = ((1 << frame.n) - 1) ^ labels
-            for i in _bit_indices(negated):
-                if not bad & ~cut(negated ^ 1 << i):
-                    negated ^= 1 << i
-            out = cut(negated)
+            tried = _bit_indices(((1 << frame.n) - 1) ^ labels)
+            after = list(itertools.accumulate(
+                [hypotheses[i] for i in reversed(tried)], operator.or_, initial=0))
+            for i, later in zip(tried, reversed(after[:-1])):
+                if bad & ~(out | later):
+                    negated |= 1 << i
+                    out |= hypotheses[i]
         for i in reversed(_bit_indices(labels)):
             if (labels ^ 1 << i or negated) and not meet(labels ^ 1 << i) & outside & ~out:
                 labels ^= 1 << i
-        cubes.append((labels, negated))
+        yield labels, negated
         rest &= out | ~meet(labels)
-    return cubes
 
 
 def _cubes_expr(names, cubes):
@@ -664,22 +705,31 @@ class Reductions:
     distinct operand expression is reduced once per call, and a product
     only merges its operands' parts.  Each distinct atom set of a part
     gets an index, and the indices of the atom sets strictly inside it,
-    as one int, so a product's minimal parts take one test each.
+    as one int, so a product's minimal parts take one test each.  The bits
+    of a product's part indices key its disjunctive form: every index is
+    numbered before a key holding it is looked up, so no key goes stale.
+    Only an atom set whose parts have two disjunctive forms (the first
+    seen wins) is ambiguous, and a product holding one is reduced afresh.
 
     The memo is keyed by expression, never by Element: elements compare
     by atoms, and on a Shafer frame A&B and C&D are one empty element
     with different disjunctive forms.
     """
 
-    __slots__ = ("frame", "_operands", "_indices", "_below")
+    __slots__ = ("frame", "_operands", "_indices", "_below", "_forms", "_masks", "_ambiguous")
 
     def __init__(self, frame):
         self.frame = frame
-        self._operands = {}  # expression -> (its reduced parts, its own label mask)
+        # expression -> (its reduced parts, their index bits, its own label mask)
+        self._operands = {}
         self._indices = {}  # part survivor mask -> its index
         self._below = []  # index -> bits of the indices of its strict subsets
+        self._forms = {}  # bits of a product's part indices -> its disjunctive form
+        self._masks = []  # index -> the label mask of its first part
+        self._ambiguous = 0  # bits of the indices seen with two label masks
 
-    def _index_of(self, mask):
+    def _index_of(self, mask, labels):
+        """The index of a part's atom set, given the part's label mask."""
         index = self._indices.get(mask)
         if index is None:
             index = len(self._below)
@@ -691,20 +741,25 @@ class Reductions:
                     self._below[i] |= 1 << index
             self._indices[mask] = index
             self._below.append(below)
+            self._masks.append(labels)
+        elif self._masks[index] != labels:
+            self._ambiguous |= 1 << index
         return index
 
     def _operand(self, expr):
-        """An operand expression's reduced parts and its own label mask."""
+        """An operand expression's reduced parts, their index bits and its
+        own label mask."""
         entry = self._operands.get(expr)
         if entry is None:
             frame = self.frame
             reduced = _canonical_expr(frame, expr)
-            parts = []
+            parts, bits = [], 0
             for node in reduced[1] if reduced[0] == "and" else (reduced,):
-                mask = frame.eval_mask(node)
-                parts.append(_Part(self._index_of(mask), _disjunctive_mask(frame, node),
+                mask, labels = frame.eval_mask(node), _disjunctive_mask(frame, node)
+                parts.append(_Part(self._index_of(mask, labels), labels,
                                    Element(frame, mask, node)))
-            entry = self._operands[expr] = (parts, _disjunctive_mask(frame, expr))
+                bits |= 1 << parts[-1].index
+            entry = self._operands[expr] = (parts, bits, _disjunctive_mask(frame, expr))
         return entry
 
     def parts(self, els):
@@ -719,16 +774,24 @@ class Reductions:
 
     def disjunctive(self, els):
         """The disjunctive form of the operands' reduced intersection."""
-        mask = 0
-        for part in self.parts(els):
-            mask |= part.mask
-        return self.frame._label_union(mask)
+        present = 0
+        for el in els:
+            present |= self._operand(el.expr)[1]
+        form = self._forms.get(present)
+        if form is None or present & self._ambiguous:
+            mask = 0
+            for part in self.parts(els):
+                mask |= part.mask
+            form = self.frame._label_union(mask)
+            if not present & self._ambiguous:
+                self._forms[present] = form
+        return form
 
     def joint_disjunctive(self, els):
         """The union of the operands' own disjunctive forms."""
         mask = 0
         for el in els:
-            mask |= self._operand(el.expr)[1]
+            mask |= self._operand(el.expr)[2]
         return self.frame._label_union(mask)
 
 
@@ -809,24 +872,20 @@ class _IntervalFrame:
 INTERVAL_FRAME = _IntervalFrame()
 
 
-@dataclass(frozen=True)
-class IntervalElement:
+class IntervalElement(Value):
     """A closed real interval used as a focal element."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
     frame = INTERVAL_FRAME
     is_empty = False  # lo <= hi always
 
-    def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
+    def __init__(self, lo, hi):
+        lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("interval bounds must be finite")
         if lo > hi:
             raise ValueError(f"interval bounds out of order: [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self._set(lo, hi)
 
     def average(self, other):
         """The midpoint interval of self and other, bound by bound."""

@@ -1,10 +1,9 @@
 """Basic belief assignments over a frame, and the functions derived from them."""
 
 import math
-from dataclasses import dataclass
 
 from .errors import FrameMismatchError, RuleError
-from .frame import Element, IntervalElement, degree_inclusion, degree_intersection
+from .frame import Element, IntervalElement, Value, degree_inclusion, degree_intersection
 
 # How far a total may drift from 1 before the bba stops counting as normal.
 STATUS_TOL = 1e-9
@@ -225,21 +224,17 @@ class MassFunction:
         return Opinion(b, d, u, atomicity)
 
 
-@dataclass(frozen=True)
-class Opinion:
+class Opinion(Value):
     """A binary opinion: belief, disbelief, uncertainty and relative atomicity."""
 
-    belief: float
-    disbelief: float
-    uncertainty: float
-    atomicity: float
+    __slots__ = ("belief", "disbelief", "uncertainty", "atomicity")
 
-    def __post_init__(self):
-        for name in ("belief", "disbelief", "uncertainty", "atomicity"):
-            value = getattr(self, name)
+    def __init__(self, belief, disbelief, uncertainty, atomicity):
+        self._set(belief, disbelief, uncertainty, atomicity)
+        for name, value in zip(self.__slots__, self._key(self)):
             if not -STATUS_TOL <= value <= 1.0 + STATUS_TOL:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        total = self.belief + self.disbelief + self.uncertainty
+        total = belief + disbelief + uncertainty
         if abs(total - 1.0) > STATUS_TOL:
             raise ValueError(f"belief + disbelief + uncertainty must be 1, got {total}")
 

@@ -7,7 +7,6 @@ the source totals.
 """
 
 import math
-from dataclasses import replace
 
 from .classic import (
     _EPS,
@@ -250,8 +249,8 @@ def _pairwise_fold(rule_fn, rule_name, sources):
     acc_result = rule_fn(sources[0], sources[1])
     for m in sources[2:]:
         acc_result = rule_fn(acc_result.combined, m)
-    return replace(
-        acc_result, rule=rule_name, sources=tuple(sources),
+    return acc_result._replace(
+        rule=rule_name, sources=tuple(sources),
         warnings=acc_result.warnings + (
             f"{rule_name} applied pairwise left to right; result depends on source order",
         ),

@@ -8,10 +8,9 @@ frame for real intervals and exclude models, events, and scenarios.
 
 import math
 import re
-from dataclasses import dataclass, field
 
 from .errors import FrameTooLargeError, ParseError
-from .frame import INTERVAL_FRAME, Frame, IntervalElement, render_expression
+from .frame import INTERVAL_FRAME, Frame, IntervalElement, Value, render_expression
 from .mass import MassFunction
 
 # Scenario case identifiers: each case's reliability mode and the routing
@@ -43,20 +42,26 @@ _SEPARATOR_RE = re.compile(r",(?![^\[,]*\])")
 # A param value may hold commas (weights=A:0.5,B:0.5); only a comma that
 # starts another key=value pair separates params.
 _PARAM_SEPARATOR_RE = re.compile(r",(?=[^,]*=)")
+# The declarations an interval problem may not make, and what it lacks.
+_LABEL_ONLY = {"model": "model", "event": "events", "scenario": "scenario"}
 
 
-@dataclass
-class ProblemFile:
-    """A parsed problem: one frame, its sources, and optional extras."""
+class ProblemFile(Value):
+    """A parsed problem: one frame, its sources, and optional extras.
 
-    frame: Frame = None
-    model_kind: str = "free"
-    model_constraints: tuple = ()
-    sources: list = field(default_factory=list)
-    events: tuple = ()
-    scenario: dict = None
-    params: dict = field(default_factory=dict)
-    discounts: dict = field(default_factory=dict)
+    ``sources`` is a list of (name, bba) pairs; each problem gets its
+    own list and dicts.
+    """
+
+    __slots__ = ("frame", "model_kind", "model_constraints", "sources", "events", "scenario",
+                 "params", "discounts")
+    __hash__ = None  # the sources list is filled while parsing
+
+    def __init__(self, frame=None, model_kind="free", model_constraints=(), sources=None,
+                 events=(), scenario=None, params=None, discounts=None):
+        self._set(frame, model_kind, model_constraints, [] if sources is None else sources,
+                  events, scenario, {} if params is None else params,
+                  {} if discounts is None else discounts)
 
     @property
     def interval(self):
@@ -179,10 +184,12 @@ def parse_problem(text):
         head, _, body = line.partition(":")
         head = head.strip()
         body = body.strip()
+        if head in ("frame", "frame-intervals") and (frame_labels is not None or interval):
+            _fail(lineno, "frame already declared")
+        if interval and head in _LABEL_ONLY:
+            _fail(lineno, f"interval problems have no {_LABEL_ONLY[head]}")
 
         if head == "frame":
-            if frame_labels is not None or interval:
-                _fail(lineno, "frame already declared")
             labels = body.split()
             if not labels:
                 _fail(lineno, "frame needs at least one label")
@@ -193,14 +200,10 @@ def parse_problem(text):
                 _fail(lineno, "duplicate labels in frame")
             frame_labels, frame_lineno = tuple(labels), lineno
         elif head == "frame-intervals":
-            if frame_labels is not None or interval:
-                _fail(lineno, "frame already declared")
             if body:
                 _fail(lineno, "frame-intervals takes no arguments")
             interval = True
         elif head == "model":
-            if interval:
-                _fail(lineno, "interval problems have no model")
             if model_kind is not None:
                 _fail(lineno, "model already declared")
             if body in ("free", "shafer"):
@@ -218,8 +221,6 @@ def parse_problem(text):
                 _fail(lineno, f"source {name!r} already declared")
             raw_sources.append((name, body, lineno))
         elif head == "event":
-            if interval:
-                _fail(lineno, "interval problems have no events")
             if not body.startswith("constrain"):
                 _fail(lineno, f"event must read 'constrain <expr>=0', got {body!r}")
             exprs = _constraint_clause(body, lineno)
@@ -227,8 +228,6 @@ def parse_problem(text):
                 _fail(lineno, "one constraint per event line")
             events += exprs
         elif head == "scenario":
-            if interval:
-                _fail(lineno, "interval problems have no scenario")
             if scenario is not None:
                 _fail(lineno, "scenario already declared")
             scenario = _parse_scenario(body, lineno)
@@ -297,22 +296,16 @@ def parse_problem(text):
         except ValueError as exc:
             _fail(lineno, str(exc))
 
-    for expr in problem.events:
-        try:
-            frame.parse(expr)
-        except ParseError as exc:
-            raise ParseError(f"event constraint {expr!r}: {exc}") from exc
+    named = [(f"event constraint {e!r}", e) for e in problem.events]
     if scenario is not None:
-        for e in scenario.get("recipients", ()):
-            try:
-                frame.parse(e)
-            except ParseError as exc:
-                raise ParseError(f"scenario recipient {e!r}: {exc}") from exc
-        if scenario.get("right"):
-            try:
-                frame.parse(scenario["right"])
-            except ParseError as exc:
-                raise ParseError(f"scenario right element: {exc}") from exc
+        named += [(f"scenario recipient {e!r}", e) for e in scenario["recipients"]]
+        if scenario["right"]:
+            named.append(("scenario right element", scenario["right"]))
+    for what, text in named:
+        try:
+            frame.parse(text)
+        except ParseError as exc:
+            raise ParseError(f"{what}: {exc}") from exc
     return problem
 
 

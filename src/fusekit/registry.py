@@ -8,7 +8,7 @@ of ``pcr``, ``special`` and ``uft`` import their module on their first
 combine, so a process loads only the rule families it runs.
 """
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import classic
 from .errors import FrameMismatchError, RuleError
@@ -23,14 +23,12 @@ def _lazy(module):
     return getattr(__import__(__package__, fromlist=[module]), module)
 
 
-@dataclass(frozen=True)
-class RuleSpec:
-    name: str
-    combine: object
-    mode: str = "mass"
-    needs: tuple = ()
-    min_sources: int = 2
-    max_sources: int = None
+class RuleSpec(namedtuple("RuleSpec", "name combine mode needs min_sources max_sources",
+                          defaults=("mass", (), 2, None))):
+    """A selector's rule: ``combine(sources, params)``, its mode (mass,
+    interval or opinion), required parameters and source counts."""
+
+    __slots__ = ()
 
 
 def conditional(m, hypothesis, /, rule="conjunctive", **params):
@@ -44,7 +42,7 @@ def conditional(m, hypothesis, /, rule="conjunctive", **params):
         raise ValueError("cannot condition on an empty hypothesis")
     certain = MassFunction.certain(hypothesis)
     result = run_mass(rule, [m, certain], params)
-    return replace(result, rule=f"conditional[{rule}]", sources=(m, certain))
+    return result._replace(rule=f"conditional[{rule}]", sources=(m, certain))
 
 
 def _consensus(sources, params):
@@ -180,16 +178,11 @@ def run_mass(name, sources, params):
     return run(name, sources, params)
 
 
-@dataclass
-class Outcome:
+class Outcome(namedtuple("Outcome", "kind frame combined result opinion warnings",
+                         defaults=(None, None, None, None, ()))):
     """What running one rule over one problem produced."""
 
-    kind: str
-    frame: object = None
-    combined: object = None
-    result: object = None
-    opinion: object = None
-    warnings: tuple = ()
+    __slots__ = ()
 
 
 def execute_problem(problem, rule, overrides=None):

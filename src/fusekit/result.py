@@ -1,35 +1,28 @@
 """Combination outcomes: the fused bba plus its conflict audit trail."""
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .mass import MassFunction
+from .frame import Value
 
 # A share divided out by normalisation: it lands nowhere and is not lost.
 NORMALISED = "divided out"
 
 
-@dataclass(frozen=True)
-class Partial:
+class Partial(namedtuple("Partial", "operands mass shares basis note", defaults=("", ""))):
     """One conflicting product and where its mass went.
 
     ``shares`` pairs destinations with amounts: an element, ``None``
     (lost: no admissible recipient) or ``NORMALISED`` (divided out).
     """
 
-    operands: tuple
-    mass: float
-    shares: tuple
-    basis: str = ""
-    note: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConflictReport:
+class ConflictReport(namedtuple("ConflictReport", "k12 partials", defaults=((),))):
     """Total conflicting mass and the per-product redistribution ledger."""
 
-    k12: float
-    partials: tuple = ()
+    __slots__ = ()
 
     @property
     def lost(self):
@@ -44,15 +37,15 @@ class ConflictReport:
         return out
 
 
-@dataclass(frozen=True)
-class FusionResult:
-    """A combined mass function together with how conflict was handled."""
+class FusionResult(Value):
+    """A combined mass function together with how conflict was handled.
 
-    combined: MassFunction
-    conflict: ConflictReport
-    rule: str = ""
-    warnings: tuple = ()
-    sources: tuple = ()
-    # Populated by rules that can produce signed pseudo-masses (the
-    # cautious rule): {element: signed mass}.  None everywhere else.
-    signed_masses: dict = None
+    ``signed_masses`` is set by rules that can produce signed
+    pseudo-masses (the cautious rule): {element: signed mass}.  None
+    everywhere else.
+    """
+
+    __slots__ = ("combined", "conflict", "rule", "warnings", "sources", "signed_masses")
+
+    def __init__(self, combined, conflict, rule="", warnings=(), sources=(), signed_masses=None):
+        self._set(combined, conflict, rule, warnings, sources, signed_masses)

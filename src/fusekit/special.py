@@ -3,7 +3,6 @@ consensus operator on opinions, T-norm and T-conorm fusion, the
 cautious commonality-min rule, and degree-improved rule variants."""
 
 import math
-from dataclasses import replace
 
 from .errors import DegenerateConsensusError, FrameTooLargeError, RuleError
 from .classic import (
@@ -223,8 +222,8 @@ def cautious_commonality_min(m1, m2):
     ledger = Ledger((m1, m2))
     for els, p, empty in ledger.stored(MassFunction(frame, positives)):
         ledger.book(els, p, ((empty, p),), "commonality minimum", "pooled conflict")
-    return replace(ledger.finish("cautious", warnings),
-                   signed_masses=signed if negatives else None)
+    return ledger.finish("cautious", warnings)._replace(
+        signed_masses=signed if negatives else None)
 
 
 # -- degree-improved rule variants ---------------------------------------

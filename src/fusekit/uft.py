@@ -10,7 +10,7 @@ pair, falling back to keeping non-empty intersections and to the union
 for model-empty ones.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import FrameMismatchError, RuleError
 from .classic import (
@@ -126,16 +126,16 @@ def uft_combine(sources, config=None):
 
     # Reliability stage: pick the expansion.
     if config.reliability == "at-least-one":
-        return replace(disjunctive(*sources), rule="uft")
+        return disjunctive(*sources)._replace(rule="uft")
     if config.reliability == "exactly-one":
-        return replace(exclusive_disjunctive(*sources), rule="uft")
+        return exclusive_disjunctive(*sources)._replace(rule="uft")
     if config.reliability == "mixed":
         if config.mixed_expr is None:
             raise ValueError("mixed reliability needs a source combination expression")
-        return replace(mixed(sources, config.mixed_expr), rule="uft")
+        return mixed(sources, config.mixed_expr)._replace(rule="uft")
     if config.reliability == "statistical":
         weights = [1.0] * len(sources) if config.discounts is None else config.discounts
-        return replace(weighted_mixing(sources, weights), rule="uft")
+        return weighted_mixing(sources, weights)._replace(rule="uft")
 
     effective = sources
     if config.reliability == "discounts":
@@ -222,7 +222,7 @@ def uft_combine(sources, config=None):
     result = ledger.finish("uft", open_world=(
         "mass on the empty set in a closed world" if config.world == "closed"
         else "open-world mass on the empty set"))
-    return replace(result, sources=sources)
+    return result._replace(sources=sources)
 
 
 def _validate_attitude(frame, att):
@@ -268,8 +268,8 @@ def dynamic_update(state, new_empty, transfer_rule="dsmh", **params):
     total = result.combined.total
     if total < 1.0 - 1e-9:
         warnings += (f"incomplete: sum={total:.6f}",)
-    return replace(result, rule=result.rule or transfer_rule,
-                   warnings=warnings, sources=tuple(new_sources))
+    return result._replace(rule=result.rule or transfer_rule,
+                           warnings=warnings, sources=tuple(new_sources))
 
 
 # -- quasi-associative combining ---------------------------------------------

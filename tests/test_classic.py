@@ -164,6 +164,18 @@ def test_dsm_hybrid_routes_by_operand_expression_not_by_element():
         {"A|B": 0.25, "A|B|C|D": 0.25, "A|C": 0.25, "C|D": 0.25}, abs=1e-15)
 
 
+def test_dsm_hybrid_routes_each_product_by_its_own_first_seen_parts():
+    # With B&D and C&D empty, D and ~(~D|C) are one atom set with the
+    # disjunctive forms D and A|D. Both products below hold the atom sets
+    # of C and D; each takes the form its own operands give.
+    f = Frame(tuple("ABCD")).constrain("B&D", "C&D")
+    m1 = MassFunction(f, {"C": 0.5, "~(~D|C)": 0.5})
+    m2 = MassFunction(f, {"D": 0.5, "C": 0.5})
+    routes = [([el.display for el in p.operands], p.shares[0][0].display)
+              for p in dsm_hybrid(m1, m2).conflict.partials]
+    assert routes == [(["C", "D"], "C|D"), (["D", "C"], "A|C|D")]
+
+
 def test_each_operand_expression_is_reduced_once_per_call(monkeypatch):
     f = Frame.shafer(tuple("ABCDEF"))
     texts = ("A|B", "A&B|C", "(A|B)&(B|C)", "C|D|E", "E&F", "D", "(A|E)&(E|F)", "B|F")

@@ -6,6 +6,7 @@ import ast
 import json
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -14,7 +15,11 @@ import textwrap
 import pytest
 
 import fusekit
-from fusekit.registry import selectors
+from fusekit.frame import Frame, IntervalElement, ModelConstraints
+from fusekit.mass import MassFunction, Opinion
+from fusekit.problem import ProblemFile
+from fusekit.registry import Outcome, RuleSpec, selectors
+from fusekit.result import ConflictReport, FusionResult, Partial
 
 PACKAGE = pathlib.Path(fusekit.__file__).parent
 
@@ -102,6 +107,21 @@ def test_a_run_loads_only_its_rules_modules(tmp_path, rule, extra):
     )} | extra
 
 
+@pytest.mark.parametrize("rule", ["dempster", "pcr5"])
+def test_a_run_creates_no_dataclass(tmp_path, rule):
+    # dataclasses and the inspect it imports cost about 10 ms of start-up.
+    problem = tmp_path / "p.txt"
+    problem.write_text(SHAFER)
+    loaded = _fresh("""
+        import json, sys
+        from fusekit.cli import main
+        main(["--rule", sys.argv[1], "--input", sys.argv[2], "--export", sys.argv[3]])
+        print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+    """, rule, str(problem), str(tmp_path / "p.json"))
+    assert (tmp_path / "p.json").exists()
+    assert loaded == []
+
+
 def test_every_public_name_resolves_lazily():
     names = _fresh("""
         import json, fusekit
@@ -123,3 +143,43 @@ def test_every_public_name_resolves_lazily():
     assert names["all"] == sorted(names["all"]) and len(names["all"]) == 65
     assert names["resolved"] == names["star"] == names["dir"] == names["all"]
     assert names["unknown"] == "AttributeError"
+
+
+_FRAME = Frame.shafer(("A", "B"))
+# Each record type: a factory of one value, a field and another value for it.
+_VALUES = [
+    (lambda **kw: ModelConstraints(**{"kind": "hybrid", "empty_atoms": frozenset({3}), **kw}),
+     "kind", "free"),
+    (lambda **kw: IntervalElement(**{"lo": 1, "hi": 3, **kw}), "hi", 4.0),
+    (lambda **kw: Opinion(**{"belief": 0.2, "disbelief": 0.3, "uncertainty": 0.5,
+                             "atomicity": 0.5, **kw}), "atomicity", 0.25),
+    (lambda **kw: Partial(**{"operands": (), "mass": 0.1, "shares": ((None, 0.1),), **kw}),
+     "mass", 0.2),
+    (lambda **kw: ConflictReport(**{"k12": 0.1, **kw}), "k12", 0.2),
+    (lambda **kw: FusionResult(**{"combined": MassFunction.vacuous(_FRAME),
+                                  "conflict": ConflictReport(0.0), **kw}), "rule", "x"),
+    (lambda **kw: ProblemFile(**{"frame": _FRAME, **kw}), "model_kind", "shafer"),
+    (lambda **kw: RuleSpec(**{"name": "r", "combine": None, **kw}), "mode", "opinion"),
+    (lambda **kw: Outcome(**{"kind": "mass", **kw}), "kind", "opinion"),
+]
+
+
+@pytest.mark.parametrize("make, field, other", _VALUES,
+                         ids=[make().__class__.__name__ for make, _, _ in _VALUES])
+def test_records_are_immutable_values(make, field, other):
+    value = make()
+    assert value == make() and value != make(**{field: other})
+    if isinstance(value, ProblemFile):  # unhashable: its list and dicts are its own
+        assert value.sources is not make().sources and value.discounts is not make().discounts
+    else:
+        assert hash(value) == hash(make())
+    with pytest.raises(AttributeError):
+        setattr(value, field, other)
+    changed = value._replace(**{field: other})
+    assert changed == make(**{field: other}) and value == make()
+    assert pickle.loads(pickle.dumps(value)) == value
+    names = value._fields if isinstance(value, tuple) else value.__slots__
+    fields = tuple(getattr(value, name) for name in names)
+    # Public value types neither are nor equal tuples; the records are tuples.
+    public = (FusionResult, IntervalElement, Opinion, ProblemFile)
+    assert (value == fields) is not isinstance(value, public)

@@ -36,7 +36,6 @@ Standard library only.
 import json
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -61,7 +60,7 @@ def _runs(problem):
             if resolve(name).mode == "mass" and not resolve(name).needs]
     return runs + [
         ("inagaki", problem, {"p": 0.5}),
-        ("conditional", replace(problem, sources=problem.sources[:1]),
+        ("conditional", problem._replace(sources=problem.sources[:1]),
          {"given": first, "base": "dempster"}),
         ("mixed", problem, {"expr": "1|2" if n == 2 else "(1&2)|3"}),
         ("mixing", problem, {"weights": [1.0] * n}),
