@@ -75,6 +75,75 @@ def _ignorance(frame):
 
 # -- the shared expansion and routing core ----------------------------------
 
+# A pooled prefix's mass times the least masses still to come stays at or
+# above this, far above the subnormals, so none of its products rounds to zero.
+_POOL_FLOOR = 2.0 ** -960
+
+
+def _safety(op, levels):
+    """For each level but the last, the (bound, floor) that make a prefix
+    safe: ``op`` joins its mask with ``bound`` to a non-empty mask, so no
+    completion lands empty, and its mass times ``floor`` stays at or above
+    ``_POOL_FLOOR``, so none weighs zero.  Under ``and`` the bound is the
+    suffix meet, the AND of every focal mask of the sources still to
+    come; under ``or`` it is 0, the prefix's own mask.  ``floor`` is the
+    product of those sources' least masses, each capped at 1.  None under
+    ``xor``, on two sources (each prefix is one focal element, so pooling
+    merges nothing), or when no prefix can be safe."""
+    if op not in ("and", "or") or len(levels) < 3:
+        return None
+    safety, meet, floor = [], -1 if op == "and" else 0, 1.0
+    for level in reversed(levels[1:]):
+        for _, _, k in level:
+            meet &= k
+        # The last source's meet holds every other level's.
+        if not (meet or safety or op == "or"):
+            return None
+        floor *= min(1.0, *(m for _, m, _ in level))
+        safety.append((meet, floor))
+    return safety[::-1]
+
+
+def _pool(table, mask, p, index):
+    """Add mass ``p`` at product ``index`` to the entry for ``mask``."""
+    if (entry := table.get(mask)) is None:
+        table[mask] = [p, index]
+    else:
+        entry[0] += p
+        if index < entry[1]:
+            entry[1] = index
+
+
+def _pool_safe(table, prefixes, join, bound, floor):
+    """Pool the safe prefixes into ``table``; the unsafe ones, in order."""
+    unsafe = []
+    for prefix in prefixes:
+        _, p, mask, i = prefix
+        if join(mask, bound) and p * floor >= _POOL_FLOOR:
+            _pool(table, mask, p, i)
+        else:
+            unsafe.append(prefix)
+    return unsafe
+
+
+def _push(table, level, join, size):
+    """A mask table's entries, each joined with every focal of the next
+    source, pooled as ``_pool`` does (inlined: this is the merged walk's
+    inner loop)."""
+    out = {}
+    for mask, (p, i) in table.items():
+        i *= size
+        for r, (_, m, k) in enumerate(level):
+            k = join(mask, k)
+            if (entry := out.get(k)) is None:
+                out[k] = [p * m, i + r]
+            else:
+                entry[0] += p * m
+                if i + r < entry[1]:
+                    entry[1] = i + r
+    return out
+
+
 class Ledger:
     """Landed mass and the conflict audit trail of one combination.
 
@@ -101,39 +170,95 @@ class Ledger:
         The one loop over focal products, in ``itertools.product`` order.
         Every source but the last is walked level by level: each prefix
         carries its operands, mass product (left to right, as
-        ``math.prod``) and masks joined by ``op``.  A product weighs its
-        mass product and lands on ``landing(mask)``; a ``leaf(els, p,
-        mask)`` returns (weight, landing) instead.  A product of zero
-        weight is skipped; one whose landing is empty or ``claim(els,
-        landing)`` holds conflicts and is yielded as (operands, weight,
-        landing).  Products land as the caller iterates: a transfer that
-        books each conflict as it comes books in enumeration order, one
-        that needs every landing first takes ``list(conflicts)``.
+        ``math.prod``), masks joined by ``op`` and its index among its
+        level's prefixes.  A product weighs its mass product and lands on
+        ``landing(mask)``; a ``leaf(els, p, mask)`` returns (weight,
+        landing) instead.  A product of zero weight is skipped; one whose
+        landing is empty or ``claim(els, landing)`` holds conflicts and is
+        yielded as (operands, weight, landing).  Products land as the
+        caller iterates: a transfer that books each conflict as it comes
+        books in enumeration order, one that needs every landing first
+        takes ``list(conflicts)``.
+
+        With no claim and no leaf, a walked product builds its operands
+        only to conflict, and under ``and`` or ``or`` on three or more
+        sources a prefix that ``_safety`` calls safe can neither conflict
+        nor weigh zero, so its operands are never read.  Safe prefixes
+        are pooled into one mask → [mass, least product index] table per
+        level, and the table is pushed level by level, as in the fast
+        Möbius transform (Kennes, 1992).  Unsafe prefixes are walked one
+        by one, so the conflicting products, their weights and ``k12``
+        are the plain loop's, bit for bit.  The table's last-level
+        landings go into ``acc`` in index order, each before the first
+        unsafe prefix past its least index, so ``acc`` keeps the plain
+        loop's first-landing order, interleaved as before with the shares
+        a transfer books mid-walk.  A merged landing's mass is the sum of
+        its merged terms, so its last bits may differ from the plain
+        loop's.
         """
         join = CONNECTIVES[op]
         # An interval has no mask: only a leaf lands interval products.
         levels = [tuple((el, m, getattr(el, "mask", 0)) for el, m in src.items())
                   for src in self.sources]
-        prefixes = [((el,), m, k) for el, m, k in levels[0]]
-        for level in levels[1:-1]:
-            prefixes = [((*els, el), p * m, join(mask, k))
-                        for els, p, mask in prefixes for el, m, k in level]
+        safety = _safety(op, levels) if claim is None and leaf is None else None
+        prefixes, table = [((el,), m, k, i) for i, (el, m, k) in enumerate(levels[0])], {}
+        if safety is not None:
+            prefixes = _pool_safe(table, prefixes, join, *safety[0])
+        for depth, level in enumerate(levels[1:-1], 1):
+            size = len(level)
+            if table:
+                table = _push(table, level, join, size)
+            prefixes = [((*els, el), p * m, join(mask, k), i * size + r)
+                        for els, p, mask, i in prefixes for r, (el, m, k) in enumerate(level)]
+            if safety is not None:
+                prefixes = _pool_safe(table, prefixes, join, *safety[depth])
+        last = levels[-1]
+        size = len(last)
+        # The merged landings, least product index last.
+        pending = sorted(((i, mask, w) for mask, (w, i) in _push(table, last, join, size).items()),
+                         reverse=True) if table else []
         acc, landings = self.acc, self._landings
-        for prefix, p, mask in prefixes:
-            for el, m, k in levels[-1]:
-                els = (*prefix, el)
-                if leaf is None:
-                    w, k = p * m, join(mask, k)
+        if claim is not None or leaf is not None:
+            for prefix, p, mask, _ in prefixes:
+                for el, m, k in last:
+                    els = (*prefix, el)
+                    if leaf is None:
+                        w, k = p * m, join(mask, k)
+                        landing = landings.get(k) or self.landing(k)
+                    else:
+                        w, landing = leaf(els, p * m, join(mask, k))
+                    if not w:
+                        continue
+                    if not landing.is_empty and (claim is None or not claim(els, landing)):
+                        acc[landing] = acc.get(landing, 0.0) + w
+                        continue
+                    self.k12 += w
+                    yield els, w, landing
+            return
+        # With no claim and no leaf, only a conflict reads its operands.
+        empty = self.landing(0)
+        for prefix, p, mask, i in prefixes:
+            if pending and pending[-1][0] < i * size:
+                self._flush(pending, i * size)
+            for el, m, k in last:
+                if not (w := p * m):
+                    continue
+                if k := join(mask, k):
                     landing = landings.get(k) or self.landing(k)
-                else:
-                    w, landing = leaf(els, p * m, join(mask, k))
-                if not w:
-                    continue
-                if not landing.is_empty and (claim is None or not claim(els, landing)):
                     acc[landing] = acc.get(landing, 0.0) + w
-                    continue
-                self.k12 += w
-                yield els, w, landing
+                else:
+                    self.k12 += w
+                    yield (*prefix, el), w, empty
+        if pending:
+            self._flush(pending, math.inf)
+
+    def _flush(self, pending, before):
+        """Land the merged landings whose least product index is below ``before``."""
+        acc, landings = self.acc, self._landings
+        while pending and pending[-1][0] < before:
+            _, mask, w = pending.pop()
+            landing = landings.get(mask) or self.landing(mask)
+            acc[landing] = acc.get(landing, 0.0) + w
 
     def landing(self, mask):
         """The one Element this combination lands on for a survivor mask."""

@@ -10,8 +10,6 @@ pair, falling back to keeping non-empty intersections and to the union
 for model-empty ones.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import FrameMismatchError, RuleError
 from .classic import (
     Ledger,
@@ -28,6 +26,7 @@ from .classic import (
     mixed,
     weighted_mixing,
 )
+from .frame import Value
 from .mass import MassFunction
 from .pcr import _column_averages, _column_sums, _pcr5_split
 from .problem import CASE_TO_KIND, CASES
@@ -42,24 +41,20 @@ _RELIABILITY_MODES = (
 )
 
 
-@dataclass(frozen=True)
-class Attitude:
+class Attitude(Value):
     """How a contested product term should be routed."""
 
-    kind: str
-    right: object = None
-    recipients: tuple = ()
+    __slots__ = ("kind", "right", "recipients")
 
-    def __post_init__(self):
-        if self.kind not in _ATTITUDE_KINDS:
-            raise ValueError(f"unknown attitude kind {self.kind!r}")
-        if self.kind == "right" and self.right is None:
+    def __init__(self, kind, right=None, recipients=()):
+        if kind not in _ATTITUDE_KINDS:
+            raise ValueError(f"unknown attitude kind {kind!r}")
+        if kind == "right" and right is None:
             raise ValueError("attitude 'right' needs the right element")
-        object.__setattr__(self, "recipients", tuple(self.recipients))
+        self._set(kind, right, tuple(recipients))
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Value):
     """Declared knowledge about sources and conflicts.
 
     ``pair_attitudes`` keys are frozensets of the operand elements of a
@@ -67,23 +62,22 @@ class ScenarioConfig:
     whether or not its intersection is empty.  ``default_attitude``
     applies to contested pairs without a declared attitude; contested
     means the landing is empty or a proper refinement of every operand.
+    Each config has its own ``pair_attitudes`` dict, so it is unhashable.
     """
 
-    reliability: str = "all-reliable"
-    world: str = "closed"
-    discounts: tuple = None
-    mixed_expr: object = None
-    pair_attitudes: dict = field(default_factory=dict)
-    default_attitude: Attitude = None
-    case: str = None
+    __slots__ = ("reliability", "world", "discounts", "mixed_expr", "pair_attitudes",
+                 "default_attitude", "case")
 
-    def __post_init__(self):
-        if self.reliability not in _RELIABILITY_MODES:
-            raise ValueError(f"unknown reliability mode {self.reliability!r}")
-        if self.world not in ("open", "closed"):
-            raise ValueError(f"world must be 'open' or 'closed', got {self.world!r}")
-        if self.discounts is not None:
-            object.__setattr__(self, "discounts", tuple(float(f) for f in self.discounts))
+    def __init__(self, reliability="all-reliable", world="closed", discounts=None,
+                 mixed_expr=None, pair_attitudes=None, default_attitude=None, case=None):
+        if reliability not in _RELIABILITY_MODES:
+            raise ValueError(f"unknown reliability mode {reliability!r}")
+        if world not in ("open", "closed"):
+            raise ValueError(f"world must be 'open' or 'closed', got {world!r}")
+        if discounts is not None:
+            discounts = tuple(float(f) for f in discounts)
+        self._set(reliability, world, discounts, mixed_expr,
+                  {} if pair_attitudes is None else pair_attitudes, default_attitude, case)
 
     @classmethod
     def for_case(cls, case, right=None, recipients=(), world=None, discounts=None):
@@ -287,20 +281,31 @@ _STORE_RULES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class QuasiAssociativeState:
+class QuasiAssociativeState(Value):
     """Running conjunctive product over a growing source sequence.
 
     The stored product makes conjunctive-based rules incremental: add a
     source, then re-apply the rule's transfer step to the store.  The
     sources themselves are kept for rules whose transfer step needs
-    them.
+    them.  States are equal, and hash alike, by their sources alone.
     """
 
-    sources: tuple
-    # The product of the first ``_folded`` sources.
-    _base: MassFunction = field(compare=False, repr=False)
-    _folded: int = field(compare=False, repr=False)
+    # ``_base`` is the product of the first ``_folded`` sources.
+    __slots__ = ("sources", "_base", "_folded")
+
+    def __init__(self, sources, _base, _folded):
+        self._set(sources, _base, _folded)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.sources == other.sources
+
+    def __hash__(self):
+        return hash(self.sources)
+
+    def __repr__(self):
+        return f"QuasiAssociativeState(sources={self.sources!r})"
 
     @classmethod
     def start(cls, m):

@@ -20,6 +20,7 @@ from fusekit.mass import MassFunction, Opinion
 from fusekit.problem import ProblemFile
 from fusekit.registry import Outcome, RuleSpec, selectors
 from fusekit.result import ConflictReport, FusionResult, Partial
+from fusekit.uft import Attitude, QuasiAssociativeState, ScenarioConfig
 
 PACKAGE = pathlib.Path(fusekit.__file__).parent
 
@@ -107,7 +108,7 @@ def test_a_run_loads_only_its_rules_modules(tmp_path, rule, extra):
     )} | extra
 
 
-@pytest.mark.parametrize("rule", ["dempster", "pcr5"])
+@pytest.mark.parametrize("rule", ["dempster", "pcr5", "uft"])
 def test_a_run_creates_no_dataclass(tmp_path, rule):
     # dataclasses and the inspect it imports cost about 10 ms of start-up.
     problem = tmp_path / "p.txt"
@@ -161,6 +162,12 @@ _VALUES = [
     (lambda **kw: ProblemFile(**{"frame": _FRAME, **kw}), "model_kind", "shafer"),
     (lambda **kw: RuleSpec(**{"name": "r", "combine": None, **kw}), "mode", "opinion"),
     (lambda **kw: Outcome(**{"kind": "mass", **kw}), "kind", "opinion"),
+    (lambda **kw: Attitude(**{"kind": "right", "right": _FRAME.label("A"), **kw}),
+     "recipients", (_FRAME.label("B"),)),
+    (lambda **kw: ScenarioConfig(**{"case": "1", **kw}), "world", "open"),
+    (lambda **kw: QuasiAssociativeState(**{"sources": (MassFunction.vacuous(_FRAME),),
+                                           "_base": None, "_folded": 0, **kw}),
+     "sources", ()),
 ]
 
 
@@ -171,6 +178,8 @@ def test_records_are_immutable_values(make, field, other):
     assert value == make() and value != make(**{field: other})
     if isinstance(value, ProblemFile):  # unhashable: its list and dicts are its own
         assert value.sources is not make().sources and value.discounts is not make().discounts
+    elif isinstance(value, ScenarioConfig):  # unhashable: its dict is its own
+        assert value.pair_attitudes is not make().pair_attitudes
     else:
         assert hash(value) == hash(make())
     with pytest.raises(AttributeError):
@@ -181,5 +190,6 @@ def test_records_are_immutable_values(make, field, other):
     names = value._fields if isinstance(value, tuple) else value.__slots__
     fields = tuple(getattr(value, name) for name in names)
     # Public value types neither are nor equal tuples; the records are tuples.
-    public = (FusionResult, IntervalElement, Opinion, ProblemFile)
+    public = (FusionResult, IntervalElement, Opinion, ProblemFile, Attitude, ScenarioConfig,
+              QuasiAssociativeState)
     assert (value == fields) is not isinstance(value, public)

@@ -666,19 +666,76 @@ def _contested(els, mask):
     return all(mask != el.mask for el in els)
 
 
+def _walk_against_the_plain_loop(sources, op, claim=None):
+    """Expand ``sources`` and check the conflicts against the oracle's
+    plain product loop: the same operands (by identity), order, weights
+    and k12.  Returns the landed masses both ways, in first-landing order."""
+    ledger = Ledger(sources)
+    got = list(ledger.expand(op, claim and (lambda els, landing: claim(els, landing.mask))))
+    conflicts, k12, acc = oracles.expand_products(sources, op, claim)
+    assert len(got) == len(conflicts), op
+    for (els, p, landing), (want_els, want_p, want_mask) in zip(got, conflicts):
+        assert len(els) == len(want_els) and all(map(operator.is_, els, want_els)), op
+        assert p == want_p, (op, p, want_p)
+        assert landing.mask == want_mask, op
+    assert ledger.k12.hex() == k12.hex(), op
+    return [(el.mask, v) for el, v in ledger.acc.items()], acc
+
+
+def _landed_alike(got, want, op):
+    """Merged landings against the plain loop's: the same masks in the same
+    first-landing order, their masses within 1e-12."""
+    assert [k for k, _ in got] == [k for k, _ in want], op
+    assert all(abs(v - w) <= 1e-12 for (_, v), (_, w) in zip(got, want)), op
+
+
 @given(walk_sources())
 def test_product_walk_matches_the_plain_product_loop(sources):
     for op, claim in (("and", None), ("or", None), ("xor", None), ("and", _contested)):
-        ledger = Ledger(sources)
-        got = list(ledger.expand(op, claim and (lambda els, landing: claim(els, landing.mask))))
-        conflicts, k12, acc = oracles.expand_products(sources, op, claim)
-        assert len(got) == len(conflicts), op
-        for (els, p, landing), (want_els, want_p, want_mask) in zip(got, conflicts):
-            assert len(els) == len(want_els) and all(map(operator.is_, els, want_els)), op
-            assert p == want_p, (op, p, want_p)
-            assert landing.mask == want_mask, op
-        assert ledger.k12.hex() == k12.hex(), op
-        assert [(el.mask, v) for el, v in ledger.acc.items()] == acc, op
+        got, want = _walk_against_the_plain_loop(sources, op, claim)
+        if op == "xor" or claim is not None:
+            assert got == want, op
+        else:
+            _landed_alike(got, want, op)
+
+
+MERGE_FRAMES = (
+    Frame(("A", "B", "C", "D")),
+    Frame(("A", "B", "C", "D")).constrain("A&B"),
+    Frame(("A", "B", "C", "D")).constrain("A&C", "B&D"),
+)
+
+
+@st.composite
+def merge_sources(draw):
+    """Three to six sources of label unions and label intersections.  On
+    the free frame every such set holds the atom of all labels, so every
+    prefix is safe.  On the hybrid frames every focal set of the last
+    source holds one shared label, so the suffix meets are not empty and
+    prefixes that meet them interleave with prefixes that do not."""
+    frame = draw(st.sampled_from(MERGE_FRAMES))
+    names = frame.names
+    shared = draw(st.sampled_from(names))
+    count = draw(st.integers(min_value=3, max_value=6))
+    labels = st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True).map(sorted)
+    sources = []
+    for i in range(count):
+        if i < count - 1:
+            sets = st.tuples(st.sampled_from("|&"), labels).map(lambda c: c[0].join(c[1]))
+        else:
+            sets = labels.map(lambda ls: "|".join(sorted({shared, *ls})))
+        texts = draw(st.lists(sets, min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(min_value=1, max_value=100),
+                                min_size=len(texts), max_size=len(texts)))
+        sources.append(MassFunction(frame, [(t, w / sum(weights))
+                                            for t, w in zip(texts, weights)]))
+    return sources
+
+
+@given(merge_sources())
+def test_merged_walk_matches_the_plain_product_loop(sources):
+    for op in ("and", "or"):
+        _landed_alike(*_walk_against_the_plain_loop(sources, op), op)
 
 
 # -- the mask algebra against brute force over atom sets ---------------------

@@ -1,7 +1,6 @@
 """Scenario engine: attitudes, reliability stages, routing, updates."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -693,7 +692,7 @@ def test_an_empty_pair_table_is_never_probed(scenario_sources, shafer2):
     for sources in (scenario_sources, exclusive):
         for config in (ScenarioConfig(), ScenarioConfig.for_case("1.2.1")):
             table = _CountingTable()
-            out = uft_combine(sources, replace(config, pair_attitudes=table))
+            out = uft_combine(sources, config._replace(pair_attitudes=table))
             assert table.probes == 0
             assert out == uft_combine(sources, config)
 
@@ -705,9 +704,9 @@ def test_a_one_pair_table_resolves_each_product_once():
     pair = frozenset((f.parse("A|B"), f.parse("B|C")))
     for config in (ScenarioConfig(), ScenarioConfig.for_case("1.2.1")):
         table = _CountingTable({pair: Attitude("union")})
-        out = uft_combine((m1, m2), replace(config, pair_attitudes=table))
+        out = uft_combine((m1, m2), config._replace(pair_attitudes=table))
         assert table.probes == 6  # one per product of the 3x2 table
-        assert out == uft_combine((m1, m2), replace(config, pair_attitudes=dict(table)))
+        assert out == uft_combine((m1, m2), config._replace(pair_attitudes=dict(table)))
         claimed, = (q for q in out.conflict.partials if frozenset(q.operands) == pair)
         assert claimed.shares == ((f.parse("A|B|C"), pytest.approx(0.2 * 0.4)),)
 
