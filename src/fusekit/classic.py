@@ -34,11 +34,6 @@ def _add(acc, element, mass):
     acc[element] = acc.get(element, 0.0) + mass
 
 
-def _union_element(els):
-    """The element of the union of the operands' atoms."""
-    return Element(els[0].frame, fold("or", (el.mask for el in els)))
-
-
 def _subset_unions(els):
     """Distinct non-empty unions of each non-empty subset of the operands.
 
@@ -48,7 +43,7 @@ def _subset_unions(els):
     seen = set()
     for r in range(1, len(els) + 1):
         for combo in itertools.combinations(els, r):
-            el = combo[0] if r == 1 else _union_element(combo)
+            el = combo[0] if r == 1 else Element(els[0].frame, fold("or", (e.mask for e in combo)))
             if not el.is_empty and el.mask not in seen:
                 seen.add(el.mask)
                 yield el
@@ -265,6 +260,13 @@ class Ledger:
         if (el := self._landings.get(mask)) is None:
             el = self._landings[mask] = Element(self.frame, mask)
         return el
+
+    def union(self, els):
+        """The landing of the union of the operands' atoms."""
+        mask = 0
+        for el in els:
+            mask |= el.mask
+        return self.landing(mask)
 
     def stored(self, product):
         """Land a stored conjunctive product, as ``expand`` lands the
@@ -492,8 +494,7 @@ def dubois_prade(*sources):
     ignorance = ledger.frame.ignorance()
     lost = 0.0
     for els, p, _ in ledger.expand():
-        recipients = _conflict_operands(els, ignorance)
-        union = _union_element(recipients) if recipients else ledger.frame.empty()
+        union = ledger.union(_conflict_operands(els, ignorance))
         if union.is_empty:
             lost += p
             ledger.book(els, p, ((None, p),), note="union also empty; lost")

@@ -159,36 +159,35 @@ class ResultTable:
         doc["warnings"] = list(self.warnings)
         result = outcome.result
         if result is not None:
-            # Each operand's display and expression text, once per table.
-            # Keyed by identity: elements with equal atoms may carry
-            # different expressions.
-            names = {}
+            # Each element's display once per table, and its expression's
+            # text where that differs.  Keyed by identity: elements with
+            # equal atoms may carry different expressions.
+            displays, texts = {id(NORMALISED): NORMALISED}, {}
 
             def name(el):
-                entry = names.get(id(el))
-                if entry is None:
-                    entry = names[id(el)] = (el.display, render_expression(el.expr))
-                return entry
+                if el is None:
+                    return None
+                display = displays[id(el)] = el.display
+                if (text := render_expression(el.expr)) != display:
+                    texts[id(el)] = text
+                return display
 
-            doc["ledger"] = []
+            ledger = doc["ledger"] = []
             for p in result.conflict.partials:
-                named = [name(el) for el in p.operands]
-                shown = [display for display, _ in named]
-                exprs = [text for _, text in named]
-                doc["ledger"].append({
+                els = p.operands
+                shown = [displays.get(id(el)) or name(el) for el in els]
+                ledger.append({
                     "operands": shown,
                     # A ledger can hold tens of thousands of partials: where
                     # every operand displays as written, the displays' list
                     # is shared.
-                    "operand_exprs": shown if exprs == shown else exprs,
+                    "operand_exprs": [texts.get(id(el), d) for el, d in zip(els, shown)]
+                    if texts and any(id(el) in texts for el in els) else shown,
                     "mass": p.mass,
                     "basis": p.basis,
                     "note": p.note,
-                    "shares": [
-                        {"to": dest if dest is None or dest is NORMALISED else dest.display,
-                         "mass": v}
-                        for dest, v in p.shares
-                    ],
+                    "shares": [{"to": displays.get(id(dest)) or name(dest), "mass": v}
+                               for dest, v in p.shares],
                 })
             if result.signed_masses:
                 doc["signed_masses"] = [

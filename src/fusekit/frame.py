@@ -713,15 +713,19 @@ class Reductions:
 
     The memo is keyed by expression, never by Element: elements compare
     by atoms, and on a Shafer frame A&B and C&D are one empty element
-    with different disjunctive forms.
+    with different disjunctive forms.  An operand seen before is found
+    by identity first; its entry holds it, so its id is not reused while
+    the memo lives.
     """
 
-    __slots__ = ("frame", "_operands", "_indices", "_below", "_forms", "_masks", "_ambiguous")
+    __slots__ = ("frame", "_operands", "_held", "_indices", "_below", "_forms", "_masks",
+                 "_ambiguous")
 
     def __init__(self, frame):
         self.frame = frame
         # expression -> (its reduced parts, their index bits, its own label mask)
         self._operands = {}
+        self._held = {}  # id(operand) -> its expression's entry and the operand
         self._indices = {}  # part survivor mask -> its index
         self._below = []  # index -> bits of the indices of its strict subsets
         self._forms = {}  # bits of a product's part indices -> its disjunctive form
@@ -746,9 +750,12 @@ class Reductions:
             self._ambiguous |= 1 << index
         return index
 
-    def _operand(self, expr):
-        """An operand expression's reduced parts, their index bits and its
-        own label mask."""
+    def _operand(self, el):
+        """An operand's reduced parts, their index bits, its expression's
+        own label mask, and the operand."""
+        if (held := self._held.get(id(el))) is not None:
+            return held
+        expr = el.expr
         entry = self._operands.get(expr)
         if entry is None:
             frame = self.frame
@@ -760,13 +767,14 @@ class Reductions:
                                    Element(frame, mask, node)))
                 bits |= 1 << parts[-1].index
             entry = self._operands[expr] = (parts, bits, _disjunctive_mask(frame, expr))
-        return entry
+        held = self._held[id(el)] = (*entry, el)
+        return held
 
     def parts(self, els):
         """The parts of the operands' reduced intersection, first seen first."""
         present, seen = 0, []
         for el in els:
-            for part in self._operand(el.expr)[0]:
+            for part in self._operand(el)[0]:
                 if not present >> part.index & 1:
                     present |= 1 << part.index
                     seen.append(part)
@@ -774,9 +782,9 @@ class Reductions:
 
     def disjunctive(self, els):
         """The disjunctive form of the operands' reduced intersection."""
-        present = 0
+        held, present = self._held, 0
         for el in els:
-            present |= self._operand(el.expr)[1]
+            present |= (held.get(id(el)) or self._operand(el))[1]
         form = self._forms.get(present)
         if form is None or present & self._ambiguous:
             mask = 0
@@ -791,7 +799,7 @@ class Reductions:
         """The union of the operands' own disjunctive forms."""
         mask = 0
         for el in els:
-            mask |= self._operand(el.expr)[2]
+            mask |= self._operand(el)[2]
         return self.frame._label_union(mask)
 
 

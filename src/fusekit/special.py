@@ -11,7 +11,6 @@ from .classic import (
     _common_frame,
     _normalise,
     _subset_unions,
-    _union_element,
 )
 from .frame import INTERVAL_FRAME, IntervalElement, degree_intersection, degree_union
 from .mass import MassFunction, Opinion
@@ -229,7 +228,7 @@ def cautious_commonality_min(m1, m2):
 # -- degree-improved rule variants ---------------------------------------
 
 def _to_union(ledger, els, p):
-    ledger.book(els, p, ((_union_element(els), p),), "union degree",
+    ledger.book(els, p, ((ledger.union(els), p),), "union degree",
                 "pre-normalization share")
 
 

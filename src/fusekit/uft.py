@@ -18,7 +18,6 @@ from .classic import (
     _inagaki,
     _retain,
     _to_ignorance,
-    _union_element,
     _weigh,
     conjunctive,
     disjunctive,
@@ -194,7 +193,7 @@ def uft_combine(sources, config=None):
                 ledger.escalate(els, p, ledger.reductions.joint_disjunctive(els),
                                 note, basis, suffix="", degenerate=note)
         elif att.kind == "union":
-            ledger.escalate(els, p, _union_element(els), "to union of operands", basis,
+            ledger.escalate(els, p, ledger.union(els), "to union of operands", basis,
                             suffix="; union empty, to ignorance")
         elif att.kind == "ignorance":
             ledger.escalate(els, p, ignorance, "to total ignorance", basis,

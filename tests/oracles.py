@@ -5,7 +5,9 @@ bitmasks, written directly from the defining formulas.  Nothing calls
 back into the package: tests convert package output to this shape and
 compare the numbers.  The rule oracles assume sources without mass on
 the empty element; tests that exercise empty-focal sources check
-invariants instead of oracle equality.
+invariants instead of oracle equality.  ``export_ledger`` is the one
+exception: it reads the package's displays and expression text, and
+checks only how the export assembles them.
 """
 
 import functools
@@ -646,3 +648,21 @@ def audit(result, sources, params=None):
     elif not _close(total + lost, expected):
         problems.append(f"(c) total {total!r} + lost {lost!r}, expected {expected!r}")
     return problems
+
+
+def export_ledger(result):
+    """The ``ledger`` of a result's export, built partial by partial with no
+    memo: each operand's display and expression text, and each share's
+    destination display (None for lost mass; the divided-out label as
+    it is)."""
+    from fusekit.frame import render_expression
+
+    return [{
+        "operands": [el.display for el in p.operands],
+        "operand_exprs": [render_expression(el.expr) for el in p.operands],
+        "mass": p.mass,
+        "basis": p.basis,
+        "note": p.note,
+        "shares": [{"to": dest if dest is None or isinstance(dest, str) else dest.display,
+                    "mass": v} for dest, v in p.shares],
+    } for p in result.conflict.partials]

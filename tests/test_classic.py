@@ -3,6 +3,7 @@
 import pytest
 
 import fusekit.frame as frame_module
+from fusekit.frame import Reductions
 
 from fusekit import (
     Frame,
@@ -204,6 +205,28 @@ def test_each_operand_expression_is_reduced_once_per_call(monkeypatch):
         assert len(out.conflict.partials) > 2 * len(calls) > 0, len(calls)
         assert len(calls) == len(set(calls))
         assert set(calls) <= operands
+
+
+def test_reductions_hold_each_operand_they_find_by_identity():
+    # Operands are found by id() first. Once the temporary operand is
+    # dropped, CPython hands its memory, and so its id, to the next
+    # element of the same size, so a memo that did not hold its operands
+    # would route the fresh elements as the dropped one.
+    f = Frame.shafer(tuple("ABCD"))
+    exprs = [f.parse(t).expr for t in ("A|B", "B&C", "C|D", "(A|B)&(C|D)", "A&D", "D", "B|C|D")]
+    other = f.parse("B&D")
+    routes = (lambda r, els: r.disjunctive(els).mask,
+              lambda r, els: r.joint_disjunctive(els).mask,
+              lambda r, els: [part.element.expr for part in r.parts(els)])
+    reductions = Reductions(f)
+    temporary = frame_module.Element(f, f.eval_mask(exprs[0]), exprs[0])
+    reductions.disjunctive((temporary, other))
+    del temporary
+    for expr in exprs[1:] * 4:
+        for route in routes:
+            el = frame_module.Element(f, f.eval_mask(expr), expr)
+            assert route(reductions, (el, other)) == route(Reductions(f), (el, other)), expr
+            del el
 
 
 def test_dsm_hybrid_falls_back_to_ignorance_when_the_disjunctive_form_is_empty():

@@ -31,6 +31,7 @@ from fusekit import (
     inagaki,
     minc,
     murphy_average,
+    parse_problem,
     pcr1,
     pcr2,
     pcr3,
@@ -49,7 +50,7 @@ from fusekit import (
 from fusekit.classic import Ledger
 from fusekit.cli import build_table
 from fusekit.frame import parse_expression_text, render_expression
-from fusekit.golden import Outcome
+from fusekit.golden import GOLDEN_CASES, Outcome
 from fusekit.registry import resolve, selectors
 from fusekit.special import _IMPROVED_BASES, TCONORMS, TNORMS
 from fusekit.uft import CASE_TO_KIND
@@ -457,20 +458,55 @@ def _audit_counts(spec):
     return counts or [spec.max_sources]
 
 
-@given(audit_sources())
-def test_every_ledger_passes_the_audit(sources):
+def _mass_results(sources):
+    """(selector, count, sources, params, result) of every mass-mode
+    selector on the first ``count`` sources; refused runs are skipped."""
     for selector in selectors():
         spec = resolve(selector)
         if spec.mode != "mass":
             continue
         for count in _audit_counts(spec):
+            if count > len(sources):
+                continue
             srcs = sources[:count]
             params = _audit_params(selector, srcs[0].frame, count)
             try:
                 out = spec.combine(srcs, params)
             except (TotalConflictError, RuleError):
                 continue
-            assert oracles.audit(out, srcs, params) == [], (selector, count)
+            yield selector, count, srcs, params, out
+
+
+@given(audit_sources())
+def test_every_ledger_passes_the_audit(sources):
+    for selector, count, srcs, params, out in _mass_results(sources):
+        assert oracles.audit(out, srcs, params) == [], (selector, count)
+
+
+def _exported_operands(sources):
+    """Check every mass-mode selector's export ledger against the plain
+    build; return the (display, expression text) pairs of its operands."""
+    named = set()
+    for selector, count, _, _, out in _mass_results(sources):
+        outcome = Outcome("mass", frame=out.combined.frame, combined=out.combined, result=out,
+                          warnings=out.warnings)
+        ledger = build_table(outcome, selector).to_json_dict(outcome)["ledger"]
+        assert ledger == oracles.export_ledger(out), (selector, count)
+        named.update(pair for entry in ledger
+                     for pair in zip(entry["operands"], entry["operand_exprs"], strict=True))
+    return named
+
+
+@given(audit_sources())
+def test_export_ledger_matches_the_plain_build(sources):
+    _exported_operands(sources)
+
+
+def test_export_ledger_keeps_an_empty_operands_expression():
+    # The golden case's event empties B, so B displays as the empty set;
+    # its expression still names it.
+    case = next(c for c in GOLDEN_CASES if c.name == "column-average-degenerate")
+    assert ("∅", "B") in _exported_operands(parse_problem(case.text).final_sources())
 
 
 # uft under every scenario a problem file can declare: the reliability
