@@ -30,10 +30,6 @@ def _common_frame(sources, minimum=2):
     return frame
 
 
-def _add(acc, element, mass):
-    acc[element] = acc.get(element, 0.0) + mass
-
-
 def _subset_unions(els):
     """Distinct non-empty unions of each non-empty subset of the operands.
 
@@ -277,16 +273,18 @@ class Ledger:
                 self.k12 += p
                 yield (), p, el
             else:
-                _add(self.acc, el, p)
+                self.acc[el] = self.acc.get(el, 0.0) + p
 
     def book(self, els, p, shares, basis="", note=""):
         """Land a product's shares; None is lost and NORMALISED divided out.
-        A share lands on the ledger's own element for its mask, which
-        ``acc`` holds already when a product landed there."""
+        A share lands on the ledger's own element for its mask (``dest``
+        itself, found by identity, when it is that element already)."""
+        acc, landings = self.acc, self._landings
         for dest, share in shares:
             if dest is not None and dest is not NORMALISED:
-                _add(self.acc, self.landing(dest.mask), share)
-        self.partials.append(Partial(els, p, tuple(shares), basis=basis, note=note))
+                el = dest if landings.get(dest.mask) is dest else self.landing(dest.mask)
+                acc[el] = acc.get(el, 0.0) + share
+        self.partials.append(Partial(els, p, tuple(shares), basis, note))
 
     def divide(self, els, p):
         """Book a product whose mass a later normalisation divides out."""
@@ -405,7 +403,7 @@ def _weigh(ledger, conflicts, weights):
     conflicts = list(conflicts)
     if ledger.k12 > 0.0:
         for el, w in witems:
-            _add(ledger.acc, el, w * ledger.k12)
+            ledger.acc[el] = ledger.acc.get(el, 0.0) + w * ledger.k12
     _audit_pooled(ledger, conflicts, witems, "declared weights")
     return ()
 
@@ -651,5 +649,5 @@ def weighted_mixing(sources, weights):
         if w == 0.0:
             continue
         for el, v in m.items():
-            _add(acc, el, v * w / wsum)
+            acc[el] = acc.get(el, 0.0) + v * w / wsum
     return _result("mixing", MassFunction(frame, acc), sources)

@@ -15,7 +15,6 @@ import json
 import sys
 
 from .errors import FusionError, ParseError
-from .frame import render_expression
 from .problem import coerce_params, parse_problem
 from .registry import execute_problem, resolve
 from .result import NORMALISED
@@ -168,13 +167,12 @@ class ResultTable:
                 if el is None:
                     return None
                 display = displays[id(el)] = el.display
-                if (text := render_expression(el.expr)) != display:
+                if (text := el.text) != display:
                     texts[id(el)] = text
                 return display
 
             ledger = doc["ledger"] = []
-            for p in result.conflict.partials:
-                els = p.operands
+            for els, mass, shares, basis, note in result.conflict.partials:
                 shown = [displays.get(id(el)) or name(el) for el in els]
                 ledger.append({
                     "operands": shown,
@@ -182,12 +180,12 @@ class ResultTable:
                     # every operand displays as written, the displays' list
                     # is shared.
                     "operand_exprs": [texts.get(id(el), d) for el, d in zip(els, shown)]
-                    if texts and any(id(el) in texts for el in els) else shown,
-                    "mass": p.mass,
-                    "basis": p.basis,
-                    "note": p.note,
+                    if texts and not texts.keys().isdisjoint(map(id, els)) else shown,
+                    "mass": mass,
+                    "basis": basis,
+                    "note": note,
                     "shares": [{"to": displays.get(id(dest)) or name(dest), "mass": v}
-                               for dest, v in p.shares],
+                               for dest, v in shares],
                 })
             if result.signed_masses:
                 doc["signed_masses"] = [

@@ -453,10 +453,8 @@ class Frame:
 
     def _display(self, mask):
         """The (expression, text) of every element of ``mask``, kept once computed."""
-        entry = self._displays.get(mask)
-        if entry is None:
-            expr = _display_expr(self, mask)
-            entry = self._displays[mask] = (expr, render_expression(expr))
+        if (entry := self._displays.get(mask)) is None:
+            entry = self._displays[mask] = _display_expr(self, mask)
         return entry
 
     def reevaluate(self, element):
@@ -512,9 +510,7 @@ class Element:
 
     @property
     def expr(self):
-        if self._expr is None:
-            return self.frame._display(self.mask)[0]
-        return self._expr
+        return self.frame._display(self.mask)[0] if self._expr is None else self._expr
 
     def __eq__(self, other):
         return (
@@ -535,6 +531,11 @@ class Element:
     @property
     def display(self):
         return self.frame._display(self.mask)[1]
+
+    @property
+    def text(self):
+        """The expression's text: the display, unless built with an expression."""
+        return self.display if self._expr is None else render_expression(self._expr)
 
     @property
     def is_empty(self):
@@ -581,13 +582,13 @@ class Element:
 
 
 def _display_expr(frame, mask):
-    """The one expression a survivor mask displays as: the set's cover when
-    it negates no label (the set is up-closed), else ``~`` of the
-    complement's cover when that one negates none (the whole frame's cover
-    never negates), else the set's cover.  The complement's cover is given
-    up at its first negating cube."""
+    """The one expression a survivor mask displays as, and its text: the
+    set's cover when it negates no label (the set is up-closed), else ``~``
+    of the complement's cover when that one negates none (the whole frame's
+    cover never negates), else the set's cover.  The complement's cover is
+    given up at its first negating cube."""
     if not mask:
-        return EMPTY_EXPR
+        return EMPTY_EXPR, EMPTY_DISPLAY
     cubes = list(_cover(frame, mask))
     if any(negated for _, negated in cubes):
         outer = []
@@ -596,7 +597,8 @@ def _display_expr(frame, mask):
                 break
             outer.append(cube)
         else:
-            return ("not", _cubes_expr(frame.names, outer))
+            expr, text = _cubes_expr(frame.names, outer)
+            return ("not", expr), f"~{text}" if expr[0] == "label" else f"~({text})"
     return _cubes_expr(frame.names, cubes)
 
 
@@ -625,25 +627,31 @@ def _cover(frame, mask):
                 if bad & ~(out | later):
                     negated |= 1 << i
                     out |= hypotheses[i]
-        for i in reversed(_bit_indices(labels)):
-            if (labels ^ 1 << i or negated) and not meet(labels ^ 1 << i) & outside & ~out:
-                labels ^= 1 << i
+        if negated or labels & (labels - 1):  # else no literal can go
+            for i in reversed(_bit_indices(labels)):
+                if (labels ^ 1 << i or negated) and not meet(labels ^ 1 << i) & outside & ~out:
+                    labels ^= 1 << i
         yield labels, negated
         rest &= out | ~meet(labels)
 
 
 def _cubes_expr(names, cubes):
-    """The union of the cubes: terms by literal count, then by their (label
-    index, negated) pairs; literals in label order."""
-    terms = sorted(([(i, negated >> i & 1) for i in _bit_indices(labels | negated)]
-                    for labels, negated in cubes), key=lambda term: (len(term), term))
-    return _node([_node([("not", ("label", names[i])) if neg else ("label", names[i])
-                         for i, neg in term], "and") for term in terms])
-
-
-def _node(terms, op="or"):
-    """One term alone, else the terms under one connective."""
-    return terms[0] if len(terms) == 1 else (op, tuple(terms))
+    """The union of the cubes and its text: terms by literal count, then by
+    their literals' codes (2i, or 2i + 1 negated, for label i), in label order."""
+    terms = []
+    for labels, negated in cubes:
+        term, bits = [], labels | negated
+        while bits:
+            low = bits & -bits
+            i, bits = low.bit_length() - 1, bits ^ low
+            term.append((2 * i + 1, ("not", ("label", names[i])), "~" + names[i]) if negated & low
+                        else (2 * i, ("label", names[i]), names[i]))
+        terms.append((len(term), term))
+    terms.sort()
+    nodes = [term[0][1] if size == 1 else ("and", tuple([lit for _, lit, _ in term]))
+             for size, term in terms]
+    return (nodes[0] if len(nodes) == 1 else ("or", tuple(nodes)),
+            "|".join(["&".join([text for *_, text in term]) for _, term in terms]))
 
 
 def _canonical_expr(frame, expr):

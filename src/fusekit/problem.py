@@ -10,7 +10,7 @@ import math
 import re
 
 from .errors import FrameTooLargeError, ParseError
-from .frame import INTERVAL_FRAME, Frame, IntervalElement, Value, render_expression
+from .frame import INTERVAL_FRAME, Frame, IntervalElement, Value
 from .mass import MassFunction
 
 # Scenario case identifiers: each case's reliability mode and the routing
@@ -124,7 +124,7 @@ def _render_focal(el):
         # contradiction over a declared label re-parses to it.
         name = el.frame.names[0]
         return f"{name}&~{name}"
-    return render_expression(el.expr)
+    return el.text
 
 
 def _fail(lineno, message):

@@ -181,11 +181,6 @@ def tconorm_fusion(m1, m2, kind="algebraic"):
 
 # -- cautious commonality-min rule ---------------------------------------
 
-def _power_set_elements(frame):
-    """Every union of hypotheses, smallest first, empty set included."""
-    return [frame.empty(), *_subset_unions(frame.labels())]
-
-
 def cautious_commonality_min(m1, m2):
     """Combine by taking the pointwise minimum of commonalities.
 
@@ -201,7 +196,7 @@ def cautious_commonality_min(m1, m2):
         raise FrameTooLargeError(
             f"power-set inversion over {frame.n} hypotheses is too large"
         )
-    subsets = _power_set_elements(frame)
+    subsets = [frame.empty(), *_subset_unions(frame.labels())]  # every union, smallest first
     qmin = {el.mask: min(m1.q(el), m2.q(el)) for el in subsets}
     signed = {}
     for el in subsets:

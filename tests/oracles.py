@@ -458,29 +458,47 @@ def cover(names, surviving, atoms):
     dropped one at a time, lowest index first, then labels, highest index
     first, each while the cube stays inside the set and keeps a literal.
     (Dropping the negated labels one at a time drops them all when the
-    labels' intersection is inside the set.)
+    labels' intersection is inside the set.)  Atom sets are ints here, bit
+    a for atom a, so that frames of 16 free labels take milliseconds.
     """
-    def cube(labels, negated):
-        return frozenset(a for a in surviving
-                         if all(a >> i & 1 for i in labels)
-                         and not any(a >> i & 1 for i in negated))
+    n, alive, want = len(names), _atom_bits(surviving), _atom_bits(atoms)
+    # Label i holds the atoms with bit i set: read from atom 2^n - 1 down,
+    # runs of 2^i ones and 2^i zeros.
+    holds = [alive & int(("1" * (1 << i) + "0" * (1 << i)) * (1 << (n - 1 - i)), 2)
+             for i in range(n)]
 
-    cubes, covered = [], frozenset()
-    for seed in sorted(atoms):
-        if seed in covered:
-            continue
-        labels = {i for i in range(len(names)) if seed >> i & 1}
-        negated = set(range(len(names))) - labels
+    def cube(labels, negated):
+        out = alive
+        for i in labels:
+            out &= holds[i]
+        for i in negated:
+            out &= ~holds[i]
+        return out
+
+    cubes, covered = [], 0
+    while want & ~covered:
+        rest = want & ~covered
+        seed = (rest & -rest).bit_length() - 1
+        labels = {i for i in range(n) if seed >> i & 1}
+        negated = set(range(n)) - labels
         for i in sorted(negated):
-            if cube(labels, negated - {i}) <= atoms:
+            if not cube(labels, negated - {i}) & ~want:
                 negated.discard(i)
         for i in sorted(labels, reverse=True):
-            if len(labels) + len(negated) > 1 and cube(labels - {i}, negated) <= atoms:
+            if len(labels) + len(negated) > 1 and not cube(labels - {i}, negated) & ~want:
                 labels.discard(i)
         cubes.append((labels, negated))
         covered |= cube(labels, negated)
-    assert covered == atoms
+    assert covered == want
     return cubes
+
+
+def _atom_bits(atoms):
+    """An atom set as one int, bit a for atom a."""
+    out = bytearray((max(atoms, default=0) >> 3) + 1)
+    for a in atoms:
+        out[a >> 3] |= 1 << (a & 7)
+    return int.from_bytes(out, "little")
 
 
 def _cubes_node(names, cubes):

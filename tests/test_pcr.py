@@ -234,6 +234,19 @@ def test_minc_rejects_unknown_version(shafer2):
         minc(m, m, version="c")
 
 
+@pytest.mark.parametrize("fn", [pcr1, pcr2, pcr3, pcr4, pcr5, minc])
+def test_a_landing_first_reached_by_a_share_carries_its_display_expression(fn, shafer3):
+    # The one product conflicts, so no product lands on "B|A" or on "C".
+    # Their shares land on the ledger's own elements, which read their
+    # displays' expressions, not the operands' parsed text.
+    m1 = MassFunction(shafer3, {"B|A": 1.0})
+    m2 = MassFunction(shafer3, {"C": 1.0})
+    out = fn(m1, m2)
+    texts = {el.display: el.text for el in out.combined}
+    assert {"A|B", "C"} <= texts.keys()
+    assert all(text == display for display, text in texts.items()), texts
+
+
 def test_partial_shares_sum_to_product_mass(hard_pair):
     for fn in (pcr3, pcr4, pcr5):
         out = fn(*hard_pair)

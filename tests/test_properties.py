@@ -743,16 +743,24 @@ MERGE_FRAMES = (
 
 
 @st.composite
-def merge_sources(draw):
+def merge_sources(draw, unsafe_early=False):
     """Three to six sources of label unions and label intersections.  On
     the free frame every such set holds the atom of all labels, so every
     prefix is safe.  On the hybrid frames every focal set of the last
     source holds one shared label, so the suffix meets are not empty and
-    prefixes that meet them interleave with prefixes that do not."""
+    prefixes that meet them interleave with prefixes that do not.
+
+    With ``unsafe_early`` the first source puts its first mass on ∅, and
+    the first or the second source makes its first mass subnormal.  A
+    prefix through ∅ is unsafe at first and, under ``or``, safe a level
+    later, so it pools below the least index of a table entry for the
+    same mask.  A prefix through a subnormal mass stays unsafe and still
+    lands, before merged landings of higher index."""
     frame = draw(st.sampled_from(MERGE_FRAMES))
     names = frame.names
     shared = draw(st.sampled_from(names))
     count = draw(st.integers(min_value=3, max_value=6))
+    low = draw(st.integers(min_value=0, max_value=1)) if unsafe_early else None
     labels = st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True).map(sorted)
     sources = []
     for i in range(count):
@@ -761,15 +769,25 @@ def merge_sources(draw):
         else:
             sets = labels.map(lambda ls: "|".join(sorted({shared, *ls})))
         texts = draw(st.lists(sets, min_size=1, max_size=3, unique=True))
+        if unsafe_early and i == 0:
+            texts.insert(0, f"{names[0]}&~{names[0]}")
         weights = draw(st.lists(st.integers(min_value=1, max_value=100),
                                 min_size=len(texts), max_size=len(texts)))
-        sources.append(MassFunction(frame, [(t, w / sum(weights))
-                                            for t, w in zip(texts, weights)]))
+        masses = [w / sum(weights) for w in weights]
+        if i == low:
+            masses[0] = draw(st.sampled_from((1e-310, 5e-324, 1e-160)))
+        sources.append(MassFunction(frame, list(zip(texts, masses))))
     return sources
 
 
 @given(merge_sources())
 def test_merged_walk_matches_the_plain_product_loop(sources):
+    for op in ("and", "or"):
+        _landed_alike(*_walk_against_the_plain_loop(sources, op), op)
+
+
+@given(merge_sources(unsafe_early=True))
+def test_merged_walk_keeps_the_first_landing_order_past_unsafe_prefixes(sources):
     for op in ("and", "or"):
         _landed_alike(*_walk_against_the_plain_loop(sources, op), op)
 
@@ -865,6 +883,34 @@ def test_wide_frame_displays_match_the_oracle(frame, data):
             atoms = data.draw(st.frozensets(st.sampled_from(survivors)))
         else:
             atoms = frame.parse(render_expression(data.draw(expressions(frame.names)))).atoms
+        _assert_displays_as_the_oracle(frame.from_atoms(atoms), surviving)
+
+
+@st.composite
+def complement_route_sets(draw):
+    """A free or constrained frame of 10 to 16 hypotheses and the atoms of
+    two sets on it.  The first is ``~`` of a union of meets of two or three
+    labels: on a free frame its own cover negates and its complement's,
+    whose seeds hold two or three labels, does not, so it displays as the
+    complement's cover.  The second, a label minus another, displays as
+    its own cover, the complement's given up at a negating cube."""
+    n = draw(st.integers(min_value=10, max_value=16))
+    frame = Frame(tuple(f"H{i}" for i in range(n)))
+    names = frame.names
+    meets = st.lists(st.sampled_from(names), min_size=2, max_size=3, unique=True).map("&".join)
+    if draw(st.booleans()):
+        frame = frame.constrain(draw(meets))
+    up = "|".join(draw(st.lists(meets, min_size=1, max_size=3, unique=True)))
+    a, b = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+    return frame, [frame.parse(text).atoms for text in (f"~({up})", f"{a}&~{b}")]
+
+
+@settings(max_examples=20)
+@given(complement_route_sets())
+def test_wide_frame_complement_displays_match_the_oracle(drawn):
+    frame, sets = drawn
+    surviving = frame.surviving_atoms
+    for atoms in sets:
         _assert_displays_as_the_oracle(frame.from_atoms(atoms), surviving)
 
 

@@ -2,6 +2,7 @@
 
     python3 tools/snapshot.py write OUT.jsonl
     python3 tools/snapshot.py diff A.jsonl B.jsonl
+    python3 tools/snapshot.py displays OUT.txt
 
 ``write`` runs every mass-mode selector that takes no parameter over the
 label problems of the golden cases and a fixed seeded sweep of free,
@@ -20,6 +21,16 @@ order, with the parameters above for ``wo`` and ``inagaki``; on the
 interval problems it runs them with no parameters, where each one must
 be refused.  Each run is one JSON line: the CLI table's ``render()`` and
 ``to_json_dict()``, or the error the run raised.
+
+``displays`` writes the display of every mask of a fixed, seeded grid of
+frames, one line each: the frame, the mask in hex, the display and its
+expression tree.  The grid holds the free, Shafer and hybrid frames of 3
+and 4 hypotheses, every mask of each, and those of 6, 8 and 16
+hypotheses, 200 seeded masks of each.  A drawn mask is, alternately, a
+random set of survivors (where the frame has at most 255) and the set
+of a random expression: a union of up to three terms of up to three
+literals, any of them negated, itself complemented half the time.  The
+hybrid models come from ``bench/gen.py``.
 
 ``diff`` prints, per selector, how many records differ in ``render()``
 and in the JSON, how many of those become equal once every display in
@@ -44,6 +55,7 @@ import gen  # noqa: E402
 
 SWEEP = 96
 _KINDS = ("free", "shafer", "hybrid")
+DISPLAY_DRAWS = 200
 
 
 def _runs(problem):
@@ -260,12 +272,52 @@ def diff(path_a, path_b):
     return 1 if changed else 0
 
 
+def _display_masks(rng, frame):
+    """Every mask of a frame of at most four hypotheses, else DISPLAY_DRAWS
+    seeded ones (see the module docstring)."""
+    count = frame.ignorance().cardinality
+    if frame.n <= 4:
+        return range(1 << count)
+    masks = []
+    for i in range(DISPLAY_DRAWS):
+        if i % 2 == 0 and count <= 255:
+            masks.append(rng.getrandbits(count))
+            continue
+        terms = ["&".join(rng.choice(("", "~")) + name
+                          for name in rng.sample(frame.names, rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 3))]
+        text = "|".join(terms)
+        masks.append(frame.parse(f"~({text})" if rng.random() < 0.5 else text).mask)
+    return masks
+
+
+def displays(path):
+    from fusekit.frame import Element, Frame
+
+    rng = random.Random("fusekit-displays")
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for n in (3, 4, 6, 8, 16):
+            for kind in _KINDS:
+                model = gen.make_model(rng, kind, n)
+                frame = (Frame(model.names) if kind == "free"
+                         else Frame(model.names, model.surviving()))
+                for mask in _display_masks(rng, frame):
+                    el = Element(frame, mask)
+                    fh.write(f"{kind}-n{n} {mask:x} {el.display} {el.expr!r}\n")
+                    count += 1
+    print(f"{count} displays to {path}")
+
+
 def main(argv):
     if len(argv) == 2 and argv[0] == "write":
         write(argv[1])
         return 0
     if len(argv) == 3 and argv[0] == "diff":
         return diff(argv[1], argv[2])
+    if len(argv) == 2 and argv[0] == "displays":
+        displays(argv[1])
+        return 0
     print("\n\n".join(__doc__.strip().split("\n\n")[:2]), file=sys.stderr)
     return 2
 
