@@ -20,6 +20,11 @@ from .result import NORMALISED, ConflictReport, FusionResult, Partial
 _EPS = 1e-12
 
 
+def _by_mask(item):
+    """An (element, mass) item's sort key: its survivor mask."""
+    return item[0].mask
+
+
 def _common_frame(sources, minimum=2):
     if len(sources) < minimum:
         raise ValueError(f"need at least {minimum} sources, got {len(sources)}")
@@ -95,43 +100,27 @@ def _safety(op, levels):
     return safety[::-1]
 
 
-def _pool(table, mask, p, index):
-    """Add mass ``p`` at product ``index`` to the entry for ``mask``."""
-    if (entry := table.get(mask)) is None:
-        table[mask] = [p, index]
-    else:
-        entry[0] += p
-        if index < entry[1]:
-            entry[1] = index
-
-
 def _pool_safe(table, prefixes, join, bound, floor):
-    """Pool the safe prefixes into ``table``; the unsafe ones, in order."""
+    """Pool the safe prefixes' masses into ``table`` by mask; the unsafe
+    ones, in order."""
     unsafe = []
     for prefix in prefixes:
-        _, p, mask, i = prefix
+        _, p, mask = prefix
         if join(mask, bound) and p * floor >= _POOL_FLOOR:
-            _pool(table, mask, p, i)
+            table[mask] = table.get(mask, 0.0) + p
         else:
             unsafe.append(prefix)
     return unsafe
 
 
-def _push(table, level, join, size):
+def _push(table, level, join):
     """A mask table's entries, each joined with every focal of the next
-    source, pooled as ``_pool`` does (inlined: this is the merged walk's
-    inner loop)."""
+    source, their masses summed per mask."""
     out = {}
-    for mask, (p, i) in table.items():
-        i *= size
-        for r, (_, m, k) in enumerate(level):
+    for mask, p in table.items():
+        for _, m, k in level:
             k = join(mask, k)
-            if (entry := out.get(k)) is None:
-                out[k] = [p * m, i + r]
-            else:
-                entry[0] += p * m
-                if i + r < entry[1]:
-                    entry[1] = i + r
+            out[k] = out.get(k, 0.0) + p * m
     return out
 
 
@@ -161,56 +150,45 @@ class Ledger:
         The one loop over focal products, in ``itertools.product`` order.
         Every source but the last is walked level by level: each prefix
         carries its operands, mass product (left to right, as
-        ``math.prod``), masks joined by ``op`` and its index among its
-        level's prefixes.  A product weighs its mass product and lands on
-        ``landing(mask)``; a ``leaf(els, p, mask)`` returns (weight,
-        landing) instead.  A product of zero weight is skipped; one whose
-        landing is empty or ``claim(els, landing)`` holds conflicts and is
-        yielded as (operands, weight, landing).  Products land as the
-        caller iterates: a transfer that books each conflict as it comes
-        books in enumeration order, one that needs every landing first
-        takes ``list(conflicts)``.
+        ``math.prod``) and masks joined by ``op``.  A product weighs its
+        mass product and lands on ``landing(mask)``; a ``leaf(els, p,
+        mask)`` returns (weight, landing) instead.  A product of zero
+        weight is skipped; one whose landing is empty or ``claim(els,
+        landing)`` holds conflicts and is yielded as (operands, weight,
+        landing).  Products land as the caller iterates: a transfer that
+        books each conflict as it comes books in enumeration order, one
+        that needs every landing first takes ``list(conflicts)``.
 
         With no claim and no leaf, a walked product builds its operands
         only to conflict, and under ``and`` or ``or`` on three or more
         sources a prefix that ``_safety`` calls safe can neither conflict
         nor weigh zero, so its operands are never read.  Safe prefixes
-        are pooled into one mask → [mass, least product index] table per
-        level, and the table is pushed level by level, as in the fast
-        Möbius transform (Kennes, 1992).  Unsafe prefixes are walked one
-        by one, so the conflicting products, their weights and ``k12``
-        are the plain loop's, bit for bit.  The table's last-level
-        landings go into ``acc`` in index order, each before the first
-        unsafe prefix past its least index, so ``acc`` keeps the plain
-        loop's first-landing order, interleaved as before with the shares
-        a transfer books mid-walk.  A merged landing's mass is the sum of
-        its merged terms, so its last bits may differ from the plain
-        loop's.
+        are pooled into one mask → mass table per level, and the table is
+        pushed level by level, as in the fast Möbius transform (Kennes,
+        1992).  Unsafe prefixes are walked one by one, so the conflicting
+        products, their weights and ``k12`` are the plain loop's, bit for
+        bit.  The last level's table lands after the walked products.  A
+        merged landing's mass is the sum of its merged terms, so its last
+        bits may differ from the plain loop's.
         """
         join = CONNECTIVES[op]
         # An interval has no mask: only a leaf lands interval products.
         levels = [tuple((el, m, getattr(el, "mask", 0)) for el, m in src.items())
                   for src in self.sources]
         safety = _safety(op, levels) if claim is None and leaf is None else None
-        prefixes, table = [((el,), m, k, i) for i, (el, m, k) in enumerate(levels[0])], {}
+        prefixes, table = [((el,), m, k) for el, m, k in levels[0]], {}
         if safety is not None:
             prefixes = _pool_safe(table, prefixes, join, *safety[0])
         for depth, level in enumerate(levels[1:-1], 1):
-            size = len(level)
-            if table:
-                table = _push(table, level, join, size)
-            prefixes = [((*els, el), p * m, join(mask, k), i * size + r)
-                        for els, p, mask, i in prefixes for r, (el, m, k) in enumerate(level)]
+            table = _push(table, level, join)
+            prefixes = [((*els, el), p * m, join(mask, k))
+                        for els, p, mask in prefixes for el, m, k in level]
             if safety is not None:
                 prefixes = _pool_safe(table, prefixes, join, *safety[depth])
         last = levels[-1]
-        size = len(last)
-        # The merged landings, least product index last.
-        pending = sorted(((i, mask, w) for mask, (w, i) in _push(table, last, join, size).items()),
-                         reverse=True) if table else []
         acc, landings = self.acc, self._landings
         if claim is not None or leaf is not None:
-            for prefix, p, mask, _ in prefixes:
+            for prefix, p, mask in prefixes:
                 for el, m, k in last:
                     els = (*prefix, el)
                     if leaf is None:
@@ -228,9 +206,7 @@ class Ledger:
             return
         # With no claim and no leaf, only a conflict reads its operands.
         empty = self.landing(0)
-        for prefix, p, mask, i in prefixes:
-            if pending and pending[-1][0] < i * size:
-                self._flush(pending, i * size)
+        for prefix, p, mask in prefixes:
             for el, m, k in last:
                 if not (w := p * m):
                     continue
@@ -240,15 +216,8 @@ class Ledger:
                 else:
                     self.k12 += w
                     yield (*prefix, el), w, empty
-        if pending:
-            self._flush(pending, math.inf)
-
-    def _flush(self, pending, before):
-        """Land the merged landings whose least product index is below ``before``."""
-        acc, landings = self.acc, self._landings
-        while pending and pending[-1][0] < before:
-            _, mask, w = pending.pop()
-            landing = landings.get(mask) or self.landing(mask)
+        for k, w in _push(table, last, join).items():
+            landing = landings.get(k) or self.landing(k)
             acc[landing] = acc.get(landing, 0.0) + w
 
     def landing(self, mask):
@@ -306,8 +275,10 @@ class Ledger:
             self.book(els, p, ((dest, p),), basis, note)
 
     def finish(self, rule, warnings=(), open_world="open-world mass on the empty set"):
-        """The result of the landed mass and the booked partials."""
-        return _result(rule, MassFunction(self.frame, self.acc), self.sources,
+        """The result of the landed mass, in ascending survivor-mask order,
+        and the booked partials."""
+        combined = MassFunction(self.frame, sorted(self.acc.items(), key=_by_mask))
+        return _result(rule, combined, self.sources,
                        ConflictReport(self.k12, tuple(self.partials)), warnings, open_world)
 
 
@@ -433,7 +404,9 @@ def _inagaki(ledger, conflicts, p):
         limit = "unbounded" if bound_den <= _EPS else f"{1.0 / bound_den:.12g}"
         raise ValueError(f"p must lie in [0, {limit}], got {p}")
     scale = 1.0 + p * k12
-    out = {el: v * scale for el, v in acc.items() if el != ignorance}
+    # In mask order, as ``finish`` lists them; ignorance, a superset of every
+    # landing, has the largest mask.
+    out = {el: v * scale for el, v in sorted(acc.items(), key=_by_mask) if el != ignorance}
     out[ignorance] = max(0.0, scale * m_ign + (scale - p) * k12)
     ledger.acc = out
     gains = [(el, v - acc.get(el, 0.0)) for el, v in out.items() if v > acc.get(el, 0.0)]

@@ -6,7 +6,7 @@ figure it reproduces.  The verify command re-runs the whole set; a
 perturbation hook exists so tests can prove the checks actually bite.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import FusionError
 from .mass import MassFunction
@@ -15,16 +15,12 @@ from .problem import parse_problem
 from .registry import Outcome, execute_problem  # noqa: F401
 
 
-@dataclass(frozen=True)
-class GoldenCase:
-    name: str
-    text: str
-    rule: str
-    expected: tuple = ()
-    checks: tuple = ()
-    tolerance: float = 1e-9
-    expect_error: str = None
-    pinned: str = None
+class GoldenCase(namedtuple("GoldenCase", "name text rule expected checks tolerance "
+                                          "expect_error pinned",
+                            defaults=((), (), 1e-9, None, None))):
+    """A problem file, the rule to run on it and the figures it must give."""
+
+    __slots__ = ()
 
 
 _MURPHY_SOURCES = """
@@ -331,16 +327,16 @@ GOLDEN_CASES = (
 )
 
 
-@dataclass
-class CaseReport:
-    name: str
-    ok: bool
-    details: list = field(default_factory=list)
+class CaseReport(namedtuple("CaseReport", "name ok details")):
+    """Whether one golden case passed, and the lines that say why."""
+
+    __slots__ = ()
 
 
-@dataclass
-class GoldenReport:
-    cases: tuple
+class GoldenReport(namedtuple("GoldenReport", "cases")):
+    """The reports of every golden case."""
+
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -367,7 +363,6 @@ class GoldenReport:
 
 def run_case(case, perturb=None):
     """Run one golden case; the optional hook edits the parsed problem."""
-    report = CaseReport(case.name, ok=True)
     try:
         problem = parse_problem(case.text)
         if perturb is not None:
@@ -375,44 +370,35 @@ def run_case(case, perturb=None):
         outcome = execute_problem(problem, case.rule)
     except (FusionError, TypeError, ValueError) as exc:
         if case.expect_error and type(exc).__name__ == case.expect_error:
-            report.details.append(f"raised {case.expect_error} as required")
-            return report
+            return CaseReport(case.name, True, (f"raised {case.expect_error} as required",))
         # A broken input must fail its case, not abort the whole sweep.
-        report.ok = False
-        report.details.append(f"unexpected error: {type(exc).__name__}: {exc}")
-        return report
+        return CaseReport(case.name, False,
+                          (f"unexpected error: {type(exc).__name__}: {exc}",))
     if case.expect_error:
-        report.ok = False
-        report.details.append(f"expected {case.expect_error}, rule returned a result")
-        return report
+        return CaseReport(case.name, False,
+                          (f"expected {case.expect_error}, rule returned a result",))
 
-    max_delta = 0.0
+    failures, max_delta = [], 0.0
     for key, want in case.expected:
         got = _lookup(outcome, key)
         if got is None:
-            report.ok = False
-            report.details.append(f"{key}: missing from result")
+            failures.append(f"{key}: missing from result")
             continue
         delta = abs(got - want)
         max_delta = max(max_delta, delta)
         if delta > case.tolerance:
-            report.ok = False
-            report.details.append(
-                f"{key}: got {got:.9f}, want {want:.9f}, delta {delta:.3e}"
-            )
+            failures.append(f"{key}: got {got:.9f}, want {want:.9f}, delta {delta:.3e}")
     for what, want in case.checks:
         got = _check_value(outcome, what)
         delta = abs(got - want)
         max_delta = max(max_delta, delta)
         if delta > max(case.tolerance, 1e-9):
-            report.ok = False
-            report.details.append(
-                f"{what}: got {got:.9f}, want {want:.9f}, delta {delta:.3e}"
-            )
-    report.details.append(f"max delta {max_delta:.3e} (tolerance {case.tolerance:g})")
-    if case.pinned and report.ok:
-        report.details.append(f"pinned: {case.pinned}")
-    return report
+            failures.append(f"{what}: got {got:.9f}, want {want:.9f}, delta {delta:.3e}")
+    ok = not failures
+    details = (*failures, f"max delta {max_delta:.3e} (tolerance {case.tolerance:g})")
+    if case.pinned and ok:
+        details = (*details, f"pinned: {case.pinned}")
+    return CaseReport(case.name, ok, details)
 
 
 def _lookup(outcome, key):

@@ -3,7 +3,8 @@
 import math
 
 from .errors import FrameMismatchError, RuleError
-from .frame import Element, IntervalElement, Value, degree_inclusion, degree_intersection
+from .frame import (INTERVAL_FRAME, Element, Frame, IntervalElement, Value, degree_inclusion,
+                    degree_intersection)
 
 # How far a total may drift from 1 before the bba stops counting as normal.
 STATUS_TOL = 1e-9
@@ -22,6 +23,8 @@ class MassFunction:
     __slots__ = ("frame", "_map")
 
     def __init__(self, frame, assignments=()):
+        if not isinstance(frame, Frame) and frame is not INTERVAL_FRAME:
+            raise TypeError(f"expected a Frame or INTERVAL_FRAME, got {type(frame).__name__}")
         items = assignments.items() if hasattr(assignments, "items") else assignments
         merged = {}
         for key, value in items:

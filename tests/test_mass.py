@@ -38,6 +38,13 @@ def test_non_finite_mass_rejected(shafer3, value):
         MassFunction(shafer3, {"A": value, "B": 1.0})
 
 
+@pytest.mark.parametrize("frame", [{"A": 1.0}, None, ("A", "B")])
+def test_a_frame_that_is_no_frame_is_rejected(frame):
+    # Assignments passed where the frame goes would build an empty bba.
+    with pytest.raises(TypeError, match="expected a Frame"):
+        MassFunction(frame)
+
+
 def test_foreign_elements_rejected(shafer3):
     other = Frame.shafer(("A", "B"))
     with pytest.raises(FrameMismatchError):

@@ -16,6 +16,7 @@ import pytest
 
 import fusekit
 from fusekit.frame import Frame, IntervalElement, ModelConstraints
+from fusekit.golden import GoldenCase
 from fusekit.mass import MassFunction, Opinion
 from fusekit.problem import ProblemFile
 from fusekit.registry import Outcome, RuleSpec, selectors
@@ -123,6 +124,16 @@ def test_a_run_creates_no_dataclass(tmp_path, rule):
     assert loaded == []
 
 
+def test_verify_creates_no_dataclass():
+    loaded = _fresh("""
+        import json, sys
+        from fusekit.cli import main
+        assert main(["verify"]) == 0
+        print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+    """)
+    assert loaded == []
+
+
 def test_every_public_name_resolves_lazily():
     names = _fresh("""
         import json, fusekit
@@ -168,6 +179,8 @@ _VALUES = [
     (lambda **kw: QuasiAssociativeState(**{"sources": (MassFunction.vacuous(_FRAME),),
                                            "_base": None, "_folded": 0, **kw}),
      "sources", ()),
+    (lambda **kw: GoldenCase(**{"name": "n", "text": "frame: A B\n", "rule": "dempster", **kw}),
+     "tolerance", 1e-6),
 ]
 
 

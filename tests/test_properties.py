@@ -593,6 +593,47 @@ def test_source_order_changes_no_table(sources):
                 assert all(abs(v - first[1][k]) <= 1e-12 for k, v in rows.items()), (selector, order)
 
 
+# Three sources on the free frame whose products round differently, and
+# pool differently, in different source orders.
+_ORDER_SOURCES = (
+    {"A|~C": 0.3787878787878788, "~B&C|A&C": 0.10984848484848485,
+     "A&B|A&C": 0.3787878787878788, "~(B|A&C)": 0.13257575757575757},
+    {"~B&~C|~A&B|B&C": 0.75},
+    {"A&~B|A&C": 0.3411764705882353, "B&~C|A&B": 0.6588235294117647},
+)
+
+
+_ORDER_RULES = {
+    "conjunctive": conjunctive, "dempster": dempster, "yager": yager, "dsmh": dsm_hybrid,
+    "pcr3": pcr3, "uft": lambda *s: uft_combine(s), "disjunctive": disjunctive,
+    "inagaki": lambda *s: inagaki(*s, p=0.5),
+}
+
+
+def _in_every_source_order(rule):
+    frame = Frame(("A", "B", "C"))
+    sources = [MassFunction(frame, masses) for masses in _ORDER_SOURCES]
+    return [rule(*order) for order in itertools.permutations(sources)]
+
+
+@pytest.mark.parametrize("name", _ORDER_RULES)
+def test_results_list_their_landings_by_mask_in_any_source_order(name):
+    orders = {tuple(el.mask for el in out.combined)
+              for out in _in_every_source_order(_ORDER_RULES[name])}
+    assert len(orders) == 1
+    masks = list(*orders)
+    assert masks == sorted(masks)
+
+
+def test_inagaki_lists_its_shares_by_mask_in_any_source_order():
+    orders = {tuple(dest for dest, _ in p.shares)
+              for out in _in_every_source_order(_ORDER_RULES["inagaki"])
+              for p in out.conflict.partials}
+    assert len(orders) == 1
+    masks = [dest.mask for dest in next(iter(orders)) if dest is not None]
+    assert masks == sorted(masks)
+
+
 # -- dsmh and minC against the whole-intersection reduction -----------------
 
 EXPR_FRAMES = (
@@ -705,7 +746,7 @@ def _contested(els, mask):
 def _walk_against_the_plain_loop(sources, op, claim=None):
     """Expand ``sources`` and check the conflicts against the oracle's
     plain product loop: the same operands (by identity), order, weights
-    and k12.  Returns the landed masses both ways, in first-landing order."""
+    and k12.  Returns the landed masses both ways, as (mask, mass) lists."""
     ledger = Ledger(sources)
     got = list(ledger.expand(op, claim and (lambda els, landing: claim(els, landing.mask))))
     conflicts, k12, acc = oracles.expand_products(sources, op, claim)
@@ -719,10 +760,11 @@ def _walk_against_the_plain_loop(sources, op, claim=None):
 
 
 def _landed_alike(got, want, op):
-    """Merged landings against the plain loop's: the same masks in the same
-    first-landing order, their masses within 1e-12."""
-    assert [k for k, _ in got] == [k for k, _ in want], op
-    assert all(abs(v - w) <= 1e-12 for (_, v), (_, w) in zip(got, want)), op
+    """Merged landings against the plain loop's, as masses keyed by mask:
+    the same masks, each mass within 1e-12, in whatever order they landed."""
+    got, want = dict(got), dict(want)
+    assert got.keys() == want.keys(), op
+    assert all(abs(v - want[k]) <= 1e-12 for k, v in got.items()), op
 
 
 @given(walk_sources())
@@ -753,9 +795,9 @@ def merge_sources(draw, unsafe_early=False):
     With ``unsafe_early`` the first source puts its first mass on ∅, and
     the first or the second source makes its first mass subnormal.  A
     prefix through ∅ is unsafe at first and, under ``or``, safe a level
-    later, so it pools below the least index of a table entry for the
-    same mask.  A prefix through a subnormal mass stays unsafe and still
-    lands, before merged landings of higher index."""
+    later, so it pools into a table entry that other prefixes of the same
+    mask reach too.  A prefix through a subnormal mass stays unsafe and is
+    walked, landing on masks that merged landings reach as well."""
     frame = draw(st.sampled_from(MERGE_FRAMES))
     names = frame.names
     shared = draw(st.sampled_from(names))
@@ -787,7 +829,7 @@ def test_merged_walk_matches_the_plain_product_loop(sources):
 
 
 @given(merge_sources(unsafe_early=True))
-def test_merged_walk_keeps_the_first_landing_order_past_unsafe_prefixes(sources):
+def test_merged_walk_pools_the_plain_loops_masses_past_unsafe_prefixes(sources):
     for op in ("and", "or"):
         _landed_alike(*_walk_against_the_plain_loop(sources, op), op)
 

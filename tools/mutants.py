@@ -1,0 +1,127 @@
+"""Mutation check of the fast paths: each mutant edits one guard or
+order of ``src/fusekit`` in a temporary copy of the tree, and the tests
+named for it must then fail.
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py NAME ...   # the named ones
+
+A mutant is (name, file, old text, new text, test files).  Its old text
+must occur exactly once in its file; the copy gets the new text in its
+place, and ``pytest -x -q`` runs the named test files there.  A mutant
+those tests pass survives.  Each mutant prints one line: killed,
+SURVIVED, ERROR when the tests could not run (pytest exited neither 0
+nor 1), or STALE when its old text is not found once.  The exit status
+is 1 unless every mutant is killed.  Standard library only; the tests
+run under the interpreter that runs this script, which must have pytest
+and hypothesis.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PROPERTIES = "tests/test_properties.py"
+
+MUTANTS = (
+    # A pooled prefix through a subnormal mass would push products that
+    # round to zero into the merged table, where the plain loop skips them.
+    ("pool-without-floor", "src/fusekit/classic.py",
+     "if join(mask, bound) and p * floor >= _POOL_FLOOR:",
+     "if join(mask, bound):",
+     (PROPERTIES,)),
+    # A product of zero weight would land, or conflict, with mass 0.
+    ("walk-without-zero-skip", "src/fusekit/classic.py",
+     "                if not (w := p * m):\n"
+     "                    continue\n"
+     "                if k := join(mask, k):",
+     "                w = p * m\n"
+     "                if k := join(mask, k):",
+     (PROPERTIES,)),
+    # A product holding a part of two disjunctive forms would take the
+    # memoised form instead of being reduced afresh.
+    ("disjunctive-without-ambiguity", "src/fusekit/frame.py",
+     "if form is None or present & self._ambiguous:",
+     "if form is None:",
+     ("tests/test_classic.py",)),
+    # A share's destination would land as itself, carrying the parsed
+    # expression of its text instead of its display's.
+    ("book-keys-by-dest", "src/fusekit/classic.py",
+     "el = dest if landings.get(dest.mask) is dest else self.landing(dest.mask)",
+     "el = dest",
+     ("tests/test_pcr.py",)),
+    # An operand found by identity would not be held, so a later element
+    # could reuse its id and read its entry.
+    ("reductions-without-hold", "src/fusekit/frame.py",
+     "held = self._held[id(el)] = (*entry, el)",
+     "held = self._held[id(el)] = entry",
+     ("tests/test_classic.py",)),
+    # Every partial would list its operands' displays, also where one
+    # was written otherwise.
+    ("export-shares-display-list", "src/fusekit/cli.py",
+     '"operand_exprs": [texts.get(id(el), d) for el, d in zip(els, shown)]\n'
+     "                    if texts and not texts.keys().isdisjoint(map(id, els)) else shown,",
+     '"operand_exprs": shown,',
+     ("tests/test_cli.py",)),
+    # A result would list its landings in the order they landed, which
+    # follows the order of the sources.
+    ("finish-without-mask-order", "src/fusekit/classic.py",
+     "MassFunction(self.frame, sorted(self.acc.items(), key=_by_mask))",
+     "MassFunction(self.frame, self.acc)",
+     (PROPERTIES,)),
+    # inagaki would list its shares in landing order.
+    ("inagaki-without-mask-order", "src/fusekit/classic.py",
+     "for el, v in sorted(acc.items(), key=_by_mask) if el != ignorance}",
+     "for el, v in acc.items() if el != ignorance}",
+     (PROPERTIES,)),
+)
+
+_SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                               "*.egg-info", "out")
+
+
+def run(mutant, tree):
+    """Apply one mutant to ``tree``, run its tests, restore the file; the verdict."""
+    name, file, old, new, tests = mutant
+    path = tree / file
+    text = path.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        return "STALE"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               *tests], cwd=tree, env=env, capture_output=True, text=True)
+    finally:
+        path.write_text(text, encoding="utf-8")
+    # pytest exits 1 when a test failed; any other non-zero status means
+    # the tests did not run to a verdict, such as a mutant that does not import.
+    return {0: "SURVIVED", 1: "killed"}.get(proc.returncode, "ERROR")
+
+
+def main(argv):
+    unknown = set(argv) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=_SKIP)
+        for mutant in chosen:
+            start = time.perf_counter()
+            verdict = run(mutant, tree)
+            failed += verdict != "killed"
+            print(f"{verdict:8}  {mutant[0]}  ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
