@@ -80,22 +80,22 @@ def _safety(op, levels):
     """For each level but the last, the (bound, floor) that make a prefix
     safe: ``op`` joins its mask with ``bound`` to a non-empty mask, so no
     completion lands empty, and its mass times ``floor`` stays at or above
-    ``_POOL_FLOOR``, so none weighs zero.  Under ``and`` the bound is the
-    suffix meet, the AND of every focal mask of the sources still to
-    come; under ``or`` it is 0, the prefix's own mask.  ``floor`` is the
-    product of those sources' least masses, each capped at 1.  None under
-    ``xor``, on two sources (each prefix is one focal element, so pooling
-    merges nothing), or when no prefix can be safe."""
+    ``_POOL_FLOOR``, so none weighs zero.  The bound is the suffix meet,
+    the AND of every focal mask of the sources still to come: every
+    completion's mask holds the prefix's mask joined with it.  ``floor``
+    is the product of those sources' least masses, each capped at 1.
+    None under ``xor``, on two sources (each prefix is one focal element,
+    so pooling merges nothing), or when no prefix can be safe."""
     if op not in ("and", "or") or len(levels) < 3:
         return None
-    safety, meet, floor = [], -1 if op == "and" else 0, 1.0
+    safety, meet, floor = [], -1, 1.0
     for level in reversed(levels[1:]):
-        for _, _, k in level:
+        for _, _, k, _ in level:
             meet &= k
         # The last source's meet holds every other level's.
         if not (meet or safety or op == "or"):
             return None
-        floor *= min(1.0, *(m for _, m, _ in level))
+        floor *= min(1.0, *(m for _, m, _, _ in level))
         safety.append((meet, floor))
     return safety[::-1]
 
@@ -105,7 +105,7 @@ def _pool_safe(table, prefixes, join, bound, floor):
     ones, in order."""
     unsafe = []
     for prefix in prefixes:
-        _, p, mask = prefix
+        _, p, mask, _ = prefix
         if join(mask, bound) and p * floor >= _POOL_FLOOR:
             table[mask] = table.get(mask, 0.0) + p
         else:
@@ -118,7 +118,7 @@ def _push(table, level, join):
     source, their masses summed per mask."""
     out = {}
     for mask, p in table.items():
-        for _, m, k in level:
+        for _, m, k, _ in level:
             k = join(mask, k)
             out[k] = out.get(k, 0.0) + p * m
     return out
@@ -144,7 +144,7 @@ class Ledger:
         self.reductions = Reductions(self.frame)
         self._landings = {}
 
-    def expand(self, op="and", claim=None, leaf=None):
+    def expand(self, op="and", claim=None, leaf=None, key=None):
         """Land every product and yield the conflicting ones.
 
         The one loop over focal products, in ``itertools.product`` order.
@@ -160,36 +160,39 @@ class Ledger:
         that needs every landing first takes ``list(conflicts)``.
 
         With no claim and no leaf, a walked product builds its operands
-        only to conflict, and under ``and`` or ``or`` on three or more
+        only to conflict, and a conflict comes with its operands' route
+        keys ORed in place of its empty landing: ``key(el)`` gives each
+        focal element an int (0 without ``key``), and prefixes fold keys
+        as they join masks.  Under ``and`` or ``or`` on three or more
         sources a prefix that ``_safety`` calls safe can neither conflict
-        nor weigh zero, so its operands are never read.  Safe prefixes
-        are pooled into one mask → mass table per level, and the table is
-        pushed level by level, as in the fast Möbius transform (Kennes,
-        1992).  Unsafe prefixes are walked one by one, so the conflicting
-        products, their weights and ``k12`` are the plain loop's, bit for
-        bit.  The last level's table lands after the walked products.  A
-        merged landing's mass is the sum of its merged terms, so its last
-        bits may differ from the plain loop's.
+        nor weigh zero, so its operands and keys are never read.  Safe
+        prefixes are pooled into one mask → mass table per level, and the
+        table is pushed level by level, as in the fast Möbius transform
+        (Kennes, 1992).  Unsafe prefixes are walked one by one, so the
+        conflicting products, their weights and ``k12`` are the plain
+        loop's, bit for bit.  The last level's table lands after the
+        walked products.  A merged landing's mass is the sum of its merged
+        terms, so its last bits may differ from the plain loop's.
         """
         join = CONNECTIVES[op]
         # An interval has no mask: only a leaf lands interval products.
-        levels = [tuple((el, m, getattr(el, "mask", 0)) for el, m in src.items())
-                  for src in self.sources]
+        levels = [tuple((el, m, getattr(el, "mask", 0), key(el) if key else 0)
+                        for el, m in src.items()) for src in self.sources]
         safety = _safety(op, levels) if claim is None and leaf is None else None
-        prefixes, table = [((el,), m, k) for el, m, k in levels[0]], {}
+        prefixes, table = [((el,), m, k, r) for el, m, k, r in levels[0]], {}
         if safety is not None:
             prefixes = _pool_safe(table, prefixes, join, *safety[0])
         for depth, level in enumerate(levels[1:-1], 1):
             table = _push(table, level, join)
-            prefixes = [((*els, el), p * m, join(mask, k))
-                        for els, p, mask in prefixes for el, m, k in level]
+            prefixes = [((*els, el), p * m, join(mask, k), r | q)
+                        for els, p, mask, r in prefixes for el, m, k, q in level]
             if safety is not None:
                 prefixes = _pool_safe(table, prefixes, join, *safety[depth])
         last = levels[-1]
         acc, landings = self.acc, self._landings
         if claim is not None or leaf is not None:
-            for prefix, p, mask in prefixes:
-                for el, m, k in last:
+            for prefix, p, mask, _ in prefixes:
+                for el, m, k, _ in last:
                     els = (*prefix, el)
                     if leaf is None:
                         w, k = p * m, join(mask, k)
@@ -205,9 +208,8 @@ class Ledger:
                     yield els, w, landing
             return
         # With no claim and no leaf, only a conflict reads its operands.
-        empty = self.landing(0)
-        for prefix, p, mask in prefixes:
-            for el, m, k in last:
+        for prefix, p, mask, r in prefixes:
+            for el, m, k, q in last:
                 if not (w := p * m):
                     continue
                 if k := join(mask, k):
@@ -215,7 +217,7 @@ class Ledger:
                     acc[landing] = acc.get(landing, 0.0) + w
                 else:
                     self.k12 += w
-                    yield (*prefix, el), w, empty
+                    yield (*prefix, el), w, r | q
         for k, w in _push(table, last, join).items():
             landing = landings.get(k) or self.landing(k)
             acc[landing] = acc.get(landing, 0.0) + w
@@ -227,11 +229,8 @@ class Ledger:
         return el
 
     def union(self, els):
-        """The landing of the union of the operands' atoms."""
-        mask = 0
-        for el in els:
-            mask |= el.mask
-        return self.landing(mask)
+        """The landing of the union of the operands' atoms (of none: the empty set)."""
+        return self.landing(fold("or", (0, *(el.mask for el in els))))
 
     def stored(self, product):
         """Land a stored conjunctive product, as ``expand`` lands the
@@ -246,12 +245,11 @@ class Ledger:
 
     def book(self, els, p, shares, basis="", note=""):
         """Land a product's shares; None is lost and NORMALISED divided out.
-        A share lands on the ledger's own element for its mask (``dest``
-        itself, found by identity, when it is that element already)."""
+        A share lands on the ledger's own element for its mask."""
         acc, landings = self.acc, self._landings
         for dest, share in shares:
             if dest is not None and dest is not NORMALISED:
-                el = dest if landings.get(dest.mask) is dest else self.landing(dest.mask)
+                el = landings.get(dest.mask) or self.landing(dest.mask)
                 acc[el] = acc.get(el, 0.0) + share
         self.partials.append(Partial(els, p, tuple(shares), basis, note))
 
@@ -374,6 +372,7 @@ def _weigh(ledger, conflicts, weights):
     conflicts = list(conflicts)
     if ledger.k12 > 0.0:
         for el, w in witems:
+            el = ledger.landing(el.mask)
             ledger.acc[el] = ledger.acc.get(el, 0.0) + w * ledger.k12
     _audit_pooled(ledger, conflicts, witems, "declared weights")
     return ()
@@ -489,13 +488,16 @@ def dsm_hybrid(*sources):
     """
     ledger = Ledger(sources)
     reductions = ledger.reductions
-    for els, p, _ in ledger.expand():
-        if all(el.is_empty for el in els):
-            ledger.escalate(els, p, reductions.joint_disjunctive(els),
-                            "operands empty; to joint disjunctive form")
+    for els, p, key in ledger.expand(key=reductions.keys(itertools.chain(*ledger.sources))):
+        if key & 1:  # some operand is not empty
+            dest, note = reductions.form(key, els), "to disjunctive form of the conflict"
         else:
-            ledger.escalate(els, p, reductions.disjunctive(els),
-                            "to disjunctive form of the conflict")
+            dest, note = (reductions.joint_disjunctive(els),
+                          "operands empty; to joint disjunctive form")
+        if dest.is_empty:
+            ledger.escalate(els, p, dest, note)
+        else:
+            ledger.book(els, p, ((dest, p),), note=note)
     return ledger.finish("dsmh")
 
 

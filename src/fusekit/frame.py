@@ -712,12 +712,14 @@ class Reductions:
     merged (the first one kept) and only the minimal ones kept.  So each
     distinct operand expression is reduced once per call, and a product
     only merges its operands' parts.  Each distinct atom set of a part
-    gets an index, and the indices of the atom sets strictly inside it,
-    as one int, so a product's minimal parts take one test each.  The bits
-    of a product's part indices key its disjunctive form: every index is
-    numbered before a key holding it is looked up, so no key goes stale.
-    Only an atom set whose parts have two disjunctive forms (the first
-    seen wins) is ambiguous, and a product holding one is reduced afresh.
+    gets an index, and the indices of the atom sets strictly above it, as
+    one int: a product's minimal parts are its part bits less those above
+    any of them.  dsmh registers every focal element before the walk and
+    folds their ``keys`` along it.  The minimal parts alone decide the
+    disjunctive form, so their bits key it.  Only an atom set whose parts
+    have two disjunctive forms (the first seen wins) is ambiguous, and a
+    product whose minimal parts hold one is reduced afresh: registering
+    early only widens ``_ambiguous``, so no product changes its route.
 
     The memo is keyed by expression, never by Element: elements compare
     by atoms, and on a Shafer frame A&B and C&D are one empty element
@@ -726,8 +728,8 @@ class Reductions:
     the memo lives.
     """
 
-    __slots__ = ("frame", "_operands", "_held", "_indices", "_below", "_forms", "_masks",
-                 "_ambiguous")
+    __slots__ = ("frame", "_operands", "_held", "_indices", "_above", "_forms", "_masks",
+                 "_ambiguous", "_shift")
 
     def __init__(self, frame):
         self.frame = frame
@@ -735,8 +737,8 @@ class Reductions:
         self._operands = {}
         self._held = {}  # id(operand) -> its expression's entry and the operand
         self._indices = {}  # part survivor mask -> its index
-        self._below = []  # index -> bits of the indices of its strict subsets
-        self._forms = {}  # bits of a product's part indices -> its disjunctive form
+        self._above = []  # index -> bits of the indices of its strict supersets
+        self._forms = {}  # bits of a product's minimal parts -> its disjunctive form
         self._masks = []  # index -> the label mask of its first part
         self._ambiguous = 0  # bits of the indices seen with two label masks
 
@@ -744,15 +746,15 @@ class Reductions:
         """The index of a part's atom set, given the part's label mask."""
         index = self._indices.get(mask)
         if index is None:
-            index = len(self._below)
-            below = 0
+            index = len(self._above)
+            above = 0
             for other, i in self._indices.items():
-                if _strictly_inside(other, mask):
-                    below |= 1 << i
-                elif _strictly_inside(mask, other):
-                    self._below[i] |= 1 << index
+                if _strictly_inside(mask, other):
+                    above |= 1 << i
+                elif _strictly_inside(other, mask):
+                    self._above[i] |= 1 << index
             self._indices[mask] = index
-            self._below.append(below)
+            self._above.append(above)
             self._masks.append(labels)
         elif self._masks[index] != labels:
             self._ambiguous |= 1 << index
@@ -786,29 +788,38 @@ class Reductions:
                 if not present >> part.index & 1:
                     present |= 1 << part.index
                     seen.append(part)
-        return [part for part in seen if not self._below[part.index] & present]
+        # Read after every operand is registered: a later part may lie inside an earlier one.
+        above = fold("or", (self._above[part.index] for part in seen))
+        return [part for part in seen if not above >> part.index & 1]
 
-    def disjunctive(self, els):
-        """The disjunctive form of the operands' reduced intersection."""
-        held, present = self._held, 0
-        for el in els:
-            present |= (held.get(id(el)) or self._operand(el))[1]
-        form = self._forms.get(present)
-        if form is None or present & self._ambiguous:
-            mask = 0
-            for part in self.parts(els):
-                mask |= part.mask
-            form = self.frame._label_union(mask)
-            if not present & self._ambiguous:
-                self._forms[present] = form
+    def keys(self, operands):
+        """Register every operand; the function giving each one's route key:
+        bit 0 set unless it is empty, the bits above its parts from bit 1,
+        and its part bits from ``_shift`` (set here), so ORed keys give a product's."""
+        for el in operands:
+            self._operand(el)
+        self._shift = shift = len(self._above) + 1
+
+        def key(el):
+            bits = self._operand(el)[1]
+            over = fold("or", (self._above[i] for i in _bit_indices(bits)))
+            return (not el.is_empty) | over << 1 | bits << shift
+        return key
+
+    def form(self, key, els):
+        """The disjunctive form of a product's reduced intersection, by the
+        product's key: the union of its minimal parts' label masks."""
+        minimal = key >> self._shift & ~(key >> 1)
+        if minimal & self._ambiguous:
+            return self.frame._label_union(fold("or", (part.mask for part in self.parts(els))))
+        if (form := self._forms.get(minimal)) is None:
+            form = self._forms[minimal] = self.frame._label_union(
+                fold("or", map(self._masks.__getitem__, _bit_indices(minimal))))
         return form
 
     def joint_disjunctive(self, els):
         """The union of the operands' own disjunctive forms."""
-        mask = 0
-        for el in els:
-            mask |= self._operand(el)[2]
-        return self.frame._label_union(mask)
+        return self.frame._label_union(fold("or", (self._operand(el)[2] for el in els)))
 
 
 # -- degrees -----------------------------------------------------------

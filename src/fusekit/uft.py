@@ -172,9 +172,11 @@ def uft_combine(sources, config=None):
         return claimed is not None
 
     # expand claims a non-empty landing just before yielding it, and
-    # yields an empty one unclaimed.
-    for els, p, landing in ledger.expand(claim=claim if pairs or default is not None else None):
-        att = claimed if not landing.is_empty else attitude(els, landing) if pairs else fallback
+    # yields an empty one unclaimed; with no claim, the key 0 in its place.
+    claims = pairs or default is not None
+    for els, p, landing in ledger.expand(claim=claim if claims else None):
+        att = (claimed if claims and not landing.is_empty
+               else attitude(els, landing) if pairs else fallback)
         basis = f"case {case}" if case else f"attitude {att.kind}"
         if att.kind == "keep":
             note = "kept on intersection"

@@ -177,6 +177,31 @@ def test_dsm_hybrid_routes_each_product_by_its_own_first_seen_parts():
     assert routes == [(["C", "D"], "C|D"), (["D", "C"], "A|C|D")]
 
 
+def test_dsm_hybrid_routes_an_ambiguous_minimal_part_by_each_products_operands():
+    # D and ~(~D|C) are one atom set with the forms D and A|D, and the
+    # third source adds a part above both. Every product below holds that
+    # atom set among its minimal parts, so each is reduced afresh and
+    # takes the form its own operands give first.
+    f = Frame(tuple("ABCD")).constrain("B&D", "C&D")
+    m1 = MassFunction(f, {"C": 0.5, "~(~D|C)": 0.5})
+    m2 = MassFunction(f, {"D": 0.5, "C": 0.5})
+    m3 = MassFunction(f, {"A|C|D": 1.0})
+    routes = [([el.display for el in p.operands], p.shares[0][0].display)
+              for p in dsm_hybrid(m1, m2, m3).conflict.partials]
+    assert routes == [(["C", "D", "A|C|D"], "C|D"), (["D", "C", "A|C|D"], "A|C|D")]
+
+
+def test_dsm_hybrid_sends_a_product_of_empty_operands_on_three_sources_to_their_joint_form():
+    # Every operand is empty, so the product takes the union of their own
+    # disjunctive forms, A|B|C|D, not the form of its reduced
+    # intersection, A|B, where A|C and B|D are absorbed.
+    f = Frame.shafer(tuple("ABCD"))
+    m1, m2, m3 = (MassFunction(f, {t: 1.0}) for t in ("A&B&(A|C)", "A&B", "A&B&(B|D)"))
+    (partial,) = dsm_hybrid(m1, m2, m3).conflict.partials
+    assert partial.note == "operands empty; to joint disjunctive form"
+    assert partial.shares[0][0] == f.parse("A|B|C|D")
+
+
 def test_each_operand_expression_is_reduced_once_per_call(monkeypatch):
     f = Frame.shafer(tuple("ABCDEF"))
     texts = ("A|B", "A&B|C", "(A|B)&(B|C)", "C|D|E", "E&F", "D", "(A|E)&(E|F)", "B|F")
@@ -207,6 +232,12 @@ def test_each_operand_expression_is_reduced_once_per_call(monkeypatch):
         assert set(calls) <= operands
 
 
+def _form(reductions, els):
+    """dsmh's route of a product: the operands' keys ORed, then their form."""
+    key = reductions.keys(els)
+    return reductions.form(frame_module.fold("or", map(key, els)), els)
+
+
 def test_reductions_hold_each_operand_they_find_by_identity():
     # Operands are found by id() first. Once the temporary operand is
     # dropped, CPython hands its memory, and so its id, to the next
@@ -215,12 +246,12 @@ def test_reductions_hold_each_operand_they_find_by_identity():
     f = Frame.shafer(tuple("ABCD"))
     exprs = [f.parse(t).expr for t in ("A|B", "B&C", "C|D", "(A|B)&(C|D)", "A&D", "D", "B|C|D")]
     other = f.parse("B&D")
-    routes = (lambda r, els: r.disjunctive(els).mask,
+    routes = (lambda r, els: _form(r, els).mask,
               lambda r, els: r.joint_disjunctive(els).mask,
               lambda r, els: [part.element.expr for part in r.parts(els)])
     reductions = Reductions(f)
     temporary = frame_module.Element(f, f.eval_mask(exprs[0]), exprs[0])
-    reductions.disjunctive((temporary, other))
+    _form(reductions, (temporary, other))
     del temporary
     for expr in exprs[1:] * 4:
         for route in routes:
@@ -284,6 +315,16 @@ def test_weighted_operator_general_split(pair):
         base.mass(frame.label("A")) + 0.25 * k12
     )
     assert out.combined.total == pytest.approx(1.0)
+
+
+def test_weighted_operator_lands_each_weight_on_its_display():
+    # A weight written otherwise than its display lands on the ledger's
+    # element for its mask, so the result's key reads as it displays.
+    f = Frame.shafer(("A", "B", "C"))
+    out = weighted_operator(MassFunction(f, {"A": 1.0}), MassFunction(f, {"B": 1.0}),
+                            weights={"C|B&~A": 1})
+    (el, v), = out.combined.items()
+    assert (el.display, el.text, v) == ("B|C", "B|C", 1.0)
 
 
 def test_weighted_operator_validates_weights(pair):

@@ -1,5 +1,6 @@
 """Randomized invariants: commutativity, conservation, neutrality, axioms."""
 
+import functools
 import itertools
 import math
 import operator
@@ -656,12 +657,13 @@ def expressions(names):
 
 
 @st.composite
-def expression_sources(draw):
-    """Two or three sources whose focal elements keep the expressions drawn."""
+def expression_sources(draw, count=(2, 3), focal=4):
+    """Sources whose focal elements keep the expressions drawn: as many as
+    the ``count`` range allows, with at most ``focal`` focal elements each."""
     frame = draw(st.sampled_from(EXPR_FRAMES))
     sources = []
-    for _ in range(draw(st.integers(min_value=2, max_value=3))):
-        exprs = draw(st.lists(expressions(frame.names), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(*count))):
+        exprs = draw(st.lists(expressions(frame.names), min_size=1, max_size=focal))
         weights = draw(st.lists(st.integers(min_value=1, max_value=100),
                                 min_size=len(exprs), max_size=len(exprs)))
         total = sum(weights)
@@ -670,14 +672,27 @@ def expression_sources(draw):
     return sources
 
 
-@given(expression_sources())
-def test_reduced_intersection_routes_match_the_oracle(sources):
+def _dsmh_routes_match_the_oracle(sources):
     frame = sources[0].frame
     names, surviving = frame.names, frame.surviving_atoms
     for partial in dsm_hybrid(*sources).conflict.partials:
         (dest, _), = partial.shares
         operands = [el.expr for el in partial.operands]
         assert dest.atoms == oracles.dsmh_destination(operands, names, surviving), operands
+
+
+@given(expression_sources(count=(4, 4), focal=3))
+def test_reduced_intersection_routes_of_four_sources_match_the_oracle(sources):
+    # Four sources walk two prefix levels, and under ``and`` the walk pools
+    # safe prefixes: every route key a conflict reads is folded through them.
+    _dsmh_routes_match_the_oracle(sources)
+
+
+@given(expression_sources())
+def test_reduced_intersection_routes_match_the_oracle(sources):
+    frame = sources[0].frame
+    names, surviving = frame.names, frame.surviving_atoms
+    _dsmh_routes_match_the_oracle(sources)
     for version, recipients in (("a", oracles.minc_a_recipients),
                                 ("b", oracles.minc_b_recipients)):
         for partial in minc(*sources[:2], version=version).conflict.partials:
@@ -743,18 +758,27 @@ def _contested(els, mask):
     return all(mask != el.mask for el in els)
 
 
-def _walk_against_the_plain_loop(sources, op, claim=None):
+def _walk_against_the_plain_loop(sources, op, claim=None, keyed=False):
     """Expand ``sources`` and check the conflicts against the oracle's
     plain product loop: the same operands (by identity), order, weights
-    and k12.  Returns the landed masses both ways, as (mask, mass) lists."""
+    and k12.  A keyed walk gives each focal element a bit of its own as
+    its key, and an unclaimed conflict must come with its operands' bits
+    ORed (0 unkeyed).  Returns the landed masses both ways, as (mask,
+    mass) lists."""
     ledger = Ledger(sources)
-    got = list(ledger.expand(op, claim and (lambda els, landing: claim(els, landing.mask))))
+    bits = {id(el): 1 << i for i, el in enumerate(el for m in sources for el in m)}
+    got = list(ledger.expand(op, claim and (lambda els, landing: claim(els, landing.mask)),
+                             key=(lambda el: bits[id(el)]) if keyed else None))
     conflicts, k12, acc = oracles.expand_products(sources, op, claim)
     assert len(got) == len(conflicts), op
     for (els, p, landing), (want_els, want_p, want_mask) in zip(got, conflicts):
         assert len(els) == len(want_els) and all(map(operator.is_, els, want_els)), op
         assert p == want_p, (op, p, want_p)
-        assert landing.mask == want_mask, op
+        if claim is None:
+            keys = (bits[id(el)] if keyed else 0 for el in els)
+            assert landing == functools.reduce(operator.or_, keys), op
+        else:
+            assert landing.mask == want_mask, op
     assert ledger.k12.hex() == k12.hex(), op
     return [(el.mask, v) for el, v in ledger.acc.items()], acc
 
@@ -769,8 +793,10 @@ def _landed_alike(got, want, op):
 
 @given(walk_sources())
 def test_product_walk_matches_the_plain_product_loop(sources):
-    for op, claim in (("and", None), ("or", None), ("xor", None), ("and", _contested)):
-        got, want = _walk_against_the_plain_loop(sources, op, claim)
+    for op, claim, keyed in (("and", None, False), ("or", None, False), ("xor", None, False),
+                             ("and", _contested, False), ("and", None, True),
+                             ("or", None, True)):
+        got, want = _walk_against_the_plain_loop(sources, op, claim, keyed)
         if op == "xor" or claim is not None:
             assert got == want, op
         else:
@@ -824,14 +850,14 @@ def merge_sources(draw, unsafe_early=False):
 
 @given(merge_sources())
 def test_merged_walk_matches_the_plain_product_loop(sources):
-    for op in ("and", "or"):
-        _landed_alike(*_walk_against_the_plain_loop(sources, op), op)
+    for op, keyed in itertools.product(("and", "or"), (False, True)):
+        _landed_alike(*_walk_against_the_plain_loop(sources, op, keyed=keyed), op)
 
 
 @given(merge_sources(unsafe_early=True))
 def test_merged_walk_pools_the_plain_loops_masses_past_unsafe_prefixes(sources):
-    for op in ("and", "or"):
-        _landed_alike(*_walk_against_the_plain_loop(sources, op), op)
+    for op, keyed in itertools.product(("and", "or"), (False, True)):
+        _landed_alike(*_walk_against_the_plain_loop(sources, op, keyed=keyed), op)
 
 
 # -- the mask algebra against brute force over atom sets ---------------------

@@ -43,16 +43,45 @@ MUTANTS = (
      "                w = p * m\n"
      "                if k := join(mask, k):",
      (PROPERTIES,)),
-    # A product holding a part of two disjunctive forms would take the
-    # memoised form instead of being reduced afresh.
-    ("disjunctive-without-ambiguity", "src/fusekit/frame.py",
-     "if form is None or present & self._ambiguous:",
-     "if form is None:",
+    # A conflict's key would miss its prefix's operands past the first.
+    ("prefix-key-not-folded", "src/fusekit/classic.py",
+     "join(mask, k), r | q)",
+     "join(mask, k), r)",
+     (PROPERTIES, "tests/test_classic.py")),
+    # A conflict's key would miss its last operand.
+    ("last-key-not-folded", "src/fusekit/classic.py",
+     "yield (*prefix, el), w, r | q",
+     "yield (*prefix, el), w, r",
+     (PROPERTIES, "tests/test_classic.py")),
+    # A key would read the bits above its parts before every operand is
+    # numbered, and its part bits would start where the bits above do.
+    ("keys-without-registration", "src/fusekit/frame.py",
+     "        for el in operands:\n"
+     "            self._operand(el)\n",
+     "",
+     ("tests/test_classic.py",)),
+    # A product's form would take the label masks of parts that hold
+    # other parts of it.
+    ("form-without-above", "src/fusekit/frame.py",
+     "minimal = key >> self._shift & ~(key >> 1)",
+     "minimal = key >> self._shift",
+     ("tests/test_classic.py", PROPERTIES)),
+    # A product whose minimal parts hold an atom set of two disjunctive
+    # forms would take the memoised form instead of being reduced afresh.
+    ("form-without-ambiguity", "src/fusekit/frame.py",
+     "if minimal & self._ambiguous:",
+     "if False:",
+     ("tests/test_classic.py",)),
+    # A product of empty operands would take the form of its reduced
+    # intersection instead of its operands' joint form.
+    ("dsmh-without-empty-flag", "src/fusekit/classic.py",
+     "if key & 1:  # some operand is not empty",
+     "if True:",
      ("tests/test_classic.py",)),
     # A share's destination would land as itself, carrying the parsed
     # expression of its text instead of its display's.
     ("book-keys-by-dest", "src/fusekit/classic.py",
-     "el = dest if landings.get(dest.mask) is dest else self.landing(dest.mask)",
+     "el = landings.get(dest.mask) or self.landing(dest.mask)",
      "el = dest",
      ("tests/test_pcr.py",)),
     # An operand found by identity would not be held, so a later element
@@ -80,6 +109,15 @@ MUTANTS = (
      "for el, v in acc.items() if el != ignorance}",
      (PROPERTIES,)),
 )
+
+# Equivalent mutants, kept out of the list because no test can kill them:
+# - keying dsmh's form memo by all of a product's part bits (``key >>
+#   self._shift``) instead of its minimal parts' bits: the part bits decide
+#   the minimal ones, so every product takes the same form, only with more
+#   misses;
+# - ``_safety``'s bound under ``or`` set back to 0, the prefix's own mask:
+#   fewer prefixes pool, and the suffix meet it replaced is held by every
+#   completion, so each bound is valid and the landed masses agree.
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                "*.egg-info", "out")
