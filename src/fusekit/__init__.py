@@ -21,7 +21,7 @@ _MODULES = {
                "weighted_mixing weighted_operator yager",
     "errors": "DegenerateConsensusError FrameMismatchError FrameTooLargeError FusionError "
               "NotASubsetError ParseError RuleError TotalConflictError "
-              "UndefinedDegreeError UnknownLabelError",
+              "UndefinedDegreeError UnknownLabelError UnknownRuleError",
     "frame": "Element Frame IntervalElement degree_inclusion degree_intersection degree_union",
     "golden": "GOLDEN_CASES verify_golden",
     "mass": "MassFunction Opinion",

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import FusionError, ParseError
+from .errors import FusionError, ParseError, UnknownRuleError
 from .problem import coerce_params, parse_problem
 from .registry import execute_problem, resolve
 from .result import NORMALISED
@@ -89,7 +89,7 @@ def _cmd_run(argv):
 
     try:
         resolve(ns.rule)
-    except ValueError as exc:
+    except UnknownRuleError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

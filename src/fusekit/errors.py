@@ -29,6 +29,10 @@ class NotASubsetError(FusionError):
     """Inclusion degree requested for a pair that is not nested."""
 
 
+class UnknownRuleError(FusionError, ValueError):
+    """A selector names no registered rule."""
+
+
 class RuleError(FusionError):
     """A combination rule could not produce a result for these inputs."""
 

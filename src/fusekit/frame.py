@@ -18,10 +18,11 @@ and ``model`` are frozenset views in the atom encoding, built when read.
 An element's hash is computed once, from its frame's hash and its mask.
 A frame keeps, for as long as it lives, each display it has computed (a
 union of cubes, label intersections with some labels negated, that
-covers the atoms) and each label intersection's ("meet's") survivor
-mask.  Atoms are only ever removed, never restored, so constraining a
-frame yields a new frame.  Real intervals live on one frame of their
-own, ``INTERVAL_FRAME``, which parses them but has no algebra.
+covers the atoms), each cube's term and each label intersection's
+("meet's") survivor mask.  Atoms are only ever removed, never restored,
+so constraining a frame yields a new frame.  Real intervals live on one
+frame of their own, ``INTERVAL_FRAME``, which parses them but has no
+algebra.
 """
 
 import functools
@@ -135,8 +136,11 @@ class _ExprParser:
         return ("label", tok)
 
 
+@functools.lru_cache(maxsize=256)
 def parse_expression_text(text):
-    """Parse expression text into a raw tree without binding labels."""
+    """Parse expression text into a raw tree without binding labels.  The
+    tree is nested tuples, so it is kept for the text and shared by every
+    caller: the last 256 distinct texts are parsed once each."""
     return _ExprParser(text).parse()
 
 
@@ -265,7 +269,7 @@ class Frame:
     """
 
     __slots__ = ("names", "kind", "_index", "_atoms", "_hypotheses", "_full", "_displays",
-                 "_forms", "_meets", "_hash")
+                 "_forms", "_meets", "_terms", "_hash")
 
     def __init__(self, names, surviving_atoms=None):
         names = tuple(names)
@@ -301,6 +305,7 @@ class Frame:
         self._displays = {}
         self._forms = {}
         self._meets = {}
+        self._terms = {}
         self._hash = hash((names, atoms))
 
     # -- construction -------------------------------------------------
@@ -430,15 +435,16 @@ class Frame:
         return Element(self, sum(1 << k for k in positions))
 
     def _label_union(self, labels):
-        """The element of the union of the hypotheses in a label mask, kept
-        once built: every disjunctive form is built here."""
-        form = self._forms.get(labels)
-        if form is None:
+        """The element of the union of the hypotheses in a label mask, its
+        mask kept once built: every disjunctive form is built here.  A frame
+        keeps no element of its own, so nothing it keeps refers back to it."""
+        mask = self._forms.get(labels)
+        if mask is None:
             mask = 0
             for i in _bit_indices(labels):
                 mask |= self._hypotheses[i]
-            form = self._forms[labels] = Element(self, mask)
-        return form
+            self._forms[labels] = mask
+        return Element(self, mask)
 
     def _meet(self, labels):
         """The survivor mask of the intersection of the hypotheses in a label
@@ -597,9 +603,9 @@ def _display_expr(frame, mask):
                 break
             outer.append(cube)
         else:
-            expr, text = _cubes_expr(frame.names, outer)
+            expr, text = _cubes_expr(frame, outer)
             return ("not", expr), f"~{text}" if expr[0] == "label" else f"~({text})"
-    return _cubes_expr(frame.names, cubes)
+    return _cubes_expr(frame, cubes)
 
 
 def _cover(frame, mask):
@@ -635,23 +641,28 @@ def _cover(frame, mask):
         rest &= out | ~meet(labels)
 
 
-def _cubes_expr(names, cubes):
+def _cubes_expr(frame, cubes):
     """The union of the cubes and its text: terms by literal count, then by
-    their literals' codes (2i, or 2i + 1 negated, for label i), in label order."""
-    terms = []
+    their literals' codes (2i, or 2i + 1 negated, for label i), in label order.
+    The frame keeps each cube's term (size, codes, expression, text), so the
+    displays it keeps share their terms."""
+    names, terms = frame.names, []
     for labels, negated in cubes:
-        term, bits = [], labels | negated
-        while bits:
-            low = bits & -bits
-            i, bits = low.bit_length() - 1, bits ^ low
-            term.append((2 * i + 1, ("not", ("label", names[i])), "~" + names[i]) if negated & low
-                        else (2 * i, ("label", names[i]), names[i]))
-        terms.append((len(term), term))
+        if (term := frame._terms.get((labels, negated))) is None:
+            lits, bits = [], labels | negated
+            while bits:
+                low = bits & -bits
+                i, bits = low.bit_length() - 1, bits ^ low
+                lits.append((2 * i + 1, ("not", ("label", names[i])), "~" + names[i]) if negated & low
+                            else (2 * i, ("label", names[i]), names[i]))
+            term = frame._terms[labels, negated] = (
+                len(lits), [code for code, *_ in lits],
+                lits[0][1] if len(lits) == 1 else ("and", tuple([lit for _, lit, _ in lits])),
+                "&".join([text for *_, text in lits]))
+        terms.append(term)
     terms.sort()
-    nodes = [term[0][1] if size == 1 else ("and", tuple([lit for _, lit, _ in term]))
-             for size, term in terms]
-    return (nodes[0] if len(nodes) == 1 else ("or", tuple(nodes)),
-            "|".join(["&".join([text for *_, text in term]) for _, term in terms]))
+    return (terms[0][2] if len(terms) == 1 else ("or", tuple([term[2] for term in terms])),
+            "|".join([term[3] for term in terms]))
 
 
 def _canonical_expr(frame, expr):

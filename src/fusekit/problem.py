@@ -6,6 +6,7 @@ line, except inside a param value.  Interval problems swap the label
 frame for real intervals and exclude models, events, and scenarios.
 """
 
+import functools
 import math
 import re
 
@@ -261,22 +262,19 @@ def parse_problem(text):
         raise ParseError("problem declares no frame")
     if not raw_sources:
         raise ParseError("problem declares no sources")
+    model_kind = model_kind or "free"
     if interval:
         frame = INTERVAL_FRAME
     elif len(frame_labels) < 2:
         _fail(frame_lineno, "a frame needs at least two hypotheses")
-    elif model_kind == "shafer":
-        frame = Frame.shafer(frame_labels)
     else:
         try:
-            frame = Frame(frame_labels)
+            frame = _declared_frame(frame_labels, model_kind, model_constraints)
         except FrameTooLargeError as exc:
             _fail(frame_lineno, str(exc))
-        if model_kind == "constrain":
-            frame = frame.constrain(*model_constraints)
 
     problem = ProblemFile(
-        frame=frame, model_kind=model_kind or "free", model_constraints=model_constraints,
+        frame=frame, model_kind=model_kind, model_constraints=model_constraints,
         events=tuple(events), scenario=scenario, params=params, discounts=discounts,
     )
     lhs_form = "[lo,hi]" if interval else "<expr>"
@@ -307,6 +305,18 @@ def parse_problem(text):
         except ParseError as exc:
             raise ParseError(f"{what}: {exc}") from exc
     return problem
+
+
+@functools.lru_cache(maxsize=8)
+def _declared_frame(labels, kind, constraints):
+    """The frame a declaration builds: its labels, its model kind and the
+    texts of its constraints.  Problems of one declaration share the frame,
+    and with it the displays, terms, forms and meets it keeps; the last 8
+    distinct declarations are kept."""
+    if kind == "shafer":
+        return Frame.shafer(labels)
+    frame = Frame(labels)
+    return frame.constrain(*constraints) if kind == "constrain" else frame
 
 
 def _parse_scenario(body, lineno):

@@ -11,7 +11,7 @@ combine, so a process loads only the rule families it runs.
 from collections import namedtuple
 
 from . import classic
-from .errors import FrameMismatchError, RuleError
+from .errors import FrameMismatchError, RuleError, UnknownRuleError
 from .frame import INTERVAL_FRAME
 from .mass import MassFunction
 from .problem import _scenario_config, coerce_params
@@ -132,7 +132,7 @@ def resolve(name):
     """Look up a rule by its selector string."""
     spec = _RULES.get(name)
     if spec is None:
-        raise ValueError(
+        raise UnknownRuleError(
             f"unknown rule {name!r}; valid selectors: {', '.join(selectors())}"
         )
     return spec

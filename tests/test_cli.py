@@ -205,6 +205,23 @@ def test_unknown_rule_lists_selectors(dp_file, capsys):
     assert "pcr5" in err and "dempster" in err
 
 
+def test_unknown_rule_is_a_usage_error_before_the_problem_is_read(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--rule", "frobnicate", "--input", str(tmp_path / "none.txt"))
+    assert (code, out) == (2, "")
+    assert err == (f"usage error: unknown rule 'frobnicate'; "
+                   f"valid selectors: {', '.join(selectors())}\n")
+
+
+def test_an_unknown_base_rule_is_a_typed_rule_error(tmp_path, capsys):
+    src = tmp_path / "one.txt"
+    src.write_text("frame: A B\nmodel: shafer\nsource m1: A=0.6, A|B=0.4\n")
+    code, out, err = run_cli(capsys, "--rule", "conditional", "--input", str(src),
+                             "--param", "given=A", "--param", "base=frobnicate")
+    assert (code, out) == (3, "")
+    assert err == (f"error: UnknownRuleError: unknown rule 'frobnicate'; "
+                   f"valid selectors: {', '.join(selectors())}\n")
+
+
 def test_missing_arguments(capsys):
     assert main([]) == 2
     capsys.readouterr()

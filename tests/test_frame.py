@@ -1,5 +1,6 @@
 """Frame construction, expression algebra, and degree measures."""
 
+import gc
 import itertools
 import random
 import tracemalloc
@@ -230,6 +231,36 @@ def test_displays_grow_with_their_cubes_not_with_the_frame():
     f = Frame([f"H{i}" for i in range(16)])
     assert f.parse("H0&~H1").display == "H0&~H1"
     assert f.parse("H0^H1").display == "H0&~H1|~H0&H1"
+
+
+def test_kept_displays_share_one_term_per_cube():
+    f = Frame(("A", "B", "C"))
+    shown = [f.parse(t).canonical() for t in ("A&~B", "~A&B|C", "B&~C|A&C", "~(A|B)", "A^B",
+                                               "A&C|B", "C|A&~B")]
+    assert [el.display for el in shown] == ["A&~B", "~A|C", "A&C|B&~C", "~(A|B)", "A&~B|~A&B",
+                                            "B|A&C", "~B|C"]
+    seen = {}
+    for el in shown:
+        expr = el.expr[1] if el.expr[0] == "not" and el.expr[1][0] == "or" else el.expr
+        for term in expr[1] if expr[0] == "or" else (expr,):
+            assert seen.setdefault(term, term) is term, term
+    assert len(seen) == 9
+
+
+def test_a_frame_keeps_nothing_that_refers_back_to_it():
+    # So a frame no memo holds is freed at once, with all it keeps, not
+    # left to the cycle collector.
+    f = Frame(("A", "B", "C")).constrain("A&B")
+    for text in ("A|B", "A&C", "~C", "A^B"):
+        assert f.parse(text).disjunctive().display
+    assert f._forms and f._displays and f._meets and f._terms
+    seen, todo = set(), [f._displays, f._forms, f._meets, f._terms]
+    while todo:
+        obj = todo.pop()
+        assert obj is not f, "a kept value refers back to its frame"
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            todo += gc.get_referents(obj)
 
 
 def test_reevaluate_carries_expressions_to_tighter_models():

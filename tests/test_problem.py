@@ -1,19 +1,25 @@
 """Problem-file grammar, rendering, and parameter coercion."""
 
+import itertools
+
 import pytest
 
 from fusekit import (
     GOLDEN_CASES,
     Frame,
+    FusionError,
     IntervalElement,
     MassFunction,
     ParseError,
     ProblemFile,
+    UnknownLabelError,
     execute_problem,
     parse_problem,
     scenario_config,
 )
-from fusekit.problem import coerce_params
+from fusekit.cli import build_table
+from fusekit.frame import FREE_FRAME_GUARD, parse_expression_text
+from fusekit.problem import _declared_frame, coerce_params
 
 BASIC = """\
 frame: A B C
@@ -140,6 +146,7 @@ def test_one_label_frame_fails_at_the_frame_line():
 
 
 def test_shafer_model_builds_no_free_frame(monkeypatch):
+    _declared_frame.cache_clear()  # a cold parse: no problem of this frame came before
     calls = []
     init = Frame.__init__
 
@@ -401,3 +408,93 @@ def test_a_uft_run_builds_its_attitudes_on_the_sources_frame(monkeypatch):
     for p in partials:
         (right, _), = p.shares
         assert right.frame is outcome.result.sources[0].frame
+
+
+# -- memos: one frame per declaration, one tree per expression text ---------
+
+def _clear_memos():
+    _declared_frame.cache_clear()
+    parse_expression_text.cache_clear()
+
+
+def _tables(cases, rule, cold):
+    """Each case's rendered table and export under ``rule`` (or its error),
+    by name; with ``cold`` every case starts from empty memos."""
+    out = {}
+    for case in cases:
+        if cold:
+            _clear_memos()
+        try:
+            outcome = execute_problem(parse_problem(case.text), rule)
+        except FusionError as exc:
+            out[case.name] = f"{type(exc).__name__}: {exc}"
+            continue
+        table = build_table(outcome, rule)
+        out[case.name] = table.render(), table.to_json_dict(outcome)
+    return out
+
+
+@pytest.mark.parametrize("rule", ["dempster", "dsmh", "pcr5", "minc-a", "uft"])
+def test_shared_frames_and_trees_change_no_table(rule):
+    cases = [case for case in GOLDEN_CASES if not parse_problem(case.text).interval]
+    cold = _tables(cases, rule, cold=True)
+    assert len(cold) == len(cases) > 20
+    assert _tables(cases, rule, cold=False) == cold
+    assert _tables(cases[::-1], rule, cold=False) == cold
+
+
+def test_problems_of_one_declaration_share_one_frame():
+    _clear_memos()
+    for model in ("", "model: free\n", "model: shafer\n", "model: constrain A&B=0, C=0\n"):
+        first = parse_problem(f"frame: A B C\n{model}source s1: A=1\n")
+        again = parse_problem(f"# again\nframe: A B C\n{model}source s2: B|C=0.5, A=0.5\n")
+        assert again.frame is first.frame, model
+    # An undeclared model is the free model.
+    assert parse_problem("frame: A B\nsource s1: A=1\n").frame is parse_problem(
+        "frame: A B\nmodel: free\nsource s1: B=1\n").frame
+
+
+def test_other_models_or_constraint_texts_give_other_frames():
+    _clear_memos()
+    frames = [parse_problem(f"frame: A B C\n{model}source s1: A=1\n").frame
+              for model in ("model: free\n", "model: shafer\n", "model: constrain A&B=0\n",
+                            "model: constrain A&C=0\n", "model: constrain A&B=0, C=0\n")]
+    assert [f.kind for f in frames] == ["free", "shafer", "hybrid", "hybrid", "hybrid"]
+    assert all(a != b for a, b in itertools.combinations(frames, 2))
+    # Two texts of one constraint give equal frames, one built per text.
+    ab, ba = (parse_problem(f"frame: A B C\nmodel: constrain {c}=0\nsource s1: A=1\n").frame
+              for c in ("A&B", "B&A"))
+    assert ab == ba and ab is not ba
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("frame: A B\nmodel: constrain Q=0\nsource s1: A=1\n", UnknownLabelError,
+     "unknown hypothesis 'Q' (frame has A, B)"),
+    ("frame: A B\nmodel: constrain A&=0\nsource s1: A=1\n", ParseError,
+     "unexpected end or operator in 'A&'"),
+    ("# wide\nframe: " + " ".join(f"H{i}" for i in range(FREE_FRAME_GUARD + 1))
+     + "\nsource s1: H0=1\n", ParseError,
+     f"line 2: free frames are limited to {FREE_FRAME_GUARD} hypotheses, "
+     f"frame has {FREE_FRAME_GUARD + 1}"),
+])
+def test_a_declaration_that_fails_fails_alike_on_every_parse(text, error, message):
+    _clear_memos()
+    for _ in range(3):
+        with pytest.raises(error) as err:
+            parse_problem(text)
+        assert str(err.value) == message
+    assert _declared_frame.cache_info().currsize == 0
+
+
+def test_a_focal_text_is_parsed_once_and_its_tree_shared():
+    _clear_memos()
+    one = parse_problem("frame: A B C\nmodel: shafer\nsource s1: A|B&~C=1\n")
+    two = parse_problem("frame: A B C\nsource s1: A|B&~C=1\n")
+    (el_one, _), = one.source_masses[0].items()
+    (el_two, _), = two.source_masses[0].items()
+    assert el_one.frame != el_two.frame and el_one.expr is el_two.expr
+    assert parse_expression_text.cache_info().hits >= 1
+    # A text that fails to parse fails on every call.
+    for _ in range(2):
+        with pytest.raises(ParseError, match="missing"):
+            parse_expression_text("(A|B")

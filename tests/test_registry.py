@@ -2,7 +2,8 @@
 
 import pytest
 
-from fusekit import Frame, FrameMismatchError, FusionResult, MassFunction
+from fusekit import Frame, FrameMismatchError, FusionError, FusionResult, MassFunction
+from fusekit import UnknownRuleError
 from fusekit import special
 from fusekit.registry import resolve, selectors, validate_call
 
@@ -68,3 +69,11 @@ def test_special_kind_selectors_match_special_tables():
     assert kinds("tconorm-") == set(special.TCONORMS)
     assert kinds("improved-") == set(special._IMPROVED_BASES)
 
+
+
+def test_an_unknown_selector_is_a_typed_error():
+    with pytest.raises(UnknownRuleError) as err:
+        resolve("frobnicate")
+    assert isinstance(err.value, FusionError) and isinstance(err.value, ValueError)
+    assert str(err.value) == (
+        f"unknown rule 'frobnicate'; valid selectors: {', '.join(selectors())}")

@@ -90,6 +90,32 @@ MUTANTS = (
      "held = self._held[id(el)] = (*entry, el)",
      "held = self._held[id(el)] = entry",
      ("tests/test_classic.py",)),
+    # Problems of one frame's labels and model kind would share the frame
+    # of the first constraint texts seen.
+    ("frame-memo-without-constraints", "src/fusekit/problem.py",
+     "def _declared_frame(labels, kind, constraints):\n",
+     "def _declared_frame(labels, kind, constraints, first={}):\n"
+     "    constraints = first.setdefault((labels, kind), constraints)\n",
+     ("tests/test_problem.py",)),
+    # Free and Shafer problems of one frame's labels would share the frame
+    # of the first model kind seen.
+    ("frame-memo-without-kind", "src/fusekit/problem.py",
+     "def _declared_frame(labels, kind, constraints):\n",
+     "def _declared_frame(labels, kind, constraints, first={}):\n"
+     "    kind = first.setdefault((labels, constraints), kind)\n",
+     ("tests/test_problem.py",)),
+    # A kept term would print a label where its cube negates it, and the
+    # negation where it does not.
+    ("terms-swap-polarity", "src/fusekit/frame.py",
+     '"~" + names[i]) if negated & low',
+     '"~" + names[i]) if not negated & low',
+     ("tests/test_frame.py",)),
+    # A cube's term would be kept under its labels alone, so the cube of
+    # those labels with no negation would print the negating cube's term.
+    ("terms-without-negations", "src/fusekit/frame.py",
+     "term = frame._terms[labels, negated] = (",
+     "term = frame._terms[labels, 0] = (",
+     ("tests/test_frame.py",)),
     # Every partial would list its operands' displays, also where one
     # was written otherwise.
     ("export-shares-display-list", "src/fusekit/cli.py",
