@@ -12,17 +12,12 @@ import math
 from collections.abc import Mapping
 
 from .errors import FrameMismatchError, RuleError, TotalConflictError
-from .frame import CONNECTIVES, Element, Reductions, fold, parse_expression_text
+from .frame import CONNECTIVES, INTERVAL_FRAME, Element, Reductions, fold, parse_expression_text
 from .mass import MassFunction
 from .result import NORMALISED, ConflictReport, FusionResult, Partial
 
 # The zero tolerance of every rule module: totals at or below it count as nothing.
 _EPS = 1e-12
-
-
-def _by_mask(item):
-    """An (element, mass) item's sort key: its survivor mask."""
-    return item[0].mask
 
 
 def _common_frame(sources, minimum=2):
@@ -129,8 +124,8 @@ class Ledger:
 
     A rule expands the sources' product (or a stored conjunctive
     product), hands the conflicting products to its transfer, and
-    finishes into a FusionResult.  ``k12`` is the mass of every
-    conflicting product.
+    finishes into a FusionResult.  ``acc`` maps each landing's survivor
+    mask to its mass; ``k12`` is the mass of every conflicting product.
     """
 
     __slots__ = ("frame", "sources", "acc", "partials", "k12", "reductions", "_landings")
@@ -138,6 +133,8 @@ class Ledger:
     def __init__(self, sources):
         self.sources = tuple(sources)
         self.frame = _common_frame(self.sources)
+        if self.frame is INTERVAL_FRAME:
+            raise RuleError("this rule needs a label frame, not intervals")
         self.acc = {}
         self.partials = []
         self.k12 = 0.0
@@ -151,17 +148,18 @@ class Ledger:
         Every source but the last is walked level by level: each prefix
         carries its operands, mass product (left to right, as
         ``math.prod``) and masks joined by ``op``.  A product weighs its
-        mass product and lands on ``landing(mask)``; a ``leaf(els, p,
-        mask)`` returns (weight, landing) instead.  A product of zero
-        weight is skipped; one whose landing is empty or ``claim(els,
-        landing)`` holds conflicts and is yielded as (operands, weight,
-        landing).  Products land as the caller iterates: a transfer that
-        books each conflict as it comes books in enumeration order, one
-        that needs every landing first takes ``list(conflicts)``.
+        mass product and lands on its mask, adding its weight to
+        ``acc[mask]``; a ``leaf(els, p, mask)`` returns (weight, mask)
+        instead.  A product of zero weight is skipped; one whose mask is
+        empty or ``claim(els, mask)`` holds conflicts and is yielded as
+        (operands, weight, mask).  Products land as the caller iterates:
+        a transfer that books each conflict as it comes books in
+        enumeration order, one that needs every landing first takes
+        ``list(conflicts)``.
 
         With no claim and no leaf, a walked product builds its operands
         only to conflict, and a conflict comes with its operands' route
-        keys ORed in place of its empty landing: ``key(el)`` gives each
+        keys ORed in place of its empty mask: ``key(el)`` gives each
         focal element an int (0 without ``key``), and prefixes fold keys
         as they join masks.  Under ``and`` or ``or`` on three or more
         sources a prefix that ``_safety`` calls safe can neither conflict
@@ -175,9 +173,8 @@ class Ledger:
         terms, so its last bits may differ from the plain loop's.
         """
         join = CONNECTIVES[op]
-        # An interval has no mask: only a leaf lands interval products.
-        levels = [tuple((el, m, getattr(el, "mask", 0), key(el) if key else 0)
-                        for el, m in src.items()) for src in self.sources]
+        levels = [tuple((el, m, el.mask, key(el) if key else 0) for el, m in src.items())
+                  for src in self.sources]
         safety = _safety(op, levels) if claim is None and leaf is None else None
         prefixes, table = [((el,), m, k, r) for el, m, k, r in levels[0]], {}
         if safety is not None:
@@ -188,24 +185,20 @@ class Ledger:
                         for els, p, mask, r in prefixes for el, m, k, q in level]
             if safety is not None:
                 prefixes = _pool_safe(table, prefixes, join, *safety[depth])
-        last = levels[-1]
-        acc, landings = self.acc, self._landings
+        last, acc = levels[-1], self.acc
         if claim is not None or leaf is not None:
             for prefix, p, mask, _ in prefixes:
                 for el, m, k, _ in last:
                     els = (*prefix, el)
-                    if leaf is None:
-                        w, k = p * m, join(mask, k)
-                        landing = landings.get(k) or self.landing(k)
-                    else:
-                        w, landing = leaf(els, p * m, join(mask, k))
+                    k = join(mask, k)
+                    w, k = (p * m, k) if leaf is None else leaf(els, p * m, k)
                     if not w:
                         continue
-                    if not landing.is_empty and (claim is None or not claim(els, landing)):
-                        acc[landing] = acc.get(landing, 0.0) + w
+                    if k and (claim is None or not claim(els, k)):
+                        acc[k] = acc.get(k, 0.0) + w
                         continue
                     self.k12 += w
-                    yield els, w, landing
+                    yield els, w, k
             return
         # With no claim and no leaf, only a conflict reads its operands.
         for prefix, p, mask, r in prefixes:
@@ -213,17 +206,16 @@ class Ledger:
                 if not (w := p * m):
                     continue
                 if k := join(mask, k):
-                    landing = landings.get(k) or self.landing(k)
-                    acc[landing] = acc.get(landing, 0.0) + w
+                    acc[k] = acc.get(k, 0.0) + w
                 else:
                     self.k12 += w
                     yield (*prefix, el), w, r | q
         for k, w in _push(table, last, join).items():
-            landing = landings.get(k) or self.landing(k)
-            acc[landing] = acc.get(landing, 0.0) + w
+            acc[k] = acc.get(k, 0.0) + w
 
     def landing(self, mask):
-        """The one Element this combination lands on for a survivor mask."""
+        """The one Element this combination gives a survivor mask: the
+        result's landing, and the destination a route books."""
         if (el := self._landings.get(mask)) is None:
             el = self._landings[mask] = Element(self.frame, mask)
         return el
@@ -233,24 +225,23 @@ class Ledger:
         return self.landing(fold("or", (0, *(el.mask for el in els))))
 
     def stored(self, product):
-        """Land a stored conjunctive product, as ``expand`` lands the
-        sources' product: its empty-set mass is one conflict with no
-        operands, yielded where the product holds it."""
+        """Land a stored conjunctive product by mask, as ``expand`` lands
+        the sources' product: its empty-set mass is one conflict with no
+        operands and mask 0, yielded where the product holds it."""
         for el, p in product.items():
-            if el.is_empty:
-                self.k12 += p
-                yield (), p, el
+            if k := el.mask:
+                self.acc[k] = self.acc.get(k, 0.0) + p
             else:
-                self.acc[el] = self.acc.get(el, 0.0) + p
+                self.k12 += p
+                yield (), p, 0
 
     def book(self, els, p, shares, basis="", note=""):
-        """Land a product's shares; None is lost and NORMALISED divided out.
-        A share lands on the ledger's own element for its mask."""
-        acc, landings = self.acc, self._landings
+        """Land a product's shares on their destinations' masks; None is
+        lost and NORMALISED divided out."""
+        acc = self.acc
         for dest, share in shares:
             if dest is not None and dest is not NORMALISED:
-                el = landings.get(dest.mask) or self.landing(dest.mask)
-                acc[el] = acc.get(el, 0.0) + share
+                acc[dest.mask] = acc.get(dest.mask, 0.0) + share
         self.partials.append(Partial(els, p, tuple(shares), basis, note))
 
     def divide(self, els, p):
@@ -273,9 +264,9 @@ class Ledger:
             self.book(els, p, ((dest, p),), basis, note)
 
     def finish(self, rule, warnings=(), open_world="open-world mass on the empty set"):
-        """The result of the landed mass, in ascending survivor-mask order,
-        and the booked partials."""
-        combined = MassFunction(self.frame, sorted(self.acc.items(), key=_by_mask))
+        """The result of the landed mass, each landing made once by
+        ``landing`` in ascending survivor-mask order, and the booked partials."""
+        combined = MassFunction(self.frame, [(self.landing(k), v) for k, v in sorted(self.acc.items())])
         return _result(rule, combined, self.sources,
                        ConflictReport(self.k12, tuple(self.partials)), warnings, open_world)
 
@@ -336,7 +327,7 @@ def _normalise(ledger, message=None):
         raise TotalConflictError(
             message or f"total conflict: k12={ledger.k12:g}; the rule is undefined")
     scale = 1.0 / total
-    ledger.acc = {el: v * scale for el, v in ledger.acc.items()}
+    ledger.acc = {k: v * scale for k, v in ledger.acc.items()}
     return total
 
 
@@ -372,8 +363,7 @@ def _weigh(ledger, conflicts, weights):
     conflicts = list(conflicts)
     if ledger.k12 > 0.0:
         for el, w in witems:
-            el = ledger.landing(el.mask)
-            ledger.acc[el] = ledger.acc.get(el, 0.0) + w * ledger.k12
+            ledger.acc[el.mask] = ledger.acc.get(el.mask, 0.0) + w * ledger.k12
     _audit_pooled(ledger, conflicts, witems, "declared weights")
     return ()
 
@@ -393,10 +383,10 @@ def _inagaki(ledger, conflicts, p):
     if product > 1.0 + _EPS:
         raise RuleError(f"inagaki needs source totals whose product is at most 1, "
                         f"got {product:.6g}")
-    ignorance = _ignorance(ledger.frame)
+    full = _ignorance(ledger.frame).mask
     conflicts = list(conflicts)
     acc, k12 = ledger.acc, ledger.k12
-    m_ign = acc.get(ignorance, 0.0)
+    m_ign = acc.get(full, 0.0)
     bound_den = 1.0 - k12 - m_ign
     p = float(p)
     if not math.isfinite(p) or p < 0.0 or (bound_den > _EPS and p > 1.0 / bound_den + _EPS):
@@ -405,10 +395,10 @@ def _inagaki(ledger, conflicts, p):
     scale = 1.0 + p * k12
     # In mask order, as ``finish`` lists them; ignorance, a superset of every
     # landing, has the largest mask.
-    out = {el: v * scale for el, v in sorted(acc.items(), key=_by_mask) if el != ignorance}
-    out[ignorance] = max(0.0, scale * m_ign + (scale - p) * k12)
+    out = {k: v * scale for k, v in sorted(acc.items()) if k != full}
+    out[full] = max(0.0, scale * m_ign + (scale - p) * k12)
     ledger.acc = out
-    gains = [(el, v - acc.get(el, 0.0)) for el, v in out.items() if v > acc.get(el, 0.0)]
+    gains = [(ledger.landing(k), v - acc.get(k, 0.0)) for k, v in out.items() if v > acc.get(k, 0.0)]
     total = math.fsum(g for _, g in gains)
     fractions = [(el, g / total) for el, g in gains]
     short = p * (1.0 - product)
@@ -593,7 +583,7 @@ def mixed(sources, expr):
             f"expression must use each of sources 1..{len(sources)} exactly once, got {sorted(leaves)}"
         )
     conflicts = ledger.expand(leaf=lambda els, p, _: (
-        p, ledger.landing(_eval_source_expr(expr, [el.mask for el in els]))))
+        p, _eval_source_expr(expr, [el.mask for el in els])))
     return ledger.finish("mixed", _retain(ledger, conflicts, "empty landing"))
 
 
@@ -609,6 +599,8 @@ def weighted_mixing(sources, weights):
     """Convex mixing of sources with caller-chosen importance weights."""
     sources = tuple(sources)
     frame = _common_frame(sources, minimum=1)
+    if isinstance(weights, Mapping):
+        raise RuleError("mixing needs one weight per source, got element:weight pairs")
     weights = [float(w) for w in weights]
     if len(weights) != len(sources):
         raise ValueError(f"{len(sources)} sources but {len(weights)} weights")

@@ -170,7 +170,7 @@ def _split_each(ledger, rule, why, split):
     it cannot place goes to the operands' joint disjunctive form, then
     to total ignorance, and only in a fully degenerate model stays on
     the empty set.  ``m12`` is the conjunctive result before any
-    redistribution.
+    redistribution, keyed by survivor mask.
     """
     conflicts = list(ledger.expand())
     m12 = dict(ledger.acc)
@@ -220,7 +220,7 @@ def pcr4(*sources):
     columns = _columns(ledger.sources)
 
     def split(els, p, m12):
-        shares = _proportional(_weighted(els, lambda el: m12.get(el, 0.0)), p)
+        shares = _proportional(_weighted(els, lambda el: m12.get(el.mask, 0.0)), p)
         if shares:
             return shares, "conjunctive masses"
         return (_proportional(_weighted(els, lambda el: columns.get(el, 0.0)), p),
@@ -302,7 +302,7 @@ def minc(*sources, version="a"):
         recipients = recipients_fn(ledger.frame, ledger.reductions.parts(els))
         if not recipients:
             return None, ""
-        shares = _proportional(_weighted(recipients, lambda el: m12.get(el, 0.0)), p)
+        shares = _proportional(_weighted(recipients, lambda el: m12.get(el.mask, 0.0)), p)
         if shares:
             return shares, "conjunctive masses of recipients"
         share = p / len(recipients)

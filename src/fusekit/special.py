@@ -8,7 +8,6 @@ from .errors import DegenerateConsensusError, FrameTooLargeError, RuleError
 from .classic import (
     _EPS,
     Ledger,
-    _common_frame,
     _normalise,
     _subset_unions,
 )
@@ -43,7 +42,7 @@ def _degree_weighted(m1, m2, rule, what, degree, op, message, disjoint=None):
         raise RuleError(f"{what} needs non-empty focal elements")
 
     for els, p, _ in ledger.expand(op, leaf=lambda els, p, mask: (
-            (degree(*els) if els[0].mask & els[1].mask else 1.0) * p, ledger.landing(mask))):
+            (degree(*els) if els[0].mask & els[1].mask else 1.0) * p, mask)):
         disjoint(ledger, els, p)
     _normalise(ledger, message)
     return ledger.finish(rule)
@@ -88,9 +87,12 @@ def convolutive_x_average(m1, m2):
     for m in (m1, m2):
         if not isinstance(m, MassFunction) or m.frame is not INTERVAL_FRAME:
             raise TypeError("convolutive averaging needs interval bbas")
-    ledger = Ledger((m1, m2))
-    list(ledger.expand(leaf=lambda els, p, _: (p, els[0].average(els[1]))))  # never conflicts
-    return IntervalMassFunction(ledger.acc)
+    acc = {}
+    for x, p in m1.items():
+        for y, q in m2.items():
+            mid = x.average(y)
+            acc[mid] = acc.get(mid, 0.0) + p * q
+    return IntervalMassFunction(acc)
 
 
 # -- consensus operator ------------------------------------------------------
@@ -150,7 +152,7 @@ TCONORMS = {
 def _norm_fusion(m1, m2, fn, op, rule, zero_msg):
     ledger = Ledger((m1, m2))
     for els, p, _ in ledger.expand(op, leaf=lambda els, p, mask: (
-            fn(m1.mass(els[0]), m2.mass(els[1])), ledger.landing(mask))):
+            fn(m1.mass(els[0]), m2.mass(els[1])), mask)):
         ledger.divide(els, p)
     total = _normalise(ledger, zero_msg)
     warnings = ()
@@ -189,7 +191,8 @@ def cautious_commonality_min(m1, m2):
     not guaranteed non-negative; when negatives appear the result keeps
     the positive part and carries the full signed map alongside.
     """
-    frame = _common_frame((m1, m2))
+    ledger = Ledger((m1, m2))
+    frame = ledger.frame
     if not frame.is_shafer:
         raise RuleError("the cautious rule needs a Shafer (power-set) model")
     if frame.n > _CAUTIOUS_GUARD:
@@ -213,9 +216,8 @@ def cautious_commonality_min(m1, m2):
     positives = {el: v for el, v in signed.items() if v > _EPS}
     warnings = ("inverted mass map is not a bba; combined keeps the positive part "
                 "and signed_masses carries the full inversion",) if negatives else ()
-    ledger = Ledger((m1, m2))
-    for els, p, empty in ledger.stored(MassFunction(frame, positives)):
-        ledger.book(els, p, ((empty, p),), "commonality minimum", "pooled conflict")
+    for els, p, _ in ledger.stored(MassFunction(frame, positives)):
+        ledger.strand(els, p, "pooled conflict", "commonality minimum")
     return ledger.finish("cautious", warnings)._replace(
         signed_masses=signed if negatives else None)
 

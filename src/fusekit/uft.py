@@ -157,35 +157,34 @@ def uft_combine(sources, config=None):
     ignorance = frame.ignorance()
     fallback = default or _UNION
 
-    def attitude(els, landing):
+    def attitude(els, mask):
         att = pairs.get(frozenset(els)) if pairs else None
-        if att is None and (landing.is_empty or default is not None
-                            and all(landing.mask != el.mask for el in els)):
+        if att is None and (not mask or default is not None
+                            and all(mask != el.mask for el in els)):
             att = fallback
         return att
 
     claimed = None
 
-    def claim(els, landing):
+    def claim(els, mask):
         nonlocal claimed
-        claimed = attitude(els, landing)
+        claimed = attitude(els, mask)
         return claimed is not None
 
-    # expand claims a non-empty landing just before yielding it, and
-    # yields an empty one unclaimed; with no claim, the key 0 in its place.
+    # expand claims a non-empty landing mask just before yielding it, and
+    # yields an empty one unclaimed; with no claim, the route key 0, also empty.
     claims = pairs or default is not None
-    for els, p, landing in ledger.expand(claim=claim if claims else None):
-        att = (claimed if claims and not landing.is_empty
-               else attitude(els, landing) if pairs else fallback)
+    for els, p, mask in ledger.expand(claim=claim if claims else None):
+        att = claimed if claims and mask else attitude(els, mask) if pairs else fallback
         basis = f"case {case}" if case else f"attitude {att.kind}"
         if att.kind == "keep":
             note = "kept on intersection"
             if case == "1.3":
                 note += " (provisional: model unknown)"
-            if landing.is_empty:
-                ledger.strand(els, p, note, basis)
+            if mask:
+                ledger.book(els, p, ((ledger.landing(mask), p),), basis, note)
             else:
-                ledger.book(els, p, ((landing, p),), basis, note)
+                ledger.strand(els, p, note, basis)
         elif att.kind == "split":
             shares = _pcr5_split(els, effective, p)
             if shares:

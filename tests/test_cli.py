@@ -578,7 +578,9 @@ def test_malformed_params_end_in_a_documented_exit_code(tmp_path, capsys, proble
 @pytest.mark.parametrize("rule,param,message", [
     ("uft", "config=x", "error: RuleError: uft needs a ScenarioConfig, got str"),
     ("wo", "weights=1,2", "error: RuleError: wo needs weights as element:weight pairs, got list"),
-], ids=["uft", "wo"])
+    ("mixing", "weights=A:1",
+     "error: RuleError: mixing needs one weight per source, got element:weight pairs"),
+], ids=["uft", "wo", "mixing"])
 def test_a_malformed_rule_parameter_is_a_rule_error(tmp_path, capsys, rule, param, message):
     src = tmp_path / "pair.txt"
     src.write_text(PCR_BINARY)

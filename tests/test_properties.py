@@ -758,29 +758,29 @@ def _contested(els, mask):
     return all(mask != el.mask for el in els)
 
 
-def _walk_against_the_plain_loop(sources, op, claim=None, keyed=False):
+def _walk_against_the_plain_loop(sources, op, claim=None, keyed=False, leaf=None):
     """Expand ``sources`` and check the conflicts against the oracle's
     plain product loop: the same operands (by identity), order, weights
     and k12.  A keyed walk gives each focal element a bit of its own as
-    its key, and an unclaimed conflict must come with its operands' bits
-    ORed (0 unkeyed).  Returns the landed masses both ways, as (mask,
-    mass) lists."""
+    its key, and a conflict with no claim and no leaf must come with its
+    operands' bits ORed (0 unkeyed); under a claim or a leaf, with its
+    landing mask.  Returns the landed masses both ways, as (mask, mass)
+    lists."""
     ledger = Ledger(sources)
     bits = {id(el): 1 << i for i, el in enumerate(el for m in sources for el in m)}
-    got = list(ledger.expand(op, claim and (lambda els, landing: claim(els, landing.mask)),
-                             key=(lambda el: bits[id(el)]) if keyed else None))
+    got = list(ledger.expand(op, claim, leaf, key=(lambda el: bits[id(el)]) if keyed else None))
     conflicts, k12, acc = oracles.expand_products(sources, op, claim)
     assert len(got) == len(conflicts), op
     for (els, p, landing), (want_els, want_p, want_mask) in zip(got, conflicts):
         assert len(els) == len(want_els) and all(map(operator.is_, els, want_els)), op
         assert p == want_p, (op, p, want_p)
-        if claim is None:
+        if claim is None and leaf is None:
             keys = (bits[id(el)] if keyed else 0 for el in els)
             assert landing == functools.reduce(operator.or_, keys), op
         else:
-            assert landing.mask == want_mask, op
+            assert landing == want_mask, op
     assert ledger.k12.hex() == k12.hex(), op
-    return [(el.mask, v) for el, v in ledger.acc.items()], acc
+    return list(ledger.acc.items()), acc
 
 
 def _landed_alike(got, want, op):
@@ -801,6 +801,10 @@ def test_product_walk_matches_the_plain_product_loop(sources):
             assert got == want, op
         else:
             _landed_alike(got, want, op)
+    # An identity leaf walks every product one by one, as a claim does.
+    for op in ("and", "or", "xor"):
+        got, want = _walk_against_the_plain_loop(sources, op, leaf=lambda els, p, mask: (p, mask))
+        assert got == want, op
 
 
 MERGE_FRAMES = (

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import fusekit
 from fusekit import (
     DegenerateConsensusError,
     Frame,
@@ -145,6 +146,33 @@ def test_convolutive_x_average_rejects_label_bbas(shafer2):
     m = MassFunction(shafer2, {"A": 1.0})
     with pytest.raises(TypeError):
         convolutive_x_average(m, m)
+
+
+# Every public rule that combines on the Ledger core, with its parameters.
+LEDGER_RULES = {
+    "conjunctive": fusekit.conjunctive, "dsmc": fusekit.dsm_classic,
+    "smets": fusekit.smets_tbm, "dempster": dempster, "yager": fusekit.yager,
+    "dubois-prade": fusekit.dubois_prade, "dsmh": fusekit.dsm_hybrid,
+    "wo": lambda *ss: fusekit.weighted_operator(*ss, weights={"A": 1.0}),
+    "inagaki": lambda *ss: fusekit.inagaki(*ss, p=0.5),
+    "disjunctive": fusekit.disjunctive, "xor": fusekit.exclusive_disjunctive,
+    "mixed": lambda *ss: fusekit.mixed(ss, "1&2"),
+    "wao": fusekit.wao, "pcr1": fusekit.pcr1, "pcr2": fusekit.pcr2, "pcr3": fusekit.pcr3,
+    "pcr4": fusekit.pcr4, "pcr5": fusekit.pcr5,
+    "minc-a": fusekit.minc, "minc-b": lambda *ss: fusekit.minc(*ss, version="b"),
+    "zhang": zhang_center, "improved": improved_rules,
+    "tnorm": tnorm_fusion, "tconorm": tconorm_fusion,
+    "cautious": cautious_commonality_min,
+    "uft": lambda *ss: fusekit.uft_combine(ss),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(LEDGER_RULES))
+def test_label_rules_refuse_interval_sources(rule):
+    m1 = IntervalMassFunction({IntervalElement(1, 3): 0.3, IntervalElement(2, 5): 0.7})
+    m2 = IntervalMassFunction({IntervalElement(6, 8): 1.0})
+    with pytest.raises(RuleError, match="needs a label frame, not intervals"):
+        LEDGER_RULES[rule](m1, m2)
 
 
 # -- consensus operator --------------------------------------------------
