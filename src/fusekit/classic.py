@@ -224,12 +224,12 @@ class Ledger:
         """The landing of the union of the operands' atoms (of none: the empty set)."""
         return self.landing(fold("or", (0, *(el.mask for el in els))))
 
-    def stored(self, product):
-        """Land a stored conjunctive product by mask, as ``expand`` lands
-        the sources' product: its empty-set mass is one conflict with no
-        operands and mask 0, yielded where the product holds it."""
-        for el, p in product.items():
-            if k := el.mask:
+    def stored(self, table):
+        """Land a stored conjunctive product, a survivor mask → mass table,
+        as ``expand`` lands the sources' product: its empty-set mass is one
+        conflict with no operands and mask 0, yielded where the table holds it."""
+        for k, p in table.items():
+            if k:
                 self.acc[k] = self.acc.get(k, 0.0) + p
             else:
                 self.k12 += p
@@ -599,6 +599,8 @@ def weighted_mixing(sources, weights):
     """Convex mixing of sources with caller-chosen importance weights."""
     sources = tuple(sources)
     frame = _common_frame(sources, minimum=1)
+    if frame is INTERVAL_FRAME:
+        raise RuleError("this rule needs a label frame, not intervals")
     if isinstance(weights, Mapping):
         raise RuleError("mixing needs one weight per source, got element:weight pairs")
     weights = [float(w) for w in weights]

@@ -213,10 +213,10 @@ def cautious_commonality_min(m1, m2):
         if abs(total) > _EPS:
             signed[el] = total
     negatives = {el: v for el, v in signed.items() if v < -1e-9}
-    positives = {el: v for el, v in signed.items() if v > _EPS}
+    positives = {el.mask: v for el, v in signed.items() if v > _EPS}
     warnings = ("inverted mass map is not a bba; combined keeps the positive part "
                 "and signed_masses carries the full inversion",) if negatives else ()
-    for els, p, _ in ledger.stored(MassFunction(frame, positives)):
+    for els, p, _ in ledger.stored(positives):
         ledger.strand(els, p, "pooled conflict", "commonality minimum")
     return ledger.finish("cautious", warnings)._replace(
         signed_masses=signed if negatives else None)

@@ -16,16 +16,16 @@ from .classic import (
     _common_frame,
     _divide_out,
     _inagaki,
+    _push,
     _retain,
     _to_ignorance,
     _weigh,
-    conjunctive,
     disjunctive,
     exclusive_disjunctive,
     mixed,
     weighted_mixing,
 )
-from .frame import Value
+from .frame import CONNECTIVES, INTERVAL_FRAME, Element, Value
 from .mass import MassFunction
 from .pcr import _column_averages, _column_sums, _pcr5_split
 from .problem import CASE_TO_KIND, CASES
@@ -248,6 +248,8 @@ def dynamic_update(state, new_empty, transfer_rule="dsmh", **params):
         frame = state.frame
     else:
         raise TypeError(f"expected FusionResult or MassFunction, got {type(state).__name__}")
+    if frame is INTERVAL_FRAME:
+        raise RuleError("a model update needs a label frame, not intervals")
     tightened = frame.constrain(*new_empty)
     if tightened == frame:
         return state
@@ -290,7 +292,7 @@ class QuasiAssociativeState(Value):
     them.  States are equal, and hash alike, by their sources alone.
     """
 
-    # ``_base`` is the product of the first ``_folded`` sources.
+    # ``_base``: the first ``_folded`` sources' product as a mask table, or None.
     __slots__ = ("sources", "_base", "_folded")
 
     def __init__(self, sources, _base, _folded):
@@ -309,7 +311,7 @@ class QuasiAssociativeState(Value):
 
     @classmethod
     def start(cls, m):
-        return cls((m,), m, 1)
+        return cls((m,), None, 1)
 
     def append(self, m):
         """The state extended by one source; vacuous appends are no-ops
@@ -318,17 +320,28 @@ class QuasiAssociativeState(Value):
         _common_frame((self.sources[0], m))
         return QuasiAssociativeState(self.sources + (m,), self._base, self._folded)
 
+    def _table(self):
+        """The product's mask table, each pending source pushed on read as one
+        merged-walk level, zeros dropped and mask-sorted as ``conjunctive`` lands it."""
+        table = self._base
+        if table is None:
+            table = {el.mask: p for el, p in self.sources[0].items()}
+        for m in self.sources[self._folded:]:
+            table = _push(table, [(el, p, el.mask, 0) for el, p in m.items()], CONNECTIVES["and"])
+            table = {k: p for k, p in sorted(table.items()) if p}
+        object.__setattr__(self, "_base", table)
+        object.__setattr__(self, "_folded", len(self.sources))
+        return table
+
     @property
     def product(self):
-        """The sources' conjunctive product, folded left to right on its
-        first read from the product the state carried over; a stream whose
-        rule recomputes from the sources never builds it."""
-        product = self._base
-        for m in self.sources[self._folded:]:
-            product = conjunctive(product, m).combined
-        object.__setattr__(self, "_base", product)
-        object.__setattr__(self, "_folded", len(self.sources))
-        return product
+        """The sources' conjunctive product, built on read from the table."""
+        if len(self.sources) == 1:
+            return self.sources[0]
+        frame = self.sources[0].frame
+        if frame is INTERVAL_FRAME:
+            raise RuleError("this rule needs a label frame, not intervals")
+        return MassFunction(frame, [(Element(frame, k), p) for k, p in self._table().items()])
 
 
 def quasi_associative_combine(state, new, rule="dempster", **params):
@@ -350,6 +363,6 @@ def quasi_associative_combine(state, new, rule="dempster", **params):
     if transfer is None:
         return state, spec.combine(state.sources, params)
     ledger = Ledger(state.sources)
-    warnings = transfer(ledger, ledger.stored(state.product),
+    warnings = transfer(ledger, ledger.stored(state._table()),
                         **{key: params[key] for key in spec.needs})
     return state, ledger.finish(rule, warnings)

@@ -142,6 +142,26 @@ def test_fold_warning_on_three_sources(shafer2):
     assert any("pairwise" in w for w in out.warnings)
 
 
+def test_pcr3_weighs_a_repeated_operand_once(shafer3):
+    # Eight products of mass 1/8.  Three conflict: (A, A, B), (A, I, B)
+    # and (I, A, B), I being total ignorance, which is exonerated.  Each
+    # goes to A and B by their column sums, 1 and 1/2: A gets 1/12 and B
+    # 1/24, the repeated A weighed once.  The other five land on A (3),
+    # B and I.
+    m1 = MassFunction(shafer3, {"A": 0.5, "A|B|C": 0.5})
+    m2 = MassFunction(shafer3, {"A": 0.5, "A|B|C": 0.5})
+    m3 = MassFunction(shafer3, {"B": 0.5, "A|B|C": 0.5})
+    out = pcr3(m1, m2, m3)
+    a, b = shafer3.label("A"), shafer3.label("B")
+    assert out.conflict.k12 == 3 / 8
+    repeated, = (q for q in out.conflict.partials if q.operands == (a, a, b))
+    assert repeated.shares == (
+        (a, pytest.approx(1 / 12, abs=1e-15)), (b, pytest.approx(1 / 24, abs=1e-15)))
+    assert out.combined.mass(a) == pytest.approx(3 / 8 + 3 / 12, abs=1e-15)
+    assert out.combined.mass(b) == pytest.approx(1 / 8 + 3 / 24, abs=1e-15)
+    assert out.combined.mass(shafer3.ignorance()) == 1 / 8
+
+
 def test_pcr3_ladder_fallback_goes_to_disjunctive_form():
     # Conflicting operands whose columns are all zero cannot happen for
     # real focals, but empty-element focals have zero non-empty columns.

@@ -13,6 +13,7 @@ from fusekit import (
     MassFunction,
     NotASubsetError,
     ProblemFile,
+    QuasiAssociativeState,
     RuleError,
     ScenarioConfig,
     TotalConflictError,
@@ -299,15 +300,20 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 @given(unit, unit, unit)
 def test_tnorm_axioms(x, y, z):
+    # Each norm maps [0, 1]² into [0, 1], with 0 as the T-norms' absorbing
+    # element and 1 as the T-conorms'; the algebraic conorm computes
+    # x+1-x, so these hold to an ulp.
     for t in TNORMS.values():
         assert t(x, y) == t(y, x)
         assert abs(t(t(x, y), z) - t(x, t(y, z))) < 1e-12
         # The bounded norm computes x+1-1, so identity holds to an ulp.
         assert abs(t(x, 1.0) - x) < 1e-12
+        assert 0.0 <= t(x, y) <= 1.0 and t(x, 0.0) == 0.0
     for s in TCONORMS.values():
         assert s(x, y) == s(y, x)
         assert abs(s(s(x, y), z) - s(x, s(y, z))) < 1e-12
         assert abs(s(x, 0.0) - x) < 1e-12
+        assert -1e-12 <= s(x, y) <= 1.0 + 1e-12 and abs(s(x, 1.0) - 1.0) < 1e-12
 
 
 @given(unit, unit, unit)
@@ -732,13 +738,13 @@ def test_events_applied_together_match_one_at_a_time(sources, data):
 # -- the product walk against the plain product loop ------------------------
 
 @st.composite
-def walk_sources(draw):
-    """Two to five sources on one frame; one is subnormal, its total below
-    one and one of its masses tiny enough that products through it round
-    to zero or to IEEE subnormals."""
+def walk_sources(draw, least=2, subnormal=True):
+    """``least`` to five sources on one frame.  With ``subnormal`` one is
+    subnormal, its total below one and one of its masses tiny enough that
+    products through it round to zero or to IEEE subnormals."""
     frame = draw(st.sampled_from(EXPR_FRAMES))
-    count = draw(st.integers(min_value=2, max_value=5))
-    low = draw(st.integers(min_value=0, max_value=count - 1))
+    count = draw(st.integers(min_value=least, max_value=5))
+    low = draw(st.integers(min_value=0, max_value=count - 1)) if subnormal else None
     sources = []
     for i in range(count):
         exprs = draw(st.lists(expressions(frame.names), min_size=1, max_size=3))
@@ -805,6 +811,21 @@ def test_product_walk_matches_the_plain_product_loop(sources):
     for op in ("and", "or", "xor"):
         got, want = _walk_against_the_plain_loop(sources, op, leaf=lambda els, p, mask: (p, mask))
         assert got == want, op
+
+
+@given(st.booleans().flatmap(lambda subnormal: walk_sources(3, subnormal)))
+def test_the_store_product_is_the_left_fold_of_conjunctive(sources):
+    # One state is read after every append, so each fold pushes one source
+    # onto the table it carried over; the other folds them all on one read.
+    stepped = lazy = QuasiAssociativeState.start(sources[0])
+    want = sources[0]
+    for m in sources[1:]:
+        stepped, lazy = stepped.append(m), lazy.append(m)
+        want = conjunctive(want, m).combined
+        got = stepped.product
+        assert got == want and list(got.items()) == list(want.items())
+    got = lazy.product
+    assert got == want and list(got.items()) == list(want.items())
 
 
 MERGE_FRAMES = (

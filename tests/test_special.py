@@ -167,12 +167,23 @@ LEDGER_RULES = {
 }
 
 
-@pytest.mark.parametrize("rule", sorted(LEDGER_RULES))
+# The mixing rules pool the sources' masses without the Ledger, and
+# refuse interval sources with its message.
+LABEL_RULES = {
+    **LEDGER_RULES,
+    "mixing": lambda *ss: fusekit.weighted_mixing(ss, [1.0, 2.0]),
+    "murphy": fusekit.murphy_average,
+    "uft-statistical": lambda *ss: fusekit.uft_combine(
+        ss, fusekit.ScenarioConfig(reliability="statistical")),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(LABEL_RULES))
 def test_label_rules_refuse_interval_sources(rule):
     m1 = IntervalMassFunction({IntervalElement(1, 3): 0.3, IntervalElement(2, 5): 0.7})
     m2 = IntervalMassFunction({IntervalElement(6, 8): 1.0})
     with pytest.raises(RuleError, match="needs a label frame, not intervals"):
-        LEDGER_RULES[rule](m1, m2)
+        LABEL_RULES[rule](m1, m2)
 
 
 # -- consensus operator --------------------------------------------------

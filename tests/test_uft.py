@@ -7,8 +7,10 @@ import pytest
 import fusekit.uft as uft_module
 from fusekit import (
     Attitude,
+    ConflictReport,
     Frame,
     FrameMismatchError,
+    FusionResult,
     MassFunction,
     QuasiAssociativeState,
     RuleError,
@@ -406,6 +408,15 @@ def test_dynamic_update_rejects_other_types():
         dynamic_update({"A": 1.0}, ["A"])
 
 
+def test_dynamic_update_refuses_interval_states():
+    problem = parse_problem("frame-intervals:\nsource m1: [2,5]=0.6, [1,3]=0.4\n"
+                            "source m2: [1,3]=1\n")
+    m = problem.sources[0][1]
+    for state in (m, FusionResult(m, ConflictReport(0.0), sources=(m,))):
+        with pytest.raises(RuleError, match="^a model update needs a label frame, not intervals$"):
+            dynamic_update(state, [])
+
+
 # -- quasi-associative combining -------------------------------------------
 
 @pytest.fixture
@@ -449,22 +460,45 @@ def test_vacuous_append_is_noop_on_product(stream, shafer2):
 def test_recomputed_rules_never_build_the_stored_product(stream, monkeypatch):
     m1, m2, m3 = stream
     calls = []
-    fold = uft_module.conjunctive
-    monkeypatch.setattr(uft_module, "conjunctive", lambda *s: calls.append(s) or fold(*s))
+    push = uft_module._push
+    monkeypatch.setattr(uft_module, "_push", lambda *a: calls.append(a) or push(*a))
     state = QuasiAssociativeState.start(m1)
     for m in (m2, m3):
         state, _ = quasi_associative_combine(state, m, "pcr5")
     assert calls == []
-    # A stored rule on the same state folds the product left to right,
-    # as a stream of that rule alone does, to the same floats.
+    # A stored rule on the same state pushes the product on left to right,
+    # one push per source after the first, as a stream of that rule alone
+    # does, to the same floats.
     _, late = quasi_associative_combine(state, m1, "dempster")
     assert len(calls) == 3
-    assert state.product == fold(fold(m1, m2).combined, m3).combined
+    assert state.product == conjunctive(conjunctive(m1, m2).combined, m3).combined
     eager = m1
     for m in (m2, m3, m1):
         eager, on_time = quasi_associative_combine(eager, m, "dempster")
     assert late.combined == on_time.combined
     assert late.conflict == on_time.conflict
+
+
+def test_a_stored_product_whose_conflicts_underflow_books_none(shafer2):
+    # Every empty-set product, and every product through two masses of
+    # 1e-200, weighs 1e-400, which rounds to 0.0: the walk skips them, so
+    # the stored product holds neither mass 0 on the empty set nor any
+    # landing of mass 0.
+    m1 = MassFunction(shafer2, {"A": 1e-200, "A|B": 1.0})
+    m2 = MassFunction(shafer2, {"B": 1e-200, "A|B": 1.0})
+    m3 = MassFunction(shafer2, {"A": 1e-200, "A|B": 1.0})
+    for rule, transfer in uft_module._STORE_RULES.items():
+        if transfer is None:
+            continue
+        params = {"wo": {"weights": {"A|B": 1.0}}, "inagaki": {"p": 0.5}}.get(rule, {})
+        state = m1
+        for m in (m2, m3):
+            state, res = quasi_associative_combine(state, m, rule, **params)
+            assert res.conflict.k12 == 0.0, rule
+            assert res.conflict.partials == (), rule
+            assert all(v > 0.0 for _, v in res.combined.items()), rule
+    a, b, ab = (shafer2.parse(text).mask for text in ("A", "B", "A|B"))
+    assert list(state._table().items()) == [(a, 2e-200), (b, 1e-200), (ab, 1.0)]
 
 
 @pytest.mark.parametrize("rule,direct,params", [
@@ -718,6 +752,8 @@ def test_the_store_refuses_interval_and_mixed_frame_sources(stream):
     for rule in ("dempster", "wo", "pcr5"):
         with pytest.raises(RuleError, match=f"^rule '{rule}' needs a label frame, not intervals$"):
             quasi_associative_combine(*interval, rule=rule)
+    with pytest.raises(RuleError, match="^this rule needs a label frame, not intervals$"):
+        QuasiAssociativeState.start(interval[0]).append(interval[1]).product
     other = MassFunction(Frame.shafer(("A", "B", "C")), {"C": 1.0})
     with pytest.raises(FrameMismatchError):
         quasi_associative_combine(m1, other, rule="dempster")

@@ -1,14 +1,14 @@
-"""Mutation check of the fast paths: each mutant edits one guard or
-order of ``src/fusekit`` in a temporary copy of the tree, and the tests
-named for it must then fail.
+"""Mutation check of the fast paths and the rule formulas: each mutant
+edits one guard, order or term of ``src/fusekit`` in a temporary copy of
+the tree, and the tests named for it must then fail.
 
     python3 tools/mutants.py            # every mutant
     python3 tools/mutants.py NAME ...   # the named ones
 
-A mutant is (name, file, old text, new text, test files).  Its old text
-must occur exactly once in its file; the copy gets the new text in its
-place, and ``pytest -x -q`` runs the named test files there.  A mutant
-those tests pass survives.  Each mutant prints one line: killed,
+A mutant is (name, file, old text, new text, tests), each test a file or
+a pytest node id.  Its old text must occur exactly once in its file; the
+copy gets the new text in its place, and ``pytest -x -q`` runs the named
+tests there.  A mutant those tests pass survives.  Each mutant prints one line: killed,
 SURVIVED, ERROR when the tests could not run (pytest exited neither 0
 nor 1), or STALE when its old text is not found once.  The exit status
 is 1 unless every mutant is killed.  Standard library only; the tests
@@ -134,6 +134,33 @@ MUTANTS = (
      "if k and (claim is None or not claim(els, k)):",
      "if claim is None or not claim(els, k):",
      (PROPERTIES,)),
+    # The store's product would list its landings in the order they were
+    # pushed, and the next push would sum them in that order.
+    ("store-fold-unsorted", "src/fusekit/uft.py",
+     "table = {k: p for k, p in sorted(table.items()) if p}",
+     "table = {k: p for k, p in table.items() if p}",
+     (f"{PROPERTIES}::test_the_store_product_is_the_left_fold_of_conjunctive",)),
+    # A stored product whose empty-set products all underflow would hold
+    # mass 0 on the empty set, and book it as a zero-mass conflict.
+    ("store-fold-keeps-zero", "src/fusekit/uft.py",
+     "table = {k: p for k, p in sorted(table.items()) if p}",
+     "table = dict(sorted(table.items()))",
+     ("tests/test_uft.py",)),
+)
+
+# Mutants of the rule formulas: each changes a term a rule's definition
+# holds.
+FORMULA_MUTANTS = (
+    # The algebraic T-conorm without its product term leaves [0, 1].
+    ("tconorm-algebraic-without-product", "src/fusekit/special.py",
+     '"algebraic": lambda x, y: x + y - x * y,',
+     '"algebraic": lambda x, y: x + y,',
+     (f"{PROPERTIES}::test_tnorm_axioms",)),
+    # PCR3 would weigh a repeated operand's column once per occurrence.
+    ("pcr-weighted-repeats-operands", "src/fusekit/pcr.py",
+     "if el.is_empty or el in seen:",
+     "if el.is_empty:",
+     ("tests/test_pcr.py",)),
 )
 
 # A retired mutant, whose text the program no longer has:
@@ -177,11 +204,12 @@ def run(mutant, tree):
 
 
 def main(argv):
-    unknown = set(argv) - {m[0] for m in MUTANTS}
+    mutants = MUTANTS + FORMULA_MUTANTS
+    unknown = set(argv) - {m[0] for m in mutants}
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    chosen = [m for m in mutants if not argv or m[0] in argv]
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
