@@ -27,6 +27,8 @@ def _common_frame(sources, minimum=2):
     for m in sources[1:]:
         if m.frame != frame:
             raise FrameMismatchError("sources over different frames")
+    if frame is INTERVAL_FRAME:
+        raise RuleError("this rule needs a label frame, not intervals")
     return frame
 
 
@@ -133,15 +135,13 @@ class Ledger:
     def __init__(self, sources):
         self.sources = tuple(sources)
         self.frame = _common_frame(self.sources)
-        if self.frame is INTERVAL_FRAME:
-            raise RuleError("this rule needs a label frame, not intervals")
         self.acc = {}
         self.partials = []
         self.k12 = 0.0
         self.reductions = Reductions(self.frame)
         self._landings = {}
 
-    def expand(self, op="and", claim=None, leaf=None, key=None):
+    def expand(self, op="and", leaf=None, key=None):
         """Land every product and yield the conflicting ones.
 
         The one loop over focal products, in ``itertools.product`` order.
@@ -149,33 +149,33 @@ class Ledger:
         carries its operands, mass product (left to right, as
         ``math.prod``) and masks joined by ``op``.  A product weighs its
         mass product and lands on its mask, adding its weight to
-        ``acc[mask]``; a ``leaf(els, p, mask)`` returns (weight, mask)
-        instead.  A product of zero weight is skipped; one whose mask is
-        empty or ``claim(els, mask)`` holds conflicts and is yielded as
-        (operands, weight, mask).  Products land as the caller iterates:
-        a transfer that books each conflict as it comes books in
-        enumeration order, one that needs every landing first takes
-        ``list(conflicts)``.
+        ``acc[mask]``; a ``leaf(els, p, mask)`` returns its (weight,
+        landing) instead.  A product of zero weight is skipped; one that
+        lands on 0 conflicts and is yielded as (operands, weight, mask),
+        its mask the ``op`` join of its operands' also where a leaf
+        claimed it.  Products land as the caller iterates: a transfer
+        that books each conflict as it comes books in enumeration order,
+        one that needs every landing first takes ``list(conflicts)``.
 
-        With no claim and no leaf, a walked product builds its operands
-        only to conflict, and a conflict comes with its operands' route
-        keys ORed in place of its empty mask: ``key(el)`` gives each
-        focal element an int (0 without ``key``), and prefixes fold keys
-        as they join masks.  Under ``and`` or ``or`` on three or more
-        sources a prefix that ``_safety`` calls safe can neither conflict
-        nor weigh zero, so its operands and keys are never read.  Safe
-        prefixes are pooled into one mask → mass table per level, and the
-        table is pushed level by level, as in the fast Möbius transform
-        (Kennes, 1992).  Unsafe prefixes are walked one by one, so the
-        conflicting products, their weights and ``k12`` are the plain
-        loop's, bit for bit.  The last level's table lands after the
-        walked products.  A merged landing's mass is the sum of its merged
-        terms, so its last bits may differ from the plain loop's.
+        With no leaf, a walked product builds its operands only to
+        conflict, and a conflict comes with its operands' route keys ORed
+        in place of its empty mask: ``key(el)`` gives each focal element
+        an int (0 without ``key``), and prefixes fold keys as they join
+        masks.  Under ``and`` or ``or`` on three or more sources a prefix
+        that ``_safety`` calls safe can neither conflict nor weigh zero,
+        so its operands and keys are never read.  Safe prefixes are
+        pooled into one mask → mass table per level, and the table is
+        pushed level by level, as in the fast Möbius transform (Kennes,
+        1992).  Unsafe prefixes are walked one by one, so the conflicting
+        products, their weights and ``k12`` are the plain loop's, bit for
+        bit.  The last level's table lands after the walked products.  A
+        merged landing's mass is the sum of its merged terms, so its last
+        bits may differ from the plain loop's.
         """
         join = CONNECTIVES[op]
         levels = [tuple((el, m, el.mask, key(el) if key else 0) for el, m in src.items())
                   for src in self.sources]
-        safety = _safety(op, levels) if claim is None and leaf is None else None
+        safety = _safety(op, levels) if leaf is None else None
         prefixes, table = [((el,), m, k, r) for el, m, k, r in levels[0]], {}
         if safety is not None:
             prefixes = _pool_safe(table, prefixes, join, *safety[0])
@@ -186,21 +186,21 @@ class Ledger:
             if safety is not None:
                 prefixes = _pool_safe(table, prefixes, join, *safety[depth])
         last, acc = levels[-1], self.acc
-        if claim is not None or leaf is not None:
+        if leaf is not None:
             for prefix, p, mask, _ in prefixes:
                 for el, m, k, _ in last:
                     els = (*prefix, el)
                     k = join(mask, k)
-                    w, k = (p * m, k) if leaf is None else leaf(els, p * m, k)
+                    w, to = leaf(els, p * m, k)
                     if not w:
                         continue
-                    if k and (claim is None or not claim(els, k)):
-                        acc[k] = acc.get(k, 0.0) + w
+                    if to:
+                        acc[to] = acc.get(to, 0.0) + w
                         continue
                     self.k12 += w
                     yield els, w, k
             return
-        # With no claim and no leaf, only a conflict reads its operands.
+        # With no leaf, only a conflict reads its operands.
         for prefix, p, mask, r in prefixes:
             for el, m, k, q in last:
                 if not (w := p * m):
@@ -599,8 +599,6 @@ def weighted_mixing(sources, weights):
     """Convex mixing of sources with caller-chosen importance weights."""
     sources = tuple(sources)
     frame = _common_frame(sources, minimum=1)
-    if frame is INTERVAL_FRAME:
-        raise RuleError("this rule needs a label frame, not intervals")
     if isinstance(weights, Mapping):
         raise RuleError("mixing needs one weight per source, got element:weight pairs")
     weights = [float(w) for w in weights]

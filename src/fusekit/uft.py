@@ -155,36 +155,24 @@ def uft_combine(sources, config=None):
     # that fallback.
     ledger = Ledger(effective)
     ignorance = frame.ignorance()
-    fallback = default or _UNION
+    att = fallback = default or _UNION
 
-    def attitude(els, mask):
+    def leaf(els, p, mask):
+        """Land a product no attitude claims; keep the one found for the loop."""
+        nonlocal att
         att = pairs.get(frozenset(els)) if pairs else None
         if att is None and (not mask or default is not None
                             and all(mask != el.mask for el in els)):
             att = fallback
-        return att
+        return p, 0 if att else mask
 
-    claimed = None
-
-    def claim(els, mask):
-        nonlocal claimed
-        claimed = attitude(els, mask)
-        return claimed is not None
-
-    # expand claims a non-empty landing mask just before yielding it, and
-    # yields an empty one unclaimed; with no claim, the route key 0, also empty.
-    claims = pairs or default is not None
-    for els, p, mask in ledger.expand(claim=claim if claims else None):
-        att = claimed if claims and mask else attitude(els, mask) if pairs else fallback
+    for els, p, mask in ledger.expand(leaf=leaf if pairs or default is not None else None):
         basis = f"case {case}" if case else f"attitude {att.kind}"
         if att.kind == "keep":
             note = "kept on intersection"
             if case == "1.3":
                 note += " (provisional: model unknown)"
-            if mask:
-                ledger.book(els, p, ((ledger.landing(mask), p),), basis, note)
-            else:
-                ledger.strand(els, p, note, basis)
+            ledger.book(els, p, ((ledger.landing(mask), p),), basis, note)
         elif att.kind == "split":
             shares = _pcr5_split(els, effective, p)
             if shares:
@@ -339,8 +327,6 @@ class QuasiAssociativeState(Value):
         if len(self.sources) == 1:
             return self.sources[0]
         frame = self.sources[0].frame
-        if frame is INTERVAL_FRAME:
-            raise RuleError("this rule needs a label frame, not intervals")
         return MassFunction(frame, [(Element(frame, k), p) for k, p in self._table().items()])
 
 
@@ -357,8 +343,8 @@ def quasi_associative_combine(state, new, rule="dempster", **params):
     if rule not in _STORE_RULES:
         raise RuleError(f"rule {rule!r} is not conjunctive-based; "
                         "incremental combining is undefined")
+    spec = check(rule, state.sources + (new,), params)
     state = state.append(new)
-    spec = check(rule, state.sources, params)
     transfer = _STORE_RULES[rule]
     if transfer is None:
         return state, spec.combine(state.sources, params)

@@ -59,11 +59,6 @@ from fusekit.uft import CASE_TO_KIND
 
 import oracles
 
-settings.register_profile(
-    "suite", derandomize=True, deadline=None, max_examples=60
-)
-settings.load_profile("suite")
-
 FRAMES = (
     Frame(("A", "B")),
     Frame.shafer(("A", "B")),
@@ -767,20 +762,22 @@ def _contested(els, mask):
 def _walk_against_the_plain_loop(sources, op, claim=None, keyed=False, leaf=None):
     """Expand ``sources`` and check the conflicts against the oracle's
     plain product loop: the same operands (by identity), order, weights
-    and k12.  A keyed walk gives each focal element a bit of its own as
-    its key, and a conflict with no claim and no leaf must come with its
-    operands' bits ORed (0 unkeyed); under a claim or a leaf, with its
-    landing mask.  Returns the landed masses both ways, as (mask, mass)
-    lists."""
+    and k12.  A claim walks as the leaf that lands a claimed product on
+    0.  A keyed walk gives each focal element a bit of its own as its
+    key, and a conflict with no leaf must come with its operands' bits
+    ORed (0 unkeyed); under a leaf, with its landing mask.  Returns the
+    landed masses both ways, as (mask, mass) lists."""
     ledger = Ledger(sources)
     bits = {id(el): 1 << i for i, el in enumerate(el for m in sources for el in m)}
-    got = list(ledger.expand(op, claim, leaf, key=(lambda el: bits[id(el)]) if keyed else None))
+    if claim is not None:
+        leaf = lambda els, p, mask: (p, 0 if claim(els, mask) else mask)
+    got = list(ledger.expand(op, leaf, key=(lambda el: bits[id(el)]) if keyed else None))
     conflicts, k12, acc = oracles.expand_products(sources, op, claim)
     assert len(got) == len(conflicts), op
     for (els, p, landing), (want_els, want_p, want_mask) in zip(got, conflicts):
         assert len(els) == len(want_els) and all(map(operator.is_, els, want_els)), op
         assert p == want_p, (op, p, want_p)
-        if claim is None and leaf is None:
+        if leaf is None:
             keys = (bits[id(el)] if keyed else 0 for el in els)
             assert landing == functools.reduce(operator.or_, keys), op
         else:
@@ -807,7 +804,7 @@ def test_product_walk_matches_the_plain_product_loop(sources):
             assert got == want, op
         else:
             _landed_alike(got, want, op)
-    # An identity leaf walks every product one by one, as a claim does.
+    # An identity leaf walks every product one by one, unpooled.
     for op in ("and", "or", "xor"):
         got, want = _walk_against_the_plain_loop(sources, op, leaf=lambda els, p, mask: (p, mask))
         assert got == want, op

@@ -167,14 +167,17 @@ LEDGER_RULES = {
 }
 
 
-# The mixing rules pool the sources' masses without the Ledger, and
-# refuse interval sources with its message.
+# The mixing rules pool the sources' masses without the Ledger, and uft
+# discounts the sources before it builds one; all refuse interval sources
+# in the one gate, ``_common_frame``, with the Ledger's message.
 LABEL_RULES = {
     **LEDGER_RULES,
     "mixing": lambda *ss: fusekit.weighted_mixing(ss, [1.0, 2.0]),
     "murphy": fusekit.murphy_average,
     "uft-statistical": lambda *ss: fusekit.uft_combine(
         ss, fusekit.ScenarioConfig(reliability="statistical")),
+    "uft-discounts": lambda *ss: fusekit.uft_combine(
+        ss, fusekit.ScenarioConfig(reliability="discounts", discounts=(1.0, 0.5))),
 }
 
 

@@ -752,8 +752,9 @@ def test_the_store_refuses_interval_and_mixed_frame_sources(stream):
     for rule in ("dempster", "wo", "pcr5"):
         with pytest.raises(RuleError, match=f"^rule '{rule}' needs a label frame, not intervals$"):
             quasi_associative_combine(*interval, rule=rule)
+    # The store refuses an interval source as it is appended.
     with pytest.raises(RuleError, match="^this rule needs a label frame, not intervals$"):
-        QuasiAssociativeState.start(interval[0]).append(interval[1]).product
+        QuasiAssociativeState.start(interval[0]).append(interval[1])
     other = MassFunction(Frame.shafer(("A", "B", "C")), {"C": 1.0})
     with pytest.raises(FrameMismatchError):
         quasi_associative_combine(m1, other, rule="dempster")

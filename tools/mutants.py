@@ -8,9 +8,12 @@ the tree, and the tests named for it must then fail.
 A mutant is (name, file, old text, new text, tests), each test a file or
 a pytest node id.  Its old text must occur exactly once in its file; the
 copy gets the new text in its place, and ``pytest -x -q`` runs the named
-tests there.  A mutant those tests pass survives.  Each mutant prints one line: killed,
-SURVIVED, ERROR when the tests could not run (pytest exited neither 0
-nor 1), or STALE when its old text is not found once.  The exit status
+tests there under the ``mutants`` Hypothesis profile of
+``tests/conftest.py``, which skips shrinking: a failing example kills a
+mutant, and the smallest one is not needed.  A mutant those tests pass
+survives.  Each mutant prints one line: killed, SURVIVED, ERROR when the
+tests could not run (pytest exited neither 0 nor 1), or STALE when its
+old text is not found once.  The exit status
 is 1 unless every mutant is killed.  Standard library only; the tests
 run under the interpreter that runs this script, which must have pytest
 and hypothesis.
@@ -128,12 +131,24 @@ MUTANTS = (
      "for k, v in sorted(acc.items()) if k != full}",
      "for k, v in acc.items() if k != full}",
      (PROPERTIES,)),
-    # A claimed or leaf-weighed product whose mask is empty would land on
-    # the empty set instead of conflicting.
+    # A product that a leaf lands on 0 would land on the empty set instead
+    # of conflicting.
     ("walk-lands-empty", "src/fusekit/classic.py",
-     "if k and (claim is None or not claim(els, k)):",
-     "if claim is None or not claim(els, k):",
-     (PROPERTIES,)),
+     "                    if to:\n",
+     "                    if to is not None:\n",
+     (f"{PROPERTIES}::test_product_walk_matches_the_plain_product_loop",)),
+    # A product that a uft attitude claims would land on its intersection
+    # instead of taking the attitude's route.
+    ("uft-claim-lands", "src/fusekit/uft.py",
+     "return p, 0 if att else mask",
+     "return p, mask",
+     ("tests/test_uft.py",)),
+    # A label rule would take interval sources to a frame with no masks.
+    ("interval-gate-dropped", "src/fusekit/classic.py",
+     "    if frame is INTERVAL_FRAME:\n"
+     '        raise RuleError("this rule needs a label frame, not intervals")\n',
+     "",
+     ("tests/test_special.py::test_label_rules_refuse_interval_sources",)),
     # The store's product would list its landings in the order they were
     # pushed, and the next push would sum them in that order.
     ("store-fold-unsorted", "src/fusekit/uft.py",
@@ -161,6 +176,80 @@ FORMULA_MUTANTS = (
      "if el.is_empty or el in seen:",
      "if el.is_empty:",
      ("tests/test_pcr.py",)),
+    # PCR5 would charge total ignorance beside the operands that conflict.
+    ("pcr5-without-exoneration", "src/fusekit/pcr.py",
+     "exonerated = full if any(0 < el.mask != full for el in els) else 0",
+     "exonerated = 0",
+     ("tests/test_uft.py::test_split_route_exonerates_a_vacuous_third_source",)),
+    # PCR5 would weigh equal operands by the last one's mass, not their sum.
+    ("pcr5-without-pooling", "src/fusekit/pcr.py",
+     "weights[el] = weights.get(el, 0.0) + m._map[el]",
+     "weights[el] = m._map[el]",
+     (f"{PROPERTIES}::test_uft_split_route_matches_the_plain_pcr5_split",)),
+    # A conflict's recipients would include total ignorance, so a vacuous
+    # source would change the result.
+    ("conflict-operands-without-exoneration", "src/fusekit/classic.py",
+     "return narrowed or nonempty",
+     "return nonempty",
+     ("tests/test_classic.py::test_dubois_prade_vacuous_operand_is_exonerated",)),
+    # Inagaki's ignorance would take (1 + p*k12) * k12, not (1 + p*k12 - p) * k12.
+    ("inagaki-ignorance-without-p", "src/fusekit/classic.py",
+     "out[full] = max(0.0, scale * m_ign + (scale - p) * k12)",
+     "out[full] = max(0.0, scale * m_ign + scale * k12)",
+     ("tests/test_classic.py::test_inagaki_conserves_mass",)),
+    # Dubois-Prade would send a conflict to its first operand, not the union.
+    ("dubois-prade-first-operand", "src/fusekit/classic.py",
+     "union = ledger.union(_conflict_operands(els, ignorance))",
+     "union = ledger.union(_conflict_operands(els, ignorance)[:1])",
+     ("tests/test_classic.py::test_dubois_prade_matches_oracle",)),
+    # PCR4 would escalate a product whose operands hold no conjunctive
+    # mass instead of splitting it by the column sums.
+    ("pcr4-without-column-fallback", "src/fusekit/pcr.py",
+     "return (_proportional(_weighted(els, lambda el: columns.get(el, 0.0)), p),",
+     "return (None,",
+     ("tests/test_pcr.py::test_pcr4_falls_back_to_columns_when_conjunctive_is_zero",)),
+    # minC would give a product whose recipients hold no mass to the first
+    # recipient, not in equal shares.
+    ("minc-equal-split-to-first", "src/fusekit/pcr.py",
+     "return tuple((el, share) for el in recipients)",
+     "return ((recipients[0], p),)",
+     ("tests/test_pcr.py::test_minc_equal_split_when_no_recipient_mass",)),
+    # minC-b would take the unions over the last part's hypotheses only.
+    ("minc-b-last-part-labels", "src/fusekit/pcr.py",
+     "labels += [frame.label(",
+     "labels = [frame.label(",
+     ("tests/test_pcr.py::test_minc_versions_differ_when_extra_unions_hold_mass",)),
+    # PCR2 would count total ignorance among the operands a conflict involves.
+    ("pcr2-every-operand-involved", "src/fusekit/pcr.py",
+     "involved.update(_conflict_operands(els, ignorance))",
+     "involved.update(els)",
+     (f"{PROPERTIES}::test_vacuous_source_changes_nothing",)),
+    # WAO would hand out the subnormal sources' shortfall instead of losing it.
+    ("wao-without-lost-shortfall", "src/fusekit/pcr.py",
+     "lost_w = empty_w + short if short > _EPS else empty_w",
+     "lost_w = empty_w",
+     ("tests/test_uft.py::test_subnormal_sources_book_the_missing_mass_as_lost",)),
+    # The bounded T-norm without its floor at 0 leaves [0, 1].
+    ("tnorm-bounded-without-floor", "src/fusekit/special.py",
+     '"bounded": lambda x, y: max(0.0, x + y - 1.0),',
+     '"bounded": lambda x, y: x + y - 1.0,',
+     (f"{PROPERTIES}::test_tnorm_axioms",)),
+    # The consensus atomicity without its product term.
+    ("consensus-atomicity-without-product", "src/fusekit/special.py",
+     "\n             - (w1.atomicity + w2.atomicity) * u1 * u2) / den",
+     ") / den",
+     ("tests/test_special.py::test_consensus_worked_value",)),
+    # Zhang's product degree would divide by the union's size.
+    ("zhang-product-degree-as-union", "src/fusekit/special.py",
+     "/ (x.mask.bit_count() * y.mask.bit_count())),",
+     "/ (x.mask | y.mask).bit_count()),",
+     ("tests/test_special.py::test_zhang_product_degree",)),
+    # improved-dp would divide a disjoint pair out instead of moving it to
+    # the union.
+    ("improved-dp-divides", "src/fusekit/special.py",
+     '"dp": (degree_intersection, "and", _to_union),',
+     '"dp": (degree_intersection, "and", Ledger.divide),',
+     ("tests/test_special.py::test_improved_dp_worked_values",)),
 )
 
 # A retired mutant, whose text the program no longer has:
@@ -195,7 +284,8 @@ def run(mutant, tree):
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                               *tests], cwd=tree, env=env, capture_output=True, text=True)
+                               "--hypothesis-profile=mutants", *tests],
+                              cwd=tree, env=env, capture_output=True, text=True)
     finally:
         path.write_text(text, encoding="utf-8")
     # pytest exits 1 when a test failed; any other non-zero status means
