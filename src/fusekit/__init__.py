@@ -20,7 +20,7 @@ _MODULES = {
                "exclusive_disjunctive inagaki mixed murphy_average smets_tbm "
                "weighted_mixing weighted_operator yager",
     "errors": "DegenerateConsensusError FrameMismatchError FrameTooLargeError FusionError "
-              "NotASubsetError ParseError RuleError TotalConflictError "
+              "NotASubsetError ParameterError ParseError RuleError TotalConflictError "
               "UndefinedDegreeError UnknownLabelError UnknownRuleError",
     "frame": "Element Frame IntervalElement degree_inclusion degree_intersection degree_union",
     "golden": "GOLDEN_CASES verify_golden",

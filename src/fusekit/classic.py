@@ -11,7 +11,7 @@ import itertools
 import math
 from collections.abc import Mapping
 
-from .errors import FrameMismatchError, RuleError, TotalConflictError
+from .errors import FrameMismatchError, ParameterError, RuleError, TotalConflictError
 from .frame import CONNECTIVES, INTERVAL_FRAME, Element, Reductions, fold, parse_expression_text
 from .mass import MassFunction
 from .result import NORMALISED, ConflictReport, FusionResult, Partial
@@ -342,11 +342,11 @@ def _declared_weights(frame, weights):
             raise FrameMismatchError("weight element from another frame")
         w = float(w)
         if not 0.0 <= w <= 1.0:
-            raise ValueError(f"weight for {el.display} must be in [0, 1], got {w}")
+            raise ParameterError(f"weight for {el.display} must be in [0, 1], got {w}")
         witems.append((frame.empty() if el.is_empty else el, w))
     wsum = math.fsum(w for _, w in witems)
     if abs(wsum - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {wsum}")
+        raise ParameterError(f"weights must sum to 1, got {wsum}")
     return [(el, w) for el, w in witems if w > 0.0]
 
 
@@ -391,7 +391,7 @@ def _inagaki(ledger, conflicts, p):
     p = float(p)
     if not math.isfinite(p) or p < 0.0 or (bound_den > _EPS and p > 1.0 / bound_den + _EPS):
         limit = "unbounded" if bound_den <= _EPS else f"{1.0 / bound_den:.12g}"
-        raise ValueError(f"p must lie in [0, {limit}], got {p}")
+        raise ParameterError(f"p must lie in [0, {limit}], got {p}")
     scale = 1.0 + p * k12
     # In mask order, as ``finish`` lists them; ignorance, a superset of every
     # landing, has the largest mask.
@@ -542,12 +542,12 @@ def parse_source_expr(text):
         op = node[0]
         if op == "label":
             if not node[1].isdigit() or int(node[1]) < 1:
-                raise ValueError(f"source reference must be a positive integer, got {node[1]!r}")
+                raise ParameterError(f"source reference must be a positive integer, got {node[1]!r}")
             return ("src", int(node[1]))
         if op == "not":
-            raise ValueError("complement has no meaning over sources")
+            raise ParameterError("complement has no meaning over sources")
         if op == "empty":
-            raise ValueError("empty node has no meaning over sources")
+            raise ParameterError("empty node has no meaning over sources")
         return (op, tuple(convert(child) for child in node[1]))
 
     return convert(raw)
@@ -579,7 +579,7 @@ def mixed(sources, expr):
     leaves = []
     _source_expr_leaves(expr, leaves)
     if sorted(leaves) != list(range(1, len(sources) + 1)):
-        raise ValueError(
+        raise ParameterError(
             f"expression must use each of sources 1..{len(sources)} exactly once, got {sorted(leaves)}"
         )
     conflicts = ledger.expand(leaf=lambda els, p, _: (
@@ -603,14 +603,14 @@ def weighted_mixing(sources, weights):
         raise RuleError("mixing needs one weight per source, got element:weight pairs")
     weights = [float(w) for w in weights]
     if len(weights) != len(sources):
-        raise ValueError(f"{len(sources)} sources but {len(weights)} weights")
+        raise ParameterError(f"{len(sources)} sources but {len(weights)} weights")
     if not all(map(math.isfinite, weights)):
-        raise ValueError("mixing weights must be finite")
+        raise ParameterError("mixing weights must be finite")
     if any(w < 0.0 for w in weights):
-        raise ValueError("mixing weights must be non-negative")
+        raise ParameterError("mixing weights must be non-negative")
     wsum = math.fsum(weights)
     if wsum <= 0.0:
-        raise ValueError("mixing weights must not all be zero")
+        raise ParameterError("mixing weights must not all be zero")
     acc = {}
     for m, w in zip(sources, weights):
         if w == 0.0:

@@ -37,6 +37,10 @@ class RuleError(FusionError):
     """A combination rule could not produce a result for these inputs."""
 
 
+class ParameterError(RuleError, ValueError):
+    """A rule parameter does not fit the rule or its sources."""
+
+
 class TotalConflictError(RuleError):
     """All mass is conflicting; the rule's normalization is undefined."""
 

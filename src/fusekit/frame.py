@@ -167,6 +167,13 @@ def render_expression(expr):
     return sep.join(parts)
 
 
+@functools.lru_cache(maxsize=256)
+def _expression_text(expr):
+    """An expression tree's text, rendered once per tree: parsed trees are
+    shared per text, so the last 256 distinct trees read are kept."""
+    return render_expression(expr)
+
+
 class Value:
     """An immutable record of the fields its class's ``__slots__`` name: equal,
     and hashed alike, by type and fields.  Unlike a named tuple it neither
@@ -541,7 +548,7 @@ class Element:
     @property
     def text(self):
         """The expression's text: the display, unless built with an expression."""
-        return self.display if self._expr is None else render_expression(self._expr)
+        return self.display if self._expr is None else _expression_text(self._expr)
 
     @property
     def is_empty(self):

@@ -2,7 +2,7 @@
 
 import math
 
-from .errors import FrameMismatchError, RuleError
+from .errors import FrameMismatchError, ParameterError, RuleError
 from .frame import (INTERVAL_FRAME, Element, Frame, IntervalElement, Value, degree_inclusion,
                     degree_intersection)
 
@@ -206,7 +206,7 @@ class MassFunction:
         self._check(focus)
         comp = ~focus
         if focus.is_empty or comp.is_empty:
-            raise ValueError(
+            raise ParameterError(
                 f"focus {focus.display} does not induce a binary coarsening"
             )
         b = d = u = 0.0

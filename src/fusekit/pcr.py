@@ -35,6 +35,15 @@ def _proportional(entries, p):
     return tuple((el, p * w / total) for el, w in entries)
 
 
+def _two_way(x, a, y, b, p):
+    """``_proportional`` over two entries: ``a + b`` rounds as ``math.fsum``
+    of two terms does, so the shares are bit for bit the same."""
+    total = a + b
+    if total <= _EPS:
+        return None
+    return (x, p * a / total), (y, p * b / total)
+
+
 def _weighted(els, weigh):
     """Distinct non-empty operands with positive weight, in operand order."""
     entries = []
@@ -55,9 +64,18 @@ def _pcr5_split(els, sources, p):
     Operand i weighs what source i gives it; equal operands pool their
     weight.  Only the operands that cause the conflict weigh: empty ones
     never, total ignorance only when no other operand is non-empty.
-    None when every such operand is weightless.
+    None when every such operand is weightless.  Two distinct operands,
+    neither empty nor total ignorance, split by plain arithmetic.
+
+    On three or more operands, which uft's split route meets, pooling
+    equal operands is PCR6 (Martin & Osswald, 2006), not Smarandache and
+    Dezert's general PCR5.
     """
     full = sources[0].frame._full
+    if len(els) == 2:
+        x, y = els
+        if x.mask != y.mask and 0 < x.mask != full and 0 < y.mask != full:
+            return _two_way(x, sources[0]._map[x], y, sources[1]._map[y], p)
     exonerated = full if any(0 < el.mask != full for el in els) else 0
     weights = {}
     for el, m in zip(els, sources):
@@ -199,6 +217,11 @@ def pcr3(*sources):
     ignorance = ledger.frame.ignorance()
 
     def split(els, p, m12):
+        # Two non-empty operands that conflict are disjoint: distinct, and
+        # neither is total ignorance.
+        if len(els) == 2 and els[0].mask and els[1].mask:
+            x, y = els
+            return _two_way(x, columns[x], y, columns[y], p), "column sums"
         entries = _weighted(_conflict_operands(els, ignorance),
                             lambda el: columns.get(el, 0.0))
         return _proportional(entries, p), "column sums"
@@ -299,7 +322,20 @@ def minc(*sources, version="a"):
     recipients_fn = _minc_recipients_a if version == "a" else _minc_recipients_b
 
     def split(els, p, m12):
-        recipients = recipients_fn(ledger.frame, ledger.reductions.parts(els))
+        parts = ledger.reductions.parts(els)
+        if version == "a" and len(parts) == 2:
+            # An empty part would be the one minimal part, so two parts of a
+            # conflict are non-empty and disjoint: they and their union are
+            # the distinct recipients.
+            x, y = parts[0].element, parts[1].element
+            union = ledger.landing(x.mask | y.mask)
+            shares = _proportional([(el, w) for el in (x, y, union)
+                                    if (w := m12.get(el.mask, 0.0)) > 0.0], p)
+            if shares:
+                return shares, "conjunctive masses of recipients"
+            share = p / 3
+            return ((x, share), (y, share), (union, share)), "equal split (no recipient mass)"
+        recipients = recipients_fn(ledger.frame, parts)
         if not recipients:
             return None, ""
         shares = _proportional(_weighted(recipients, lambda el: m12.get(el.mask, 0.0)), p)

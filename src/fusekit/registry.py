@@ -11,7 +11,7 @@ combine, so a process loads only the rule families it runs.
 from collections import namedtuple
 
 from . import classic
-from .errors import FrameMismatchError, RuleError, UnknownRuleError
+from .errors import FrameMismatchError, ParameterError, RuleError, UnknownRuleError
 from .frame import INTERVAL_FRAME
 from .mass import MassFunction
 from .problem import _scenario_config, coerce_params
@@ -39,7 +39,7 @@ def conditional(m, hypothesis, /, rule="conjunctive", **params):
     if hypothesis.frame != m.frame:
         raise FrameMismatchError("hypothesis from another frame")
     if hypothesis.is_empty:
-        raise ValueError("cannot condition on an empty hypothesis")
+        raise ParameterError("cannot condition on an empty hypothesis")
     certain = MassFunction.certain(hypothesis)
     result = run_mass(rule, [m, certain], params)
     return result._replace(rule=f"conditional[{rule}]", sources=(m, certain))

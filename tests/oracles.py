@@ -3,11 +3,11 @@
 Everything here works on plain dictionaries keyed by frozensets of atom
 bitmasks, written directly from the defining formulas.  Nothing calls
 back into the package: tests convert package output to this shape and
-compare the numbers.  The rule oracles assume sources without mass on
-the empty element; tests that exercise empty-focal sources check
-invariants instead of oracle equality.  ``export_ledger`` is the one
-exception: it reads the package's displays and expression text, and
-checks only how the export assembles them.
+compare the numbers.  The rule oracles but ``split_ledger`` assume
+sources without mass on the empty element; other tests that exercise
+empty-focal sources check invariants instead of oracle equality.
+``export_ledger`` is the one exception: it reads the package's displays
+and expression text, and checks only how the export assembles them.
 """
 
 import functools
@@ -261,6 +261,79 @@ def pcr5_split(operands, weights, ignorance, p):
     if total <= 1e-12:
         return None
     return [(atoms, p * w / total) for atoms, w in pooled.items()]
+
+
+def _by_weight(entries, p):
+    """Split p over (atoms, weight) entries of positive weight; None if
+    they weigh at most 1e-12 in all."""
+    entries = [(atoms, w) for atoms, w in entries if w > 0.0]
+    total = math.fsum(w for _, w in entries)
+    if total <= 1e-12:
+        return None
+    return [(atoms, p * w / total) for atoms, w in entries]
+
+
+def split_ledger(rule, sources, names, surviving):
+    """The ledger and result of ``pcr3``, ``pcr5``, ``minc-a`` or ``uft``
+    under case 1.2.1 on two sources, one product at a time.
+
+    ``sources`` are two lists of (expression, mass).  A product weighs
+    m1 * m2 and is skipped at zero; it lands on its operands' common
+    atoms.  pcr3, pcr5 and minC split each product that lands on none;
+    uft splits each contested one, whose landing is none of its operands'
+    atoms.  The split goes:
+    - pcr5 and uft: to the operands as ``pcr5_split`` gives;
+    - pcr3: to the non-empty operands (total ignorance only when no other
+      is non-empty), each atom set once, by its column sum;
+    - minc-a: to ``minc_a_recipients`` by their landed masses, else in
+      equal shares.
+    A split that weighs nothing, and a minC product with no recipient,
+    goes to the union of the operands' disjunctive forms, else to total
+    ignorance, else stays on the empty set.  Mass sums in product order.
+    Returns ([(operand atom sets, mass, [(atoms, share)])], {atoms: mass}).
+    """
+    ops = [[(expr_atoms(e, names, surviving), e, v) for e, v in src] for src in sources]
+    cols = columns(*({x: v for x, _, v in src} for src in ops))
+    ignorance = frozenset(surviving)
+    landed, ledger, out, pending = {}, [], {}, []
+
+    def book(atoms, exprs, weights, p):
+        if rule in ("pcr5", "uft"):
+            shares = pcr5_split(list(atoms), list(weights), ignorance, p)
+        elif rule == "pcr3":
+            charged = [x for x in atoms if x and x != ignorance] or [x for x in atoms if x]
+            shares = _by_weight([(x, cols[x]) for x in dict.fromkeys(charged)], p)
+        else:
+            recipients = minc_a_recipients(list(exprs), names, surviving)
+            shares = recipients and (
+                _by_weight([(r, landed.get(r, 0.0)) for r in recipients], p)
+                or [(r, p / len(recipients)) for r in recipients])
+        if not shares:
+            labels = set().union(*(_form_labels(e, names, surviving) for e in exprs))
+            dest = frozenset().union(*(expr_atoms(("label", nm), names, surviving)
+                                       for nm in labels))
+            shares = [(dest or ignorance, p)]
+        ledger.append((list(atoms), p, shares))
+        for dest, v in shares:
+            _add(out, dest, v)
+
+    # uft books each product as it comes; the others once every product
+    # has landed, since minC weighs by the landed masses.
+    for (x, ex, a), (y, ey, b) in itertools.product(*ops):
+        p = a * b
+        if p == 0.0:
+            continue
+        inter = x & y
+        if inter and (rule != "uft" or inter in (x, y)):
+            _add(landed, inter, p)
+            _add(out, inter, p)
+        elif rule == "uft":
+            book((x, y), (ex, ey), (a, b), p)
+        else:
+            pending.append(((x, y), (ex, ey), (a, b), p))
+    for args in pending:
+        book(*args)
+    return ledger, {atoms: v for atoms, v in out.items() if v}
 
 
 # -- belief measures --------------------------------------------------------

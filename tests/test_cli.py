@@ -591,6 +591,33 @@ def test_a_malformed_rule_parameter_is_a_rule_error(tmp_path, capsys, rule, para
     assert (code, out, err) == (3, "", message + "\n")
 
 
+@pytest.mark.parametrize("rule,param,message", [
+    ("inagaki", "p=7", "p must lie in [0, 1.85185185185], got 7.0"),
+    ("mixing", "weights=1,2,3", "2 sources but 3 weights"),
+    ("mixed", "expr=1&3", "expression must use each of sources 1..2 exactly once, got [1, 3]"),
+    ("mixed", "expr=~1", "complement has no meaning over sources"),
+    ("consensus", "focus=A&B", "focus ∅ does not induce a binary coarsening"),
+    ("wo", "weights=A:2", "weight for A must be in [0, 1], got 2.0"),
+    ("wo", "weights=A:0.5", "weights must sum to 1, got 0.5"),
+], ids=["inagaki-p", "mixing-count", "mixed-sources", "mixed-complement", "consensus-focus",
+        "wo-range", "wo-sum"])
+def test_a_parameter_that_does_not_fit_its_rule_is_a_parameter_error(tmp_path, capsys, rule,
+                                                                     param, message):
+    src = tmp_path / "pair.txt"
+    src.write_text(PCR_BINARY)
+    code, out, err = run_cli(capsys, "--rule", rule, "--input", str(src), "--param", param)
+    assert (code, out, err) == (3, "", f"error: ParameterError: {message}\n")
+
+
+def test_conditioning_on_an_empty_hypothesis_is_a_parameter_error(tmp_path, capsys):
+    src = tmp_path / "one.txt"
+    src.write_text("frame: A B\nmodel: shafer\nsource m1: A=0.6, A|B=0.4\n")
+    code, out, err = run_cli(capsys, "--rule", "conditional", "--input", str(src),
+                             "--param", "given=A&B")
+    assert (code, out, err) == (
+        3, "", "error: ParameterError: cannot condition on an empty hypothesis\n")
+
+
 def test_consensus_on_a_subnormal_source_is_a_rule_error(tmp_path, capsys):
     case = next(c for c in GOLDEN_CASES if c.name == "union-transfer-dynamic-incomplete")
     src = tmp_path / "dp.txt"

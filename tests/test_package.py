@@ -152,7 +152,7 @@ def test_every_public_name_resolves_lazily():
             "unknown": unknown,
         }))
     """)
-    assert names["all"] == sorted(names["all"]) and len(names["all"]) == 66
+    assert names["all"] == sorted(names["all"]) and len(names["all"]) == 67
     assert names["resolved"] == names["star"] == names["dir"] == names["all"]
     assert names["unknown"] == "AttributeError"
 

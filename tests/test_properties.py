@@ -1061,3 +1061,52 @@ def test_uft_split_route_matches_the_plain_pcr5_split(sources):
         assert [atoms for atoms, _ in got] == [atoms for atoms, _ in want], operands
         for (_, v), (_, w) in zip(got, want):
             assert math.isclose(v, w, rel_tol=1e-12), operands
+
+
+# -- two-source splits against the plain split --------------------------------
+
+@st.composite
+def two_split_sources(draw):
+    """Two sources on one free, Shafer or hybrid frame.  Focal elements are
+    drawn expressions, total ignorance and an empty element, and the second
+    source may repeat the first's; a source may hold one subnormal or tiny
+    mass, so some products weigh nothing and some splits escalate."""
+    frame = draw(st.sampled_from(EXPR_FRAMES))
+    names = frame.names
+    a = ("label", names[0])
+    fixed = st.sampled_from((("or", tuple(("label", nm) for nm in names)),
+                             ("and", (a, ("not", a)))))
+    focal = st.one_of(expressions(names), fixed)
+    first = draw(st.lists(focal, min_size=1, max_size=4))
+    second = draw(st.lists(st.one_of(st.sampled_from(first), focal), min_size=1, max_size=4))
+    sources = []
+    for exprs in (first, second):
+        weights = draw(st.lists(st.integers(min_value=1, max_value=100),
+                                min_size=len(exprs), max_size=len(exprs)))
+        masses = [w / sum(weights) for w in weights]
+        if draw(st.booleans()):
+            i = draw(st.integers(min_value=0, max_value=len(masses) - 1))
+            masses[i] = draw(st.sampled_from((5e-324, 1e-310, 1e-160, 1e-13)))
+        sources.append(MassFunction(frame, [(frame.element(e), v)
+                                            for e, v in zip(exprs, masses)]))
+    return sources
+
+
+@given(two_split_sources())
+def test_two_source_splits_match_the_plain_split(sources):
+    # Two operands take the splits' plain-arithmetic path unless one is
+    # empty or total ignorance or both are one element; every ledger must
+    # be the oracle's: operands, masses, share order and float bits.
+    frame = sources[0].frame
+    plain = [[(el.expr, v) for el, v in m.items()] for m in sources]
+    for rule, out in (("pcr3", pcr3(*sources)), ("pcr5", pcr5(*sources)),
+                      ("uft", uft_combine(sources, ScenarioConfig.for_case("1.2.1"))),
+                      ("minc-a", minc(*sources, version="a"))):
+        ledger, combined = oracles.split_ledger(rule, plain, frame.names, frame.surviving_atoms)
+        got = [([el.atoms for el in p.operands], p.mass.hex(),
+                [(dest.atoms, v.hex()) for dest, v in p.shares])
+               for p in out.conflict.partials]
+        assert got == [(operands, p.hex(), [(atoms, v.hex()) for atoms, v in shares])
+                       for operands, p, shares in ledger], rule
+        assert {el.atoms: v.hex() for el, v in out.combined.items()} == {
+            atoms: v.hex() for atoms, v in combined.items()}, rule

@@ -280,6 +280,26 @@ def test_split_route_exonerates_a_vacuous_third_source():
         assert masses_of(three) == pytest.approx(masses_of(two), abs=1e-12)
 
 
+def test_a_declared_split_exonerates_ignorance_and_pools_one_element(shafer2):
+    # Declared pairs split products that do not conflict.  A beside total
+    # ignorance takes the whole product; A with itself takes it once, by
+    # its two masses pooled.
+    a, ab = shafer2.label("A"), shafer2.parse("A|B")
+    m1 = MassFunction(shafer2, {"A": 0.6, "A|B": 0.4})
+    m2 = MassFunction(shafer2, {"A": 0.3, "A|B": 0.7})
+    split = Attitude("split")
+    cfg = ScenarioConfig(pair_attitudes={frozenset((a, ab)): split, frozenset((a,)): split})
+    out = uft_combine((m1, m2), cfg)
+    # Each share is the product times its operand's weight over the total.
+    assert [(p.operands, p.mass, p.shares) for p in out.conflict.partials] == [
+        ((a, a), 0.6 * 0.3, ((a, 0.6 * 0.3 * (0.6 + 0.3) / (0.6 + 0.3)),)),
+        ((a, ab), 0.6 * 0.7, ((a, 0.6 * 0.7 * 0.6 / 0.6),)),
+        ((ab, a), 0.4 * 0.3, ((a, 0.4 * 0.3 * 0.3 / 0.3),)),
+    ]
+    assert out.combined.mass(a) == pytest.approx(0.72)
+    assert out.combined.mass(ab) == pytest.approx(0.28)
+
+
 def test_pair_attitudes_route_specific_pairs():
     f = Frame.shafer(("A", "B", "C"))
     m1 = MassFunction(f, {"A": 0.5, "C": 0.5})

@@ -149,6 +149,44 @@ MUTANTS = (
      '        raise RuleError("this rule needs a label frame, not intervals")\n',
      "",
      ("tests/test_special.py::test_label_rules_refuse_interval_sources",)),
+    # A declared split of an operand beside total ignorance would charge
+    # the ignorance on the two-operand path.
+    ("pcr5-two-way-with-ignorance", "src/fusekit/pcr.py",
+     "if x.mask != y.mask and 0 < x.mask != full and 0 < y.mask != full:",
+     "if x.mask != y.mask and 0 < x.mask and 0 < y.mask:",
+     ("tests/test_uft.py::test_a_declared_split_exonerates_ignorance_and_pools_one_element",)),
+    # A declared split of an element with itself would book two shares to
+    # it instead of one by its pooled masses.
+    ("pcr5-two-way-with-one-element", "src/fusekit/pcr.py",
+     "if x.mask != y.mask and 0 < x.mask != full and 0 < y.mask != full:",
+     "if 0 < x.mask != full and 0 < y.mask != full:",
+     ("tests/test_uft.py::test_a_declared_split_exonerates_ignorance_and_pools_one_element",)),
+    # An empty operand would draw a share of its product.
+    ("pcr5-two-way-with-empty", "src/fusekit/pcr.py",
+     "if x.mask != y.mask and 0 < x.mask != full and 0 < y.mask != full:",
+     "if x.mask != y.mask and x.mask != full and y.mask != full:",
+     (f"{PROPERTIES}::test_two_source_splits_match_the_plain_split",)),
+    # PCR3 would split a product of an empty operand between both operands.
+    ("pcr3-two-way-with-empty", "src/fusekit/pcr.py",
+     "if len(els) == 2 and els[0].mask and els[1].mask:",
+     "if len(els) == 2:",
+     (f"{PROPERTIES}::test_two_source_splits_match_the_plain_split",)),
+    # minC's two parts would not weigh their union.
+    ("minc-two-part-without-union", "src/fusekit/pcr.py",
+     "for el in (x, y, union)",
+     "for el in (x, y)",
+     ("tests/test_pcr.py", PROPERTIES)),
+    # minC's two parts would split an unweighed product in halves over
+    # three recipients.
+    ("minc-two-part-equal-split-by-two", "src/fusekit/pcr.py",
+     "share = p / 3",
+     "share = p / 2",
+     ("tests/test_pcr.py::test_minc_equal_split_when_no_recipient_mass",)),
+    # minC-b would take version a's recipients for two parts.
+    ("minc-two-part-path-in-b", "src/fusekit/pcr.py",
+     'if version == "a" and len(parts) == 2:',
+     "if len(parts) == 2:",
+     ("tests/test_pcr.py::test_minc_versions_differ_when_extra_unions_hold_mass",)),
     # The store's product would list its landings in the order they were
     # pushed, and the next push would sum them in that order.
     ("store-fold-unsorted", "src/fusekit/uft.py",
@@ -213,7 +251,7 @@ FORMULA_MUTANTS = (
     ("minc-equal-split-to-first", "src/fusekit/pcr.py",
      "return tuple((el, share) for el in recipients)",
      "return ((recipients[0], p),)",
-     ("tests/test_pcr.py::test_minc_equal_split_when_no_recipient_mass",)),
+     ("tests/test_pcr.py::test_minc_takes_parts_by_operand_expression_not_by_element",)),
     # minC-b would take the unions over the last part's hypotheses only.
     ("minc-b-last-part-labels", "src/fusekit/pcr.py",
      "labels += [frame.label(",
@@ -265,6 +303,11 @@ FORMULA_MUTANTS = (
 #   self._shift``) instead of its minimal parts' bits: the part bits decide
 #   the minimal ones, so every product takes the same form, only with more
 #   misses;
+# - a PCR3 two-operand guard that also checks that the operands' masks
+#   differ and that neither is total ignorance (``ignorance.mask``): PCR3
+#   splits only products that conflict, and two non-empty operands that
+#   conflict are disjoint, so neither check can fail.  PCR5's guard keeps
+#   both because uft's declared pairs split products that do not conflict;
 # - ``_safety``'s bound under ``or`` set back to 0, the prefix's own mask:
 #   fewer prefixes pool, and the suffix meet it replaced is held by every
 #   completion, so each bound is valid and the landed masses agree.
