@@ -266,7 +266,8 @@ class Ledger:
     def finish(self, rule, warnings=(), open_world="open-world mass on the empty set"):
         """The result of the landed mass, each landing made once by
         ``landing`` in ascending survivor-mask order, and the booked partials."""
-        combined = MassFunction(self.frame, [(self.landing(k), v) for k, v in sorted(self.acc.items())])
+        combined = MassFunction._landed(
+            self.frame, {self.landing(k): v for k, v in sorted(self.acc.items())})
         return _result(rule, combined, self.sources,
                        ConflictReport(self.k12, tuple(self.partials)), warnings, open_world)
 

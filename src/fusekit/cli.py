@@ -174,6 +174,12 @@ class ResultTable:
             ledger = doc["ledger"] = []
             for els, mass, shares, basis, note in result.conflict.partials:
                 shown = [displays.get(id(el)) or name(el) for el in els]
+                if len(shares) == 1:  # most partials: their list without a comprehension
+                    (dest, v), = shares
+                    shared = [{"to": displays.get(id(dest)) or name(dest), "mass": v}]
+                else:
+                    shared = [{"to": displays.get(id(dest)) or name(dest), "mass": v}
+                              for dest, v in shares]
                 ledger.append({
                     "operands": shown,
                     # A ledger can hold tens of thousands of partials: where
@@ -184,8 +190,7 @@ class ResultTable:
                     "mass": mass,
                     "basis": basis,
                     "note": note,
-                    "shares": [{"to": displays.get(id(dest)) or name(dest), "mass": v}
-                               for dest, v in shares],
+                    "shares": shared,
                 })
             if result.signed_masses:
                 doc["signed_masses"] = [

@@ -45,6 +45,25 @@ class MassFunction:
         self._map = merged
 
     @classmethod
+    def _landed(cls, frame, masses):
+        """The bba of a combination's landings, distinct elements of ``frame``
+        mapped to floats: checked in bulk, finite and non-negative (else a
+        RuleError), and zeros dropped, as the constructor does."""
+        values = masses.values()
+        if not (math.isfinite(sum(values)) and min(values, default=0.0) >= 0.0):
+            for el, value in masses.items():
+                if not math.isfinite(value):
+                    raise RuleError(f"non-finite mass {value} on {el.display}")
+                if value < 0.0:
+                    raise RuleError(f"negative mass {value} on {el.display}")
+        if 0.0 in values:
+            masses = {el: value for el, value in masses.items() if value}
+        self = object.__new__(cls)
+        self.frame = frame
+        self._map = masses
+        return self
+
+    @classmethod
     def vacuous(cls, frame):
         """The vacuous bba: all mass on total ignorance."""
         return cls(frame, {frame.ignorance(): 1.0})

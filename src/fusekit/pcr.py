@@ -267,11 +267,16 @@ def pcr5(*sources):
         _pcr5_split(els, ledger.sources, p), "own masses"))
 
 
-def _pairwise_fold(rule_fn, rule_name, sources):
-    """Left fold of a strictly binary rule over three or more sources."""
-    acc_result = rule_fn(sources[0], sources[1])
-    for m in sources[2:]:
-        acc_result = rule_fn(acc_result.combined, m)
+def _pairwise_fold(rule_fn, rule_name, sources, done=1, combined=None):
+    """Left fold of a strictly binary rule over three or more sources.
+
+    The fold resumes after its first ``done`` sources, whose fold
+    combined to ``combined``: one binary step per source after them.
+    """
+    combined = sources[0] if combined is None else combined
+    for m in sources[done:]:
+        acc_result = rule_fn(combined, m)
+        combined = acc_result.combined
     return acc_result._replace(
         rule=rule_name, sources=tuple(sources),
         warnings=acc_result.warnings + (

@@ -27,7 +27,7 @@ from .classic import (
 )
 from .frame import CONNECTIVES, INTERVAL_FRAME, Element, Value
 from .mass import MassFunction
-from .pcr import _column_averages, _column_sums, _pcr5_split
+from .pcr import _column_averages, _column_sums, _pairwise_fold, _pcr5_split
 from .problem import CASE_TO_KIND, CASES
 from .registry import check, run_mass
 from .result import FusionResult
@@ -258,16 +258,19 @@ def dynamic_update(state, new_empty, transfer_rule="dsmh", **params):
 
 # -- quasi-associative combining ---------------------------------------------
 
-# The rules the store serves.  Each transfer is the direct rule's own,
-# run on the stored product (plus the source list for column statistics);
-# None marks a rule that needs the per-product conflict structure and is
-# recomputed from the stored source list.
+# The 17 rules the store serves.  9 run on the stored product, each
+# through the direct rule's own transfer (plus the source list for column
+# statistics).  4 need the per-product conflict structure (None) and
+# are recomputed from the stored source list.  4 are pairwise folds
+# (``_pairwise_fold``), resumed one binary step per source from the fold
+# the state keeps.
 _STORE_RULES = {
     "conjunctive": _retain, "dsmc": _retain, "smets": _retain,
     "dempster": _divide_out, "yager": _to_ignorance, "wo": _weigh,
     "inagaki": _inagaki, "pcr1": _column_sums, "wao": _column_averages,
     "dubois-prade": None, "dsmh": None, "pcr2": None, "pcr3": None,
-    "pcr4": None, "pcr5": None, "minc-a": None, "minc-b": None,
+    "pcr4": _pairwise_fold, "pcr5": _pairwise_fold,
+    "minc-a": _pairwise_fold, "minc-b": _pairwise_fold,
 }
 
 
@@ -277,14 +280,17 @@ class QuasiAssociativeState(Value):
     The stored product makes conjunctive-based rules incremental: add a
     source, then re-apply the rule's transfer step to the store.  The
     sources themselves are kept for rules whose transfer step needs
-    them.  States are equal, and hash alike, by their sources alone.
+    them, and the last pairwise fold for the next one to resume.  States
+    are equal, and hash alike, by their sources alone.
     """
 
     # ``_base``: the first ``_folded`` sources' product as a mask table, or None.
-    __slots__ = ("sources", "_base", "_folded")
+    # ``_fold``: (rule, k, bba), a pairwise-fold rule's combined bba over
+    # the first k sources, or None.
+    __slots__ = ("sources", "_base", "_folded", "_fold")
 
-    def __init__(self, sources, _base, _folded):
-        self._set(sources, _base, _folded)
+    def __init__(self, sources, _base, _folded, _fold=None):
+        self._set(sources, _base, _folded, _fold)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -306,7 +312,7 @@ class QuasiAssociativeState(Value):
         on the stored product (products with full ignorance keep every
         landing)."""
         _common_frame((self.sources[0], m))
-        return QuasiAssociativeState(self.sources + (m,), self._base, self._folded)
+        return QuasiAssociativeState(self.sources + (m,), self._base, self._folded, self._fold)
 
     def _table(self):
         """The product's mask table, each pending source pushed on read as one
@@ -329,14 +335,26 @@ class QuasiAssociativeState(Value):
         frame = self.sources[0].frame
         return MassFunction(frame, [(Element(frame, k), p) for k, p in self._table().items()])
 
+    def _pairwise(self, rule, combine):
+        """``combine(sources)`` of a pairwise-fold rule, resumed from the kept
+        fold when it is this rule's; its result's bba is then the kept fold."""
+        fold = self._fold
+        if fold is not None and fold[0] == rule:
+            result = _pairwise_fold(lambda a, b: combine((a, b)), rule, self.sources, *fold[1:])
+        else:
+            result = combine(self.sources)
+        object.__setattr__(self, "_fold", (rule, len(self.sources), result.combined))
+        return result
+
 
 def quasi_associative_combine(state, new, rule="dempster", **params):
     """Add one source to the running state and re-apply the rule.
 
     Returns (new state, FusionResult).  Equals the direct s-ary
     computation for store-based rules, whose k12 is booked as one
-    pooled partial; per-product rules are recomputed over the stored
-    source list.
+    pooled partial; a pairwise fold takes one binary step per source
+    appended since its last result, and the other per-product rules are
+    recomputed over the stored source list.
     """
     if not isinstance(state, QuasiAssociativeState):
         state = QuasiAssociativeState.start(state)
@@ -346,6 +364,8 @@ def quasi_associative_combine(state, new, rule="dempster", **params):
     spec = check(rule, state.sources + (new,), params)
     state = state.append(new)
     transfer = _STORE_RULES[rule]
+    if transfer is _pairwise_fold:
+        return state, state._pairwise(rule, lambda ss: spec.combine(ss, params))
     if transfer is None:
         return state, spec.combine(state.sources, params)
     ledger = Ledger(state.sources)

@@ -151,6 +151,19 @@ def test_export_writes_divided_out_shares(tmp_path, capsys):
         assert entry["shares"] == [{"to": "divided out", "mass": entry["mass"]}]
 
 
+def test_export_writes_every_share_of_a_split(tmp_path, capsys):
+    src = tmp_path / "pcr.txt"
+    src.write_text(PCR_BINARY)
+    dest = tmp_path / "pcr.json"
+    code, _, _ = run_cli(capsys, "--rule", "pcr5", "--input", str(src), "--export", str(dest))
+    assert code == 0
+    # (A, B) weighs .18 and goes back .12 to A and .06 to B.
+    (entry,) = json.loads(dest.read_text())["ledger"]
+    assert entry["operands"] == ["A", "B"]
+    assert entry["shares"] == [{"to": "A", "mass": pytest.approx(0.12)},
+                               {"to": "B", "mass": pytest.approx(0.06)}]
+
+
 @pytest.mark.parametrize("rule", ["dempster", "pcr5", "dsmh"])
 def test_export_ledger_names_each_operand_by_its_expression(tmp_path, capsys, rule):
     # The golden case's event empties B, so B displays as the empty set
@@ -627,3 +640,14 @@ def test_consensus_on_a_subnormal_source_is_a_rule_error(tmp_path, capsys):
     assert (code, out) == (3, "")
     assert "RuleError" in err
     assert "non-empty masses total 1, got 0.7" in err
+
+
+@pytest.mark.parametrize("rule", ["conjunctive", "dempster", "pcr5", "dsmh", "minc-a", "uft"])
+def test_a_landed_mass_that_overflows_is_a_rule_error(tmp_path, capsys, rule):
+    # Each source is finite, but 1e200 * 1e200 rounds to inf on every landing.
+    src = tmp_path / "big.txt"
+    src.write_text("frame: A B\nmodel: free\nsource m1: A=1e200, B=1e200\n"
+                   "source m2: A=1e200, A|B=1e200\n")
+    code, out, err = run_cli(capsys, "--rule", rule, "--input", str(src))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: RuleError: non-finite mass")

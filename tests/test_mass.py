@@ -2,7 +2,7 @@
 
 import pytest
 
-from fusekit import Frame, FrameMismatchError, MassFunction, Opinion
+from fusekit import Frame, FrameMismatchError, MassFunction, Opinion, RuleError
 
 import oracles
 
@@ -36,6 +36,24 @@ def test_negative_mass_rejected(shafer3):
 def test_non_finite_mass_rejected(shafer3, value):
     with pytest.raises(ValueError, match="non-finite"):
         MassFunction(shafer3, {"A": value, "B": 1.0})
+
+
+def test_landed_masses_are_checked_in_bulk(shafer3):
+    # A combination's landings, made by the ledger, skip the per-entry
+    # checks but not the checks of their values.
+    a, b = shafer3.label("A"), shafer3.label("B")
+    m = MassFunction._landed(shafer3, {a: 0.0, b: 1.0})
+    assert list(m.items()) == [(b, 1.0)]
+    assert len(MassFunction._landed(shafer3, {a: 0.0, b: -0.0})) == 0
+    # Finite masses whose sum overflows are not refused.
+    assert list(MassFunction._landed(shafer3, {a: 1e308, b: 1e308}).items()) == [
+        (a, 1e308), (b, 1e308)]
+    for masses, message in (({a: 0.5, b: -0.5}, "negative mass -0.5 on B"),
+                            ({a: float("inf"), b: 1.0}, "non-finite mass inf on A"),
+                            ({a: 1.0, b: float("nan")}, "non-finite mass nan on B"),
+                            ({a: -1.0, b: float("nan")}, "negative mass -1.0 on A")):
+        with pytest.raises(RuleError, match=message):
+            MassFunction._landed(shafer3, masses)
 
 
 @pytest.mark.parametrize("frame", [{"A": 1.0}, None, ("A", "B")])

@@ -53,7 +53,7 @@ from fusekit.classic import Ledger
 from fusekit.cli import build_table
 from fusekit.frame import parse_expression_text, render_expression
 from fusekit.golden import GOLDEN_CASES, Outcome
-from fusekit.registry import resolve, selectors
+from fusekit.registry import resolve, run, selectors
 from fusekit.special import _IMPROVED_BASES, TCONORMS, TNORMS
 from fusekit.uft import CASE_TO_KIND
 
@@ -823,6 +823,39 @@ def test_the_store_product_is_the_left_fold_of_conjunctive(sources):
         assert got == want and list(got.items()) == list(want.items())
     got = lazy.product
     assert got == want and list(got.items()) == list(want.items())
+
+
+def _run_bits(result):
+    """A result as the store and the direct rule must agree on it: combined
+    masses as float bits in order, the ledger, warnings, rule and sources."""
+    return ([(el, v.hex()) for el, v in result.combined.items()], result.conflict.partials,
+            result.conflict.k12.hex(), result.warnings, result.rule, result.sources)
+
+
+@given(expression_sources(count=(3, 6), focal=3), st.data())
+def test_the_store_resumes_each_pairwise_fold_as_the_direct_fold(sources, data):
+    # After every append the store's fold, resumed from the fold it kept,
+    # is the direct rule's fold over the sources so far.
+    for rule in _ORDERED_FOLDS:
+        states = [sources[0]]
+        for k in range(2, len(sources) + 1):
+            state, got = quasi_associative_combine(states[-1], sources[k - 1], rule)
+            states.append(state)
+            assert _run_bits(got) == _run_bits(run(rule, sources[:k], {})), (rule, k)
+        # A state branched from an earlier one resumes that state's fold.
+        k = data.draw(st.integers(min_value=2, max_value=len(sources) - 1))
+        new = data.draw(st.sampled_from(sources))
+        _, got = quasi_associative_combine(states[k - 1], new, rule)
+        assert _run_bits(got) == _run_bits(run(rule, sources[:k] + [new], {})), (rule, k)
+    # A stream that switches rule between appends: a fold resumes only its
+    # own rule's fold, over every source appended since.
+    rules = data.draw(st.lists(st.sampled_from(_ORDERED_FOLDS + ("conjunctive",)),
+                               min_size=len(sources) - 1, max_size=len(sources) - 1))
+    state = sources[0]
+    for k, rule in enumerate(rules, 2):
+        state, got = quasi_associative_combine(state, sources[k - 1], rule)
+        if rule in _ORDERED_FOLDS:
+            assert _run_bits(got) == _run_bits(run(rule, sources[:k], {})), (rules, k)
 
 
 MERGE_FRAMES = (

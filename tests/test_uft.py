@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import fusekit.pcr as pcr_module
 import fusekit.uft as uft_module
 from fusekit import (
     Attitude,
@@ -26,6 +27,7 @@ from fusekit import (
     murphy_average,
     parse_problem,
     pcr1,
+    pcr4,
     pcr5,
     quasi_associative_combine,
     smets_tbm,
@@ -497,6 +499,33 @@ def test_recomputed_rules_never_build_the_stored_product(stream, monkeypatch):
         eager, on_time = quasi_associative_combine(eager, m, "dempster")
     assert late.combined == on_time.combined
     assert late.conflict == on_time.conflict
+
+
+@pytest.mark.parametrize("rule", ["pcr4", "pcr5", "minc-a", "minc-b"])
+def test_a_fold_stream_takes_one_binary_step_per_source(stream, monkeypatch, rule):
+    m1, m2, m3 = stream
+    steps = []
+    split_each = pcr_module._split_each
+    monkeypatch.setattr(pcr_module, "_split_each", lambda ledger, *a: (
+        steps.append(len(ledger.sources)) or split_each(ledger, *a)))
+    state = m1
+    for m in (m2, m3, m1, m2):
+        state, _ = quasi_associative_combine(state, m, rule)
+    assert steps == [2, 2, 2, 2]
+
+
+def test_a_fold_resumes_only_its_own_rules_fold_over_every_source_since(stream):
+    m1, m2, m3 = stream
+    # pcr5 keeps its fold of two sources through a dempster step and a bare
+    # append, then takes the two steps since.
+    state, _ = quasi_associative_combine(m1, m2, "pcr5")
+    state, _ = quasi_associative_combine(state, m3, "dempster")
+    _, got = quasi_associative_combine(state.append(m1), m2, "pcr5")
+    assert got == pcr5(m1, m2, m3, m1, m2)
+    # pcr4 does not resume pcr5's fold.
+    state, _ = quasi_associative_combine(m1, m2, "pcr5")
+    _, got = quasi_associative_combine(state, m3, "pcr4")
+    assert got == pcr4(m1, m2, m3)
 
 
 def test_a_stored_product_whose_conflicts_underflow_books_none(shafer2):

@@ -123,8 +123,8 @@ MUTANTS = (
     # A result would list its landings in the order they landed, which
     # follows the order of the sources.
     ("finish-without-mask-order", "src/fusekit/classic.py",
-     "for k, v in sorted(self.acc.items())]",
-     "for k, v in self.acc.items()]",
+     "for k, v in sorted(self.acc.items())}",
+     "for k, v in self.acc.items()}",
      (PROPERTIES,)),
     # inagaki would list its shares in landing order.
     ("inagaki-without-mask-order", "src/fusekit/classic.py",
@@ -199,6 +199,43 @@ MUTANTS = (
      "table = {k: p for k, p in sorted(table.items()) if p}",
      "table = dict(sorted(table.items()))",
      ("tests/test_uft.py",)),
+    # An appended state would drop the kept fold, so every fold step would
+    # refold all its sources.
+    ("fold-slot-not-carried", "src/fusekit/uft.py",
+     "self._base, self._folded, self._fold)",
+     "self._base, self._folded)",
+     ("tests/test_uft.py",)),
+    # A kept fold would be resumed as if it covered every source but the
+    # last, skipping the sources appended under other rules.
+    ("fold-slot-without-count", "src/fusekit/uft.py",
+     "rule, self.sources, *fold[1:])",
+     "rule, self.sources, len(self.sources) - 1, fold[2])",
+     ("tests/test_uft.py", f"{PROPERTIES}::test_the_store_resumes_each_pairwise_fold_as_the_direct_fold")),
+    # One rule's fold, or one minC version's, would be resumed by another.
+    ("fold-slot-across-rules", "src/fusekit/uft.py",
+     "if fold is not None and fold[0] == rule:",
+     "if fold is not None:",
+     ("tests/test_uft.py", f"{PROPERTIES}::test_the_store_resumes_each_pairwise_fold_as_the_direct_fold")),
+    # A negative landing would pass the bulk check of a combination's masses.
+    ("landed-without-sign", "src/fusekit/mass.py",
+     "if not (math.isfinite(sum(values)) and min(values, default=0.0) >= 0.0):",
+     "if not math.isfinite(sum(values)):",
+     ("tests/test_mass.py",)),
+    # A landing whose mass overflowed would pass the bulk check.
+    ("landed-without-finiteness", "src/fusekit/mass.py",
+     "if not (math.isfinite(sum(values)) and min(values, default=0.0) >= 0.0):",
+     "if not min(values, default=0.0) >= 0.0:",
+     ("tests/test_mass.py", "tests/test_cli.py")),
+    # A landing of mass 0 would stay a focal element of the result.
+    ("landed-keeps-zeros", "src/fusekit/mass.py",
+     "if 0.0 in values:",
+     "if False:",
+     ("tests/test_mass.py",)),
+    # A partial of several shares would export its first share alone.
+    ("export-one-share-for-all", "src/fusekit/cli.py",
+     "if len(shares) == 1:",
+     "if True:",
+     ("tests/test_cli.py",)),
 )
 
 # Mutants of the rule formulas: each changes a term a rule's definition

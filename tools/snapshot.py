@@ -15,9 +15,9 @@ weights; ``wo`` with weight 0.5 on total ignorance and 0.5 on the empty
 set; ``consensus`` with the first label as focus.  It runs ``xavg`` over
 the golden cases' interval problems.  It also runs every rule of the
 quasi-associative store (selector ``store:<rule>``, in the order of
-``fusekit.uft._STORE_RULES``), the nine that run on the stored product
-and the eight recomputed from the sources, appending the sources in
-order, with the parameters above for ``wo`` and ``inagaki``; on the
+``fusekit.uft._STORE_RULES``), the nine that run on the stored product,
+the four recomputed from the sources and the four pairwise folds
+resumed one step per source, appending the sources in order, with the parameters above for ``wo`` and ``inagaki``; on the
 interval problems it runs them with no parameters, where each one must
 be refused.  Each run is one JSON line: the CLI table's ``render()`` and
 ``to_json_dict()``, or the error the run raised.
