@@ -531,60 +531,40 @@ def exclusive_disjunctive(*sources):
 
 # -- mixed connective combinations ----------------------------------------
 
-def parse_source_expr(text):
-    """Parse a source-combination expression such as "(1&2)|3".
-
-    Leaves are 1-based source positions; connectives are the same as in
-    element expressions, complement excluded.
-    """
-    raw = parse_expression_text(text)
-
-    def convert(node):
-        op = node[0]
-        if op == "label":
-            if not node[1].isdigit() or int(node[1]) < 1:
-                raise ParameterError(f"source reference must be a positive integer, got {node[1]!r}")
-            return ("src", int(node[1]))
-        if op == "not":
-            raise ParameterError("complement has no meaning over sources")
-        if op == "empty":
-            raise ParameterError("empty node has no meaning over sources")
-        return (op, tuple(convert(child) for child in node[1]))
-
-    return convert(raw)
+def _source_positions(expr):
+    """The 1-based source positions at a parsed source expression's leaves."""
+    op = expr[0]
+    if op == "not":
+        raise ParameterError("complement has no meaning over sources")
+    if op != "label":
+        return [k for child in expr[1] for k in _source_positions(child)]
+    if not expr[1].isdecimal() or int(expr[1]) < 1:
+        raise ParameterError(f"source reference must be a positive integer, got {expr[1]!r}")
+    return [int(expr[1])]
 
 
-def _source_expr_leaves(expr, acc):
-    if expr[0] == "src":
-        acc.append(expr[1])
-    else:
-        for child in expr[1]:
-            _source_expr_leaves(child, acc)
-
-
-def _eval_source_expr(expr, els):
-    if expr[0] == "src":
-        return els[expr[1] - 1]
-    return fold(expr[0], [_eval_source_expr(child, els) for child in expr[1]])
+def _eval_sources(expr, masks):
+    if expr[0] == "label":
+        return masks[int(expr[1]) - 1]
+    return fold(expr[0], [_eval_sources(child, masks) for child in expr[1]])
 
 
 def mixed(sources, expr):
-    """Combine sources along a caller-supplied connective tree.
+    """Combine sources along a connective expression such as "(1&2)|3".
 
-    The tree's leaves must reference each provided source exactly once.
+    Leaves are 1-based source positions, each source's exactly once;
+    connectives are those of element expressions, complement excluded.
     """
-    if isinstance(expr, str):
-        expr = parse_source_expr(expr)
+    expr = parse_expression_text(expr)
+    leaves = sorted(_source_positions(expr))
     sources = tuple(sources)
     ledger = Ledger(sources)
-    leaves = []
-    _source_expr_leaves(expr, leaves)
-    if sorted(leaves) != list(range(1, len(sources) + 1)):
+    if leaves != list(range(1, len(sources) + 1)):
         raise ParameterError(
-            f"expression must use each of sources 1..{len(sources)} exactly once, got {sorted(leaves)}"
+            f"expression must use each of sources 1..{len(sources)} exactly once, got {leaves}"
         )
     conflicts = ledger.expand(leaf=lambda els, p, _: (
-        p, _eval_source_expr(expr, [el.mask for el in els])))
+        p, _eval_sources(expr, [el.mask for el in els])))
     return ledger.finish("mixed", _retain(ledger, conflicts, "empty landing"))
 
 

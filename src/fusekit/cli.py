@@ -76,11 +76,11 @@ def _cmd_run(argv):
 
     overrides = {}
     for chunk in ns.param:
-        if "=" not in chunk:
+        key, sep, value = (part.strip() for part in chunk.partition("="))
+        if not (sep and key):
             print(f"usage error: --param wants KEY=VALUE, got {chunk!r}", file=sys.stderr)
             return 2
-        key, _, value = chunk.partition("=")
-        overrides[key.strip()] = value.strip()
+        overrides[key] = value
     try:
         overrides = coerce_params(overrides)
     except ValueError as exc:

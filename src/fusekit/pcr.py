@@ -333,17 +333,14 @@ def minc(*sources, version="a"):
             # conflict are non-empty and disjoint: they and their union are
             # the distinct recipients.
             x, y = parts[0].element, parts[1].element
-            union = ledger.landing(x.mask | y.mask)
-            shares = _proportional([(el, w) for el in (x, y, union)
-                                    if (w := m12.get(el.mask, 0.0)) > 0.0], p)
-            if shares:
-                return shares, "conjunctive masses of recipients"
-            share = p / 3
-            return ((x, share), (y, share), (union, share)), "equal split (no recipient mass)"
-        recipients = recipients_fn(ledger.frame, parts)
-        if not recipients:
-            return None, ""
-        shares = _proportional(_weighted(recipients, lambda el: m12.get(el.mask, 0.0)), p)
+            recipients = (x, y, ledger.landing(x.mask | y.mask))
+        else:
+            recipients = recipients_fn(ledger.frame, parts)
+            if not recipients:
+                return None, ""
+        # The recipients are distinct and non-empty, as ``_subset_unions`` yields them.
+        shares = _proportional([(el, w) for el in recipients
+                                if (w := m12.get(el.mask, 0.0)) > 0.0], p)
         if shares:
             return shares, "conjunctive masses of recipients"
         share = p / len(recipients)

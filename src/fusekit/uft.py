@@ -230,22 +230,18 @@ def dynamic_update(state, new_empty, transfer_rule="dsmh", **params):
     A rule without a conflict clause leaves mass on the empty set; the
     result's own warning surfaces it.
     """
-    if isinstance(state, FusionResult):
-        frame = state.combined.frame
-    elif isinstance(state, MassFunction):
-        frame = state.frame
-    else:
+    if not isinstance(state, (FusionResult, MassFunction)):
         raise TypeError(f"expected FusionResult or MassFunction, got {type(state).__name__}")
-    if frame is INTERVAL_FRAME:
+    m = state.combined if isinstance(state, FusionResult) else state
+    if m.frame is INTERVAL_FRAME:
         raise RuleError("a model update needs a label frame, not intervals")
-    tightened = frame.constrain(*new_empty)
-    if tightened == frame:
+    tightened = m.frame.constrain(*new_empty)
+    if tightened == m.frame:
         return state
 
     if isinstance(state, FusionResult) and state.sources:
-        new_sources = [m.on_frame(tightened) for m in state.sources]
+        new_sources = [src.on_frame(tightened) for src in state.sources]
     else:
-        m = state.combined if isinstance(state, FusionResult) else state
         new_sources = [m.on_frame(tightened), MassFunction.vacuous(tightened)]
     result = run_mass(transfer_rule, new_sources, params)
     warnings = result.warnings

@@ -74,6 +74,41 @@ def expand_products(sources, op, claim=None):
     return conflicts, k12, list(acc.items())
 
 
+def mixed_products(sources, tree):
+    """The mixed rule as one plain ``itertools.product`` loop over the
+    sources' (element, mass) items.
+
+    ``tree`` is a binary tree over "and", "or" and "xor" whose leaves
+    ("src", k) name 1-based source positions.  A product weighs
+    ``math.prod`` of its masses and is skipped at zero; it lands on the
+    tree evaluated over its operands' masks, and one that evaluates to 0
+    conflicts and stays on the empty set.  Returns the conflicts as
+    (operands, weight) in enumeration order, their total k12 summed in
+    that order, and the landed masses as {mask: mass}, the empty set's
+    (mask 0) included.
+    """
+    join = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
+
+    def value(node, masks):
+        if node[0] == "src":
+            return masks[node[1] - 1]
+        left, right = node[1]
+        return join[node[0]](value(left, masks), value(right, masks))
+
+    conflicts, k12, acc = [], 0.0, {}
+    for combo in itertools.product(*(m.items() for m in sources)):
+        els, masses = zip(*combo)
+        p = math.prod(masses)
+        if p == 0.0:
+            continue
+        mask = value(tree, [el.mask for el in els])
+        _add(acc, mask, p)
+        if not mask:
+            k12 += p
+            conflicts.append((els, p))
+    return conflicts, k12, acc
+
+
 def columns(*ps):
     out = {}
     for p in ps:

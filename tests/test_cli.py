@@ -309,6 +309,16 @@ def test_bad_param_value_is_a_usage_error(dp_file, capsys):
     assert "'x'" in err
 
 
+def test_an_empty_param_key_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "pair.txt"
+    src.write_text(PCR_BINARY)
+    for chunk in ("=5", " =5"):
+        code, out, err = run_cli(capsys, "--rule", "dempster", "--input", str(src),
+                                 "--param", chunk)
+        want = f"usage error: --param wants KEY=VALUE, got {chunk!r}\n"
+        assert (code, out, err) == (2, "", want)
+
+
 def test_malformed_param_line_is_a_parse_error(tmp_path, capsys):
     src = tmp_path / "param.txt"
     src.write_text(PCR_BINARY + "param: p=x\n")
@@ -612,8 +622,11 @@ def test_a_malformed_rule_parameter_is_a_rule_error(tmp_path, capsys, rule, para
     ("consensus", "focus=A&B", "focus ∅ does not induce a binary coarsening"),
     ("wo", "weights=A:2", "weight for A must be in [0, 1], got 2.0"),
     ("wo", "weights=A:0.5", "weights must sum to 1, got 0.5"),
+    ("mixed", "expr=A|1", "source reference must be a positive integer, got 'A'"),
+    ("mixed", "expr=0|1", "source reference must be a positive integer, got '0'"),
+    ("mixed", "expr=²|1", "source reference must be a positive integer, got '²'"),
 ], ids=["inagaki-p", "mixing-count", "mixed-sources", "mixed-complement", "consensus-focus",
-        "wo-range", "wo-sum"])
+        "wo-range", "wo-sum", "mixed-label", "mixed-zero", "mixed-superscript"])
 def test_a_parameter_that_does_not_fit_its_rule_is_a_parameter_error(tmp_path, capsys, rule,
                                                                      param, message):
     src = tmp_path / "pair.txt"

@@ -32,6 +32,7 @@ from fusekit import (
     improved_rules,
     inagaki,
     minc,
+    mixed,
     murphy_average,
     parse_problem,
     pcr1,
@@ -728,6 +729,45 @@ def test_events_applied_together_match_one_at_a_time(sources, data):
         assert moved == m.on_frame(stepwise)
         for el in m:
             assert final.reevaluate(el).atoms == stepwise.reevaluate(el).atoms
+
+
+# -- mixed against a plain evaluation of its drawn source tree ---------------
+
+@st.composite
+def source_trees(draw, positions):
+    """A binary tree over and, or and xor with one ("src", k) leaf per position."""
+    if len(positions) == 1:
+        return ("src", positions[0])
+    cut = draw(st.integers(min_value=1, max_value=len(positions) - 1))
+    op = draw(st.sampled_from(("and", "or", "xor")))
+    return (op, (draw(source_trees(positions[:cut])), draw(source_trees(positions[cut:]))))
+
+
+def _source_tree_text(tree):
+    """The tree as text, parenthesised only where precedence or left
+    association would otherwise regroup it: ``&`` binds tighter than
+    ``|`` and ``^``, which share a level."""
+    if tree[0] == "src":
+        return str(tree[1])
+    left, right = tree[1]
+    left_text, right_text = _source_tree_text(left), _source_tree_text(right)
+    if tree[0] == "and" and left[0] in ("or", "xor"):
+        left_text = f"({left_text})"
+    if right[0] != "src":
+        right_text = f"({right_text})"
+    return left_text + {"and": "&", "or": "|", "xor": "^"}[tree[0]] + right_text
+
+
+@given(expression_sources(count=(2, 4), focal=3), st.data())
+def test_mixed_lands_each_product_on_its_drawn_source_tree(sources, data):
+    order = data.draw(st.permutations(range(1, len(sources) + 1)))
+    tree = data.draw(source_trees(tuple(order)))
+    result = mixed(sources, _source_tree_text(tree))
+    conflicts, k12, acc = oracles.mixed_products(sources, tree)
+    assert {el.mask: v.hex() for el, v in result.combined.items()} == {
+        mask: v.hex() for mask, v in acc.items()}
+    assert result.conflict.k12.hex() == k12.hex()
+    assert [(p.operands, p.mass) for p in result.conflict.partials] == conflicts
 
 
 # -- the product walk against the plain product loop ------------------------

@@ -27,6 +27,7 @@ from fusekit import (
     murphy_average,
     parse_problem,
     pcr1,
+    pcr3,
     pcr4,
     pcr5,
     quasi_associative_combine,
@@ -300,6 +301,23 @@ def test_a_declared_split_exonerates_ignorance_and_pools_one_element(shafer2):
     ]
     assert out.combined.mass(a) == pytest.approx(0.72)
     assert out.combined.mass(ab) == pytest.approx(0.28)
+
+
+def test_a_weightless_two_operand_conflict_goes_whole_to_the_union(shafer2):
+    # The operands weigh 1e-13 each, so their weights sum to no more than the
+    # zero tolerance: the split is refused and the product escalates.
+    a, b, ab = shafer2.label("A"), shafer2.label("B"), shafer2.parse("A|B")
+    m1 = MassFunction(shafer2, {"A": 1e-13, "A|B": 1 - 1e-13})
+    m2 = MassFunction(shafer2, {"B": 1e-13, "A|B": 1 - 1e-13})
+    p = 1e-13 * 1e-13
+    for out, basis, note in (
+        (pcr5(m1, m2), "", "all weights zero; to joint disjunctive form"),
+        (pcr3(m1, m2), "", "all columns empty; to joint disjunctive form"),
+        (uft_combine((m1, m2), ScenarioConfig.for_case("1.2.1")), "case 1.2.1",
+         "operands weightless; escalated"),
+    ):
+        assert out.conflict.partials == (((a, b), p, ((ab, p),), basis, note),), out.rule
+        assert out.conflict.k12 == p
 
 
 def test_pair_attitudes_route_specific_pairs():

@@ -166,6 +166,14 @@ MUTANTS = (
      "if x.mask != y.mask and 0 < x.mask != full and 0 < y.mask != full:",
      "if x.mask != y.mask and x.mask != full and y.mask != full:",
      (f"{PROPERTIES}::test_two_source_splits_match_the_plain_split",)),
+    # Two operands whose weights sum to no more than the zero tolerance
+    # would split their product instead of escalating it whole.
+    ("two-way-without-floor", "src/fusekit/pcr.py",
+     "    total = a + b\n"
+     "    if total <= _EPS:\n"
+     "        return None\n",
+     "    total = a + b\n",
+     ("tests/test_uft.py::test_a_weightless_two_operand_conflict_goes_whole_to_the_union",)),
     # PCR3 would split a product of an empty operand between both operands.
     ("pcr3-two-way-with-empty", "src/fusekit/pcr.py",
      "if len(els) == 2 and els[0].mask and els[1].mask:",
@@ -173,13 +181,13 @@ MUTANTS = (
      (f"{PROPERTIES}::test_two_source_splits_match_the_plain_split",)),
     # minC's two parts would not weigh their union.
     ("minc-two-part-without-union", "src/fusekit/pcr.py",
-     "for el in (x, y, union)",
-     "for el in (x, y)",
+     "recipients = (x, y, ledger.landing(x.mask | y.mask))",
+     "recipients = (x, y)",
      ("tests/test_pcr.py", PROPERTIES)),
-    # minC's two parts would split an unweighed product in halves over
-    # three recipients.
+    # minC would split an unweighed product in halves, whatever its
+    # recipient count: two parts have three recipients.
     ("minc-two-part-equal-split-by-two", "src/fusekit/pcr.py",
-     "share = p / 3",
+     "share = p / len(recipients)",
      "share = p / 2",
      ("tests/test_pcr.py::test_minc_equal_split_when_no_recipient_mass",)),
     # minC-b would take version a's recipients for two parts.
