@@ -13,7 +13,7 @@ from collections.abc import Mapping
 
 from .errors import FrameMismatchError, ParameterError, RuleError, TotalConflictError
 from .frame import CONNECTIVES, INTERVAL_FRAME, Element, Reductions, fold, parse_expression_text
-from .mass import MassFunction
+from .mass import MassFunction, _fsum
 from .result import NORMALISED, ConflictReport, FusionResult, Partial
 
 # The zero tolerance of every rule module: totals at or below it count as nothing.
@@ -323,7 +323,7 @@ def _normalise(ledger, message=None):
 
     A total at zero raises with ``message``, by default Dempster's.
     """
-    total = math.fsum(ledger.acc.values())
+    total = _fsum(ledger.acc.values())
     if total <= _EPS:
         raise TotalConflictError(
             message or f"total conflict: k12={ledger.k12:g}; the rule is undefined")
@@ -589,13 +589,13 @@ def weighted_mixing(sources, weights):
         raise ParameterError("mixing weights must be finite")
     if any(w < 0.0 for w in weights):
         raise ParameterError("mixing weights must be non-negative")
+    if not math.isfinite(sum(weights)):
+        raise ParameterError("mixing weights must sum to a finite number")
     wsum = math.fsum(weights)
     if wsum <= 0.0:
         raise ParameterError("mixing weights must not all be zero")
     acc = {}
     for m, w in zip(sources, weights):
-        if w == 0.0:
-            continue
         for el, v in m.items():
             acc[el] = acc.get(el, 0.0) + v * w / wsum
     return _result("mixing", MassFunction(frame, acc), sources)

@@ -99,6 +99,7 @@ def _cmd_run(argv):
 
     try:
         outcome = execute_problem(problem, ns.rule, overrides=overrides)
+        table = build_table(outcome, ns.rule)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
@@ -106,7 +107,6 @@ def _cmd_run(argv):
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    table = build_table(outcome, ns.rule)
     print(table.render())
     if ns.export:
         try:
@@ -152,9 +152,7 @@ class ResultTable:
             doc["opinion"] = dict(self.rows)
             return doc
         doc["rows"] = [{"element": d, "mass": v} for d, v in self.rows]
-        doc["footer"] = dict(self.footer)
-        if self.status is not None:
-            doc["footer"]["status"] = self.status
+        doc["footer"] = dict(self.footer, status=self.status)
         doc["warnings"] = list(self.warnings)
         result = outcome.result
         if result is not None:
@@ -224,10 +222,8 @@ def build_table(outcome, rule):
     else:
         frame = outcome.frame
         header.append(f"frame: {' '.join(frame.names)} ({frame.kind})")
-        result = outcome.result
-        if result is not None:
-            footer.append(("k12", result.conflict.k12))
-            footer.append(("lost", result.conflict.lost))
+        footer.append(("k12", outcome.result.conflict.k12))
+        footer.append(("lost", outcome.result.conflict.lost))
 
     status = "normal" if abs(total - 1.0) <= _SUM_TOL else (
         "incomplete" if total < 1.0 else "paraconsistent"
@@ -284,7 +280,3 @@ def _cmd_enumerate(argv):
     for el in elements:
         print(f"{el.cardinality:>2}  {el.display}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

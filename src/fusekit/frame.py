@@ -61,11 +61,7 @@ CONNECTIVES = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
 
 def fold(op, operands):
     """Join operands (survivor masks or Elements) left to right by one connective."""
-    try:
-        join = CONNECTIVES[op]
-    except KeyError:
-        raise ValueError(f"bad expression node {op!r}") from None
-    return functools.reduce(join, operands)
+    return functools.reduce(CONNECTIVES[op], operands)
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[()&|~^]|\S")
 

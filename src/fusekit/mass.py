@@ -10,6 +10,14 @@ from .frame import (INTERVAL_FRAME, Element, Frame, IntervalElement, Value, degr
 STATUS_TOL = 1e-9
 
 
+def _fsum(values):
+    """``math.fsum`` of finite masses; a RuleError where their total overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise RuleError("masses total more than the largest float") from None
+
+
 class MassFunction:
     """An immutable assignment of mass to elements of one frame.
 
@@ -41,6 +49,8 @@ class MassFunction:
             if value == 0.0:
                 continue
             merged[el] = merged.get(el, 0.0) + value
+        if not math.isfinite(sum(merged.values())):
+            raise ValueError("masses total more than the largest float")
         self.frame = frame
         self._map = merged
 
@@ -113,7 +123,7 @@ class MassFunction:
 
     @property
     def total(self):
-        return math.fsum(self._map.values())
+        return _fsum(self._map.values())
 
     @property
     def status(self):

@@ -6,8 +6,6 @@ invariant: combined total plus reported losses equals the product of
 the source totals.
 """
 
-import math
-
 from .classic import (
     _EPS,
     Ledger,
@@ -16,6 +14,7 @@ from .classic import (
     _subset_unions,
 )
 from .errors import RuleError
+from .mass import _fsum
 
 
 def _columns(sources):
@@ -24,12 +23,12 @@ def _columns(sources):
     for m in sources:
         for el, v in m.items():
             masses.setdefault(el, []).append(v)
-    return {el: math.fsum(vs) for el, vs in masses.items()}
+    return {el: _fsum(vs) for el, vs in masses.items()}
 
 
 def _proportional(entries, p):
     """Split p over (element, weight) entries by weight; None if weightless."""
-    total = math.fsum(w for _, w in entries)
+    total = _fsum(w for _, w in entries)
     if total <= _EPS:
         return None
     return tuple((el, p * w / total) for el, w in entries)
@@ -104,7 +103,7 @@ def _column_averages(ledger, conflicts):
     the averages sum to the mean source total, short of one; both are lost.
     A mean total above one would hand out more than k12, so it raises."""
     s = len(ledger.sources)
-    mean = math.fsum(m.total for m in ledger.sources) / s
+    mean = _fsum(m.total for m in ledger.sources) / s
     if mean > 1.0 + _EPS:
         raise RuleError(f"wao needs a mean source total of at most 1, got {mean:.6g}")
     if not list(conflicts):

@@ -7,6 +7,7 @@ from fusekit.frame import Reductions
 
 from fusekit import (
     Frame,
+    FrameMismatchError,
     FusionResult,
     MassFunction,
     RuleError,
@@ -335,6 +336,13 @@ def test_weighted_operator_validates_weights(pair):
         weighted_operator(m1, m2, weights={"A": 1.4, "B": -0.4})
 
 
+def test_weighted_operator_refuses_a_weight_element_of_another_frame(pair):
+    m1, m2 = pair
+    other = Frame.shafer(("A", "B"))
+    with pytest.raises(FrameMismatchError, match="^weight element from another frame$"):
+        weighted_operator(m1, m2, weights={other.ignorance(): 1.0})
+
+
 def test_inagaki_endpoints(pair):
     m1, m2 = pair
     # p = 0 is Yager's rule.
@@ -402,6 +410,12 @@ def test_conditional_is_dempster_conditioning(shafer3):
         conditional(m, f.empty())
 
 
+def test_conditioning_on_a_hypothesis_of_another_frame_is_refused(shafer3):
+    m = MassFunction(shafer3, {"A": 1.0})
+    with pytest.raises(FrameMismatchError, match="^hypothesis from another frame$"):
+        conditional(m, Frame.shafer(("A", "B")).label("A"))
+
+
 def test_murphy_average_is_elementwise(shafer3):
     m1 = MassFunction(shafer3, {"A": 0.2, "B": 0.4, "C": 0.3, "A|B": 0.1})
     m2 = MassFunction(shafer3, {"A": 0.1, "B": 0.3, "C": 0.4, "A|B": 0.2})
@@ -424,6 +438,13 @@ def test_weighted_mixing(shafer3):
         weighted_mixing((m1, m2), (0.0, 0.0))
     with pytest.raises(ValueError):
         weighted_mixing((m1, m2), (1.0, -1.0))
+
+
+def test_a_source_of_zero_weight_adds_no_mass(shafer3):
+    m1 = MassFunction(shafer3, {"A": 0.5, "B|C": 0.5})
+    m2 = MassFunction(shafer3, {"B": 1.0})
+    out = weighted_mixing((m2, m1), (0.0, 2.0))
+    assert out.combined == m1
 
 
 def test_rules_reject_single_source(shafer3):

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import fusekit.errors as errors
 from fusekit import GOLDEN_CASES, execute_problem, parse_problem
 from fusekit.cli import main
 from fusekit.registry import selectors
@@ -625,8 +626,9 @@ def test_a_malformed_rule_parameter_is_a_rule_error(tmp_path, capsys, rule, para
     ("mixed", "expr=A|1", "source reference must be a positive integer, got 'A'"),
     ("mixed", "expr=0|1", "source reference must be a positive integer, got '0'"),
     ("mixed", "expr=²|1", "source reference must be a positive integer, got '²'"),
+    ("mixing", "weights=1e308,1e308", "mixing weights must sum to a finite number"),
 ], ids=["inagaki-p", "mixing-count", "mixed-sources", "mixed-complement", "consensus-focus",
-        "wo-range", "wo-sum", "mixed-label", "mixed-zero", "mixed-superscript"])
+        "wo-range", "wo-sum", "mixed-label", "mixed-zero", "mixed-superscript", "mixing-sum"])
 def test_a_parameter_that_does_not_fit_its_rule_is_a_parameter_error(tmp_path, capsys, rule,
                                                                      param, message):
     src = tmp_path / "pair.txt"
@@ -664,3 +666,52 @@ def test_a_landed_mass_that_overflows_is_a_rule_error(tmp_path, capsys, rule):
     code, out, err = run_cli(capsys, "--rule", rule, "--input", str(src))
     assert (code, out) == (3, "")
     assert err.startswith("error: RuleError: non-finite mass")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--bogus"], ["enumerate"]],
+                         ids=["verify-bogus", "enumerate-without-input"])
+def test_a_subcommand_with_bad_arguments_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: fuse {argv[0]}")
+
+
+# The fixed parameters ``tools/snapshot.py`` gives the selectors that need
+# some; it runs ``conditional`` on the first source alone.
+SNAPSHOT_PARAMS = {"inagaki": ("p=0.5",), "conditional": ("given=A", "base=dempster"),
+                   "mixed": ("expr=1|2",), "mixing": ("weights=1,1",),
+                   "wo": ("weights=A|B:0.5,A&~A:0.5",), "consensus": ("focus=A",)}
+FUSION_ERRORS = {name for name, kind in vars(errors).items()
+                 if isinstance(kind, type) and issubclass(kind, errors.FusionError)}
+OVERFLOW = "masses total more than the largest float"
+
+
+@pytest.mark.parametrize("sources, pinned", [
+    # Each source's own total overflows: the parser refuses it.
+    (("A=1e308, B=1e308", "A=1e308, B=1e308"), {}),
+    # Each total is finite, but A's column and the sum of the totals are not.
+    (("A=1e308", "A=1e308"), {"pcr3": OVERFLOW, "pcr4": OVERFLOW, "wao": OVERFLOW}),
+    # Each column is finite, but the sum a conflict is split by is not.
+    (("A=1e308, B=1e-10", "A=1e-10, B=1e308"), {"pcr1": OVERFLOW, "pcr2": OVERFLOW}),
+    # The landed masses are finite, but their total is not.
+    (("A|B=1e308", "A=1, B=1"), {"conjunctive": OVERFLOW, "dempster": OVERFLOW}),
+], ids=["source-totals", "column-sums", "column-weights", "combined-total"])
+def test_masses_past_the_largest_float_end_in_a_documented_exit_code(tmp_path, capsys, sources,
+                                                                      pinned):
+    header = "frame: A B\nmodel: shafer\n"
+    both, first = tmp_path / "both.txt", tmp_path / "first.txt"
+    both.write_text(header + "".join(f"source m{i}: {s}\n" for i, s in enumerate(sources, 1)))
+    first.write_text(header + f"source m1: {sources[0]}\n")
+    errs = {}
+    for rule in selectors():
+        params = [arg for param in SNAPSHOT_PARAMS.get(rule, ()) for arg in ("--param", param)]
+        src = first if rule == "conditional" else both
+        code, out, err = run_cli(capsys, "--rule", rule, "--input", str(src), *params)
+        if not pinned:
+            assert (code, out, err) == (4, "", f"parse error: line 3: {OVERFLOW}\n"), rule
+        elif code:
+            assert (code, out) == (3, ""), rule
+            assert err.startswith("error: ") and err.split(":")[1].strip() in FUSION_ERRORS, err
+            errs[rule] = err
+    for rule, message in pinned.items():
+        assert errs[rule] == f"error: RuleError: {message}\n"

@@ -84,7 +84,7 @@ def test_parse_precedence_and_connectives():
     assert f.parse("A|B^C") == (f.label("A") | f.label("B")) ^ f.label("C")
 
 
-@pytest.mark.parametrize("bad", ["", "A |", "(A", "A )", "A & & B", "A @ B"])
+@pytest.mark.parametrize("bad", ["", "A |", "(A", "A )", "A & & B", "A @ B", "A|$"])
 def test_parse_rejects_malformed_expressions(bad):
     f = Frame.free(("A", "B"))
     with pytest.raises(ParseError):
@@ -299,6 +299,12 @@ def test_element_operators_require_same_frame():
     g = Frame.shafer(("A", "B"))
     with pytest.raises(FrameMismatchError):
         f.label("A") & g.label("B")
+
+
+def test_element_operators_require_an_element():
+    f = Frame.free(("A", "B"))
+    with pytest.raises(TypeError, match="^expected Element, got str$"):
+        f.label("A") & "B"
 
 
 def test_degree_intersection_is_exact_and_complementary():

@@ -38,6 +38,16 @@ def test_non_finite_mass_rejected(shafer3, value):
         MassFunction(shafer3, {"A": value, "B": 1.0})
 
 
+def test_masses_whose_total_overflows_are_rejected(shafer3):
+    # Each mass is finite, but a source's total must be too.
+    with pytest.raises(ValueError, match="^masses total more than the largest float$"):
+        MassFunction(shafer3, {"A": 1e308, "B": 1e308})
+    # A combination's landings are not refused so; their total raises when read.
+    landed = MassFunction._landed(shafer3, {shafer3.label("A"): 1e308, shafer3.label("B"): 1e308})
+    with pytest.raises(RuleError, match="^masses total more than the largest float$"):
+        landed.total
+
+
 def test_landed_masses_are_checked_in_bulk(shafer3):
     # A combination's landings, made by the ledger, skip the per-entry
     # checks but not the checks of their values.
@@ -61,6 +71,11 @@ def test_a_frame_that_is_no_frame_is_rejected(frame):
     # Assignments passed where the frame goes would build an empty bba.
     with pytest.raises(TypeError, match="expected a Frame"):
         MassFunction(frame)
+
+
+def test_a_key_that_is_no_element_is_rejected(shafer3):
+    with pytest.raises(TypeError, match="^expected Element or str key, got int$"):
+        MassFunction(shafer3, {3: 1.0})
 
 
 def test_foreign_elements_rejected(shafer3):
@@ -130,6 +145,19 @@ def test_bel_d_worked_value(shafer3):
     assert m.bel(f.parse("A|B")) == pytest.approx(1.0)
 
 
+def test_bel_d_of_the_empty_element_is_zero(shafer3):
+    m = MassFunction(shafer3, {"A": 0.5, "A&B": 0.5})
+    assert m.bel_d(shafer3.empty()) == 0.0
+
+
+def test_queries_take_an_element_of_the_same_frame(shafer3):
+    m = MassFunction(shafer3, {"A": 1.0})
+    with pytest.raises(TypeError, match="^expected Element, got str$"):
+        m.bel("A")
+    with pytest.raises(FrameMismatchError, match="^query element from another frame$"):
+        m.bel(Frame.shafer(("A", "B")).label("A"))
+
+
 def test_pl_d_worked_value(shafer3):
     f = shafer3
     m = MassFunction(f, {"A|B": 1.0})
@@ -186,6 +214,14 @@ def test_on_frame_reevaluates_under_constraints():
     # The dead intersection stays put on the empty element.
     assert moved.mass(tight.empty()) == pytest.approx(0.3)
     assert moved.mass(tight.label("A")) == pytest.approx(0.7)
+
+
+def test_on_frame_keeps_the_empty_element_empty(shafer3):
+    m = MassFunction(shafer3, {shafer3.empty(): 0.2, "A": 0.8})
+    tight = shafer3.constrain("B")
+    moved = m.on_frame(tight)
+    assert moved.mass(tight.empty()) == 0.2
+    assert moved.mass(tight.label("A")) == 0.8
 
 
 def test_to_opinion(shafer3):

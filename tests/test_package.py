@@ -15,7 +15,7 @@ import textwrap
 import pytest
 
 import fusekit
-from fusekit.frame import Frame, IntervalElement, ModelConstraints
+from fusekit.frame import INTERVAL_FRAME, Frame, IntervalElement, ModelConstraints
 from fusekit.golden import GoldenCase
 from fusekit.mass import MassFunction, Opinion
 from fusekit.problem import ProblemFile
@@ -206,3 +206,21 @@ def test_records_are_immutable_values(make, field, other):
     public = (FusionResult, IntervalElement, Opinion, ProblemFile, Attitude, ScenarioConfig,
               QuasiAssociativeState)
     assert (value == fields) is not isinstance(value, public)
+
+
+_VACUOUS = MassFunction.vacuous(_FRAME)
+
+
+@pytest.mark.parametrize("value, text", [
+    (FusionResult(_VACUOUS, ConflictReport(0.0)),
+     "FusionResult(combined=MassFunction(A|B=1), conflict=ConflictReport(k12=0.0, partials=()), "
+     "rule='', warnings=(), sources=(), signed_masses=None)"),
+    (_FRAME, "Frame(['A', 'B'], kind='shafer')"),
+    (INTERVAL_FRAME, "INTERVAL_FRAME"),
+    (MassFunction(_FRAME, {"B": 0.25, "A": 0.5, "A|B": 0.25}),
+     "MassFunction(A=0.5, A|B=0.25, B=0.25)"),
+    (QuasiAssociativeState((_VACUOUS,), None, 0),
+     "QuasiAssociativeState(sources=(MassFunction(A|B=1),))"),
+], ids=["FusionResult", "Frame", "INTERVAL_FRAME", "MassFunction", "QuasiAssociativeState"])
+def test_reprs_name_their_contents(value, text):
+    assert repr(value) == text

@@ -68,6 +68,14 @@ def test_wao_loses_empty_column_weight(shafer3):
     assert out.combined.total + out.conflict.lost == pytest.approx(1.0)
 
 
+def test_wao_books_no_share_to_a_column_whose_average_rounds_to_zero(shafer3):
+    # C's column averages to 5e-324 / 2, which rounds to 0.0.
+    m1 = MassFunction(shafer3, {"A": 1.0, "C": 5e-324})
+    m2 = MassFunction(shafer3, {"B": 1.0})
+    (partial,) = wao(m1, m2).conflict.partials
+    assert partial.shares == ((shafer3.label("A"), 0.5), (shafer3.label("B"), 0.5))
+
+
 def test_pcr1_redistributes_everything(hard_pair):
     out = pcr1(*hard_pair)
     assert out.conflict.lost == 0.0

@@ -37,7 +37,7 @@ MUTANTS = (
     ("pool-without-floor", "src/fusekit/classic.py",
      "if join(mask, bound) and p * floor >= _POOL_FLOOR:",
      "if join(mask, bound):",
-     (PROPERTIES,)),
+     (f"{PROPERTIES}::test_merged_walk_pools_the_plain_loops_masses_past_unsafe_prefixes",)),
     # A product of zero weight would land, or conflict, with mass 0.
     ("walk-without-zero-skip", "src/fusekit/classic.py",
      "                if not (w := p * m):\n"
@@ -45,7 +45,7 @@ MUTANTS = (
      "                if k := join(mask, k):",
      "                w = p * m\n"
      "                if k := join(mask, k):",
-     (PROPERTIES,)),
+     (f"{PROPERTIES}::test_product_walk_matches_the_plain_product_loop",)),
     # A conflict's key would miss its prefix's operands past the first.
     ("prefix-key-not-folded", "src/fusekit/classic.py",
      "join(mask, k), r | q)",
