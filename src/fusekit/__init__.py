@@ -26,13 +26,13 @@ _MODULES = {
     "golden": "GOLDEN_CASES verify_golden",
     "mass": "MassFunction Opinion",
     "pcr": "minc pcr1 pcr2 pcr3 pcr4 pcr5 wao",
-    "problem": "ProblemFile parse_problem scenario_config",
+    "problem": "ProblemFile parse_problem",
     "registry": "conditional execute_problem resolve selectors",
     "result": "ConflictReport FusionResult Partial",
     "special": "IntervalMassFunction cautious_commonality_min consensus convolutive_x_average "
                "improved_rules tconorm_fusion tnorm_fusion zhang_center",
     "uft": "Attitude QuasiAssociativeState ScenarioConfig dynamic_update "
-           "quasi_associative_combine uft_combine",
+           "quasi_associative_combine scenario_config uft_combine",
 }
 # Each public name and the module that defines it.
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names.split()}

@@ -60,7 +60,7 @@ CONNECTIVES = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
 
 
 def fold(op, operands):
-    """Join operands (survivor masks or Elements) left to right by one connective."""
+    """Join survivor masks left to right by one connective."""
     return functools.reduce(CONNECTIVES[op], operands)
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[()&|~^]|\S")
@@ -737,19 +737,16 @@ class Reductions:
 
     The memo is keyed by expression, never by Element: elements compare
     by atoms, and on a Shafer frame A&B and C&D are one empty element
-    with different disjunctive forms.  An operand seen before is found
-    by identity first; its entry holds it, so its id is not reused while
-    the memo lives.
+    with different disjunctive forms.
     """
 
-    __slots__ = ("frame", "_operands", "_held", "_indices", "_above", "_forms", "_masks",
+    __slots__ = ("frame", "_operands", "_indices", "_above", "_forms", "_masks",
                  "_ambiguous", "_shift")
 
     def __init__(self, frame):
         self.frame = frame
         # expression -> (its reduced parts, their index bits, its own label mask)
         self._operands = {}
-        self._held = {}  # id(operand) -> its expression's entry and the operand
         self._indices = {}  # part survivor mask -> its index
         self._above = []  # index -> bits of the indices of its strict supersets
         self._forms = {}  # bits of a product's minimal parts -> its disjunctive form
@@ -775,10 +772,8 @@ class Reductions:
         return index
 
     def _operand(self, el):
-        """An operand's reduced parts, their index bits, its expression's
-        own label mask, and the operand."""
-        if (held := self._held.get(id(el))) is not None:
-            return held
+        """An operand's reduced parts, their index bits and its expression's
+        own label mask."""
         expr = el.expr
         entry = self._operands.get(expr)
         if entry is None:
@@ -791,8 +786,7 @@ class Reductions:
                                    Element(frame, mask, node)))
                 bits |= 1 << parts[-1].index
             entry = self._operands[expr] = (parts, bits, _disjunctive_mask(frame, expr))
-        held = self._held[id(el)] = (*entry, el)
-        return held
+        return entry
 
     def parts(self, els):
         """The parts of the operands' reduced intersection, first seen first."""

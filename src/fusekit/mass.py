@@ -11,10 +11,10 @@ STATUS_TOL = 1e-9
 
 
 def _fsum(values):
-    """``math.fsum`` of finite masses; a RuleError where their total overflows."""
+    """``math.fsum`` of finite masses; a RuleError where their total or a term overflows."""
     try:
         return math.fsum(values)
-    except OverflowError:
+    except (OverflowError, ValueError):
         raise RuleError("masses total more than the largest float") from None
 
 

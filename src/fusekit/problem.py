@@ -175,6 +175,7 @@ def parse_problem(text):
     params = {}
     discounts = {}
     discount_lines = {}
+    label_only = None  # the first model, event or scenario line, and its refusal
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -187,8 +188,10 @@ def parse_problem(text):
         body = body.strip()
         if head in ("frame", "frame-intervals") and (frame_labels is not None or interval):
             _fail(lineno, "frame already declared")
-        if interval and head in _LABEL_ONLY:
-            _fail(lineno, f"interval problems have no {_LABEL_ONLY[head]}")
+        if head in _LABEL_ONLY:
+            label_only = label_only or (lineno, f"interval problems have no {_LABEL_ONLY[head]}")
+            if interval:
+                _fail(*label_only)
 
         if head == "frame":
             labels = body.split()
@@ -203,6 +206,8 @@ def parse_problem(text):
         elif head == "frame-intervals":
             if body:
                 _fail(lineno, "frame-intervals takes no arguments")
+            if label_only:  # a model, event or scenario line came first
+                _fail(*label_only)
             interval = True
         elif head == "model":
             if model_kind is not None:
@@ -356,33 +361,6 @@ def _parse_scenario(body, lineno):
         if key != reads and out[key]:
             _fail(lineno, f"case {case} does not read '{key}'")
     return out
-
-
-def scenario_config(problem):
-    """The ScenarioConfig a problem's scenario and discounts stand for."""
-    # Attitude elements must live on the same frame as the sources the
-    # engine will see, which is the frame after constraint events.
-    return _scenario_config(problem, problem.final_frame() if problem.scenario else None)
-
-
-def _scenario_config(problem, frame):
-    """``scenario_config`` on ``frame``, the sources' post-event frame."""
-    from .uft import ScenarioConfig
-
-    if problem.scenario is None:
-        return ScenarioConfig()
-    case = problem.scenario["case"]
-    right = problem.scenario.get("right")
-    recipients = tuple(
-        frame.parse(e) for e in problem.scenario.get("recipients", ())
-    )
-    # Only a case that reads discounts keeps them.
-    return ScenarioConfig.for_case(
-        case,
-        right=frame.parse(right) if right else None,
-        recipients=recipients,
-        discounts=tuple(problem.discounts.get(name, 1.0) for name, _ in problem.sources),
-    )
 
 
 def _finite(text, key):

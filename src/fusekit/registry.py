@@ -14,7 +14,7 @@ from . import classic
 from .errors import FrameMismatchError, ParameterError, RuleError, UnknownRuleError
 from .frame import INTERVAL_FRAME
 from .mass import MassFunction
-from .problem import _scenario_config, coerce_params
+from .problem import coerce_params
 
 
 def _lazy(module):
@@ -192,7 +192,7 @@ def execute_problem(problem, rule, overrides=None):
         params.update(overrides)
     sources = problem.final_sources()
     if rule == "uft" and "config" not in params:
-        params["config"] = _scenario_config(problem, sources[0].frame)
+        params["config"] = _lazy("uft").scenario_config(problem, sources[0].frame)
     spec = check(rule, sources, params)
     frame = sources[0].frame
     out = spec.combine(sources, params)

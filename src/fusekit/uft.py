@@ -95,6 +95,23 @@ class ScenarioConfig(Value):
         )
 
 
+def scenario_config(problem, frame=None):
+    """The ScenarioConfig a problem's scenario and discounts stand for, its
+    elements on ``frame``, the frame after constraint events (built when not given)."""
+    if problem.scenario is None:
+        return ScenarioConfig()
+    # Attitude elements must live on the frame the engine sees the sources on.
+    frame = problem.final_frame() if frame is None else frame
+    right = problem.scenario.get("right")
+    # Only a case that reads discounts keeps them.
+    return ScenarioConfig.for_case(
+        problem.scenario["case"],
+        right=frame.parse(right) if right else None,
+        recipients=tuple(frame.parse(e) for e in problem.scenario.get("recipients", ())),
+        discounts=tuple(problem.discounts.get(name, 1.0) for name, _ in problem.sources),
+    )
+
+
 _UNION = Attitude("union")
 
 

@@ -240,10 +240,10 @@ def _form(reductions, els):
 
 
 def test_reductions_hold_each_operand_they_find_by_identity():
-    # Operands are found by id() first. Once the temporary operand is
-    # dropped, CPython hands its memory, and so its id, to the next
-    # element of the same size, so a memo that did not hold its operands
-    # would route the fresh elements as the dropped one.
+    # Operands are found by their expression. Once the temporary operand
+    # is dropped, CPython hands its memory, and so its id, to the next
+    # element of the same size, so a memo keyed by id() that did not hold
+    # its operands would route the fresh elements as the dropped one.
     f = Frame.shafer(tuple("ABCD"))
     exprs = [f.parse(t).expr for t in ("A|B", "B&C", "C|D", "(A|B)&(C|D)", "A&D", "D", "B|C|D")]
     other = f.parse("B&D")

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -715,3 +716,49 @@ def test_masses_past_the_largest_float_end_in_a_documented_exit_code(tmp_path, c
             errs[rule] = err
     for rule, message in pinned.items():
         assert errs[rule] == f"error: RuleError: {message}\n"
+
+
+def test_overflowed_terms_of_both_signs_end_in_a_rule_error(tmp_path, capsys):
+    # The algebraic T-conorm lands both +inf and -inf here, and their sum
+    # is not a number.
+    src = tmp_path / "problem.txt"
+    src.write_text("frame: A B C\nmodel: shafer\nsource m1: A=1e154, B|C=1.7e308\n"
+                   "source m2: B=0.5, B|C=1e-160, A=1e308\n")
+    assert run_cli(capsys, "--rule", "tconorm-algebraic", "--input", str(src)) == (
+        3, "", f"error: RuleError: {OVERFLOW}\n")
+
+
+# Masses near the largest float, half of it, and the least subnormal.
+EXTREME_MASSES = ("1e308", "1.7e308", "1e154", "5e-324", "0.5", "1e-160")
+FUZZ_FOCALS = ("A", "B", "C", "A|B", "B|C", "A&B", "A|B|C", "A&~A")
+FUZZ_PARAMS = MALFORMED_PARAMS + (
+    "expr=1|2", "expr=1&2|3", "expr=3", "weights=1,1", "weights=1e308,1e308", "weights=A|B:1",
+    "weights=A:0.5,B:0.5", "weights=A:1e308", "p=0.5", "p=2", "p=nan", "focus=A",
+    "focus=B|C", "given=A", "given=A&~A", "base=dempster", "base=pcr5", "base=conditional",
+    "dogmatic_bayesian=1", "noequals", "=1")
+
+
+def test_random_inputs_end_in_a_documented_exit_code(tmp_path, capsys):
+    # Golden problems and three-label problems of extreme masses, each run
+    # under a random selector with up to three parameters.
+    rng = random.Random(19)
+    texts = [case.text for case in GOLDEN_CASES]
+    for _ in range(60):
+        texts.append(f"frame: A B C\nmodel: {rng.choice(('free', 'shafer'))}\n" + "".join(
+            f"source m{i}: " + ", ".join(f"{rng.choice(FUZZ_FOCALS)}={rng.choice(EXTREME_MASSES)}"
+                                         for _ in range(rng.randint(1, 3))) + "\n"
+            for i in range(1, rng.randint(2, 3) + 1)))
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"p{i}.txt")
+        paths[-1].write_text(text)
+    rules = selectors()
+    for _ in range(2000):
+        argv = ["--rule", rng.choice(rules), "--input", str(rng.choice(paths))]
+        for param in rng.sample(FUZZ_PARAMS, rng.randint(0, 3)):
+            argv += ["--param", param]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        if code == 3:
+            assert err.split(":")[1].strip() in FUSION_ERRORS, (argv, err)

@@ -116,6 +116,12 @@ def test_duplicate_focals_merge():
     ("frame-intervals:\nmodel: free\n", 2, "interval problems have no model"),
     ("frame-intervals:\nevent: constrain A=0\n", 2, "interval problems have no events"),
     ("frame-intervals:\nscenario: case 1\n", 2, "interval problems have no scenario"),
+    ("model: shafer\nscenario: case 2\nframe-intervals:\nsource s1: [1,2]=1\nsource s2: [2,3]=1\n", 1,
+     "interval problems have no model"),
+    ("scenario: case 3\ndiscount: s1=0.5\nframe-intervals:\nsource s1: [1,2]=1\n", 1,
+     "interval problems have no scenario"),
+    ("event: constrain A=0\nframe-intervals:\nsource s1: [1,2]=1\n", 1,
+     "interval problems have no events"),
     ("frame-intervals:\nsource s1: A=1\n", 2, "expected [lo,hi] interval"),
     ("frame-intervals:\nsource s1: [3,1]=1\n", 2, "out of order"),
     ("frame-intervals:\nsource s1: [1,2]=-0.5, [2,3]=1.5\n", 2, "negative mass -0.5 on [1,2]"),

@@ -81,12 +81,6 @@ MUTANTS = (
      "if key & 1:  # some operand is not empty",
      "if True:",
      ("tests/test_classic.py",)),
-    # An operand found by identity would not be held, so a later element
-    # could reuse its id and read its entry.
-    ("reductions-without-hold", "src/fusekit/frame.py",
-     "held = self._held[id(el)] = (*entry, el)",
-     "held = self._held[id(el)] = entry",
-     ("tests/test_classic.py",)),
     # Problems of one frame's labels and model kind would share the frame
     # of the first constraint texts seen.
     ("frame-memo-without-constraints", "src/fusekit/problem.py",
@@ -335,12 +329,17 @@ FORMULA_MUTANTS = (
      ("tests/test_special.py::test_improved_dp_worked_values",)),
 )
 
-# A retired mutant, whose text the program no longer has:
+# Retired mutants, whose text the program no longer has:
 # - ``book-keys-by-dest``, a share landing as its destination Element
 #   instead of the ledger's own for its mask: ``book`` adds to the landed
 #   mass by mask and ``finish`` makes every landing, so no share picks an
 #   Element.  Its killing test,
 #   ``tests/test_pcr.py::test_a_landing_first_reached_by_a_share_carries_its_display_expression``,
+#   stays;
+# - ``reductions-without-hold``, an operand found by identity but not
+#   held, so a later element could reuse its id and read its entry:
+#   ``Reductions`` finds an operand by its expression alone.  Its killing
+#   test, ``tests/test_classic.py::test_reductions_hold_each_operand_they_find_by_identity``,
 #   stays.
 
 # Equivalent mutants, kept out of the list because no test can kill them:
