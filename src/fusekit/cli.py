@@ -11,6 +11,7 @@ error.  Verification failures exit 1.
 """
 
 import argparse
+import gc
 import json
 import sys
 
@@ -25,12 +26,21 @@ _SUM_TOL = 5e-7
 
 
 def main(argv=None):
+    """Run one command.  fusekit makes no reference cycles, so the cyclic
+    collector only costs time: it is off while the command runs, and the
+    caller's setting is restored after."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "verify":
-        return _cmd_verify(argv[1:])
-    if argv and argv[0] == "enumerate":
-        return _cmd_enumerate(argv[1:])
-    return _cmd_run(argv)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if argv and argv[0] == "verify":
+            return _cmd_verify(argv[1:])
+        if argv and argv[0] == "enumerate":
+            return _cmd_enumerate(argv[1:])
+        return _cmd_run(argv)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _parse_args(parser, argv):

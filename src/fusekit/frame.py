@@ -18,11 +18,12 @@ and ``model`` are frozenset views in the atom encoding, built when read.
 An element's hash is computed once, from its frame's hash and its mask.
 A frame keeps, for as long as it lives, each display it has computed (a
 union of cubes, label intersections with some labels negated, that
-covers the atoms), each cube's term and each label intersection's
-("meet's") survivor mask.  Atoms are only ever removed, never restored,
-so constraining a frame yields a new frame.  Real intervals live on one
-frame of their own, ``INTERVAL_FRAME``, which parses them but has no
-algebra.
+covers the atoms), each cube's term, each label intersection's
+("meet's") survivor mask and the survivor mask and tree of each of the
+first 256 distinct texts it parsed.  Atoms are only ever removed, never
+restored, so constraining a frame yields a new frame.  Real intervals
+live on one frame of their own, ``INTERVAL_FRAME``, which parses them
+but has no algebra.
 """
 
 import functools
@@ -64,6 +65,9 @@ def fold(op, operands):
     return functools.reduce(CONNECTIVES[op], operands)
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[()&|~^]|\S")
+
+# The distinct texts whose trees are kept, and whose masks a frame keeps.
+_TEXTS = 256
 
 
 class _ExprParser:
@@ -132,7 +136,7 @@ class _ExprParser:
         return ("label", tok)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=_TEXTS)
 def parse_expression_text(text):
     """Parse expression text into a raw tree without binding labels.  The
     tree is nested tuples, so it is kept for the text and shared by every
@@ -268,11 +272,13 @@ class Frame:
     atoms.  ``_atoms`` holds the surviving atoms in ascending order, a
     ``range`` on a free frame and a tuple otherwise; ``_hypotheses[i]``
     is hypothesis i's survivor mask and ``_full`` the mask of every
-    survivor.
+    survivor.  ``_parsed`` maps each text parsed into an element to its
+    (mask, tree), ints and shared tuples that never refer back to the
+    frame.
     """
 
     __slots__ = ("names", "kind", "_index", "_atoms", "_hypotheses", "_full", "_displays",
-                 "_forms", "_meets", "_terms", "_hash")
+                 "_forms", "_meets", "_terms", "_parsed", "_hash")
 
     def __init__(self, names, surviving_atoms=None):
         names = tuple(names)
@@ -309,6 +315,7 @@ class Frame:
         self._forms = {}
         self._meets = {}
         self._terms = {}
+        self._parsed = {}
         self._hash = hash((names, atoms))
 
     # -- construction -------------------------------------------------
@@ -412,9 +419,14 @@ class Frame:
         return Element(self, self.eval_mask(expr), expr)
 
     def parse(self, text):
-        """Parse expression text into an Element of this frame."""
-        expr = parse_expression_text(text)
-        return self.element(expr)
+        """Parse expression text into an Element of this frame: each text's
+        mask is evaluated once, for the frame's first 256 distinct texts."""
+        if (hit := self._parsed.get(text)) is None:
+            expr = parse_expression_text(text)
+            hit = self.eval_mask(expr), expr
+            if len(self._parsed) < _TEXTS:
+                self._parsed[text] = hit
+        return Element(self, *hit)
 
     def label(self, name):
         return self.element(("label", name))

@@ -68,6 +68,22 @@ class MassFunction:
                     raise RuleError(f"negative mass {value} on {el.display}")
         if 0.0 in values:
             masses = {el: value for el, value in masses.items() if value}
+        return cls._holding(frame, masses)
+
+    @classmethod
+    def _parsed_source(cls, frame, masses):
+        """The bba of a parsed source, distinct elements of ``frame`` mapped
+        to non-negative floats: kept as it is when its total is finite and
+        no mass is zero, checked in bulk; else built by the constructor,
+        which drops the zeros and words every refusal."""
+        values = masses.values()
+        if not (math.isfinite(sum(values)) and min(values, default=0.0) > 0.0):
+            return cls(frame, masses)
+        return cls._holding(frame, masses)
+
+    @classmethod
+    def _holding(cls, frame, masses):
+        """A bba holding ``masses`` as given, unchecked."""
         self = object.__new__(cls)
         self.frame = frame
         self._map = masses

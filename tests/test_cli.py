@@ -1,5 +1,6 @@
 """Command line behavior: tables, exports, exit codes, enumerate, verify."""
 
+import gc
 import json
 import pathlib
 import random
@@ -9,10 +10,13 @@ import sys
 
 import pytest
 
+import fusekit.cli as cli
 import fusekit.errors as errors
 from fusekit import GOLDEN_CASES, execute_problem, parse_problem
-from fusekit.cli import main
-from fusekit.registry import selectors
+from fusekit.cli import build_table, main
+from fusekit.problem import _declared_frame
+from fusekit.registry import resolve, selectors
+from fusekit.uft import _STORE_RULES, quasi_associative_combine
 
 DP_DYNAMIC = """\
 frame: A B C
@@ -762,3 +766,72 @@ def test_random_inputs_end_in_a_documented_exit_code(tmp_path, capsys):
         assert code in (0, 2, 3, 4), (argv, code, err)
         if code == 3:
             assert err.split(":")[1].strip() in FUSION_ERRORS, (argv, err)
+
+
+def _run_everything():
+    """Every golden problem under every selector that takes no parameters,
+    with its table and export dict, and through the store under each of its
+    rules that takes none."""
+    runs = 0
+    for case in GOLDEN_CASES:
+        problem = parse_problem(case.text)
+        for rule in selectors():
+            if resolve(rule).needs:
+                continue
+            runs += 1
+            try:
+                outcome = execute_problem(problem, rule)
+            except errors.FusionError:
+                continue
+            table = build_table(outcome, rule)
+            assert table.render() and table.to_json_dict(outcome)
+        sources = problem.final_sources()
+        for rule in _STORE_RULES:
+            if resolve(rule).needs:
+                continue
+            state = sources[0]
+            runs += 1
+            try:
+                for m in sources[1:]:
+                    state, result = quasi_associative_combine(state, m, rule)
+            except errors.FusionError:
+                continue
+            assert result.combined.total >= 0.0
+    return runs
+
+
+def test_fusekit_leaves_nothing_for_the_cyclic_collector():
+    # So `main` may run with the collector off: every object fusekit makes
+    # is freed by its reference count.  Under DEBUG_SAVEALL the collector
+    # keeps whatever it finds in gc.garbage instead of freeing it.
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert _run_everything() > 900
+        # Drop the kept frames, so their memos are freed with them.
+        _declared_frame.cache_clear()
+        assert gc.collect() == 0, gc.garbage[:10]
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_without_the_collector_and_restores_the_callers_setting(
+        dp_file, capsys, monkeypatch, enabled):
+    seen = []
+    command = cli._cmd_run
+    monkeypatch.setattr(cli, "_cmd_run", lambda argv: seen.append(gc.isenabled()) or command(argv))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run_cli(capsys, "--rule", "dempster", "--input", dp_file)[0] == 0
+        assert run_cli(capsys, "--rule", "nope", "--input", dp_file)[0] == 2
+        assert seen == [False, False] and gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

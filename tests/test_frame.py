@@ -253,14 +253,44 @@ def test_a_frame_keeps_nothing_that_refers_back_to_it():
     f = Frame(("A", "B", "C")).constrain("A&B")
     for text in ("A|B", "A&C", "~C", "A^B"):
         assert f.parse(text).disjunctive().display
-    assert f._forms and f._displays and f._meets and f._terms
-    seen, todo = set(), [f._displays, f._forms, f._meets, f._terms]
+    assert f._forms and f._displays and f._meets and f._terms and f._parsed
+    seen, todo = set(), [f._displays, f._forms, f._meets, f._terms, f._parsed]
     while todo:
         obj = todo.pop()
         assert obj is not f, "a kept value refers back to its frame"
         if id(obj) not in seen:
             seen.add(id(obj))
             todo += gc.get_referents(obj)
+
+
+def test_frames_of_one_label_text_parse_by_their_own_model():
+    # Each frame keeps its own text memo: the label texts alone do not
+    # decide a text's mask.
+    free, shafer = Frame.free(("A", "B")), Frame.shafer(("A", "B"))
+    hybrid = Frame.free(("A", "B")).constrain("A&~B")
+    masks = [f.parse("A&B").mask for f in (free, shafer, hybrid, free, shafer, hybrid)]
+    assert masks == [0b100, 0, 0b10] * 2
+
+
+def test_a_frame_keeps_the_masks_of_its_first_texts_only():
+    f = Frame.free(("A", "B", "C", "D", "E", "F", "G"))
+    texts = [f"{x}&{y}|~{z}" for x, y, z in itertools.product(f.names, repeat=3)]
+    assert len(texts) > frame_module._TEXTS
+    first = [f.parse(text) for text in texts]
+    assert len(f._parsed) == frame_module._TEXTS
+    assert list(f._parsed) == texts[:frame_module._TEXTS]
+    fresh = Frame.free(f.names)
+    for i, (text, el) in enumerate(zip(texts, first)):
+        again = f.parse(text)
+        assert again == el == fresh.element(parse_expression_text(text))
+        assert again.expr == el.expr and again.text == text
+        assert again.expr is el.expr or i >= frame_module._TEXTS
+    # A text that fails is never kept.
+    g = Frame.shafer(("A", "B"))
+    for _ in range(2):
+        with pytest.raises(UnknownLabelError):
+            g.parse("A|Q")
+    assert not g._parsed
 
 
 def test_reevaluate_carries_expressions_to_tighter_models():

@@ -17,7 +17,7 @@ from fusekit import (
     parse_problem,
     scenario_config,
 )
-from fusekit.cli import build_table
+from fusekit.cli import build_table, main
 from fusekit.frame import FREE_FRAME_GUARD, parse_expression_text
 from fusekit.problem import _declared_frame, coerce_params
 
@@ -60,6 +60,33 @@ def test_model_constrain():
 def test_duplicate_focals_merge():
     p = parse_problem("frame: A B\nsource s1: A=0.2, A=0.3, B=0.5\n")
     assert p.source_masses[0].mass(p.frame.label("A")) == 0.5
+
+
+@pytest.mark.parametrize("masses,message", [
+    ("A=nan", "line 4: non-finite mass nan on A"),
+    ("B=0.5, A=inf", "line 4: non-finite mass inf on A"),
+    ("A=1e308, B=1e308", "line 4: masses total more than the largest float"),
+])
+def test_a_label_source_the_constructor_refuses_fails_at_its_line(masses, message, tmp_path,
+                                                                 capsys):
+    text = f"frame: A B\nmodel: shafer\nsource s1: B=1\nsource s2: {masses}\n"
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert str(err.value) == message
+    path = tmp_path / "problem.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--rule", "dempster", "--input", str(path)]) == 4
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def test_a_label_source_drops_zero_masses_and_merges_equal_elements():
+    p = parse_problem("frame: A B C\nsource s1: A=0, B=0.5, C=0.0\n"
+                      "source s2: A|B=0.2, C=0.5, B|A=0.3\n")
+    (one, v), = p.source_masses[0].items()
+    assert one.text == "B" and v == 0.5
+    (ab, v), (c, w) = p.source_masses[1].items()
+    assert (ab.text, v, c.text, w) == ("A|B", 0.5, "C", 0.5)
+    assert p.render().splitlines()[2:] == ["source s1: B=0.5", "source s2: A|B=0.5, C=0.5"]
 
 
 @pytest.mark.parametrize("text,lineno,fragment", [

@@ -233,6 +233,32 @@ MUTANTS = (
      "if 0.0 in values:",
      "if False:",
      ("tests/test_mass.py",)),
+    # Every frame would share one text memo, so a text would take the mask
+    # it has on the first frame that parsed it.
+    ("parse-memo-across-frames", "src/fusekit/frame.py",
+     "        self._parsed = {}\n",
+     '        self._parsed = parse_expression_text.__dict__.setdefault("shared", {})\n',
+     ("tests/test_frame.py::test_frames_of_one_label_text_parse_by_their_own_model",)),
+    # A frame's text memo would keep the elements it parsed, each referring
+    # back to the frame, so a frame would be freed only by the collector.
+    ("parse-memo-keeps-elements", "src/fusekit/frame.py",
+     "                self._parsed[text] = hit\n"
+     "        return Element(self, *hit)\n",
+     "                self._parsed[text] = hit = Element(self, *hit)\n"
+     "        return hit if isinstance(hit, Element) else Element(self, *hit)\n",
+     ("tests/test_frame.py::test_a_frame_keeps_nothing_that_refers_back_to_it",
+      "tests/test_cli.py::test_fusekit_leaves_nothing_for_the_cyclic_collector")),
+    # A parsed source whose total overflows, or that holds an infinite
+    # mass, would pass the bulk check.
+    ("parsed-source-without-finiteness", "src/fusekit/mass.py",
+     "if not (math.isfinite(sum(values)) and min(values, default=0.0) > 0.0):",
+     "if not min(values, default=0.0) > 0.0:",
+     ("tests/test_problem.py::test_a_label_source_the_constructor_refuses_fails_at_its_line",)),
+    # A parsed mass of 0 would stay a focal element of its source.
+    ("parsed-source-keeps-zeros", "src/fusekit/mass.py",
+     "if not (math.isfinite(sum(values)) and min(values, default=0.0) > 0.0):",
+     "if not (math.isfinite(sum(values)) and min(values, default=0.0) >= 0.0):",
+     ("tests/test_problem.py::test_a_label_source_drops_zero_masses_and_merges_equal_elements",)),
     # A partial of several shares would export its first share alone.
     ("export-one-share-for-all", "src/fusekit/cli.py",
      "if len(shares) == 1:",
