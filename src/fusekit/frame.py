@@ -19,9 +19,10 @@ An element's hash is computed once, from its frame's hash and its mask.
 A frame keeps, for as long as it lives, each display it has computed (a
 union of cubes, label intersections with some labels negated, that
 covers the atoms), each cube's term, each label intersection's
-("meet's") survivor mask and the survivor mask and tree of each of the
-first 256 distinct texts it parsed.  Atoms are only ever removed, never
-restored, so constraining a frame yields a new frame.  Real intervals
+("meet's") survivor mask, the survivor mask and tree of each of the
+first 256 distinct texts it parsed, and the reduced parts of each of the
+first 256 distinct operand expressions it reduced.  Atoms are only ever
+removed, never restored, so constraining a frame yields a new frame.  Real intervals
 live on one frame of their own, ``INTERVAL_FRAME``, which parses them
 but has no algebra.
 """
@@ -66,7 +67,8 @@ def fold(op, operands):
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[()&|~^]|\S")
 
-# The distinct texts whose trees are kept, and whose masks a frame keeps.
+# The distinct texts whose trees are kept, whose masks a frame keeps, and
+# the distinct operand expressions whose reductions a frame keeps.
 _TEXTS = 256
 
 
@@ -273,12 +275,13 @@ class Frame:
     ``range`` on a free frame and a tuple otherwise; ``_hypotheses[i]``
     is hypothesis i's survivor mask and ``_full`` the mask of every
     survivor.  ``_parsed`` maps each text parsed into an element to its
-    (mask, tree), ints and shared tuples that never refer back to the
-    frame.
+    (mask, tree), and ``_reduced`` each operand expression ``Reductions``
+    reduced to its parts' (mask, label mask, node) and its own label mask:
+    ints and shared tuples that never refer back to the frame.
     """
 
     __slots__ = ("names", "kind", "_index", "_atoms", "_hypotheses", "_full", "_displays",
-                 "_forms", "_meets", "_terms", "_parsed", "_hash")
+                 "_forms", "_meets", "_terms", "_parsed", "_reduced", "_hash")
 
     def __init__(self, names, surviving_atoms=None):
         names = tuple(names)
@@ -316,6 +319,7 @@ class Frame:
         self._meets = {}
         self._terms = {}
         self._parsed = {}
+        self._reduced = {}
         self._hash = hash((names, atoms))
 
     # -- construction -------------------------------------------------
@@ -736,9 +740,10 @@ class Reductions:
     its recipients from that intersection's parts.  Those parts are the
     operands' own reduced parts in operand order, with equal atom sets
     merged (the first one kept) and only the minimal ones kept.  So each
-    distinct operand expression is reduced once per call, and a product
-    only merges its operands' parts.  Each distinct atom set of a part
-    gets an index, and the indices of the atom sets strictly above it, as
+    distinct operand expression is reduced once per frame (its
+    ``_reduced`` memo), a call only numbers its parts, and a product only
+    merges its operands' parts.  Each distinct atom set of a part gets an
+    index, and the indices of the atom sets strictly above it, as
     one int: a product's minimal parts are its part bits less those above
     any of them.  dsmh registers every focal element before the walk and
     folds their ``keys`` along it.  The minimal parts alone decide the
@@ -747,9 +752,10 @@ class Reductions:
     product whose minimal parts hold one is reduced afresh: registering
     early only widens ``_ambiguous``, so no product changes its route.
 
-    The memo is keyed by expression, never by Element: elements compare
-    by atoms, and on a Shafer frame A&B and C&D are one empty element
-    with different disjunctive forms.
+    The operand memos, the call's and the frame's, are keyed by
+    expression, never by Element: elements compare by atoms, and on a
+    Shafer frame A&B and C&D are one empty element with different
+    disjunctive forms.
     """
 
     __slots__ = ("frame", "_operands", "_indices", "_above", "_forms", "_masks",
@@ -789,15 +795,20 @@ class Reductions:
         expr = el.expr
         entry = self._operands.get(expr)
         if entry is None:
-            frame = self.frame
-            reduced = _canonical_expr(frame, expr)
+            frame, memo = self.frame, self.frame._reduced
+            if (reduced := memo.get(expr)) is None:
+                node = _canonical_expr(frame, expr)
+                reduced = (tuple([(frame.eval_mask(n), _disjunctive_mask(frame, n), n)
+                                  for n in (node[1] if node[0] == "and" else (node,))]),
+                           _disjunctive_mask(frame, expr))
+                if len(memo) < _TEXTS:
+                    memo[expr] = reduced
             parts, bits = [], 0
-            for node in reduced[1] if reduced[0] == "and" else (reduced,):
-                mask, labels = frame.eval_mask(node), _disjunctive_mask(frame, node)
+            for mask, labels, node in reduced[0]:
                 parts.append(_Part(self._index_of(mask, labels), labels,
                                    Element(frame, mask, node)))
                 bits |= 1 << parts[-1].index
-            entry = self._operands[expr] = (parts, bits, _disjunctive_mask(frame, expr))
+            entry = self._operands[expr] = (parts, bits, reduced[1])
         return entry
 
     def parts(self, els):

@@ -312,12 +312,12 @@ def parse_problem(text):
     return problem
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=32)
 def _declared_frame(labels, kind, constraints):
     """The frame a declaration builds: its labels, its model kind and the
     texts of its constraints.  Problems of one declaration share the frame,
-    and with it the displays, terms, forms and meets it keeps; the last 8
-    distinct declarations are kept."""
+    and with it the displays, terms, forms, meets, parses and reductions it
+    keeps; the last 32 distinct declarations are kept."""
     if kind == "shafer":
         return Frame.shafer(labels)
     frame = Frame(labels)

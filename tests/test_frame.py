@@ -25,7 +25,7 @@ from fusekit import (
     parse_problem,
 )
 from fusekit.cli import build_table
-from fusekit.frame import FREE_FRAME_GUARD, parse_expression_text, render_expression
+from fusekit.frame import FREE_FRAME_GUARD, Reductions, parse_expression_text, render_expression
 from fusekit.golden import Outcome
 
 
@@ -253,8 +253,9 @@ def test_a_frame_keeps_nothing_that_refers_back_to_it():
     f = Frame(("A", "B", "C")).constrain("A&B")
     for text in ("A|B", "A&C", "~C", "A^B"):
         assert f.parse(text).disjunctive().display
-    assert f._forms and f._displays and f._meets and f._terms and f._parsed
-    seen, todo = set(), [f._displays, f._forms, f._meets, f._terms, f._parsed]
+    assert Reductions(f).parts([f.parse(text) for text in ("A|C", "(A|B)&~C", "B&C")])
+    assert f._forms and f._displays and f._meets and f._terms and f._parsed and f._reduced
+    seen, todo = set(), [f._displays, f._forms, f._meets, f._terms, f._parsed, f._reduced]
     while todo:
         obj = todo.pop()
         assert obj is not f, "a kept value refers back to its frame"
@@ -291,6 +292,37 @@ def test_a_frame_keeps_the_masks_of_its_first_texts_only():
         with pytest.raises(UnknownLabelError):
             g.parse("A|Q")
     assert not g._parsed
+
+
+def _parts_of(frame, el):
+    """An operand's reduced parts as (text, mask, label mask), from fresh reductions."""
+    return [(part.element.text, part.element.mask, part.mask)
+            for part in Reductions(frame).parts([el])]
+
+
+def test_a_frame_keeps_the_reductions_of_its_first_expressions_only():
+    f = Frame.free(("A", "B", "C", "D", "E", "F", "G"))
+    els = [f.parse(f"({x}|{y})&~{z}") for x, y, z in itertools.product(f.names, repeat=3)]
+    assert len(els) > frame_module._TEXTS
+    reductions = Reductions(f)
+    for el in els:
+        reductions.parts([el])
+    assert len(f._reduced) == frame_module._TEXTS
+    assert list(f._reduced) == [el.expr for el in els[:frame_module._TEXTS]]
+    # Past the bound an expression is reduced afresh, to the same parts.
+    fresh = Frame.free(f.names)
+    for el in els:
+        assert _parts_of(f, el) == _parts_of(fresh, fresh.parse(el.text))
+
+
+def test_each_frame_keeps_its_own_reductions():
+    # Where B lies inside A, A&B reduces to B alone; on the free frame of
+    # the same labels it keeps both parts.
+    free = Frame.free(("A", "B", "C"))
+    inside = free.constrain("B&~A")
+    for f, texts in ((free, ["A", "B"]), (inside, ["B"]), (Frame.free(free.names), ["A", "B"])):
+        for _ in range(2):
+            assert [text for text, *_ in _parts_of(f, f.parse("A&B"))] == texts, f
 
 
 def test_reevaluate_carries_expressions_to_tighter_models():

@@ -500,6 +500,17 @@ def test_other_models_or_constraint_texts_give_other_frames():
     assert ab == ba and ab is not ba
 
 
+def test_a_reused_declaration_outlives_25_one_off_declarations():
+    # Traffic mixes a few reused declarations with a fresh hybrid one per
+    # problem; the reused frames stay kept between them.
+    shafer = "frame: A B C D E F G H\nmodel: shafer\nsource s1: A=1\n"
+    first = parse_problem(shafer).frame
+    pairs = list(itertools.combinations("ABCDEFGH", 2))[:25]
+    for x, y in pairs:
+        parse_problem(f"frame: A B C D E F G H\nmodel: constrain {x}&{y}=0\nsource s1: A=1\n")
+    assert parse_problem(shafer).frame is first
+
+
 @pytest.mark.parametrize("text,error,message", [
     ("frame: A B\nmodel: constrain Q=0\nsource s1: A=1\n", UnknownLabelError,
      "unknown hypothesis 'Q' (frame has A, B)"),

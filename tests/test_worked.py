@@ -104,6 +104,48 @@ DSMC = {
     "A|B": F(3, 25),
 }
 
+# Smets keeps the conflicting products on ∅.  The intersections of
+# XOR_PROBLEM's products:
+#   A & (A|B) = A            1/2 · 2/5  = 1/5
+#   A & C = ∅                1/2 · 3/5  = 3/10
+#   (A|B) & (A|B) = A|B      3/10 · 2/5 = 3/25
+#   (A|B) & C = ∅            3/10 · 3/5 = 9/50
+#   Θ & (A|B) = A|B          1/5 · 2/5  = 2/25
+#   Θ & C = C                1/5 · 3/5  = 3/25
+SMETS = {
+    "∅": F(3, 10) + F(9, 50),  # = 12/25
+    "A": F(1, 5),
+    "A|B": F(3, 25) + F(2, 25),  # = 1/5
+    "C": F(3, 25),
+}
+
+# Inagaki with p = 1/2 on SHAFER, whose conflict k12 is 1/5 and whose
+# products put nothing on Θ: each landing is scaled by 1 + p·k12 = 11/10,
+# and Θ gets (1 + p·k12 − p)·k12 = 3/5 · 1/5.
+INAGAKI_PROBLEM = SHAFER + "param: p=0.5\n"
+INAGAKI = {
+    "A": F(12, 25) * F(11, 10),  # = 66/125
+    "B": F(1, 5) * F(11, 10),  # = 11/50
+    "A|C": F(3, 25) * F(11, 10),  # = 33/250
+    "A|B|C": F(3, 5) * F(1, 5),  # = 3/25
+}
+
+# Zhang's center rule with the product degree weighs each product of
+# SHAFER by r = |X&Y| / (|X|·|Y|), in atoms, and a disjoint one by 1:
+#   A & B = ∅          r = 1     1 · 1/5     = 1/5  (divided out)
+#   A & (A|C) = A      r = 1/2   1/2 · 3/10  = 3/20
+#   (A|B) & B = B      r = 1/2   1/2 · 3/25  = 3/50
+#   (A|B) & (A|C) = A  r = 1/4   1/4 · 9/50  = 9/200
+#   Θ & B = B          r = 1/3   1/3 · 2/25  = 2/75
+#   Θ & (A|C) = A|C    r = 1/3   1/3 · 3/25  = 1/25
+# The landed weights sum to 193/600, which renormalises to 1.
+ZHANG_LANDED = {
+    "A": F(3, 20) + F(9, 200),  # = 39/200
+    "B": F(3, 50) + F(2, 75),  # = 13/150
+    "A|C": F(1, 25),
+}
+ZHANG_PRODUCT = {k: v / sum(ZHANG_LANDED.values()) for k, v in ZHANG_LANDED.items()}
+
 CASES = [
     # rule, problem, masses by display, conflicting mass
     ("conjunctive", SHAFER, CONJUNCTIVE, F(1, 5)),
@@ -111,6 +153,9 @@ CASES = [
     ("disjunctive", SHAFER, DISJUNCTIVE, F(0)),
     ("xor", XOR_PROBLEM, XOR, F(3, 25)),
     ("dsmc", FREE, DSMC, F(0)),
+    ("smets", XOR_PROBLEM, SMETS, F(12, 25)),
+    ("inagaki", INAGAKI_PROBLEM, INAGAKI, F(1, 5)),
+    ("zhang-product", SHAFER, ZHANG_PRODUCT, F(1, 5)),
 ]
 
 
@@ -118,6 +163,10 @@ def test_the_worked_values_reduce_as_written():
     assert CONJUNCTIVE == {"∅": F(1, 5), "A": F(12, 25), "B": F(1, 5), "A|C": F(3, 25)}
     assert DISJUNCTIVE == {"A|B": F(8, 25), "A|C": F(3, 10), "A|B|C": F(19, 50)}
     assert DSMC["A&B"] == F(1, 2)
+    assert SMETS == {"∅": F(12, 25), "A": F(1, 5), "A|B": F(1, 5), "C": F(3, 25)}
+    assert INAGAKI == {"A": F(66, 125), "B": F(11, 50), "A|C": F(33, 250), "A|B|C": F(3, 25)}
+    assert sum(ZHANG_LANDED.values()) == F(193, 600)
+    assert ZHANG_PRODUCT == {"A": F(117, 193), "B": F(52, 193), "A|C": F(24, 193)}
     for _, _, masses, _ in CASES:
         assert sum(masses.values()) == 1
 

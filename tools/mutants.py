@@ -95,6 +95,27 @@ MUTANTS = (
      "def _declared_frame(labels, kind, constraints, first={}):\n"
      "    kind = first.setdefault((labels, constraints), kind)\n",
      ("tests/test_problem.py",)),
+    # A reused declaration would be evicted by the one-off declarations
+    # between its problems, and its frame built again.
+    ("declared-frame-cache-8", "src/fusekit/problem.py",
+     "@functools.lru_cache(maxsize=32)\ndef _declared_frame(",
+     "@functools.lru_cache(maxsize=8)\ndef _declared_frame(",
+     ("tests/test_problem.py::test_a_reused_declaration_outlives_25_one_off_declarations",)),
+    # A frame's reductions would hold an element, which refers back to it.
+    ("reduced-memo-keeps-elements", "src/fusekit/frame.py",
+     "memo[expr] = reduced",
+     "memo[expr] = (*reduced, el)",
+     ("tests/test_frame.py::test_a_frame_keeps_nothing_that_refers_back_to_it",)),
+    # A frame would keep the reductions of every expression it meets.
+    ("reduced-memo-unbounded", "src/fusekit/frame.py",
+     "if len(memo) < _TEXTS:",
+     "if True:",
+     ("tests/test_frame.py::test_a_frame_keeps_the_reductions_of_its_first_expressions_only",)),
+    # Frames of one expression would share its first frame's reduction.
+    ("reduced-memo-across-frames", "src/fusekit/frame.py",
+     "frame, memo = self.frame, self.frame._reduced",
+     'frame, memo = self.frame, globals().setdefault("_REDUCED", {})',
+     ("tests/test_frame.py::test_each_frame_keeps_its_own_reductions",)),
     # A kept term would print a label where its cube negates it, and the
     # negation where it does not.
     ("terms-swap-polarity", "src/fusekit/frame.py",
