@@ -20,9 +20,14 @@ from .result import NORMALISED, ConflictReport, FusionResult, Partial
 _EPS = 1e-12
 
 
+def _sources(n):
+    """``n`` sources, as a message counts them."""
+    return f"{n} source" if n == 1 else f"{n} sources"
+
+
 def _common_frame(sources, minimum=2):
     if len(sources) < minimum:
-        raise ValueError(f"need at least {minimum} sources, got {len(sources)}")
+        raise ValueError(f"need at least {_sources(minimum)}, got {len(sources)}")
     frame = sources[0].frame
     for m in sources[1:]:
         if m.frame != frame:
@@ -264,9 +269,10 @@ class Ledger:
             self.book(els, p, ((dest, p),), basis, note)
 
     def finish(self, rule, warnings=(), open_world="open-world mass on the empty set"):
-        """The result of the landed mass, each landing made once by
-        ``landing`` in ascending survivor-mask order, and the booked partials."""
-        combined = MassFunction._landed(
+        """The result of the landed mass, each landing made once by ``landing``
+        in ascending survivor-mask order and the bba built by ``_fused`` (so a
+        total past the largest float is a RuleError), and the booked partials."""
+        combined = MassFunction._fused(
             self.frame, {self.landing(k): v for k, v in sorted(self.acc.items())})
         return _result(rule, combined, self.sources,
                        ConflictReport(self.k12, tuple(self.partials)), warnings, open_world)
@@ -598,4 +604,4 @@ def weighted_mixing(sources, weights):
     for m, w in zip(sources, weights):
         for el, v in m.items():
             acc[el] = acc.get(el, 0.0) + v * w / wsum
-    return _result("mixing", MassFunction(frame, acc), sources)
+    return _result("mixing", MassFunction._fused(frame, acc), sources)

@@ -25,7 +25,8 @@ class MassFunction:
     frame, with IntervalElement keys.  Only focal elements (mass > 0)
     are stored; semantically equal keys are merged at construction.
     Mass on the empty element is allowed: open-world sources carry it,
-    and it flows through combination formulas literally.
+    and it flows through combination formulas literally.  Parsed sources
+    (``_checked``) and combined bbas (``_fused``) pass these same checks.
     """
 
     __slots__ = ("frame", "_map")
@@ -55,39 +56,26 @@ class MassFunction:
         self._map = merged
 
     @classmethod
-    def _landed(cls, frame, masses):
-        """The bba of a combination's landings, distinct elements of ``frame``
-        mapped to floats: checked in bulk, finite and non-negative (else a
-        RuleError), and zeros dropped, as the constructor does."""
-        values = masses.values()
-        if not (math.isfinite(sum(values)) and min(values, default=0.0) >= 0.0):
-            for el, value in masses.items():
-                if not math.isfinite(value):
-                    raise RuleError(f"non-finite mass {value} on {el.display}")
-                if value < 0.0:
-                    raise RuleError(f"negative mass {value} on {el.display}")
-        if 0.0 in values:
-            masses = {el: value for el, value in masses.items() if value}
-        return cls._holding(frame, masses)
-
-    @classmethod
-    def _parsed_source(cls, frame, masses):
-        """The bba of a parsed source, distinct elements of ``frame`` mapped
-        to non-negative floats: kept as it is when its total is finite and
-        no mass is zero, checked in bulk; else built by the constructor,
-        which drops the zeros and words every refusal."""
-        values = masses.values()
-        if not (math.isfinite(sum(values)) and min(values, default=0.0) > 0.0):
-            return cls(frame, masses)
-        return cls._holding(frame, masses)
-
-    @classmethod
-    def _holding(cls, frame, masses):
-        """A bba holding ``masses`` as given, unchecked."""
+    def _checked(cls, frame, masses):
+        """The bba of ``masses``, distinct elements of ``frame`` mapped to
+        floats: kept as given when its total is finite and every mass is
+        above zero, checked in bulk; else built by the constructor, which
+        drops the zeros and words every refusal as a ValueError."""
         self = object.__new__(cls)
-        self.frame = frame
-        self._map = masses
+        values = masses.values()
+        if math.isfinite(sum(values)) and min(values, default=0.0) > 0.0:
+            self.frame, self._map = frame, masses
+        else:
+            MassFunction.__init__(self, frame, masses)
         return self
+
+    @classmethod
+    def _fused(cls, frame, masses):
+        """``_checked`` for the bba a rule combines: a refusal is a RuleError."""
+        try:
+            return cls._checked(frame, masses)
+        except ValueError as exc:
+            raise RuleError(str(exc)) from None
 
     @classmethod
     def vacuous(cls, frame):

@@ -295,7 +295,7 @@ def parse_problem(text):
                 _fail(lineno, f"negative mass {v} on {lhs}")
             masses[el] = masses.get(el, 0.0) + v
         try:
-            problem.sources.append((name, MassFunction._parsed_source(frame, masses)))
+            problem.sources.append((name, MassFunction._checked(frame, masses)))
         except ValueError as exc:
             _fail(lineno, str(exc))
 

@@ -141,13 +141,11 @@ def resolve(name):
 def validate_call(spec, n_sources, params):
     """Check arity and required parameters before running a rule."""
     if n_sources < spec.min_sources:
-        raise RuleError(
-            f"rule {spec.name!r} needs at least {spec.min_sources} sources, got {n_sources}"
-        )
+        raise RuleError(f"rule {spec.name!r} needs at least "
+                        f"{classic._sources(spec.min_sources)}, got {n_sources}")
     if spec.max_sources is not None and n_sources > spec.max_sources:
-        raise RuleError(
-            f"rule {spec.name!r} takes at most {spec.max_sources} sources, got {n_sources}"
-        )
+        raise RuleError(f"rule {spec.name!r} takes at most "
+                        f"{classic._sources(spec.max_sources)}, got {n_sources}")
     for key in spec.needs:
         if key not in params:
             raise RuleError(f"rule {spec.name!r} needs parameter {key!r}")

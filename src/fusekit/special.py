@@ -67,6 +67,10 @@ def zhang_center(m1, m2, degree="product"):
 
 # -- convolutive x-averaging ----------------------------------------------
 
+def _by_bounds(item):
+    return item[0].lo, item[0].hi
+
+
 class IntervalMassFunction(MassFunction):
     """A bba over the interval frame, its focal elements in (lo, hi) order."""
 
@@ -77,8 +81,7 @@ class IntervalMassFunction(MassFunction):
         for el in masses:
             if not isinstance(el, IntervalElement):
                 raise TypeError(f"focal elements must be intervals, got {type(el).__name__}")
-        super().__init__(INTERVAL_FRAME,
-                         sorted(masses.items(), key=lambda kv: (kv[0].lo, kv[0].hi)))
+        super().__init__(INTERVAL_FRAME, sorted(masses.items(), key=_by_bounds))
 
 
 def convolutive_x_average(m1, m2):
@@ -92,7 +95,7 @@ def convolutive_x_average(m1, m2):
         for y, q in m2.items():
             mid = x.average(y)
             acc[mid] = acc.get(mid, 0.0) + p * q
-    return IntervalMassFunction(acc)
+    return IntervalMassFunction._fused(INTERVAL_FRAME, dict(sorted(acc.items(), key=_by_bounds)))
 
 
 # -- consensus operator ------------------------------------------------------

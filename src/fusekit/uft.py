@@ -346,7 +346,7 @@ class QuasiAssociativeState(Value):
         if len(self.sources) == 1:
             return self.sources[0]
         frame = self.sources[0].frame
-        return MassFunction(frame, [(Element(frame, k), p) for k, p in self._table().items()])
+        return MassFunction._fused(frame, {Element(frame, k): p for k, p in self._table().items()})
 
     def _pairwise(self, rule, combine):
         """``combine(sources)`` of a pairwise-fold rule, resumed from the kept

@@ -120,6 +120,16 @@ def test_yager_needs_nonempty_ignorance():
         yager(m, m)
 
 
+def test_a_combination_whose_total_overflows_is_refused_when_it_is_built():
+    # Each landing is finite; their total is not, and the result is refused
+    # by the call, not when its total is first read.
+    frame = Frame.shafer(("A", "B"))
+    m1 = MassFunction(frame, {"A|B": 1e308})
+    m2 = MassFunction(frame, {"A": 1.0, "B": 1.0})
+    with pytest.raises(RuleError, match="^masses total more than the largest float$"):
+        conjunctive(m1, m2)
+
+
 def test_dubois_prade_matches_oracle(pair):
     m1, m2 = pair
     out = dubois_prade(m1, m2)

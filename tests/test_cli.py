@@ -553,6 +553,7 @@ def test_enumerate_past_the_guard_is_a_rule_error(tmp_path, capsys):
     ("zhang-product", 3, "takes at most 2 sources, got 3"),
     ("cautious", 3, "takes at most 2 sources, got 3"),
     ("dempster", 1, "needs at least 2 sources, got 1"),
+    ("conditional", 2, "rule 'conditional' takes at most 1 source, got 2"),
 ])
 def test_arity_errors_are_rule_errors(tmp_path, capsys, rule, sources, fragment):
     src = tmp_path / "arity.txt"
@@ -671,6 +672,27 @@ def test_a_landed_mass_that_overflows_is_a_rule_error(tmp_path, capsys, rule):
     code, out, err = run_cli(capsys, "--rule", rule, "--input", str(src))
     assert (code, out) == (3, "")
     assert err.startswith("error: RuleError: non-finite mass")
+
+
+@pytest.mark.parametrize("rule, params, text, message", [
+    # 1e308 * 1e308 / 1e308 overflows on the way to A's mixed mass.
+    ("mixing", ("--param", "weights=1e308,1"),
+     "frame: A B\nmodel: shafer\nsource m1: A=1e308\nsource m2: B=1\n",
+     "non-finite mass inf on A"),
+    ("xavg", (), "frame-intervals:\nsource m1: [1,2]=1e308\nsource m2: [1,2]=10\n",
+     "non-finite mass inf on [1,2]"),
+    # Each averaged mass is 1e308; their total is not finite.
+    ("xavg", (), "frame-intervals:\nsource m1: [1,2]=1e300, [3,4]=1e300\n"
+                 "source m2: [5,6]=1e8\n",
+     "masses total more than the largest float"),
+], ids=["mixing", "xavg-mass", "xavg-total"])
+def test_a_combined_mass_the_constructor_refuses_is_a_rule_error(tmp_path, capsys, rule, params,
+                                                                 text, message):
+    # These rules build their result without a ledger, through the same check.
+    src = tmp_path / "big.txt"
+    src.write_text(text)
+    code, out, err = run_cli(capsys, "--rule", rule, "--input", str(src), *params)
+    assert (code, out, err) == (3, "", f"error: RuleError: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [["verify", "--bogus"], ["enumerate"]],

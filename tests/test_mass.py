@@ -42,28 +42,32 @@ def test_masses_whose_total_overflows_are_rejected(shafer3):
     # Each mass is finite, but a source's total must be too.
     with pytest.raises(ValueError, match="^masses total more than the largest float$"):
         MassFunction(shafer3, {"A": 1e308, "B": 1e308})
-    # A combination's landings are not refused so; their total raises when read.
-    landed = MassFunction._landed(shafer3, {shafer3.label("A"): 1e308, shafer3.label("B"): 1e308})
+    # So must the total of a bba built in bulk, a parsed source's or a combination's.
+    masses = {shafer3.label("A"): 1e308, shafer3.label("B"): 1e308}
+    with pytest.raises(ValueError, match="^masses total more than the largest float$"):
+        MassFunction._checked(shafer3, masses)
     with pytest.raises(RuleError, match="^masses total more than the largest float$"):
-        landed.total
+        MassFunction._fused(shafer3, masses)
 
 
 def test_landed_masses_are_checked_in_bulk(shafer3):
-    # A combination's landings, made by the ledger, skip the per-entry
-    # checks but not the checks of their values.
+    # A parsed source or a combination's landings skip the per-entry checks
+    # when they pass one bulk check, but not the checks of their values.
     a, b = shafer3.label("A"), shafer3.label("B")
-    m = MassFunction._landed(shafer3, {a: 0.0, b: 1.0})
-    assert list(m.items()) == [(b, 1.0)]
-    assert len(MassFunction._landed(shafer3, {a: 0.0, b: -0.0})) == 0
-    # Finite masses whose sum overflows are not refused.
-    assert list(MassFunction._landed(shafer3, {a: 1e308, b: 1e308}).items()) == [
-        (a, 1e308), (b, 1e308)]
+    for build in (MassFunction._checked, MassFunction._fused):
+        m = build(shafer3, {a: 0.0, b: 1.0})
+        assert list(m.items()) == [(b, 1.0)]
+        assert len(build(shafer3, {a: 0.0, b: -0.0})) == 0
+        assert list(build(shafer3, {a: 0.5, b: 0.25}).items()) == [(a, 0.5), (b, 0.25)]
     for masses, message in (({a: 0.5, b: -0.5}, "negative mass -0.5 on B"),
                             ({a: float("inf"), b: 1.0}, "non-finite mass inf on A"),
                             ({a: 1.0, b: float("nan")}, "non-finite mass nan on B"),
                             ({a: -1.0, b: float("nan")}, "negative mass -1.0 on A")):
-        with pytest.raises(RuleError, match=message):
-            MassFunction._landed(shafer3, masses)
+        with pytest.raises(ValueError, match=f"^{message}$") as refused:
+            MassFunction._checked(shafer3, masses)
+        assert not isinstance(refused.value, RuleError)
+        with pytest.raises(RuleError, match=f"^{message}$"):
+            MassFunction._fused(shafer3, masses)
 
 
 @pytest.mark.parametrize("frame", [{"A": 1.0}, None, ("A", "B")])

@@ -146,6 +146,87 @@ ZHANG_LANDED = {
 }
 ZHANG_PRODUCT = {k: v / sum(ZHANG_LANDED.values()) for k, v in ZHANG_LANDED.items()}
 
+# Mixing with weights 1 and 3 on SHAFER scales each source's masses by
+# its weight over the weights' sum, 4, and lands them where they are:
+#   m1: A         1/4 · 1/2  = 1/8
+#   m1: A|B       1/4 · 3/10 = 3/40
+#   m1: Θ         1/4 · 1/5  = 1/20
+#   m2: B         3/4 · 2/5  = 3/10
+#   m2: A|C       3/4 · 3/5  = 9/20
+MIXING_PROBLEM = SHAFER + "param: weights=1,3\n"
+MIXING = {
+    "A": F(1, 8),
+    "A|B": F(3, 40),
+    "A|B|C": F(1, 20),
+    "B": F(3, 10),
+    "A|C": F(9, 20),
+}
+
+# The weighted operator on SHAFER gives k12 = 1/5, the conjunctive
+# conflict A & B, to its weighted elements: 3/4 of it to Θ and 1/4 to ∅,
+#   Θ  3/4 · 1/5 = 3/20
+#   ∅  1/4 · 1/5 = 1/20
+# and keeps CONJUNCTIVE's other landings.
+WO_PROBLEM = SHAFER + "param: weights=A|B|C:0.75,A&~A:0.25\n"
+WO = {
+    "A": F(12, 25),
+    "B": F(1, 5),
+    "A|C": F(3, 25),
+    "A|B|C": F(3, 4) * F(1, 5),  # = 3/20
+    "∅": F(1, 4) * F(1, 5),  # = 1/20
+}
+
+# Conditioning one source on A combines it with certainty in A under
+# the conjunctive base:
+#   m1: A = 1/2, B|C = 3/10, A|B = 1/5
+#   A & A = A          1/2 · 1  = 1/2
+#   (B|C) & A = ∅      3/10 · 1 = 3/10
+#   (A|B) & A = A      1/5 · 1  = 1/5
+CONDITIONAL_PROBLEM = """\
+frame: A B C
+model: shafer
+source m1: A=0.5, B|C=0.3, A|B=0.2
+param: given=A
+param: base=conjunctive
+"""
+CONDITIONAL = {
+    "A": F(1, 2) + F(1, 5),  # = 7/10
+    "∅": F(3, 10),
+}
+
+# The min T-norm on SHAFER weighs each product by the smaller of its two
+# masses, lands it on the intersection, divides out the empty one and
+# renormalises the rest:
+#   A & B = ∅          min(1/2, 2/5)  = 2/5  (divided out)
+#   A & (A|C) = A      min(1/2, 3/5)  = 1/2
+#   (A|B) & B = B      min(3/10, 2/5) = 3/10
+#   (A|B) & (A|C) = A  min(3/10, 3/5) = 3/10
+#   Θ & B = B          min(1/5, 2/5)  = 1/5
+#   Θ & (A|C) = A|C    min(1/5, 3/5)  = 1/5
+# The landed weights sum to 3/2.
+TNORM_MIN_LANDED = {
+    "A": F(1, 2) + F(3, 10),  # = 4/5
+    "B": F(3, 10) + F(1, 5),  # = 1/2
+    "A|C": F(1, 5),
+}
+TNORM_MIN = {k: v / sum(TNORM_MIN_LANDED.values()) for k, v in TNORM_MIN_LANDED.items()}
+
+# The max T-conorm on SHAFER weighs each product by the larger of its
+# two masses, lands it on the union and renormalises:
+#   A | B = A|B          max(1/2, 2/5)  = 1/2
+#   A | (A|C) = A|C      max(1/2, 3/5)  = 3/5
+#   (A|B) | B = A|B      max(3/10, 2/5) = 2/5
+#   (A|B) | (A|C) = Θ    max(3/10, 3/5) = 3/5
+#   Θ | B = Θ            max(1/5, 2/5)  = 2/5
+#   Θ | (A|C) = Θ        max(1/5, 3/5)  = 3/5
+# The landed weights sum to 31/10.
+TCONORM_MAX_LANDED = {
+    "A|B": F(1, 2) + F(2, 5),  # = 9/10
+    "A|C": F(3, 5),
+    "A|B|C": F(3, 5) + F(2, 5) + F(3, 5),  # = 8/5
+}
+TCONORM_MAX = {k: v / sum(TCONORM_MAX_LANDED.values()) for k, v in TCONORM_MAX_LANDED.items()}
+
 CASES = [
     # rule, problem, masses by display, conflicting mass
     ("conjunctive", SHAFER, CONJUNCTIVE, F(1, 5)),
@@ -156,6 +237,11 @@ CASES = [
     ("smets", XOR_PROBLEM, SMETS, F(12, 25)),
     ("inagaki", INAGAKI_PROBLEM, INAGAKI, F(1, 5)),
     ("zhang-product", SHAFER, ZHANG_PRODUCT, F(1, 5)),
+    ("mixing", MIXING_PROBLEM, MIXING, F(0)),
+    ("wo", WO_PROBLEM, WO, F(1, 5)),
+    ("conditional", CONDITIONAL_PROBLEM, CONDITIONAL, F(3, 10)),
+    ("tnorm-min", SHAFER, TNORM_MIN, F(2, 5)),
+    ("tconorm-max", SHAFER, TCONORM_MAX, F(0)),
 ]
 
 
@@ -167,6 +253,12 @@ def test_the_worked_values_reduce_as_written():
     assert INAGAKI == {"A": F(66, 125), "B": F(11, 50), "A|C": F(33, 250), "A|B|C": F(3, 25)}
     assert sum(ZHANG_LANDED.values()) == F(193, 600)
     assert ZHANG_PRODUCT == {"A": F(117, 193), "B": F(52, 193), "A|C": F(24, 193)}
+    assert WO["A|B|C"] == F(3, 20) and WO["∅"] == F(1, 20)
+    assert CONDITIONAL["A"] == F(7, 10)
+    assert sum(TNORM_MIN_LANDED.values()) == F(3, 2)
+    assert TNORM_MIN == {"A": F(8, 15), "B": F(1, 3), "A|C": F(2, 15)}
+    assert sum(TCONORM_MAX_LANDED.values()) == F(31, 10)
+    assert TCONORM_MAX == {"A|B": F(9, 31), "A|C": F(6, 31), "A|B|C": F(16, 31)}
     for _, _, masses, _ in CASES:
         assert sum(masses.values()) == 1
 

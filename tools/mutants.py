@@ -239,21 +239,6 @@ MUTANTS = (
      "if fold is not None and fold[0] == rule:",
      "if fold is not None:",
      ("tests/test_uft.py", f"{PROPERTIES}::test_the_store_resumes_each_pairwise_fold_as_the_direct_fold")),
-    # A negative landing would pass the bulk check of a combination's masses.
-    ("landed-without-sign", "src/fusekit/mass.py",
-     "if not (math.isfinite(sum(values)) and min(values, default=0.0) >= 0.0):",
-     "if not math.isfinite(sum(values)):",
-     ("tests/test_mass.py",)),
-    # A landing whose mass overflowed would pass the bulk check.
-    ("landed-without-finiteness", "src/fusekit/mass.py",
-     "if not (math.isfinite(sum(values)) and min(values, default=0.0) >= 0.0):",
-     "if not min(values, default=0.0) >= 0.0:",
-     ("tests/test_mass.py", "tests/test_cli.py")),
-    # A landing of mass 0 would stay a focal element of the result.
-    ("landed-keeps-zeros", "src/fusekit/mass.py",
-     "if 0.0 in values:",
-     "if False:",
-     ("tests/test_mass.py",)),
     # Every frame would share one text memo, so a text would take the mask
     # it has on the first frame that parsed it.
     ("parse-memo-across-frames", "src/fusekit/frame.py",
@@ -269,17 +254,27 @@ MUTANTS = (
      "        return hit if isinstance(hit, Element) else Element(self, *hit)\n",
      ("tests/test_frame.py::test_a_frame_keeps_nothing_that_refers_back_to_it",
       "tests/test_cli.py::test_fusekit_leaves_nothing_for_the_cyclic_collector")),
-    # A parsed source whose total overflows, or that holds an infinite
-    # mass, would pass the bulk check.
-    ("parsed-source-without-finiteness", "src/fusekit/mass.py",
-     "if not (math.isfinite(sum(values)) and min(values, default=0.0) > 0.0):",
-     "if not min(values, default=0.0) > 0.0:",
-     ("tests/test_problem.py::test_a_label_source_the_constructor_refuses_fails_at_its_line",)),
-    # A parsed mass of 0 would stay a focal element of its source.
-    ("parsed-source-keeps-zeros", "src/fusekit/mass.py",
-     "if not (math.isfinite(sum(values)) and min(values, default=0.0) > 0.0):",
-     "if not (math.isfinite(sum(values)) and min(values, default=0.0) >= 0.0):",
-     ("tests/test_problem.py::test_a_label_source_drops_zero_masses_and_merges_equal_elements",)),
+    # A bba whose total overflows, or that holds an infinite mass, would
+    # pass the bulk check of a parsed source or a combination.
+    ("checked-without-finiteness", "src/fusekit/mass.py",
+     "if math.isfinite(sum(values)) and min(values, default=0.0) > 0.0:",
+     "if min(values, default=0.0) > 0.0:",
+     ("tests/test_mass.py::test_landed_masses_are_checked_in_bulk",)),
+    # A mass of 0 would stay a focal element of the bba built in bulk.
+    ("checked-keeps-zeros", "src/fusekit/mass.py",
+     "min(values, default=0.0) > 0.0:",
+     "min(values, default=0.0) >= 0.0:",
+     ("tests/test_mass.py::test_landed_masses_are_checked_in_bulk",)),
+    # A negative mass would pass the bulk check.
+    ("checked-without-sign", "src/fusekit/mass.py",
+     "if math.isfinite(sum(values)) and min(values, default=0.0) > 0.0:",
+     "if math.isfinite(sum(values)):",
+     ("tests/test_mass.py::test_landed_masses_are_checked_in_bulk",)),
+    # A combination's refused masses would escape as a plain ValueError.
+    ("fused-without-rule-error", "src/fusekit/mass.py",
+     "raise RuleError(str(exc)) from None",
+     "raise",
+     ("tests/test_mass.py::test_landed_masses_are_checked_in_bulk",)),
     # A partial of several shares would export its first share alone.
     ("export-one-share-for-all", "src/fusekit/cli.py",
      "if len(shares) == 1:",
@@ -387,7 +382,13 @@ FORMULA_MUTANTS = (
 #   held, so a later element could reuse its id and read its entry:
 #   ``Reductions`` finds an operand by its expression alone.  Its killing
 #   test, ``tests/test_classic.py::test_reductions_hold_each_operand_they_find_by_identity``,
-#   stays.
+#   stays;
+# - ``landed-without-sign``, ``landed-without-finiteness``,
+#   ``landed-keeps-zeros``, ``parsed-source-without-finiteness`` and
+#   ``parsed-source-keeps-zeros``, the bulk checks of a combination's
+#   landings and of a parsed source: both now build through
+#   ``MassFunction._checked``, whose one bulk check the ``checked-*``
+#   mutants edit.  Their killing tests stay.
 
 # Equivalent mutants, kept out of the list because no test can kill them:
 # - keying dsmh's form memo by all of a product's part bits (``key >>
